@@ -56,7 +56,6 @@ from .corepoints import (
     EssentialSet,
     Outside,
     all_rotations,
-    atoms_near,
     barycenter,
     bracelet_class_key,
     co_projective,
@@ -68,7 +67,6 @@ from .corepoints import (
     membership,
     projected_essential_set,
     rotation_class_key,
-    universal_core_points,
     verify_layer,
 )
 from .exprs import (
@@ -120,7 +118,6 @@ from .solve import (
     flatten_subproblem,
     lp_relax,
     make_instance,
-    merge_outcomes,
     solve_subproblem,
     symmetry_warnings,
 )

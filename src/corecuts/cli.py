@@ -35,7 +35,7 @@ from .engine import (
     run_auto,
 )
 from .errors import CorecutsError, InputError
-from .gen import certify_infeasible, hard_instance
+from .gen import generate
 from .instancefile import analyze_group, instance_to_dict, read_instance
 from .perms import fixed_space_basis
 from .solve import (
@@ -103,61 +103,26 @@ def cmd_analyze(args) -> int:
 
 def cmd_gen(args) -> int:
     point = _parse_point(args.point)
-    n = len(point)
-    group = analyze_group([args.group], n)
-    if len(group.selected_cycles) != 1 or group.selected_cycles[0].k != n:
-        raise InputError(
-            "generation needs a single full cycle acting on all coordinates; "
-            f"got {[str(c) for c in group.selected_cycles]} for n={n}"
+    result = generate(point, certify=not args.skip_certify, cycle=args.group)
+    if result.certified is False:
+        print(
+            f"FAIL construction: integer point {result.witness} satisfies all rows",
+            file=sys.stderr,
         )
-    cycle = group.selected_cycles[0]
-    # relabel so the cycle acts as the standard rotation, synthesize
-    # there, then map the columns back to the original coordinates
-    order = cycle.support
-    local_point = tuple(point[i - 1] for i in order)
-    inst_local = hard_instance(local_point)
-    if tuple(order) != tuple(range(1, n + 1)):
-        from .simplex import make_row
-        from .solve import make_instance
-
-        rows = []
-        for r in inst_local.rows:
-            coeffs = [Fraction(0)] * n
-            for j, a in enumerate(r.coeffs):
-                coeffs[order[j] - 1] = a
-            rows.append(make_row(coeffs, r.sense, r.rhs))
-        bounds = [None] * n
-        for j in range(n):
-            bounds[order[j] - 1] = inst_local.bounds[j]
-        inst = make_instance(
-            n, sense=inst_local.sense, rows=rows, bounds=bounds,
-            integer=[True] * n, group=group,
-        )
-    else:
-        inst = inst_local
-
-    doc = instance_to_dict(inst)
-    warnings = []
+        return 1
+    doc = instance_to_dict(result.instance)
     if args.skip_certify:
-        warnings.append("integer-infeasibility certification skipped (--skip-certify)")
-        certified = None
-    else:
-        certified, witness = certify_infeasible(inst)
-        if not certified:
-            print(f"FAIL construction: integer point {witness} satisfies all rows", file=sys.stderr)
-            return 1
-    if warnings:
-        doc["warnings"] = warnings
+        doc["warnings"] = ["integer-infeasibility certification skipped (--skip-certify)"]
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     summary = {
         "format": 1,
         "out": args.out,
-        "n": n,
-        "rows": len(inst.rows),
-        "layer": str(sum(point)),
-        "certified_infeasible": certified,
+        "n": len(point),
+        "rows": len(result.instance.rows),
+        "layer": str(result.layer),
+        "certified_infeasible": result.certified,
     }
     _emit(summary)
     return EXIT_OK
@@ -169,7 +134,6 @@ def cmd_solve(args) -> int:
         budget=args.budget,
         eps=args.eps,
         box=args.box,
-        jobs=args.jobs,
         essential_budget=args.essential_budget,
         anchor_mode=args.anchor_mode,
         export_dir=args.export_dir,
@@ -273,7 +237,6 @@ def build_parser() -> _Parser:
                     help="strict-inequality margin")
     ps.add_argument("--box", type=int, default=DEFAULT_BOX,
                     help="fallback half-width of the enumeration box")
-    ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--export-dir", default=None,
                     help="write each subproblem as MINLP-JSON here")
     ps.add_argument("--essential-budget", type=int, default=1,

@@ -152,47 +152,7 @@ def is_lattice_free(
 
 
 # ---------------------------------------------------------------------------
-# universal core points, atoms, essential sets
-
-def universal_core_points(k_len: int, residue: int, budget: int) -> list[tuple[int, ...]]:
-    """Binary layer representatives: {0,1}-vectors of length k_len whose
-    popcount is congruent to the residue (mod k_len), deduplicated up to
-    rotation, in canonical display form, largest-first."""
-    if not 1 <= residue <= k_len:
-        raise InputError(f"need 1 <= residue <= k_len, got {residue}")
-    popcount = residue % k_len  # residue == k_len means the all-ones vector
-    classes: dict[tuple, list[tuple]] = {}
-    if popcount == 0:
-        classes[(1,) * k_len] = [(1,) * k_len]
-    else:
-        for ones in itertools.combinations(range(k_len), popcount):
-            v = tuple(1 if j in ones else 0 for j in range(k_len))
-            classes.setdefault(rotation_class_key(v), []).append(v)
-    reps = sorted((display_form(members) for members in classes.values()), reverse=True)
-    return reps[:budget]
-
-
-def atoms_near(u: Sequence[int], budget: int) -> list[tuple[int, ...]]:
-    """Points u + e_i - e_j (i != j), deduplicated up to rotation,
-    generated in (i, j) lexicographic order, up to budget."""
-    k = len(u)
-    out: list[tuple[int, ...]] = []
-    seen: set[tuple] = set()
-    for i in range(k):
-        for j in range(k):
-            if i == j or len(out) >= budget:
-                continue
-            w = list(u)
-            w[i] += 1
-            w[j] -= 1
-            wt = tuple(w)
-            key = rotation_class_key(wt)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(wt)
-    return out[:budget]
-
+# essential sets
 
 UNIVERSAL = "Universal"
 ATOM = "Atom"

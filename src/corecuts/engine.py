@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -83,7 +82,6 @@ class EngineOptions:
     budget: int = DEFAULT_NODE_BUDGET
     eps: float = DEFAULT_EPS
     box: int = DEFAULT_BOX
-    jobs: int = 1
     #: essential points kept per residue when building probes and cuts
     essential_budget: int = 1
     anchor_mode: str = SUM_MODE
@@ -96,6 +94,8 @@ class EngineOptions:
             raise InputError(f"unknown anchor mode {self.anchor_mode!r}")
         if self.essential_budget < 1:
             raise InputError("essential budget must be >= 1")
+        if self.box < 0:
+            raise InputError("box must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -361,8 +361,8 @@ def plan(inst: Instance, opts: Optional[EngineOptions] = None) -> Schedule:
 def _dispatch(
     subs: Sequence[Subproblem], opts: EngineOptions
 ) -> list[SubResult]:
-    """Solve a group of subproblems (possibly concurrently) and return
-    results in schedule order regardless of completion order."""
+    """Solve a group of subproblems one after another and return the
+    results in schedule order."""
     if opts.export_dir:
         os.makedirs(opts.export_dir, exist_ok=True)
         for sp in subs:
@@ -372,15 +372,12 @@ def _dispatch(
     if opts.dry_run:
         return [SubResult(sp.id, sp.tag, sp.provenance, Outcome(UNKNOWN), 0.0) for sp in subs]
 
-    def run_one(sp: Subproblem) -> SubResult:
+    results = []
+    for sp in subs:
         t0 = time.perf_counter()
         out = solve_subproblem(sp, box=opts.box, budget=opts.budget, eps=opts.eps)
-        return SubResult(sp.id, sp.tag, sp.provenance, out, time.perf_counter() - t0)
-
-    if opts.jobs > 1 and len(subs) > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-            return list(pool.map(run_one, subs))
-    return [run_one(sp) for sp in subs]
+        results.append(SubResult(sp.id, sp.tag, sp.provenance, out, time.perf_counter() - t0))
+    return results
 
 
 def _objective_of(inst: Instance, point: Sequence[Fraction]) -> Fraction:

@@ -1,69 +1,102 @@
-"""Expression-program compiler and kernel selection.
+"""Expression-program compiler and stack machine.
 
-Expressions are flattened to a postfix program (int64 code + double
-constant pool) executed by a small stack machine.  At import time the
-compiled Cython kernel is preferred; the pure-Python twin is the
-fallback.  Both share one semantics contract (see evalcore_py), so a
-program evaluates bit-identically on either backend.
-
-Programs own a scratch stack and are therefore not safe to share
-across threads; compile one program per worker.
+Expressions are flattened to a postfix program (integer code + float
+constant pool) executed by a small stack machine.  A program must
+evaluate bit-identically to ``exprs.eval_float``: n-ary operations fold
+left in push order, Dot accumulates from 0.0 in index order, and a zero
+denominator aborts with ok=False instead of raising.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
-from . import evalcore_py
 from .errors import InputError
 from .exprs import Add, Const, Div, Dot, Expr, Mul, Square, Var
 
-try:  # pragma: no cover - depends on whether the extension built
-    from . import _evalcore  # type: ignore[attr-defined]
-
-    _run = _evalcore.run_program
-    _BACKEND = "compiled"
-except ImportError:  # pragma: no cover
-    _run = evalcore_py.run_program
-    _BACKEND = "python"
-
-OP_CONST = evalcore_py.OP_CONST
-OP_VAR = evalcore_py.OP_VAR
-OP_ADD = evalcore_py.OP_ADD
-OP_MUL = evalcore_py.OP_MUL
-OP_DIV = evalcore_py.OP_DIV
-OP_SQUARE = evalcore_py.OP_SQUARE
-OP_DOT = evalcore_py.OP_DOT
+OP_CONST = 0
+OP_VAR = 1
+OP_ADD = 2
+OP_MUL = 3
+OP_DIV = 4
+OP_SQUARE = 5
+OP_DOT = 6
 
 
 def backend_name() -> str:
-    """Which kernel evaluates programs: "compiled" or "python"."""
-    return _BACKEND
+    """Which evaluator runs programs; there is only the Python one."""
+    return "python"
 
 
 @dataclass
 class Program:
     """A compiled expression: flat code, constant pool, scratch stack."""
 
-    code: array
-    consts: array
-    stack: array
-    nvars: int
-    #: staging buffer so callers can pass any float sequence; the kernels
-    #: take typed buffers only
-    values_buf: array = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.values_buf is None:
-            self.values_buf = array("d", bytes(8 * self.nvars))
+    code: tuple[int, ...]
+    consts: tuple[float, ...]
+    stack: list[float]
 
     def run(self, values) -> tuple[bool, float]:
-        """Evaluate at a float vector ordered by the compiling var_index."""
-        buf = self.values_buf
-        for i in range(self.nvars):
-            buf[i] = values[i]
-        return _run(self.code, self.consts, buf, self.stack)
+        """Evaluate at a float vector ordered by the compiling var_index;
+        returns (ok, value)."""
+        code = self.code
+        consts = self.consts
+        stack = self.stack
+        pc = 0
+        sp = 0
+        length = len(code)
+        while pc < length:
+            op = code[pc]
+            if op == OP_CONST:
+                stack[sp] = consts[code[pc + 1]]
+                sp += 1
+                pc += 2
+            elif op == OP_VAR:
+                stack[sp] = values[code[pc + 1]]
+                sp += 1
+                pc += 2
+            elif op == OP_ADD:
+                n = code[pc + 1]
+                base = sp - n
+                acc = stack[base]
+                for i in range(1, n):
+                    acc = acc + stack[base + i]
+                stack[base] = acc
+                sp = base + 1
+                pc += 2
+            elif op == OP_MUL:
+                n = code[pc + 1]
+                base = sp - n
+                acc = stack[base]
+                for i in range(1, n):
+                    acc = acc * stack[base + i]
+                stack[base] = acc
+                sp = base + 1
+                pc += 2
+            elif op == OP_DIV:
+                den = stack[sp - 1]
+                if den == 0.0:
+                    return False, 0.0
+                stack[sp - 2] = stack[sp - 2] / den
+                sp -= 1
+                pc += 1
+            elif op == OP_SQUARE:
+                v = stack[sp - 1]
+                stack[sp - 1] = v * v
+                pc += 1
+            elif op == OP_DOT:
+                n = code[pc + 1]
+                acc = 0.0
+                p = pc + 2
+                for _ in range(n):
+                    acc = acc + consts[code[p]] * values[code[p + 1]]
+                    p += 2
+                stack[sp] = acc
+                sp += 1
+                pc = p
+            else:
+                raise ValueError(f"bad opcode {op}")
+        return True, stack[0]
 
 
 def compile_expr(expr: Expr, var_index: dict[str, int]) -> Program:
@@ -119,9 +152,4 @@ def compile_expr(expr: Expr, var_index: dict[str, int]) -> Program:
         raise InputError(f"unknown node {node!r}")
 
     depth = max(emit(expr), 1)
-    return Program(
-        code=array("q", code),
-        consts=array("d", consts or [0.0]),
-        stack=array("d", [0.0] * depth),
-        nvars=len(var_index),
-    )
+    return Program(code=tuple(code), consts=tuple(consts), stack=[0.0] * depth)

@@ -5,7 +5,7 @@ Div, Square, and Dot (a coefficient vector against a variable vector).
 Trees are immutable.  Two evaluators exist with deliberately identical
 float semantics (n-ary operations fold left, Dot accumulates in index
 order, constants convert via float()): the reference tree walker here
-and the flat program form consumed by the fast kernels in evalcore.
+and the flat program form run by the stack machine in evalcore.
 Serialization must stay bit-exact across emit -> parse -> evaluate, so
 nothing in this module may reorder operands.
 """
@@ -125,7 +125,7 @@ class EvalDivisionByZero(ArithmeticError):
 
 
 def eval_float(expr: Expr, env: dict[str, float]) -> float:
-    """Reference float evaluator; the kernels must agree bit for bit."""
+    """Reference float evaluator; evalcore programs must agree bit for bit."""
     if isinstance(expr, Const):
         return float(expr.value)
     if isinstance(expr, Var):

@@ -49,31 +49,49 @@ def _cycle_string(n: int) -> str:
     return "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
 
 
-def hard_instance(c: Sequence[int], require_core: bool = True) -> Instance:
-    """Build the integer-infeasible feasibility instance for core point c."""
+def hard_instance(
+    c: Sequence[int], require_core: bool = True, cycle: Optional[str] = None
+) -> Instance:
+    """Build the integer-infeasible feasibility instance for core point c.
+
+    ``cycle`` is a full n-cycle in cycle notation, e.g. "(1,5,2,4,3)";
+    the default is the standard rotation (1,2,...,n).  The construction
+    runs on c read along the cycle, and its columns are mapped back to
+    the original coordinates, so the instance is invariant under the
+    given cycle."""
     n = len(c)
     if n < 3:
         raise InputError("need a point of dimension >= 3")
-    group = analyze_group([_cycle_string(n)], n)
+    rotation = analyze_group([_cycle_string(n)], n)
+    group = rotation if cycle is None else analyze_group([cycle], n)
+    if len(group.selected_cycles) != 1 or group.selected_cycles[0].k != n:
+        raise InputError(
+            "generation needs a single full cycle acting on all coordinates; "
+            f"got {[str(cyc) for cyc in group.selected_cycles]} for n={n}"
+        )
+    order = group.selected_cycles[0].support
+    local = tuple(int(c[i - 1]) for i in order)
     if require_core:
-        cert = is_lattice_free(group, tuple(int(v) for v in c))
+        cert = is_lattice_free(rotation, local)
         if cert.verdict != "Core":
             raise NotCore(
                 f"{tuple(c)} is not a core point of the {n}-cycle "
                 f"(witness {cert.witness})"
             )
 
-    that = t_hat_exact(tuple(int(v) for v in c))
-    layer = sum(int(v) for v in c)
+    that = t_hat_exact(local)
+    layer = sum(local)
     rows: list[LPRow] = []
     for i in range(n):
-        coeffs = [that[(i - j) % n] for j in range(n)]
+        coeffs = [Fraction(0)] * n
+        for j in range(n):
+            coeffs[order[j] - 1] = that[(i - j) % n]
         rows.append(make_row(coeffs, ">=", Fraction(0)))
         rows.append(make_row(coeffs, "<=", Fraction(1, 2)))
     rows.append(make_row([Fraction(1)] * n, "==", Fraction(layer)))
 
-    lo = min(int(v) for v in c) - 1
-    hi = max(int(v) for v in c) + 1
+    lo = min(local) - 1
+    hi = max(local) + 1
     bounds = [(Fraction(lo), Fraction(hi))] * n
     return make_instance(
         n,
@@ -112,8 +130,12 @@ def certify_infeasible(inst: Instance) -> tuple[bool, Optional[tuple[int, ...]]]
     return True, None
 
 
-def generate(c: Sequence[int], certify: bool = True) -> GenResult:
-    inst = hard_instance(c)
+def generate(
+    c: Sequence[int], certify: bool = True, cycle: Optional[str] = None
+) -> GenResult:
+    """Build the hard instance for c (see hard_instance for ``cycle``)
+    and, unless told not to, certify it integer-infeasible."""
+    inst = hard_instance(c, cycle=cycle)
     layer = sum(int(v) for v in c)
     if not certify:
         return GenResult(inst, layer, None, None)

@@ -5,8 +5,9 @@ Two engines live here:
 * ``lp_relax`` — exact rational simplex over the instance's linear rows
   (synthesized nonlinear sets are never part of the relaxation);
 * ``solve_subproblem`` — bounded depth-first integer enumeration with
-  exact interval propagation on every linear row and compiled float
-  evaluation of the nonlinear constraints at fully assigned leaves.
+  exact interval propagation on every linear row and float evaluation
+  of the nonlinear constraints (flattened programs) at fully assigned
+  leaves.
 
 Both are deliberately small: they replace an external MINLP solver for
 instances a few variables wide, and every verdict they return is
@@ -366,7 +367,7 @@ def solve_subproblem(
     [-box, box].
 
     Linear rows prune through exact interval propagation at every node;
-    nonlinear constraints are evaluated (compiled kernels) only at fully
+    nonlinear constraints are evaluated (flattened programs) only at fully
     assigned leaves, where a division by zero simply rejects the leaf —
     smoothness guards make such leaves infeasible by definition.
 
@@ -467,19 +468,6 @@ def solve_subproblem(
         return Outcome(INFEASIBLE)
     point, objv = state["best"]
     return Outcome(FEASIBLE, point=point, objective=objv)
-
-
-def merge_outcomes(outcomes: Sequence[Outcome]) -> Outcome:
-    """Merge verdicts of box shards of one subproblem: Feasible >
-    Unbounded > Unknown > Infeasible, the last only when every shard
-    certified exhaustion."""
-    if not outcomes:
-        raise InputError("nothing to merge")
-    for status in (FEASIBLE, UNBOUNDED, UNKNOWN):
-        for o in outcomes:
-            if o.status == status:
-                return o
-    return outcomes[0]
 
 
 def export_subproblem(sub, path, eps: float = DEFAULT_EPS) -> None:

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from corecuts.cli import main
-from corecuts.instancefile import write_instance
+from corecuts.engine import EngineOptions, run_auto
+from corecuts.instancefile import generator_strings, read_instance, write_instance
 from corecuts.simplex import make_row
 from corecuts.solve import make_instance
 from corecuts.instancefile import analyze_group
@@ -77,6 +78,29 @@ def test_gen_writes_certified_file(tmp_path, capsys):
     assert on_disk["group"]["generators"] == ["(1,2,3)"]
 
 
+def test_gen_relabels_for_a_nonstandard_cycle(tmp_path, capsys):
+    out = tmp_path / "c5.json"
+    code, doc = _run(capsys, ["gen", "(1,5,2,4,3)", "2,2,2,2,1", "-o", str(out)])
+    assert code == 0
+    assert doc["certified_infeasible"] is True
+    assert doc["layer"] == "9"
+    inst = read_instance(out)
+    assert generator_strings(inst.group) == ["(1,5,2,4,3)"]
+    # moving every column along the cycle maps the row set onto itself
+    image = {1: 5, 5: 2, 2: 4, 4: 3, 3: 1}
+
+    def permuted(r):
+        coeffs = [None] * 5
+        for i, a in enumerate(r.coeffs, start=1):
+            coeffs[image[i] - 1] = a
+        return (tuple(coeffs), r.sense, r.rhs)
+
+    rows = {(tuple(r.coeffs), r.sense, r.rhs) for r in inst.rows}
+    assert {permuted(r) for r in inst.rows} == rows
+    assert len(set(inst.bounds)) == 1
+    assert run_auto(inst, EngineOptions()).status == "Infeasible"
+
+
 def test_gen_needs_full_cycle(tmp_path, capsys):
     out = tmp_path / "bad.json"
     code = main(["gen", "(1,2)", "1,1,0", "-o", str(out)])
@@ -135,6 +159,15 @@ def test_solve_feasible_exit_zero(tmp_path, capsys):
     assert code == 0
     assert doc["status"] == "Feasible"
     assert sum(int(v) for v in doc["point"]) == 3
+
+
+def test_solve_negative_box_exits_64(tmp_path, capsys):
+    out = tmp_path / "c3.json"
+    main(["gen", "(1,2,3)", "1,1,0", "-o", str(out)])
+    capsys.readouterr()
+    code = main(["solve", str(out), "--box", "-5"])
+    assert code == 64
+    assert "box" in capsys.readouterr().err
 
 
 def test_usage_error_exits_64():

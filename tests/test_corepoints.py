@@ -17,7 +17,6 @@ from corecuts import (
     NonActiveMismatch,
     Outside,
     all_rotations,
-    atoms_near,
     barycenter,
     co_projective,
     display_form,
@@ -30,7 +29,6 @@ from corecuts import (
     projected_essential_set,
     rotation_class_key,
     select_cycles,
-    universal_core_points,
     verify_layer,
 )
 
@@ -120,23 +118,7 @@ def test_rotation_class_key_is_rotation_invariant():
 
 
 # ---------------------------------------------------------------------------
-# universal points, atoms, essential sets
-
-
-def test_universal_core_points_popcount_residue():
-    pts = universal_core_points(5, 2, 4)
-    assert pts == [(1, 1, 0, 0, 0), (1, 0, 1, 0, 0)]
-    for z in pts:
-        assert set(z) <= {0, 1} and sum(z) % 5 == 2
-
-
-def test_atoms_are_at_squared_distance_two():
-    u = (1, 1, 0, 0, 0)
-    atoms = atoms_near(u, 4)
-    assert atoms, "expected at least one atom"
-    for z in atoms:
-        assert sum(z) == sum(u)
-        assert sum((a - b) ** 2 for a, b in zip(z, u)) == 2
+# essential sets
 
 
 def test_essential_set_layer_three_of_six():

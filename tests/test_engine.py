@@ -49,6 +49,8 @@ def test_options_validate():
         EngineOptions(anchor_mode="mixed")
     with pytest.raises(InputError):
         EngineOptions(essential_budget=0)
+    with pytest.raises(InputError):
+        EngineOptions(box=-5)
 
 
 def test_subproblem_tag_must_match_sets():

@@ -1,7 +1,6 @@
-"""Expression trees, evaluation, linear extraction, kernel parity."""
+"""Expression trees, evaluation, linear extraction, program parity."""
 
 import random
-from array import array
 from fractions import Fraction
 
 import pytest
@@ -25,7 +24,7 @@ from corecuts import (
     linear_form,
     variables_of,
 )
-from corecuts import evalcore, evalcore_py
+from corecuts import evalcore
 
 
 def test_eval_float_basics():
@@ -120,7 +119,7 @@ def test_check_value_senses():
 
 
 # ---------------------------------------------------------------------------
-# kernel parity: compiled extension vs pure-Python bytecode interpreter
+# program parity: the stack machine against the tree evaluator
 
 
 def _random_expr(rng, names, depth=0):
@@ -146,34 +145,48 @@ def _random_expr(rng, names, depth=0):
 
 
 def test_backend_reports_name():
-    assert evalcore.backend_name() in ("compiled", "python")
+    assert evalcore.backend_name() == "python"
 
 
 def test_compiled_and_pure_kernels_agree():
-    """Both interpreters must produce identical doubles on random programs."""
+    """A compiled program and the pure tree evaluator produce identical
+    doubles on random expressions, and a program that reuses its stack
+    across runs gives the same answer each time."""
     rng = random.Random(99)
     names = ("x1", "x2", "x3", "x4")
     index = {n: i for i, n in enumerate(names)}
     for _ in range(60):
         expr = _random_expr(rng, names)
         prog = evalcore.compile_expr(expr, index)
-        scratch = array("d", prog.stack)
         for _ in range(20):
             vals = [rng.uniform(-3, 3) for _ in names]
-            got = prog.run(vals)
-            want = evalcore_py.run_program(prog.code, prog.consts, vals, scratch)
-            assert got == tuple(want) or got == want
+            want = (True, eval_float(expr, dict(zip(names, vals))))
+            assert prog.run(vals) == want
+            assert prog.run(vals) == want
 
 
 def test_program_matches_tree_evaluator():
+    """Programs agree with eval_float bit for bit, and abort with
+    ok=False exactly where eval_float hits a zero denominator."""
     rng = random.Random(7)
-    names = ("x1", "x2", "x3")
+    names = ("x1", "x2", "x3", "x4")
     index = {n: i for i, n in enumerate(names)}
-    for _ in range(40):
+    zero_divs = 0
+    for _ in range(100):
         expr = _random_expr(rng, names)
+        if rng.random() < 0.3:
+            expr = Div(expr, Var("x4"))
         prog = evalcore.compile_expr(expr, index)
-        vals = [rng.uniform(-2, 2) for _ in names]
-        env = dict(zip(names, vals))
-        ok, got = prog.run(vals)
-        assert ok
-        assert got == pytest.approx(eval_float(expr, env), rel=1e-12, abs=1e-12)
+        for _ in range(20):
+            vals = [rng.uniform(-3, 3) for _ in names]
+            if rng.random() < 0.3:
+                vals[3] = 0.0
+            env = dict(zip(names, vals))
+            try:
+                want = (True, eval_float(expr, env))
+            except EvalDivisionByZero:
+                zero_divs += 1
+                assert prog.run(vals)[0] is False
+                continue
+            assert prog.run(vals) == want
+    assert zero_divs > 0

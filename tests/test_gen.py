@@ -79,3 +79,23 @@ def test_generate_can_skip_certification():
     res = generate((2, 2, 2, 2, 1), certify=False)
     assert not res.certified
     assert res.instance.n == 5
+
+
+def test_hard_instance_follows_the_given_cycle():
+    """On a nonstandard cycle the images of c along that cycle are the
+    orbit-polytope vertices: each meets every floor row and the layer
+    row and breaks exactly one cap."""
+    image = {1: 5, 5: 2, 2: 4, 4: 3, 3: 1}
+    inst = hard_instance((2, 0, 1, 0, 0), cycle="(1,5,2,4,3)")
+    point = (2, 0, 1, 0, 0)
+    for _ in range(5):
+        acts = [(r.sense, sum(a * v for a, v in zip(r.coeffs, point)), r.rhs) for r in inst.rows]
+        assert all(act >= rhs for sense, act, rhs in acts if sense == ">=")
+        assert all(act == rhs for sense, act, rhs in acts if sense == "==")
+        assert sum(act > rhs for sense, act, rhs in acts if sense == "<=") == 1
+        moved = [0] * 5
+        for i, v in enumerate(point, start=1):
+            moved[image[i] - 1] = v
+        point = tuple(moved)
+    assert certify_infeasible(inst) == (True, None)
+

@@ -13,12 +13,10 @@ from corecuts import (
     AuxVar,
     InputError,
     Instance,
-    Outcome,
     Subproblem,
     flatten_subproblem,
     lp_relax,
     make_instance,
-    merge_outcomes,
     solve_subproblem,
     symmetry_warnings,
 )
@@ -237,18 +235,6 @@ def test_solve_unbounded_integers_get_default_box():
     # clipped by the default +/-50 window rather than running forever
     assert out.status == FEASIBLE
     assert out.objective == 50
-
-
-def test_merge_outcomes_priority():
-    f = Outcome(FEASIBLE, (Fraction(1),), Fraction(1))
-    i = Outcome(INFEASIBLE)
-    u = Outcome(UNKNOWN)
-    ub = Outcome(UNBOUNDED)
-    assert merge_outcomes([i, f, u]).status == FEASIBLE
-    assert merge_outcomes([i, u]).status == UNKNOWN
-    assert merge_outcomes([i, i]).status == INFEASIBLE
-    assert merge_outcomes([ub, i]).status == UNBOUNDED
-    assert merge_outcomes([f, ub]).status == FEASIBLE
 
 
 def test_export_subproblem_round_trips(tmp_path):
