@@ -26,8 +26,6 @@ from fractions import Fraction
 from .corepoints import is_lattice_free, projected_essential_set
 from .engine import (
     EngineOptions,
-    PRODUCT_MODE,
-    SUM_MODE,
     report_to_dict,
     run_algorithm1,
     run_algorithm2,
@@ -135,7 +133,6 @@ def cmd_solve(args) -> int:
         eps=args.eps,
         box=args.box,
         essential_budget=args.essential_budget,
-        anchor_mode=args.anchor_mode,
         export_dir=args.export_dir,
         dry_run=args.dry_run,
     )
@@ -238,10 +235,9 @@ def build_parser() -> _Parser:
     ps.add_argument("--box", type=int, default=DEFAULT_BOX,
                     help="fallback half-width of the enumeration box")
     ps.add_argument("--export-dir", default=None,
-                    help="write each subproblem as MINLP-JSON here")
+                    help="write each dispatched subproblem as MINLP-JSON here")
     ps.add_argument("--essential-budget", type=int, default=1,
                     help="essential points per residue for probes and cuts")
-    ps.add_argument("--anchor-mode", choices=(SUM_MODE, PRODUCT_MODE), default=SUM_MODE)
     ps.add_argument("--dry-run", action="store_true",
                     help="plan and count subproblems without solving")
     ps.set_defaults(func=cmd_solve)

@@ -8,11 +8,12 @@ Schedules are built completely before anything is solved, so subproblem
 counts are a property of the plan, not of solver luck.  The shapes are:
 
 * Algorithm 1 (one full n-cycle): a global singularity subproblem, then
-  layers descending from the LP optimum layer; each surviving layer gets
-  anchor probes for its projected essential set and one cut subproblem;
-  the descent stops at the first layer divisible by n, where the only
-  candidate worth checking is the fixed-space point (layer/n) * 1 and it
-  is evaluated directly against the instance rows.
+  layers walked from the LP optimum layer toward worse objective values
+  (down, or up when the objective rewards lower layers); each surviving
+  layer gets anchor probes for its projected essential set and one cut
+  subproblem; the walk stops at the first layer divisible by n, where
+  the only candidate worth checking is the fixed-space point
+  (layer/n) * 1 and it is evaluated directly against the instance rows.
 * Algorithm 2 (one k-cycle, k < n allowed): a global singularity
   subproblem for the cycle block plus, for every sub-layer residue
   1..k-1, anchor probes and one cut subproblem.  The residue-k class
@@ -26,21 +27,31 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   at their cycle length become mixed singularity subproblems, and the
   all-k tuple collapses to a single fixed-space probe.
 
-Aggregation follows the strictness rule: any Unknown outcome (budget or
-box truncation) makes the overall verdict Unknown; Infeasible is only
-reported when every scheduled subproblem certified exhaustion.
+Without usable symmetry the schedule is one plain enumeration of the
+instance.
+
+One runner exports and solves every schedule's subproblems in order and
+stops early by one rule: a feasibility instance stops at its first
+Feasible result, and Algorithm 1 on a max/min instance stops after the
+first layer (probes, then cut) with a Feasible result.  A walk that
+reaches its stop layer ends with the direct fixed-space probe.
+Aggregation follows the strictness rule: on a max/min instance any
+Unknown outcome (budget or box truncation) makes the verdict Unknown;
+Infeasible is only reported when every scheduled subproblem ran and
+certified exhaustion.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .corepoints import EssentialSet, projected_essential_set
+from .corepoints import projected_essential_set
 from .errors import InputError
 from .exprs import Constraint, ConstraintSet, DEFAULT_EPS, Dot, Const, Add, EQ, SUBLAYER
 from .perms import Cycle, GroupSpec
@@ -74,8 +85,6 @@ from .synth import (
 
 S1, S2, S3, FIX = "S1", "S2", "S3", "FIX"
 
-SUM_MODE, PRODUCT_MODE = "sum", "product"
-
 
 @dataclass(frozen=True)
 class EngineOptions:
@@ -84,14 +93,11 @@ class EngineOptions:
     box: int = DEFAULT_BOX
     #: essential points kept per residue when building probes and cuts
     essential_budget: int = 1
-    anchor_mode: str = SUM_MODE
     export_dir: Optional[str] = None
-    #: plan and report counts without dispatching any subproblem
+    #: plan, export if asked, and report counts without solving anything
     dry_run: bool = False
 
     def __post_init__(self) -> None:
-        if self.anchor_mode not in (SUM_MODE, PRODUCT_MODE):
-            raise InputError(f"unknown anchor mode {self.anchor_mode!r}")
         if self.essential_budget < 1:
             raise InputError("essential budget must be >= 1")
         if self.box < 0:
@@ -116,17 +122,25 @@ class Subproblem:
 @dataclass(frozen=True)
 class Schedule:
     algorithm: int  # 0 = no usable symmetry
-    subproblems: tuple[Subproblem, ...]
+    #: subproblems in dispatch order, grouped for the stop rule:
+    #: Algorithm 1 has the global S2, then per layer its S3 probes and its
+    #: S1 cut; every other schedule is one stage
+    stages: tuple[tuple[Subproblem, ...], ...]
     #: Algorithm 1 only: the gating LP outcome
     lp: Optional[Outcome] = None
-    #: Algorithm 1 only: the layer divisible by n where descent stops
+    #: Algorithm 1 only: the layer divisible by n where the walk stops
     stop_layer: Optional[int] = None
     notes: tuple[str, ...] = ()
+
+    @property
+    def subproblems(self) -> tuple[Subproblem, ...]:
+        return tuple(sp for stage in self.stages for sp in stage)
 
     def counts(self) -> dict[str, int]:
         out = {S1: 0, S2: 0, S3: 0, FIX: 0}
         for sp in self.subproblems:
-            out[sp.tag] += 1
+            if sp.tag in out:
+                out[sp.tag] += 1
         return out
 
 
@@ -172,27 +186,15 @@ def _layer_row(inst: Instance, layer: int) -> ConstraintSet:
     return ConstraintSet(tag=SUBLAYER, constraints=(Constraint(expr, EQ),))
 
 
-def _essential(k: int, residue: int, budget: int) -> EssentialSet:
-    return projected_essential_set(k, residue, budget)
-
-
-def _probe(
-    inst: Instance,
-    sid: str,
-    provenance: tuple,
-    sets: Sequence[ConstraintSet],
-) -> Subproblem:
-    return Subproblem(sid, inst, tuple(sets), S3, provenance)
-
-
 def _cut_sets(
-    cycle: Cycle, residue: int, budget: int, eps: float
-) -> list[ConstraintSet]:
-    """Sub-layer row, smoothness guards, and one cut per essential point."""
-    sets = [sublayer(cycle, residue), smoothness(cycle, eps)]
-    for z in _essential(cycle.k, residue, budget).points:
+    row: ConstraintSet, cycle: Cycle, points: Sequence[tuple[int, ...]], eps: float
+) -> tuple[ConstraintSet, ...]:
+    """Layer or sub-layer row, smoothness guards, and one cut per
+    essential point."""
+    sets = [row, smoothness(cycle, eps)]
+    for z in points:
         sets.append(s1_for_point(z, cycle, eps))
-    return sets
+    return tuple(sets)
 
 
 def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
@@ -204,41 +206,42 @@ def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
         return Schedule(1, (), lp=lp, notes=(f"LP relaxation {lp.status}",))
     assert lp.point is not None
     layer_value = sum(lp.point, Fraction(0))
-    k_start = _floor(layer_value)
-    notes.append(f"LP optimum layer {layer_value}, descent starts at {k_start}")
+    # the objective is c * layer on a symmetric instance: walk from the LP
+    # optimum layer toward worse values, so the first feasible layer is best
+    weight = sum(inst.objective, Fraction(0))
+    up = (inst.sense == MIN and weight > 0) or (inst.sense == MAX and weight < 0)
+    step, walk = (1, "ascent") if up else (-1, "descent")
+    layer = math.ceil(layer_value) if up else math.floor(layer_value)
+    notes.append(f"LP optimum layer {layer_value}, {walk} starts at {layer}")
 
-    subs: list[Subproblem] = [
-        Subproblem("S2", inst, (s2_singular(cycle, opts.box, opts.eps),), S2, ("global",))
+    stages: list[tuple[Subproblem, ...]] = [
+        (Subproblem("S2", inst, (s2_singular(cycle, opts.box, opts.eps),), S2, ("global",)),)
     ]
-    stop_layer = None
-    layer = k_start
-    while True:
-        if layer % n == 0:
-            stop_layer = layer
-            notes.append(f"descent stops at layer {layer} (divisible by {n})")
-            break
+    while layer % n:
         if not _layer_lp_feasible(inst, layer):
             notes.append(f"layer {layer} pruned (empty LP relaxation)")
-            layer -= 1
+            layer += step
             continue
         residue = layer % n
-        ess = _essential(n, residue, opts.essential_budget)
+        ess = projected_essential_set(n, residue, opts.essential_budget)
         row = _layer_row(inst, layer)
-        for j, z in enumerate(ess.points):
-            subs.append(
-                _probe(
-                    inst,
+        stages.append(
+            tuple(
+                Subproblem(
                     f"L{layer}.S3.{j}",
-                    ("layer", layer, "S3", j),
+                    inst,
                     (row, s3_anchor(z, cycle)),
+                    S3,
+                    ("layer", layer, "S3", j),
                 )
+                for j, z in enumerate(ess.points)
             )
-        sets = [row, smoothness(cycle, opts.eps)]
-        for z in ess.points:
-            sets.append(s1_for_point(z, cycle, opts.eps))
-        subs.append(Subproblem(f"L{layer}.S1", inst, tuple(sets), S1, ("layer", layer, "S1")))
-        layer -= 1
-    return Schedule(1, tuple(subs), lp=lp, stop_layer=stop_layer, notes=tuple(notes))
+        )
+        sets = _cut_sets(row, cycle, ess.points, opts.eps)
+        stages.append((Subproblem(f"L{layer}.S1", inst, sets, S1, ("layer", layer, "S1")),))
+        layer += step
+    notes.append(f"{walk} stops at layer {layer} (divisible by {n})")
+    return Schedule(1, tuple(stages), lp=lp, stop_layer=layer, notes=tuple(notes))
 
 
 def plan_algorithm2(inst: Instance, cycle: Cycle, opts: EngineOptions) -> Schedule:
@@ -248,26 +251,27 @@ def plan_algorithm2(inst: Instance, cycle: Cycle, opts: EngineOptions) -> Schedu
         Subproblem("S2", inst, (s2_singular(cycle, opts.box, opts.eps),), S2, ("global",))
     ]
     for i in range(1, k):
-        ess = _essential(k, i, opts.essential_budget)
+        ess = projected_essential_set(k, i, opts.essential_budget)
         for j, z in enumerate(ess.points):
             subs.append(
-                _probe(
-                    inst,
+                Subproblem(
                     f"R{i}.S3.{j}",
-                    ("residue", i, "S3", j),
+                    inst,
                     (sublayer(cycle, i), s3_anchor(z, cycle)),
+                    S3,
+                    ("residue", i, "S3", j),
                 )
             )
         subs.append(
             Subproblem(
                 f"R{i}.S1",
                 inst,
-                tuple(_cut_sets(cycle, i, opts.essential_budget, opts.eps)),
+                _cut_sets(sublayer(cycle, i), cycle, ess.points, opts.eps),
                 S1,
                 ("residue", i, "S1"),
             )
         )
-    return Schedule(2, tuple(subs))
+    return Schedule(2, (tuple(subs),))
 
 
 def plan_algorithm3(
@@ -279,45 +283,26 @@ def plan_algorithm3(
     _check_disjoint(inst, cycles)
     subs: list[Subproblem] = []
 
-    # anchor probes; in sum mode one cycle of each distinct length carries
-    # the probes for that length (anchoring the same residue/point pair on
-    # a second cycle of equal length adds no new feasibility information)
-    if opts.anchor_mode == SUM_MODE:
-        seen_lengths: set[int] = set()
-        for c in cycles:
-            if c.k in seen_lengths:
-                continue
-            seen_lengths.add(c.k)
-            for t in range(1, c.k):
-                ess = _essential(c.k, t, opts.essential_budget)
-                for j, z in enumerate(ess.points):
-                    subs.append(
-                        _probe(
-                            inst,
-                            f"A{c.support[0]}.R{t}.S3.{j}",
-                            ("anchor", c.support[0], t, j),
-                            (sublayer(c, t), s3_anchor(z, c)),
-                        )
+    # anchor probes; one cycle of each distinct length carries the probes
+    # for that length (anchoring the same residue/point pair on a second
+    # cycle of equal length adds no new feasibility information)
+    seen_lengths: set[int] = set()
+    for c in cycles:
+        if c.k in seen_lengths:
+            continue
+        seen_lengths.add(c.k)
+        for t in range(1, c.k):
+            ess = projected_essential_set(c.k, t, opts.essential_budget)
+            for j, z in enumerate(ess.points):
+                subs.append(
+                    Subproblem(
+                        f"A{c.support[0]}.R{t}.S3.{j}",
+                        inst,
+                        (sublayer(c, t), s3_anchor(z, c)),
+                        S3,
+                        ("anchor", c.support[0], t, j),
                     )
-    else:
-        per_cycle: list[list[tuple[int, int, tuple[int, ...]]]] = []
-        for c in cycles:
-            rows = []
-            for t in range(1, c.k):
-                for j, z in enumerate(_essential(c.k, t, opts.essential_budget).points):
-                    rows.append((t, j, z))
-            per_cycle.append(rows)
-        for combo in product(*per_cycle):
-            sets: list[ConstraintSet] = []
-            tag_bits = []
-            for c, (t, j, z) in zip(cycles, combo):
-                sets.append(sublayer(c, t))
-                sets.append(s3_anchor(z, c))
-                tag_bits.append(f"{c.support[0]}r{t}p{j}")
-            sid = "A." + "_".join(tag_bits)
-            subs.append(
-                _probe(inst, sid, ("anchor",) + tuple(tag_bits), sets)
-            )
+                )
 
     # residue tuples
     for combo in product(*[range(1, c.k + 1) for c in cycles]):
@@ -332,20 +317,21 @@ def plan_algorithm3(
             if full:
                 sets.append(s2_singular(c, opts.box, opts.eps))
             else:
-                sets.extend(_cut_sets(c, t, opts.essential_budget, opts.eps))
+                ess = projected_essential_set(c.k, t, opts.essential_budget)
+                sets.extend(_cut_sets(sublayer(c, t), c, ess.points, opts.eps))
         tag = S2 if any(at_k) else S1
         subs.append(Subproblem(f"{label}.{tag}", inst, tuple(sets), tag, ("tuple",) + combo))
-    return Schedule(3, tuple(subs))
+    return Schedule(3, (tuple(subs),))
 
 
 def plan(inst: Instance, opts: Optional[EngineOptions] = None) -> Schedule:
     """Choose the algorithm from the instance's analyzed group and build
-    its full schedule; an instance without usable cycles gets the empty
-    no-symmetry schedule (plain bounded enumeration)."""
+    its full schedule; an instance without usable cycles gets the
+    no-symmetry schedule (one plain bounded enumeration)."""
     opts = opts or EngineOptions()
     group = inst.group
     if group is None or not group.selected_cycles:
-        return Schedule(0, (), notes=("no usable symmetry; plain enumeration",))
+        return _plain_schedule(inst, opts)
     cycles = group.selected_cycles
     if len(cycles) == 1:
         if cycles[0].k == inst.n:
@@ -354,30 +340,15 @@ def plan(inst: Instance, opts: Optional[EngineOptions] = None) -> Schedule:
     return plan_algorithm3(inst, cycles, opts)
 
 
+def _plain_schedule(inst: Instance, opts: EngineOptions) -> Schedule:
+    """The no-symmetry schedule; takes opts only to share the planners'
+    signature."""
+    sp = Subproblem("plain", inst, (), "PLAIN", ("plain",))
+    return Schedule(0, ((sp,),), notes=("no usable symmetry; plain enumeration",))
+
+
 # ---------------------------------------------------------------------------
 # dispatch and aggregation
-
-
-def _dispatch(
-    subs: Sequence[Subproblem], opts: EngineOptions
-) -> list[SubResult]:
-    """Solve a group of subproblems one after another and return the
-    results in schedule order."""
-    if opts.export_dir:
-        os.makedirs(opts.export_dir, exist_ok=True)
-        for sp in subs:
-            export_subproblem(
-                sp, os.path.join(opts.export_dir, f"{sp.id}.json"), eps=opts.eps
-            )
-    if opts.dry_run:
-        return [SubResult(sp.id, sp.tag, sp.provenance, Outcome(UNKNOWN), 0.0) for sp in subs]
-
-    results = []
-    for sp in subs:
-        t0 = time.perf_counter()
-        out = solve_subproblem(sp, box=opts.box, budget=opts.budget, eps=opts.eps)
-        results.append(SubResult(sp.id, sp.tag, sp.provenance, out, time.perf_counter() - t0))
-    return results
 
 
 def _objective_of(inst: Instance, point: Sequence[Fraction]) -> Fraction:
@@ -407,20 +378,13 @@ def _direct_fixed_probe(inst: Instance, layer: int) -> Outcome:
 
 
 def _aggregate(
-    inst: Instance,
-    schedule: Schedule,
-    results: Sequence[SubResult],
-    extra: Sequence[SubResult] = (),
-    dispatched_all: bool = True,
+    inst: Instance, schedule: Schedule, results: Sequence[SubResult], wall_time: float
 ) -> Report:
-    """Fold outcomes into a report.  `extra` carries direct evaluations
-    (Algorithm 1's stop-layer probe) that are not scheduled subproblems;
-    `dispatched_all` is False when an early stop left part of the
-    schedule unsolved (the undispatched part is then irrelevant to the
-    verdict by the stopping rule)."""
-    all_results = list(results) + list(extra)
-    feasible = [r for r in all_results if r.outcome.status == FEASIBLE]
-    unknown = [r for r in all_results if r.outcome.status == UNKNOWN]
+    """Fold outcomes into a report.  The results are those dispatched
+    before the stop rule ended the run, plus Algorithm 1's direct
+    stop-layer probe, which is not a scheduled subproblem."""
+    feasible = [r for r in results if r.outcome.status == FEASIBLE]
+    unknown = [r for r in results if r.outcome.status == UNKNOWN]
 
     def best(rs: Sequence[SubResult]) -> Optional[Fraction]:
         vals = [r.outcome.objective for r in rs if r.outcome.objective is not None]
@@ -442,10 +406,12 @@ def _aggregate(
                     point = r.outcome.point
                     break
 
-    if inst.sense == FEASIBILITY:
+    if schedule.lp is not None and schedule.lp.status == UNBOUNDED:
+        status = UNBOUNDED
+    elif inst.sense == FEASIBILITY:
         if feasible:
             status = FEASIBLE
-        elif unknown or not dispatched_all:
+        elif unknown:
             status = UNKNOWN
         else:
             status = INFEASIBLE
@@ -454,8 +420,6 @@ def _aggregate(
             status = UNKNOWN
         elif feasible:
             status = FEASIBLE
-        elif not dispatched_all:
-            status = UNKNOWN
         else:
             status = INFEASIBLE
 
@@ -464,75 +428,64 @@ def _aggregate(
         status=status,
         counts=schedule.counts(),
         schedule=tuple((sp.id, sp.tag, sp.provenance) for sp in schedule.subproblems),
-        results=tuple(results) + tuple(extra),
+        results=tuple(results),
         f_star_e=f_e,
         f_star_l=f_l,
         f_star=f_all,
         point=point,
         lp=schedule.lp,
-        wall_time=0.0,  # patched by callers
+        wall_time=wall_time,
         warnings=tuple(symmetry_warnings(inst)),
         notes=schedule.notes,
     )
 
 
-def _finish(report: Report, t0: float) -> Report:
-    return replace(report, wall_time=time.perf_counter() - t0)
-
-
-def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:
-    """Full-cycle layer descent: global singularity subproblem, then per
-    surviving layer anchor probes and one cut subproblem, stopping at
-    the first feasible layer or at the first layer divisible by n, where
-    the fixed-space point is evaluated directly."""
+def _run(
+    inst: Instance,
+    opts: Optional[EngineOptions],
+    planner: Callable[..., Schedule],
+    *args,
+) -> Report:
+    """Plan with ``planner(inst, *args, opts)``, then export and solve the
+    subproblems stage by stage in schedule order.  The run stops at the
+    first Feasible result of a feasibility instance, and after the first
+    layer stage with a Feasible result of Algorithm 1 on a max/min
+    instance (layers come best first).  A layer walk that reaches its
+    stop layer ends with the direct fixed-space probe.  A dry run solves
+    nothing and reports every subproblem Unknown."""
     opts = opts or EngineOptions()
     t0 = time.perf_counter()
-    schedule = plan_algorithm1(inst, opts)
-    if schedule.lp is not None and schedule.lp.status == INFEASIBLE:
-        return _finish(_aggregate(inst, schedule, []), t0)
-    if schedule.lp is not None and schedule.lp.status == UNBOUNDED:
-        rep = _aggregate(inst, schedule, [])
-        return _finish(replace(rep, status=UNBOUNDED), t0)
-
-    by_layer: dict[tuple, list[Subproblem]] = {}
-    order: list[tuple] = []
-    for sp in schedule.subproblems:
-        key = ("global",) if sp.provenance == ("global",) else sp.provenance[:2]
-        if key not in by_layer:
-            by_layer[key] = []
-            order.append(key)
-        by_layer[key].append(sp)
-
+    schedule = planner(inst, *args, opts)
+    if opts.export_dir:
+        os.makedirs(opts.export_dir, exist_ok=True)
     results: list[SubResult] = []
-    stopped_early = False
-    for key in order:
-        group = by_layer[key]
-        if key == ("global",):
-            results.extend(_dispatch(group, opts))
-            if inst.sense == FEASIBILITY and any(
-                r.outcome.status == FEASIBLE for r in results
-            ):
-                stopped_early = True
+    stopped = False
+    for index, stage in enumerate(schedule.stages):
+        found = False
+        for sp in stage:
+            if opts.export_dir:
+                export_subproblem(
+                    sp, os.path.join(opts.export_dir, f"{sp.id}.json"), eps=opts.eps
+                )
+            t1 = time.perf_counter()
+            if opts.dry_run:
+                out = Outcome(UNKNOWN)
+            else:
+                out = solve_subproblem(sp, box=opts.box, budget=opts.budget, eps=opts.eps)
+            results.append(SubResult(sp.id, sp.tag, sp.provenance, out, time.perf_counter() - t1))
+            found = found or out.status == FEASIBLE
+            if found and inst.sense == FEASIBILITY:
                 break
-            continue
-        probes = [sp for sp in group if sp.tag == S3]
-        cuts = [sp for sp in group if sp.tag == S1]
-        probe_results = _dispatch(probes, opts)
-        results.extend(probe_results)
-        if any(r.outcome.status == FEASIBLE for r in probe_results):
-            stopped_early = True
-            break
-        cut_results = _dispatch(cuts, opts)
-        results.extend(cut_results)
-        if any(r.outcome.status == FEASIBLE for r in cut_results):
-            stopped_early = True
+        # stage 0 of a layer walk is the global S2, which bounds no layer
+        layered = schedule.stop_layer is not None and index > 0
+        if found and (inst.sense == FEASIBILITY or layered):
+            stopped = True
             break
 
-    extra: list[SubResult] = []
-    if not stopped_early and schedule.stop_layer is not None and not opts.dry_run:
+    if not stopped and schedule.stop_layer is not None and not opts.dry_run:
         t1 = time.perf_counter()
         out = _direct_fixed_probe(inst, schedule.stop_layer)
-        extra.append(
+        results.append(
             SubResult(
                 f"L{schedule.stop_layer}.fix",
                 FIX,
@@ -541,65 +494,41 @@ def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Repo
                 time.perf_counter() - t1,
             )
         )
-    dispatched_all = stopped_early or len(results) == len(schedule.subproblems)
-    # an early stop is a deliberate verdict per the descent rule
-    rep = _aggregate(
-        inst, schedule, results, extra, dispatched_all=dispatched_all or stopped_early
-    )
-    return _finish(rep, t0)
+    return _aggregate(inst, schedule, results, time.perf_counter() - t0)
+
+
+def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:
+    """Full-cycle layer walk: global singularity subproblem, then per
+    surviving layer anchor probes and one cut subproblem, stopping at
+    the first feasible layer or at the first layer divisible by n, where
+    the fixed-space point is evaluated directly."""
+    return _run(inst, opts, plan_algorithm1)
 
 
 def run_algorithm2(
     inst: Instance, cycle: Cycle, opts: Optional[EngineOptions] = None
 ) -> Report:
-    """Sub-layer search along one selected cycle: full dispatch of the
-    singularity subproblem and every residue's probes and cuts, folded
-    at the end."""
-    opts = opts or EngineOptions()
-    t0 = time.perf_counter()
-    schedule = plan_algorithm2(inst, cycle, opts)
-    results = _dispatch(schedule.subproblems, opts)
-    return _finish(_aggregate(inst, schedule, results), t0)
+    """Sub-layer search along one selected cycle: the singularity
+    subproblem and every residue's probes and cuts."""
+    return _run(inst, opts, plan_algorithm2, cycle)
 
 
 def run_algorithm3(
     inst: Instance, cycles: Sequence[Cycle], opts: Optional[EngineOptions] = None
 ) -> Report:
-    """Residue-tuple search across several disjoint cycles: full
-    dispatch of anchor probes and every tuple subproblem."""
-    opts = opts or EngineOptions()
-    t0 = time.perf_counter()
-    schedule = plan_algorithm3(inst, cycles, opts)
-    results = _dispatch(schedule.subproblems, opts)
-    return _finish(_aggregate(inst, schedule, results), t0)
+    """Residue-tuple search across several disjoint cycles: anchor
+    probes and every tuple subproblem."""
+    return _run(inst, opts, plan_algorithm3, cycles)
 
 
 def run_plain(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:
     """No-symmetry fallback: one bounded enumeration of the instance."""
-    opts = opts or EngineOptions()
-    t0 = time.perf_counter()
-    schedule = Schedule(0, (), notes=("no usable symmetry; plain enumeration",))
-    sp = Subproblem("plain", inst, (), "PLAIN", ("plain",))
-    results = (
-        [SubResult("plain", "PLAIN", ("plain",), Outcome(UNKNOWN), 0.0)]
-        if opts.dry_run
-        else _dispatch([sp], opts)
-    )
-    return _finish(_aggregate(inst, schedule, results), t0)
+    return _run(inst, opts, _plain_schedule)
 
 
 def run_auto(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:
     """plan() then run the chosen algorithm."""
-    opts = opts or EngineOptions()
-    group = inst.group
-    if group is None or not group.selected_cycles:
-        return run_plain(inst, opts)
-    cycles = group.selected_cycles
-    if len(cycles) == 1:
-        if cycles[0].k == inst.n:
-            return run_algorithm1(inst, opts)
-        return run_algorithm2(inst, cycles[0], opts)
-    return run_algorithm3(inst, cycles, opts)
+    return _run(inst, opts, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +616,3 @@ def _layer_lp_feasible(inst: Instance, layer: int) -> bool:
     rows = list(inst.rows)
     rows.append(make_row([Fraction(1)] * inst.n, "==", Fraction(layer)))
     return lp_feasible(inst.n, rows, list(inst.bounds))
-
-
-def _floor(v: Fraction) -> int:
-    return v.numerator // v.denominator

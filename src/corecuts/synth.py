@@ -63,13 +63,17 @@ def cycle_var_names(cycle: Cycle) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in cycle.support)
 
 
+def _most_frequent(z: Sequence[int]) -> int:
+    """The most frequent entry value of z; ties resolve to the smaller."""
+    return max(set(z), key=lambda v: (sum(1 for x in z if x == v), -v))
+
+
 def reduce_projected(z: Sequence[int]) -> tuple[int, ...]:
     """Translate z along the all-ones direction so its most frequent
     entry value becomes 0 (ties resolve to the smaller value).  The
     shift leaves S1 cuts unchanged because the T-coefficients sum to 0.
     """
-    values = sorted(set(z))
-    best = max(values, key=lambda v: (sum(1 for x in z if x == v), -v))
+    best = _most_frequent(z)
     return tuple(x - best for x in z)
 
 
@@ -231,9 +235,7 @@ def s2_singular(
 def default_base_index(z: Sequence[int]) -> int:
     """1-based cycle-local position of the first entry holding the most
     frequent value of z (ties between values resolve to the smaller)."""
-    values = sorted(set(z))
-    best = max(values, key=lambda v: (sum(1 for x in z if x == v), -v))
-    return z.index(best) + 1
+    return z.index(_most_frequent(z)) + 1
 
 
 def s3_anchor(

@@ -1,5 +1,7 @@
 """Schedules and dispatch for the three layer-search strategies."""
 
+import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,11 +21,12 @@ from corecuts import (
     report_to_dict,
     run_algorithm1,
     run_algorithm2,
+    run_algorithm3,
     run_auto,
     run_plain,
     s2_singular,
 )
-from corecuts.simplex import LE, make_row
+from corecuts.simplex import GE, LE, make_row
 
 
 def _full_cycle_group(k):
@@ -40,13 +43,27 @@ def _box(n, lo, hi):
     return ((Fraction(lo), Fraction(hi)),) * n
 
 
+def _random_full_cycle_instance(rng, n, sense):
+    """A small instance invariant under the n-cycle: every row comes with
+    all its rotations, and the objective weighs every coordinate alike."""
+    rows = []
+    for _ in range(rng.randint(1, 2)):
+        a = [rng.randint(-1, 3) for _ in range(n)]
+        rel = rng.choice((LE, GE))
+        rhs = rng.randint(0, 3 * sum(abs(v) for v in a) + 1)
+        rows.extend(make_row(a[r:] + a[:r], rel, rhs) for r in range(n))
+    objective = None if sense == "feasibility" else [rng.choice((-2, -1, 1, 2))] * n
+    return make_instance(
+        n, sense=sense, objective=objective, rows=rows, bounds=_box(n, 0, 3),
+        group=_full_cycle_group(n),
+    )
+
+
 # ---------------------------------------------------------------------------
 # options and subproblem validation
 
 
 def test_options_validate():
-    with pytest.raises(InputError):
-        EngineOptions(anchor_mode="mixed")
     with pytest.raises(InputError):
         EngineOptions(essential_budget=0)
     with pytest.raises(InputError):
@@ -82,22 +99,6 @@ def test_algorithm3_counts_at_budget_four(k, s1, s2, s3):
     inst = make_instance(2 * k, group=group)
     sch = plan_algorithm3(inst, group.selected_cycles, EngineOptions(essential_budget=4))
     assert sch.counts() == {"S1": s1, "S2": s2, "S3": s3, "FIX": 1}
-
-
-def test_algorithm3_anchor_modes():
-    group = _two_cycles_group(5)
-    inst = make_instance(10, group=group)
-    kwargs = dict(essential_budget=1, dry_run=True)
-    sum_mode = plan_algorithm3(inst, group.selected_cycles, EngineOptions(**kwargs))
-    prod_mode = plan_algorithm3(
-        inst, group.selected_cycles, EngineOptions(anchor_mode="product", **kwargs)
-    )
-    # one essential point per residue: 4 anchors on one cycle vs 4x4 pairs
-    assert sum_mode.counts()["S3"] == 4
-    assert prod_mode.counts()["S3"] == 16
-    # residue-tuple subproblems are unaffected by the anchor mode
-    for key in ("S1", "S2", "FIX"):
-        assert sum_mode.counts()[key] == prod_mode.counts()[key]
 
 
 def test_algorithm1_plan_on_generated_instance():
@@ -182,6 +183,57 @@ def test_run_algorithm1_feasibility_early_stop_via_singular_point():
     assert rep.point == (1, 1, 1)
 
 
+@pytest.mark.parametrize("sense,weight,f_star", [("min", 1, 4), ("max", -1, -4)])
+def test_run_algorithm1_walks_up_when_lower_layers_are_better(sense, weight, f_star):
+    group = _full_cycle_group(3)
+    inst = make_instance(
+        3,
+        sense=sense,
+        objective=[weight] * 3,
+        rows=(make_row([2, 2, 2], GE, 7),),
+        bounds=_box(3, 0, 3),
+        group=group,
+    )
+    # the LP optimum layer is 7/2; the best integer layer is 4 (e.g. (2,1,1)),
+    # which a walk down from layer 3 never visits
+    rep = run_algorithm1(inst)
+    assert rep.status == "Feasible"
+    assert rep.f_star == f_star
+
+
+def test_run_auto_agrees_with_run_plain_on_full_cycles():
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.choice((3, 4))
+        sense = rng.choice(("max", "min", "feasibility"))
+        inst = _random_full_cycle_instance(rng, n, sense)
+        auto, plain = run_auto(inst), run_plain(inst)
+        assert auto.algorithm == 1
+        assert (auto.status, auto.f_star) == (plain.status, plain.f_star), (sense, inst.rows)
+
+
+def test_run_algorithm2_feasibility_stops_at_first_feasible():
+    group = analyze_group(["(1,2,3)"], 4)
+    inst = make_instance(
+        4, rows=(make_row([1, 1, 1, 1], "==", 4),), bounds=_box(4, 0, 2), group=group
+    )
+    rep = run_algorithm2(inst, group.selected_cycles[0])
+    assert rep.status == "Feasible"
+    assert rep.point == (1, 1, 1, 1)
+    assert len(rep.results) < len(rep.schedule)
+
+
+def test_run_algorithm3_feasibility_stops_at_first_feasible():
+    group = analyze_group(["(1,2,3)", "(4,5,6)"], 6)
+    inst = make_instance(
+        6, rows=(make_row([1] * 6, "==", 5),), bounds=_box(6, 0, 2), group=group
+    )
+    rep = run_algorithm3(inst, group.selected_cycles)
+    assert rep.status == "Feasible"
+    assert rep.point == (1, 0, 0, 0, 2, 2)
+    assert len(rep.results) < len(rep.schedule)
+
+
 def test_run_algorithm2_finds_layer_point():
     group = analyze_group(["(1,2,3)"], 3)
     inst = make_instance(
@@ -218,6 +270,13 @@ def test_dry_run_dispatches_nothing():
     assert all(r.outcome.status == "Unknown" for r in rep.results)
     assert not [r for r in rep.results if r.tag == "FIX"]
     assert rep.status == "Unknown"
+
+
+def test_plain_dry_run_exports_its_subproblem(tmp_path):
+    inst = make_instance(2, rows=(make_row([1, 1], "==", 3),), bounds=_box(2, 0, 2))
+    rep = run_plain(inst, EngineOptions(export_dir=str(tmp_path), dry_run=True))
+    assert rep.status == "Unknown"
+    assert os.listdir(tmp_path) == ["plain.json"]
 
 
 def test_unbounded_lp_short_circuits():
