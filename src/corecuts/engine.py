@@ -464,14 +464,12 @@ def _run(
         found = False
         for sp in stage:
             if opts.export_dir:
-                export_subproblem(
-                    sp, os.path.join(opts.export_dir, f"{sp.id}.json"), eps=opts.eps
-                )
+                export_subproblem(sp, os.path.join(opts.export_dir, f"{sp.id}.json"))
             t1 = time.perf_counter()
             if opts.dry_run:
                 out = Outcome(UNKNOWN)
             else:
-                out = solve_subproblem(sp, box=opts.box, budget=opts.budget, eps=opts.eps)
+                out = solve_subproblem(sp, box=opts.box, budget=opts.budget)
             results.append(SubResult(sp.id, sp.tag, sp.provenance, out, time.perf_counter() - t1))
             found = found or out.status == FEASIBLE
             if found and inst.sense == FEASIBILITY:

@@ -2,12 +2,11 @@
 
 Nodes: Const (rational or trigonometric double), Var, n-ary Add/Mul,
 Div, Square, and Dot (a coefficient vector against a variable vector).
-Trees are immutable.  Two evaluators exist with deliberately identical
-float semantics (n-ary operations fold left, Dot accumulates in index
-order, constants convert via float()): the reference tree walker here
-and the flat program form run by the stack machine in evalcore.
-Serialization must stay bit-exact across emit -> parse -> evaluate, so
-nothing in this module may reorder operands.
+Trees are immutable.  ``eval_float`` is the package's one float
+evaluator (n-ary operations fold left, Dot accumulates in index order,
+constants convert via float()); evalcore only binds trees to value
+vectors for it.  Serialization must stay bit-exact across emit -> parse
+-> evaluate, so nothing in this module may reorder operands.
 """
 
 from __future__ import annotations
@@ -125,7 +124,7 @@ class EvalDivisionByZero(ArithmeticError):
 
 
 def eval_float(expr: Expr, env: dict[str, float]) -> float:
-    """Reference float evaluator; evalcore programs must agree bit for bit."""
+    """Float evaluation; a zero denominator raises EvalDivisionByZero."""
     if isinstance(expr, Const):
         return float(expr.value)
     if isinstance(expr, Var):
@@ -273,21 +272,6 @@ def linear_form(expr: Expr) -> Optional[tuple[dict[str, Fraction], Fraction]]:
             coeffs[name] = coeffs.get(name, Fraction(0)) + Fraction(coeff)
         return coeffs, const
     raise InputError(f"unknown node {expr!r}")
-
-
-# ---------------------------------------------------------------------------
-# helpers used by the synthesizer
-
-def const(v) -> Const:
-    return Const(v if isinstance(v, float) else Fraction(v))
-
-
-def add(*args: Expr) -> Expr:
-    return args[0] if len(args) == 1 else Add(tuple(args))
-
-
-def mul(*args: Expr) -> Expr:
-    return args[0] if len(args) == 1 else Mul(tuple(args))
 
 
 def check_value(value: float, sense: str, eps: float) -> bool:

@@ -124,7 +124,7 @@ def instance_from_dict(doc: dict) -> Instance:
                 raise InputError("row width does not match n")
             rows.append(make_row(coeffs, r["sense"], _parse_frac(r["rhs"])))
         bounds = [(_parse_bound(b["lo"]), _parse_bound(b["hi"])) for b in doc["bounds"]]
-        integer = [bool(b.get("integer", True)) for b in doc["bounds"]]
+        integer = [b.get("integer", True) for b in doc["bounds"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance file: {exc}") from exc
     if len(objective) != n or len(bounds) != n:

@@ -20,15 +20,15 @@ where an expression E is one of::
     {"kind": "dot",    "coeffs": [n, ...], "names": [str, ...]}
 
 and a number n is either a JSON double or an exact rational
-``{"num": int, "den": int}``.  Doubles are printed with 17 significant
-digits, which is enough for every IEEE-754 double to survive the text
-round-trip bit-exactly; stdlib json.dump offers no control over float
-formatting, hence the small hand-rolled emitter.  Rationals stay exact
-by construction.
+``{"num": int, "den": int}``.  The writer builds the document as plain
+dicts and lists and hands it to ``json.dumps``, which prints doubles
+with ``repr``: the shortest text that reads back as the same double, so
+every finite double survives the round trip bit for bit.  Non-finite
+doubles are rejected.  Rationals stay exact by construction.
 
 The parser is plain ``json.load`` plus a typed decode: JSON numbers
 become Python floats, ``{"num","den"}`` objects become Fractions.
-Because the writer preserves argument order and the evaluators fold
+Because the writer preserves argument order and the evaluator folds
 n-ary nodes strictly left to right, export → parse → evaluate is
 bit-exact against evaluating the original tree.
 """
@@ -36,7 +36,6 @@ bit-exact against evaluating the original tree.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -70,54 +69,28 @@ Number = Union[Fraction, float, int]
 # writer
 
 
-def _emit_number(v: Number, out: list[str]) -> None:
+def _number(v: Number):
     if isinstance(v, Fraction):
-        out.append('{"num":%d,"den":%d}' % (v.numerator, v.denominator))
-    elif isinstance(v, float):
-        if not math.isfinite(v):
-            raise InputError(f"cannot serialize non-finite double {v!r}")
-        out.append(format(v, ".17g"))
-    elif isinstance(v, int):
-        out.append(str(v))
-    else:
+        return {"num": v.numerator, "den": v.denominator}
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError(f"cannot serialize number of type {type(v).__name__}")
+    return v
 
 
-def _emit_expr(e: Expr, out: list[str]) -> None:
+def _expr(e: Expr) -> dict:
     if isinstance(e, Const):
-        out.append('{"kind":"const","value":')
-        _emit_number(e.value, out)
-        out.append("}")
-    elif isinstance(e, Var):
-        out.append('{"kind":"var","name":%s}' % json.dumps(e.name))
-    elif isinstance(e, (Add, Mul)):
-        out.append('{"kind":%s,"args":[' % ('"add"' if isinstance(e, Add) else '"mul"'))
-        for i, a in enumerate(e.args):
-            if i:
-                out.append(",")
-            _emit_expr(a, out)
-        out.append("]}")
-    elif isinstance(e, Div):
-        out.append('{"kind":"div","num":')
-        _emit_expr(e.num, out)
-        out.append(',"den":')
-        _emit_expr(e.den, out)
-        out.append("}")
-    elif isinstance(e, Square):
-        out.append('{"kind":"square","arg":')
-        _emit_expr(e.arg, out)
-        out.append("}")
-    elif isinstance(e, Dot):
-        out.append('{"kind":"dot","coeffs":[')
-        for i, c in enumerate(e.coeffs):
-            if i:
-                out.append(",")
-            _emit_number(c, out)
-        out.append('],"names":[')
-        out.append(",".join(json.dumps(n) for n in e.names))
-        out.append("]}")
-    else:
-        raise InputError(f"cannot serialize expression node {type(e).__name__}")
+        return {"kind": "const", "value": _number(e.value)}
+    if isinstance(e, Var):
+        return {"kind": "var", "name": e.name}
+    if isinstance(e, (Add, Mul)):
+        return {"kind": "add" if isinstance(e, Add) else "mul", "args": [_expr(a) for a in e.args]}
+    if isinstance(e, Div):
+        return {"kind": "div", "num": _expr(e.num), "den": _expr(e.den)}
+    if isinstance(e, Square):
+        return {"kind": "square", "arg": _expr(e.arg)}
+    if isinstance(e, Dot):
+        return {"kind": "dot", "coeffs": [_number(c) for c in e.coeffs], "names": list(e.names)}
+    raise InputError(f"cannot serialize expression node {type(e).__name__}")
 
 
 def _objective_expr(flat: FlatProblem) -> Expr:
@@ -134,28 +107,30 @@ def _objective_expr(flat: FlatProblem) -> Expr:
 
 
 def dumps_problem(flat: FlatProblem) -> str:
-    out: list[str] = ['{"format":%d,\n"vars":[\n' % FORMAT_VERSION]
-    for i, v in enumerate(flat.variables):
-        if i:
-            out.append(",\n")
-        out.append('{"name":%s,"lo":' % json.dumps(v.name))
-        _emit_number(v.lo, out) if v.lo is not None else out.append("null")
-        out.append(',"hi":')
-        _emit_number(v.hi, out) if v.hi is not None else out.append("null")
-        out.append(',"kind":%s}' % json.dumps(v.kind))
-    out.append('\n],\n"objective":{"sense":%s,"expr":' % json.dumps(flat.sense))
-    _emit_expr(_objective_expr(flat), out)
-    out.append('},\n"constraints":[\n')
-    for i, con in enumerate(flat.constraints):
-        if i:
-            out.append(",\n")
-        out.append('{"expr":')
-        _emit_expr(con.expr, out)
-        out.append(',"sense":%s,"eps":' % json.dumps(con.sense))
-        _emit_number(con.eps, out)
-        out.append("}")
-    out.append("\n]}\n")
-    return "".join(out)
+    doc = {
+        "format": FORMAT_VERSION,
+        "vars": [
+            {
+                "name": v.name,
+                "lo": None if v.lo is None else _number(v.lo),
+                "hi": None if v.hi is None else _number(v.hi),
+                "kind": v.kind,
+            }
+            for v in flat.variables
+        ],
+        "objective": {"sense": flat.sense, "expr": _expr(_objective_expr(flat))},
+        "constraints": [
+            {"expr": _expr(con.expr), "sense": con.sense, "eps": _number(con.eps)}
+            for con in flat.constraints
+        ],
+    }
+    try:
+        # doc is a fresh tree, so the encoder's cycle check (a third of
+        # its time here) can find nothing
+        text = json.dumps(doc, separators=(",", ":"), allow_nan=False, check_circular=False)
+    except ValueError as exc:
+        raise InputError(f"cannot serialize non-finite double: {exc}") from None
+    return text + "\n"
 
 
 def write_problem(flat: FlatProblem, path) -> None:

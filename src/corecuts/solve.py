@@ -6,7 +6,7 @@ Two engines live here:
   (synthesized nonlinear sets are never part of the relaxation);
 * ``solve_subproblem`` — bounded depth-first integer enumeration with
   exact interval propagation on every linear row and float evaluation
-  of the nonlinear constraints (flattened programs) at fully assigned
+  of the nonlinear constraints (``exprs.eval_float``) at fully assigned
   leaves.
 
 Both are deliberately small: they replace an external MINLP solver for
@@ -37,7 +37,6 @@ from .exprs import (
     Const,
     Constraint,
     ConstraintSet,
-    DEFAULT_EPS,
     Dot,
     EQ,
     EQ_TOL,
@@ -72,7 +71,9 @@ class Instance:
     """An ILP with a declared cyclic symmetry.
 
     Variables are implicitly named ``x1`` .. ``xn`` (1-based), matching
-    the names the synthesizer emits for cycle blocks.
+    the names the synthesizer emits for cycle blocks.  Every variable
+    must be integer: the enumerator searches integer points only, so a
+    continuous variable is rejected rather than answered wrongly.
     """
 
     n: int
@@ -90,6 +91,10 @@ class Instance:
             raise InputError("objective/bounds length mismatch")
         if len(self.integer) != self.n:
             raise InputError("integrality flags length mismatch")
+        if not all(flag is True for flag in self.integer):
+            raise InputError(
+                "continuous variables are not supported: every integrality flag must be true"
+            )
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -121,7 +126,7 @@ class Outcome:
 def symmetry_warnings(inst: Instance) -> list[str]:
     """Check the declared generators really fix the instance: each one
     must permute the row multiset onto itself, fix the objective vector
-    and permute the bound/integrality declarations onto themselves.
+    and permute the bound declarations onto themselves.
     Returns human-readable warnings; an empty list means the declaration
     is consistent."""
     if inst.group is None:
@@ -137,8 +142,8 @@ def symmetry_warnings(inst: Instance) -> list[str]:
         )
         if permuted != row_key:
             warnings.append(f"{label} does not permute the constraint rows")
-        if apply(g, inst.bounds) != inst.bounds or apply(g, inst.integer) != inst.integer:
-            warnings.append(f"{label} does not preserve bounds/integrality")
+        if apply(g, inst.bounds) != inst.bounds:
+            warnings.append(f"{label} does not preserve bounds")
     return warnings
 
 
@@ -228,7 +233,7 @@ def _interval_of(con: Constraint) -> Optional[
     raise InputError(f"unknown constraint sense {con.sense!r}")
 
 
-def flatten_subproblem(sub, eps: float = DEFAULT_EPS) -> FlatProblem:
+def flatten_subproblem(sub) -> FlatProblem:
     """Merge sub.base (an Instance) with sub.added (ConstraintSets) into
     one flat problem.  Variable order: instance variables, then
     auxiliaries in first-appearance order."""
@@ -239,7 +244,7 @@ def flatten_subproblem(sub, eps: float = DEFAULT_EPS) -> FlatProblem:
     variables: list[FlatVar] = []
     for i, name in enumerate(names):
         lo, hi = base.bounds[i]
-        variables.append(FlatVar(name, lo, hi, "integer" if base.integer[i] else "binary"))
+        variables.append(FlatVar(name, lo, hi, "integer"))
     seen = set(names)
     for cs in added:
         for av in cs.aux_vars:
@@ -360,14 +365,13 @@ def solve_subproblem(
     sub,
     box: int = DEFAULT_BOX,
     budget: int = DEFAULT_NODE_BUDGET,
-    eps: float = DEFAULT_EPS,
 ) -> Outcome:
     """Depth-first integer enumeration of sub = base instance + added
     constraint sets, over the declared bounds intersected with
     [-box, box].
 
     Linear rows prune through exact interval propagation at every node;
-    nonlinear constraints are evaluated (flattened programs) only at fully
+    nonlinear constraints are evaluated (``eval_float``) only at fully
     assigned leaves, where a division by zero simply rejects the leaf —
     smoothness guards make such leaves infeasible by definition.
 
@@ -378,7 +382,7 @@ def solve_subproblem(
     be certified at all."""
     if budget <= 0:
         return Outcome(UNKNOWN)
-    flat = flatten_subproblem(sub, eps=eps)
+    flat = flatten_subproblem(sub)
     var_index = {v.name: i for i, v in enumerate(flat.variables)}
     nvars = len(flat.variables)
 
@@ -470,9 +474,9 @@ def solve_subproblem(
     return Outcome(FEASIBLE, point=point, objective=objv)
 
 
-def export_subproblem(sub, path, eps: float = DEFAULT_EPS) -> None:
+def export_subproblem(sub, path) -> None:
     """Write sub as a MINLP-JSON file (see the serialization module for
     the schema and the bit-exactness contract)."""
     from . import minlp
 
-    minlp.write_problem(flatten_subproblem(sub, eps=eps), path)
+    minlp.write_problem(flatten_subproblem(sub), path)

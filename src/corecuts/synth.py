@@ -52,10 +52,8 @@ from .exprs import (
     Var,
 )
 from .perms import Cycle
+from .solve import DEFAULT_BOX
 from .spectral import fourier_pair
-
-#: half-width of the default variable box; bounds the S2 sign guards
-DEFAULT_BOX_HINT = 50
 
 
 def cycle_var_names(cycle: Cycle) -> tuple[str, ...]:
@@ -160,7 +158,7 @@ def smoothness(cycle: Cycle, eps: float = DEFAULT_EPS) -> ConstraintSet:
 
 def s2_singular(
     cycle: Cycle,
-    box_hint: int = DEFAULT_BOX_HINT,
+    box_hint: int = DEFAULT_BOX,
     eps: float = DEFAULT_EPS,
 ) -> ConstraintSet:
     """Singularity disjunction: det Cir(x|cycle) factors into the layer
@@ -173,6 +171,8 @@ def s2_singular(
     two possibly-negative linear factors get symmetric box bounds
     -2 B r <= P <= 2 B r instead, with B = k * box_hint, preserving the
     "r = 0 pins P to zero" semantics for factors of arbitrary sign.
+    This big-M holds only inside the enumeration box, so box_hint
+    defaults to the solver's box half-width.
     """
     k = cycle.k
     names = cycle_var_names(cycle)

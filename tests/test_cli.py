@@ -170,6 +170,24 @@ def test_solve_negative_box_exits_64(tmp_path, capsys):
     assert "box" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [False, "false"])
+def test_solve_continuous_variable_exits_64(tmp_path, capsys, flag):
+    inst = make_instance(
+        3,
+        rows=(make_row([1, 1, 1], "==", 3),),
+        bounds=[(0, 2)] * 3,
+        group=analyze_group(["(1,2,3)"], 3),
+    )
+    path = tmp_path / "cont.json"
+    write_instance(inst, path)
+    doc = json.loads(path.read_text())
+    doc["bounds"][1]["integer"] = flag
+    path.write_text(json.dumps(doc))
+    code = main(["solve", str(path)])
+    assert code == 64
+    assert "integrality" in capsys.readouterr().err
+
+
 def test_usage_error_exits_64():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])

@@ -15,6 +15,7 @@ from corecuts import (
     Div,
     Dot,
     EvalDivisionByZero,
+    InputError,
     Mul,
     Square,
     Var,
@@ -119,7 +120,7 @@ def test_check_value_senses():
 
 
 # ---------------------------------------------------------------------------
-# program parity: the stack machine against the tree evaluator
+# programs: expressions bound to value vectors, evaluated by eval_float
 
 
 def _random_expr(rng, names, depth=0):
@@ -148,10 +149,17 @@ def test_backend_reports_name():
     assert evalcore.backend_name() == "python"
 
 
+def test_compile_rejects_unbound_variable():
+    with pytest.raises(InputError):
+        evalcore.compile_expr(Add((Var("x1"), Var("y"))), {"x1": 0})
+    with pytest.raises(InputError):
+        evalcore.compile_expr(Dot((1, 2), ("x1", "y")), {"x1": 0})
+
+
 def test_compiled_and_pure_kernels_agree():
     """A compiled program and the pure tree evaluator produce identical
-    doubles on random expressions, and a program that reuses its stack
-    across runs gives the same answer each time."""
+    doubles on random expressions, and a program run twice at the same
+    vector gives the same answer each time."""
     rng = random.Random(99)
     names = ("x1", "x2", "x3", "x4")
     index = {n: i for i, n in enumerate(names)}

@@ -55,6 +55,18 @@ def test_instance_rejects_bad_sense():
         make_instance(2, sense="maximize")
 
 
+def test_instance_rejects_continuous_variables():
+    # (0, 1/2) is feasible, but the enumerator searches integers only and
+    # would report Infeasible; continuous variables are refused instead
+    with pytest.raises(InputError):
+        make_instance(
+            2,
+            rows=(make_row([2, 2], "==", 1),),
+            bounds=[(0, 3)] * 2,
+            integer=[False, False],
+        )
+
+
 def test_symmetry_warnings_flag_asymmetric_objective():
     group = analyze_group(["(1,2,3)"], 3)
     inst = make_instance(3, sense="max", objective=[1, 2, 3], group=group)

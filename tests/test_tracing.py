@@ -1,0 +1,59 @@
+"""The benchmark's span tracer still finds the layers it times.
+
+``perfbench/spans.py`` wraps functions and methods by name; a refactor
+that renames or moves them would make ``--trace 1`` report nothing for
+that layer without failing.  This test installs the tracer on the loaded
+package, traces one small solve and checks the spans it relies on.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from corecuts.engine import EngineOptions
+from corecuts.instancefile import analyze_group
+from corecuts.simplex import make_row
+from corecuts.solve import make_instance
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_leaf_and_subproblem_spans():
+    spans = _load_spans()
+    layers = {
+        layer: importlib.import_module(f"corecuts.{layer}") for layer in spans.LAYER_MODULES
+    }
+    engine, solve, evalcore = layers["engine"], layers["solve"], layers["evalcore"]
+    run_auto, solve_subproblem, run = engine.run_auto, engine.solve_subproblem, evalcore.Program.run
+    inst = make_instance(
+        3,
+        rows=(make_row([1, 1, 1], "==", 4),),
+        bounds=[(0, 2)] * 3,
+        group=analyze_group(["(1,2,3)"], 3),
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert engine.run_auto is not run_auto
+        report = engine.run_auto(inst, EngineOptions())
+    finally:
+        tracer.uninstall()
+    assert report.status == "Feasible"
+    calls = {name: n for name, (n, _) in tracer.self_times().items()}
+    assert calls.get("evalcore.Program.run", 0) > 0
+    assert calls.get("solve.solve_subproblem", 0) > 0
+    assert calls.get("evalcore.compile_expr", 0) > 0
+    assert tracer.descendants("evalcore.Program.run", "solve.solve_subproblem") == calls[
+        "evalcore.Program.run"
+    ]
+    # uninstall restores every rebinding
+    assert engine.run_auto is run_auto
+    assert engine.solve_subproblem is solve_subproblem is solve.solve_subproblem
+    assert evalcore.Program.run is run
