@@ -55,7 +55,7 @@ from .corepoints import projected_essential_set
 from .errors import InputError
 from .exprs import Constraint, ConstraintSet, DEFAULT_EPS, Dot, Const, Add, EQ, SUBLAYER
 from .perms import Cycle, GroupSpec
-from .simplex import make_row
+from .simplex import lp_feasible, make_row
 from .solve import (
     DEFAULT_BOX,
     DEFAULT_NODE_BUDGET,
@@ -609,8 +609,6 @@ def _check_disjoint(inst: Instance, cycles: Sequence[Cycle]) -> None:
 
 
 def _layer_lp_feasible(inst: Instance, layer: int) -> bool:
-    from .simplex import lp_feasible
-
     rows = list(inst.rows)
     rows.append(make_row([Fraction(1)] * inst.n, "==", Fraction(layer)))
     return lp_feasible(inst.n, rows, list(inst.bounds))

@@ -21,6 +21,7 @@ step: exhaustive enumeration of the integer box against the rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -106,18 +107,24 @@ def hard_instance(
 def certify_infeasible(inst: Instance) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exhaustively enumerate the integer box against the rows.  Returns
     (True, None) when no integer point satisfies every row, otherwise
-    (False, witness).  Exact arithmetic throughout; this is the
+    (False, witness).  Exact arithmetic throughout: each row is scaled
+    by the LCM of its denominators and checked on integers.  This is the
     generator's own referee, independent of the search engine."""
     ranges = []
     for lo, hi in inst.bounds:
         if lo is None or hi is None:
             raise InputError("certification needs finite bounds")
-        ranges.append(range(int(lo), int(hi) + 1))
-    rows = [(tuple(Fraction(a) for a in r.coeffs), r.sense, r.rhs) for r in inst.rows]
+        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
+    rows = []
+    for r in inst.rows:
+        coeffs = [Fraction(a) for a in r.coeffs]
+        rhs = Fraction(r.rhs)
+        scale = math.lcm(rhs.denominator, *(a.denominator for a in coeffs))
+        rows.append((tuple(int(a * scale) for a in coeffs), r.sense, int(rhs * scale)))
     for point in product(*ranges):
         ok = True
         for coeffs, sense, rhs in rows:
-            act = sum((a * v for a, v in zip(coeffs, point)), Fraction(0))
+            act = sum(a * v for a, v in zip(coeffs, point))
             if (
                 (sense == "<=" and act > rhs)
                 or (sense == ">=" and act < rhs)

@@ -7,7 +7,9 @@ Two engines live here:
 * ``solve_subproblem`` — bounded depth-first integer enumeration with
   exact interval propagation on every linear row and float evaluation
   of the nonlinear constraints (``exprs.eval_float``) at fully assigned
-  leaves.
+  leaves.  Each linear row is scaled once to integer coefficients and
+  bounds, so propagation and enumeration run on plain ``int``; points
+  are returned as ``Fraction`` tuples.
 
 Both are deliberately small: they replace an external MINLP solver for
 instances a few variables wide, and every verdict they return is
@@ -293,19 +295,21 @@ class _BudgetExhausted(Exception):
 
 
 def _propagate(
-    bounds: list[tuple[Fraction, Fraction]],
-    rows: Sequence[tuple[list[tuple[int, Fraction]], Optional[Fraction], Optional[Fraction]]],
-) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """Exact interval propagation to a fixpoint (bounded rounds).
-    Returns tightened integer bounds, or None when some row or variable
-    becomes unsatisfiable."""
+    bounds: list[tuple[int, int]],
+    rows: Sequence[tuple[list[tuple[int, int]], Optional[int], Optional[int]]],
+) -> Optional[list[tuple[int, int]]]:
+    """Interval propagation to a fixpoint (bounded rounds) over
+    integer-scaled rows (see ``_scale_row``) and integer bounds; floor
+    and ceil of a quotient come from ``//``, so every step is exact.
+    Returns tightened bounds, or None when some row or variable becomes
+    unsatisfiable."""
     bounds = list(bounds)
     for _ in range(_PROPAGATION_ROUNDS):
         changed = False
         for coeffs, lo_rhs, hi_rhs in rows:
             # row activity range
-            act_lo = Fraction(0)
-            act_hi = Fraction(0)
+            act_lo = 0
+            act_hi = 0
             for j, a in coeffs:
                 blo, bhi = bounds[j]
                 if a > 0:
@@ -329,16 +333,16 @@ def _propagate(
                     # a*x <= hi_rhs - rest_lo
                     cap = hi_rhs - rest_lo
                     if a > 0:
-                        new_hi = min(new_hi, Fraction(math.floor(cap / a)))
+                        new_hi = min(new_hi, cap // a)
                     else:
-                        new_lo = max(new_lo, Fraction(math.ceil(cap / a)))
+                        new_lo = max(new_lo, -(-cap // a))
                 if lo_rhs is not None:
                     # a*x >= lo_rhs - rest_hi
                     need = lo_rhs - rest_hi
                     if a > 0:
-                        new_lo = max(new_lo, Fraction(math.ceil(need / a)))
+                        new_lo = max(new_lo, -(-need // a))
                     else:
-                        new_hi = min(new_hi, Fraction(math.floor(need / a)))
+                        new_hi = min(new_hi, need // a)
                 if new_lo > new_hi:
                     return None
                 if (new_lo, new_hi) != (blo, bhi):
@@ -349,15 +353,29 @@ def _propagate(
     return bounds
 
 
-def _initial_bounds(
-    variables: Sequence[FlatVar], box: int
-) -> list[tuple[Fraction, Fraction]]:
-    lo_box, hi_box = Fraction(-box), Fraction(box)
+def _scale_row(
+    coeffs: list[tuple[int, Fraction]], lo: Optional[Fraction], hi: Optional[Fraction]
+) -> tuple[list[tuple[int, int]], Optional[int], Optional[int]]:
+    """Multiply a row by the LCM of the denominators of its coefficients
+    and bounds, so that it holds integers only; the set of points it
+    admits is unchanged."""
+    scale = math.lcm(
+        *(a.denominator for _, a in coeffs),
+        *(b.denominator for b in (lo, hi) if b is not None),
+    )
+    return (
+        [(j, int(a * scale)) for j, a in coeffs],
+        None if lo is None else int(lo * scale),
+        None if hi is None else int(hi * scale),
+    )
+
+
+def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, int]]:
     out = []
     for v in variables:
-        lo = lo_box if v.lo is None else max(v.lo, lo_box)
-        hi = hi_box if v.hi is None else min(v.hi, hi_box)
-        out.append((Fraction(math.ceil(lo)), Fraction(math.floor(hi))))
+        lo = -box if v.lo is None else max(v.lo, -box)
+        hi = box if v.hi is None else min(v.hi, box)
+        out.append((math.ceil(lo), math.floor(hi)))
     return out
 
 
@@ -393,7 +411,7 @@ def solve_subproblem(
         except KeyError as exc:
             raise InputError(f"constraint references unknown variable {exc}") from exc
         if indexed:
-            rows.append((indexed, lo_rhs, hi_rhs))
+            rows.append(_scale_row(indexed, lo_rhs, hi_rhs))
         else:
             # constant row: decide it now
             if (hi_rhs is not None and 0 > hi_rhs) or (lo_rhs is not None and 0 < lo_rhs):
@@ -412,7 +430,7 @@ def solve_subproblem(
     sign = -1 if flat.sense == MIN else 1
 
     values = [0.0] * nvars
-    exact = [Fraction(0)] * nvars
+    exact = [0] * nvars
     state = {"budget": budget, "best": None, "best_obj": None}
 
     def leaf_ok() -> bool:
@@ -425,7 +443,7 @@ def solve_subproblem(
         return True
 
     def record() -> None:
-        point = tuple(exact[: len(sub.base.var_names)])
+        point = tuple(Fraction(v) for v in exact[: len(sub.base.var_names)])
         if not want_best:
             state["best"] = point
             return
@@ -435,7 +453,7 @@ def solve_subproblem(
             state["best_obj"] = key
             state["best"] = (point, objv)
 
-    def dfs(idx: int, bounds: list[tuple[Fraction, Fraction]]) -> bool:
+    def dfs(idx: int, bounds: list[tuple[int, int]]) -> bool:
         """Returns True when the search can stop (feasibility hit)."""
         if idx == nvars:
             if leaf_ok():

@@ -9,7 +9,7 @@ nothing from the package under test.  Slow and boring on purpose.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 
@@ -89,27 +89,64 @@ def barycentric_oracle(
     return solve_fractions(circulant_rows(c), [Fraction(v) for v in z])
 
 
+def _satisfies(
+    point: Sequence[Fraction],
+    rows: Sequence[tuple[Sequence[Fraction], str, Fraction]],
+) -> bool:
+    for coeffs, sense, rhs in rows:
+        act = sum((Fraction(a) * v for a, v in zip(coeffs, point)), Fraction(0))
+        if (
+            (sense == "<=" and act > rhs)
+            or (sense == ">=" and act < rhs)
+            or (sense == "==" and act != rhs)
+        ):
+            return False
+    return True
+
+
 def feasible_points(
     rows: Sequence[tuple[Sequence[Fraction], str, Fraction]],
     bounds: Sequence[tuple[int, int]],
 ) -> list[tuple[int, ...]]:
     """All integer points of the box satisfying every exact linear row.
     Rows are (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}."""
-    out = []
-    for point in product(*[range(lo, hi + 1) for lo, hi in bounds]):
-        ok = True
-        for coeffs, sense, rhs in rows:
-            act = sum((Fraction(a) * v for a, v in zip(coeffs, point)), Fraction(0))
-            if (
-                (sense == "<=" and act > rhs)
-                or (sense == ">=" and act < rhs)
-                or (sense == "==" and act != rhs)
-            ):
-                ok = False
-                break
-        if ok:
-            out.append(point)
-    return out
+    return [
+        point
+        for point in product(*[range(lo, hi + 1) for lo, hi in bounds])
+        if _satisfies(point, rows)
+    ]
+
+
+def lp_vertex_oracle(
+    objective: Sequence[Fraction],
+    rows: Sequence[tuple[Sequence[Fraction], str, Fraction]],
+    bounds: Sequence[tuple[Fraction, Fraction]],
+    maximize: bool = True,
+) -> tuple[str, Optional[Fraction]]:
+    """Optimum of a boxed LP by vertex enumeration.
+
+    Every choice of n hyperplanes among the rows and the 2n bounds is
+    solved as an equation system; the solutions that satisfy every row
+    and bound are the vertices, and a nonempty box polytope attains its
+    optimum at one of them.  Returns ("optimal", value) or
+    ("infeasible", None).  Bounds must be finite."""
+    n = len(bounds)
+    planes = [(list(coeffs), Fraction(rhs)) for coeffs, _, rhs in rows]
+    for i, (lo, hi) in enumerate(bounds):
+        unit = [Fraction(int(i == j)) for j in range(n)]
+        planes.append((unit, Fraction(lo)))
+        planes.append((unit, Fraction(hi)))
+    best: Optional[Fraction] = None
+    for chosen in combinations(planes, n):
+        x = solve_fractions([p for p, _ in chosen], [rhs for _, rhs in chosen])
+        if x is None or not _satisfies(x, rows):
+            continue
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds)):
+            continue
+        value = sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0))
+        if best is None or (value > best if maximize else value < best):
+            best = value
+    return ("infeasible", None) if best is None else ("optimal", best)
 
 
 def hull_verdict_oracle(c: Sequence[int]) -> tuple[str, Optional[tuple[int, ...]]]:

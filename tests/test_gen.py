@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from corecuts import NotCore, certify_infeasible, generate, hard_instance, lp_relax
+from corecuts import NotCore, certify_infeasible, generate, hard_instance, lp_relax, make_instance
 from corecuts.gen import GenResult
+from corecuts.simplex import make_row
 
 
 def test_hard_instance_shape():
@@ -99,3 +100,13 @@ def test_hard_instance_follows_the_given_cycle():
         point = tuple(moved)
     assert certify_infeasible(inst) == (True, None)
 
+
+def test_certify_scans_only_the_integers_inside_fractional_bounds():
+    # x in [1/2, 5/2] with x <= 0 has no solution; 0 lies outside the
+    # bounds and must not come back as a witness
+    bounds = [(Fraction(1, 2), Fraction(5, 2))]
+    empty = make_instance(1, rows=(make_row([1], "<=", 0),), bounds=bounds)
+    assert certify_infeasible(empty) == (True, None)
+    # rational rows are checked exactly: 2/3 x = 4/3 only at x = 2
+    row = make_row([Fraction(2, 3)], "==", Fraction(4, 3))
+    assert certify_infeasible(make_instance(1, rows=(row,), bounds=bounds)) == (False, (2,))

@@ -1,10 +1,12 @@
 """Exact rational LP solver: optimality, infeasibility, unboundedness."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from corecuts.simplex import EQ, GE, LE, lp_feasible, make_row, solve_lp
+from oracles import lp_vertex_oracle
 
 
 def test_max_on_a_triangle():
@@ -109,3 +111,60 @@ def test_cross_check_against_scipy():
         )
         assert res.status == "optimal" and ref.status == 0
         assert float(res.objective) == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def _random_rational(rng, span=6):
+    return Fraction(rng.randint(-span, span), rng.choice([1, 1, 2, 3, 4, 5, 7]))
+
+
+def _random_boxed_lp(rng):
+    """A boxed LP with rational data over all three senses.  Most rows
+    pass through a random point of the box, so many LPs are feasible;
+    equality rows are often repeated (sometimes as a rational multiple),
+    which leaves a zero-valued artificial basic after phase 1 and makes
+    the drive-out pivot run."""
+    n = rng.randint(1, 3)
+    bounds = []
+    for _ in range(n):
+        lo = _random_rational(rng)
+        bounds.append((lo, lo + abs(_random_rational(rng, 4))))
+    anchor = [lo + (hi - lo) * Fraction(rng.randint(0, 4), 4) for lo, hi in bounds]
+    rows = []
+    for _ in range(rng.randint(0, 4)):
+        coeffs = [_random_rational(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+        sense = rng.choice([LE, GE, EQ])
+        if rng.random() < 0.8:
+            rhs = sum((a * v for a, v in zip(coeffs, anchor)), Fraction(0))
+            slack = abs(_random_rational(rng, 3))
+            rhs += {LE: slack, GE: -slack, EQ: 0}[sense]
+        else:
+            rhs = _random_rational(rng, 9)
+        rows.append(make_row(coeffs, sense, rhs))
+        if sense == EQ and rng.random() < 0.5:
+            factor = rng.choice([Fraction(1), Fraction(-2), Fraction(3, 2)])
+            rows.append(make_row([a * factor for a in coeffs], EQ, rhs * factor))
+    objective = [_random_rational(rng) for _ in range(n)]
+    return n, objective, rows, bounds, rng.random() < 0.5
+
+
+def test_boxed_lps_match_the_vertex_oracle():
+    rng = random.Random(20261018)
+    statuses = set()
+    for _ in range(300):
+        n, objective, rows, bounds, maximize = _random_boxed_lp(rng)
+        res = solve_lp(n, objective, rows, bounds, maximize=maximize)
+        status, value = lp_vertex_oracle(
+            objective, [(r.coeffs, r.sense, r.rhs) for r in rows], bounds, maximize
+        )
+        statuses.add(status)
+        assert res.status == status
+        if status == "infeasible":
+            continue
+        assert res.objective == value
+        assert all(isinstance(v, Fraction) for v in res.x)
+        assert sum((c * v for c, v in zip(objective, res.x)), Fraction(0)) == value
+        for row in rows:
+            act = sum((a * v for a, v in zip(row.coeffs, res.x)), Fraction(0))
+            assert {LE: act <= row.rhs, GE: act >= row.rhs, EQ: act == row.rhs}[row.sense]
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(res.x, bounds))
+    assert statuses == {"optimal", "infeasible"}

@@ -1,8 +1,11 @@
 """The bounded enumeration engine for subproblems, and its flattening."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+import oracles
 
 from corecuts import (
     Constraint,
@@ -17,13 +20,21 @@ from corecuts import (
     flatten_subproblem,
     lp_relax,
     make_instance,
+    run_plain,
     solve_subproblem,
     symmetry_warnings,
 )
 from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG
 from corecuts.instancefile import analyze_group
 from corecuts.simplex import GE, LE, make_row
-from corecuts.solve import FEASIBLE, INFEASIBLE, UNBOUNDED, UNKNOWN
+from corecuts.solve import (
+    FEASIBLE,
+    INFEASIBLE,
+    UNBOUNDED,
+    UNKNOWN,
+    _propagate,
+    _scale_row,
+)
 
 
 def _sub(base, added=(), tag="PLAIN", sid="t"):
@@ -239,6 +250,63 @@ def test_solve_interval_propagation_prunes_wide_boxes():
     out = solve_subproblem(_sub(inst), budget=500)
     assert out.status == FEASIBLE
     assert out.point == (37,) * n
+
+
+def test_propagation_keeps_every_feasible_point():
+    """Integer-scaled propagation is sound: on random small boxes and
+    rows with rational and negative coefficients, every integer point of
+    the box that satisfies the rows stays inside the propagated bounds,
+    and an empty result means there is no such point.  run_plain agrees
+    with the oracle on the status and returns an exact satisfying point."""
+    rng = random.Random(5)
+    empties = 0
+    for _ in range(250):
+        n = rng.randint(1, 4)
+        box = []
+        for _ in range(n):
+            lo = rng.randint(-4, 3)
+            box.append((lo, lo + rng.randint(0, 4)))
+        anchor = [rng.randint(lo, hi) for lo, hi in box]
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [
+                Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])) for _ in range(n)
+            ]
+            sense = rng.choice(["<=", ">=", "=="])
+            rhs = sum((a * v for a, v in zip(coeffs, anchor)), Fraction(0))
+            if rng.random() < 0.4:
+                rhs += Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 5]))
+            rows.append((coeffs, sense, rhs))
+        expected = oracles.feasible_points(rows, box)
+
+        scaled = []
+        for coeffs, sense, rhs in rows:
+            indexed = [(j, a) for j, a in enumerate(coeffs) if a != 0]
+            if indexed:
+                lo = None if sense == "<=" else rhs
+                hi = None if sense == ">=" else rhs
+                scaled.append(_scale_row(indexed, lo, hi))
+        tightened = _propagate(list(box), scaled)
+        if tightened is None:
+            assert expected == []
+        else:
+            assert all(isinstance(b, int) for pair in tightened for b in pair)
+            for point in expected:
+                assert all(lo <= v <= hi for v, (lo, hi) in zip(point, tightened))
+
+        inst = make_instance(
+            n,
+            rows=[make_row(c, sense, rhs) for c, sense, rhs in rows],
+            bounds=[(Fraction(lo), Fraction(hi)) for lo, hi in box],
+        )
+        rep = run_plain(inst)
+        assert rep.status == (FEASIBLE if expected else INFEASIBLE)
+        if expected:
+            assert all(type(v) is Fraction and v.denominator == 1 for v in rep.point)
+            assert tuple(int(v) for v in rep.point) in expected
+        else:
+            empties += 1
+    assert 50 < empties < 200
 
 
 def test_solve_unbounded_integers_get_default_box():
