@@ -37,15 +37,12 @@ from .perms import (
 )
 from .spectral import (
     CirculantMatrix,
-    PartialCirculantMatrix,
     Spectrum,
     TValues,
     circulant,
     det_circulant,
     eigenvalues,
     fourier_pair,
-    partial_circulant,
-    rotate,
     solve_circulant_exact,
     t_hat_exact,
     t_values,
@@ -58,16 +55,11 @@ from .corepoints import (
     all_rotations,
     barycenter,
     bracelet_class_key,
-    co_projective,
     display_form,
-    equivalent,
-    in_fixed_lattice,
     is_lattice_free,
-    isomorphic,
     membership,
     projected_essential_set,
     rotation_class_key,
-    verify_layer,
 )
 from .exprs import (
     Add,

@@ -8,7 +8,7 @@ Subcommands:
   a core point of a full cycle, certify it integer-infeasible, write it;
 * ``solve FILE`` — run the planned algorithm (or a forced one) and
   print the full report as JSON;
-* ``check-core GROUP POINT`` — brute-force core certificate;
+* ``check-core GROUP POINT`` — exact core certificate;
 * ``essential K RESIDUE [BUDGET]`` — projected essential set of one
   sub-layer;
 * ``tvalues C`` — the inverse-circulant values of an integer vector.
@@ -242,7 +242,7 @@ def build_parser() -> _Parser:
                     help="plan and count subproblems without solving")
     ps.set_defaults(func=cmd_solve)
 
-    pc = sub.add_parser("check-core", help="brute-force core certificate")
+    pc = sub.add_parser("check-core", help="exact core certificate")
     pc.add_argument("group")
     pc.add_argument("point")
     pc.set_defaults(func=cmd_check_core)

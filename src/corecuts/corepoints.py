@@ -10,19 +10,29 @@ Membership in the orbit polytope of a cycle is decided through
 barycentric coordinates lambda = Cir(c)^{-1} z (exact rational solve):
 on matching nonzero layers the coordinates automatically sum to 1, so
 checking lambda >= 0 is enough.
+
+The core check (``is_lattice_free``) searches the orbit's bounding box
+for a non-vertex integer point of the hull.  Every orbit point is a
+permutation of z, so only box points on the layer sum(x) = sum(z) are
+tested.  When the orbit is n points spanning a simplex, a point is
+inside iff the integer rows of D * V^{-1} (V: the orbit points as
+columns, D > 0) all give it a non-negative value: no LP and no
+Fraction.  Any other orbit (singular V, a periodic z, a larger group,
+layer 0) is tested point by point with an exact LP.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
-from .errors import InputError, LayerMismatch, NonActiveMismatch
-from .perms import Cycle, GroupSpec, layer_of, orbit, DEFAULT_ORBIT_CAP
-from .spectral import solve_circulant_exact
+from .errors import InputError, LayerMismatch, NonActiveMismatch, SingularCirculant
+from .perms import Cycle, GroupSpec, orbit, DEFAULT_ORBIT_CAP
+from .spectral import scaled_inverse, solve_circulant_exact
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +143,59 @@ def _in_hull_exact(point: Sequence[int], vertices: list[tuple]) -> bool:
     return simplex.lp_feasible(k, rows, bounds)
 
 
+def _layer_points(lo: list[int], hi: list[int], layer: int):
+    """Integer points of the box [lo, hi] with coordinate sum ``layer``,
+    in lexicographic order: the last coordinate is fixed by the others."""
+    last_lo, last_hi = lo[-1], hi[-1]
+    for prefix in itertools.product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+        last = layer - sum(prefix)
+        if last_lo <= last <= last_hi:
+            yield prefix + (last,)
+
+
+def _simplex_test(verts: list[tuple]):
+    """Exact hull test for n orbit points spanning a simplex, or None.
+
+    With V the n x n matrix whose columns are the orbit points, a point
+    x on their common layer has barycentric coordinates V^{-1} x, which
+    sum to 1 because 1^T V = layer * 1^T; x is in the hull iff every
+    coordinate is >= 0.  The signs are read from the integer rows of
+    D * V^{-1} (D > 0).  A singular V, which includes every layer-0
+    orbit, gives None."""
+    n = len(verts[0])
+    if len(verts) != n:
+        return None
+    try:
+        _, inv = scaled_inverse([[v[i] for v in verts] for i in range(n)])
+    except SingularCirculant:
+        return None
+    rows = [tuple(row) for row in inv]
+    return lambda x: all(sum(map(operator.mul, row, x)) >= 0 for row in rows)
+
+
 def is_lattice_free(
     gs: GroupSpec, z: Sequence[int], box_margin: int = 0, cap: int = DEFAULT_ORBIT_CAP
 ) -> CoreCertificate:
-    """Brute-force core certificate: enumerate integer points of the
-    orbit's bounding box and test hull membership exactly."""
-    verts = orbit(gs, tuple(int(x) for x in z), cap=cap)
+    """Exact core certificate: search the orbit's bounding box, widened
+    by ``box_margin``, for a non-vertex integer point of the hull.
+
+    Only the box points on the orbit's layer sum(x) = sum(z) are tested,
+    in lexicographic order, so the witness is the lexicographically
+    first one.  When the orbit has n points that span a simplex (every
+    regular Cir(z) under a full n-cycle, in any cycle order), a point is
+    tested by the signs of its barycentric coordinates through one exact
+    inverse; otherwise by an exact LP (``_in_hull_exact``)."""
+    zt = tuple(int(x) for x in z)
+    verts = orbit(gs, zt, cap=cap)
     vert_set = set(verts)
     n = gs.n
     lo = [min(v[j] for v in verts) - box_margin for j in range(n)]
     hi = [max(v[j] for v in verts) + box_margin for j in range(n)]
-    for candidate in itertools.product(*(range(lo[j], hi[j] + 1) for j in range(n))):
+    inside = _simplex_test(verts) or (lambda x: _in_hull_exact(x, verts))
+    for candidate in _layer_points(lo, hi, sum(zt)):
         if candidate in vert_set:
             continue
-        if _in_hull_exact(candidate, verts):
+        if inside(candidate):
             return CoreCertificate(point=tuple(z), verdict="NotCore", witness=candidate)
     return CoreCertificate(point=tuple(z), verdict="Core")
 
@@ -220,55 +269,10 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
 
 
 # ---------------------------------------------------------------------------
-# barycenter and equivalence predicates
+# barycenter
 
 def barycenter(gs: GroupSpec, x: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Fraction, ...]:
     """Average of the orbit of x; always lies in the fixed space."""
     points = orbit(gs, tuple(x), cap=cap)
     k = len(points)
     return tuple(Fraction(sum(p[j] for p in points), k) for j in range(gs.n))
-
-
-def in_fixed_lattice(v: Sequence[int], gs: GroupSpec) -> bool:
-    """Whether v lies in the integer fixed lattice of the selected cycles
-    (constant integer value on every cycle support, any integers elsewhere)."""
-    if any(int(x) != x for x in v):
-        return False
-    for cyc in gs.selected_cycles:
-        values = {v[i - 1] for i in cyc.support}
-        if len(values) > 1:
-            return False
-    return True
-
-
-def equivalent(x: Sequence[int], y: Sequence[int], gs: GroupSpec, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """True when x is in the orbit of y."""
-    return tuple(x) in set(orbit(gs, tuple(y), cap=cap))
-
-
-def isomorphic(x: Sequence[int], y: Sequence[int], gs: GroupSpec, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """True when x differs from some orbit member of y by a fixed-lattice vector."""
-    if gs.group_class is None:
-        from .perms import classify, select_cycles
-
-        classify(gs)
-        select_cycles(gs)
-    xt = tuple(x)
-    for w in orbit(gs, tuple(y), cap=cap):
-        diff = tuple(a - b for a, b in zip(xt, w))
-        if in_fixed_lattice(diff, gs):
-            return True
-    return False
-
-
-def co_projective(x: Sequence[int], y: Sequence[int]) -> bool:
-    """True when x - y is an integer multiple of the all-ones vector."""
-    if len(x) != len(y):
-        return False
-    diffs = {a - b for a, b in zip(x, y)}
-    return len(diffs) == 1 and all(int(d) == d for d in diffs)
-
-
-def verify_layer(z: Sequence[int], residue: int, k_len: int) -> bool:
-    """Layer congruence check used by the essential-set invariants."""
-    return layer_of(z) % k_len == residue % k_len

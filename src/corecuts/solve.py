@@ -481,6 +481,10 @@ def solve_subproblem(
         stopped = dfs(0, bounds0)
     except _BudgetExhausted:
         return Outcome(UNKNOWN)
+    finally:
+        # dfs refers to itself through its closure cell; break that
+        # cycle so the search state is freed on return, not by the collector
+        del dfs
 
     if not want_best:
         if stopped and state["best"] is not None:

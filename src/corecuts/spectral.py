@@ -13,7 +13,9 @@ Two independent computation paths are provided on purpose:
   synthesizer needs, since there c is symbolic;
 * an exact rational path (``t_hat_exact``) that solves
   Cir(c) x = e_1 in integer (fraction-free) arithmetic — this anchors
-  tests and the instance generator.
+  tests and the instance generator.  The same elimination gives
+  ``scaled_inverse``, the integer matrix D*A^{-1} with which the core
+  check reads barycentric signs.
 
 The coefficient vectors are related by
 t_hat[k] = (1/n) * (1/<c,1> + t[k]) and t_bar = first row of
@@ -35,13 +37,6 @@ from .errors import InputError, SingularCirculant
 SINGULARITY_RTOL = 1e-9
 
 
-def rotate(v: Sequence, s: int = 1) -> tuple:
-    """Apply the rotation (v_0,...,v_{n-1}) -> (v_{n-1},v_0,...) s times."""
-    n = len(v)
-    s %= n
-    return tuple(v[(j - s) % n] for j in range(n))
-
-
 @dataclass(frozen=True)
 class CirculantMatrix:
     """Square circulant matrix, stored by its first column."""
@@ -60,41 +55,8 @@ class CirculantMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows())
 
 
-@dataclass(frozen=True)
-class PartialCirculantMatrix:
-    """n x k matrix: circulant on the first k rows, constant rows below.
-
-    Row i < k equals row i of Cir(c[:k]); row i >= k is the constant
-    value c[i] repeated across all k columns.
-    """
-
-    c: tuple
-    k: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= len(self.c):
-            raise InputError(f"need 1 <= k <= n, got k={self.k}, n={len(self.c)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.c)
-
-    def rows(self) -> list[tuple]:
-        k = self.k
-        top = [tuple(self.c[(i - j) % k] for j in range(k)) for i in range(k)]
-        bottom = [tuple([self.c[i]] * k) for i in range(k, self.n)]
-        return top + bottom
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows())
-
-
 def circulant(c: Sequence) -> CirculantMatrix:
     return CirculantMatrix(tuple(c))
-
-
-def partial_circulant(c: Sequence, k: int) -> PartialCirculantMatrix:
-    return PartialCirculantMatrix(tuple(c), k)
 
 
 @lru_cache(maxsize=None)
@@ -213,10 +175,18 @@ def det_circulant(c: Sequence) -> float:
     return det
 
 
-def _solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
-    """Solve A x = b exactly for integer A, b via fraction-free elimination."""
+def _solve_integer_system(
+    rows: list[list[int]], rhs: list[list[int]]
+) -> tuple[int, list[list[int]]]:
+    """Solve A X = D B for integer A (``rows``) and B (``rhs``, n x m) by
+    fraction-free (Bareiss) elimination.
+
+    Returns D = |det A| > 0 and the integer matrix X = D A^{-1} B: the
+    last pivot is +-det A and D A^{-1} is +-adj A, so every division in
+    the elimination and the back substitution is exact."""
     n = len(rows)
-    M = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    m = len(rhs[0]) if n else 0
+    M = [list(rows[i]) + list(rhs[i]) for i in range(n)]
     prev = 1
     for k in range(n):
         if M[k][k] == 0:
@@ -227,17 +197,28 @@ def _solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[Fractio
             else:
                 raise SingularCirculant("matrix is singular over the rationals")
         for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
+            for j in range(k + 1, n + m):
                 M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
             M[i][k] = 0
         prev = M[k][k]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(M[i][n])
-        for j in range(i + 1, n):
-            acc -= M[i][j] * x[j]
-        x[i] = acc / M[i][i]
-    return x
+    X = [[0] * m for _ in range(n)]
+    for col in range(n, n + m):
+        for i in range(n - 1, -1, -1):
+            acc = prev * M[i][col]
+            for j in range(i + 1, n):
+                acc -= M[i][j] * X[j][col - n]
+            X[i][col - n] = acc // M[i][i]
+    if prev < 0:
+        return -prev, [[-x for x in row] for row in X]
+    return prev, X
+
+
+def scaled_inverse(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """D > 0 and the integer matrix D A^{-1} of a regular integer matrix A.
+
+    Raises SingularCirculant when A is singular."""
+    n = len(rows)
+    return _solve_integer_system(rows, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def solve_circulant_exact(c: Sequence[int], z: Sequence[int]) -> list[Fraction]:
@@ -248,7 +229,8 @@ def solve_circulant_exact(c: Sequence[int], z: Sequence[int]) -> list[Fraction]:
     if len(z) != n:
         raise InputError("dimension mismatch")
     rows = [[int(c[(i - j) % n]) for j in range(n)] for i in range(n)]
-    return _solve_integer_system(rows, [int(x) for x in z])
+    den, x = _solve_integer_system(rows, [[int(v)] for v in z])
+    return [Fraction(xi[0], den) for xi in x]
 
 
 def t_hat_exact(c: Sequence[int]) -> list[Fraction]:

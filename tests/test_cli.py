@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from corecuts.cli import main
+from corecuts.corepoints import is_lattice_free
 from corecuts.engine import EngineOptions, run_auto
 from corecuts.instancefile import generator_strings, read_instance, write_instance
 from corecuts.simplex import make_row
@@ -47,6 +48,23 @@ def test_check_core_flagship(capsys):
     assert code == 0
     assert doc["verdict"] == "Core"
     assert doc["witness"] is None
+
+
+def test_check_core_seven_cycle(capsys):
+    code, doc = _run(capsys, ["check-core", "(1,2,3,4,5,6,7)", "1,1,0,1,0,0,0"])
+    assert code == 0
+    assert doc["verdict"] == "Core"
+    assert doc["witness"] is None
+
+
+def test_check_core_two_cycle_group_matches_api(capsys):
+    # (1,2,3)(4,5) moves the point through 6 orbit points in dimension 5
+    point = (2, 0, 0, 1, 0)
+    cert = is_lattice_free(analyze_group(["(1,2,3)(4,5)"], 5), point)
+    code, doc = _run(capsys, ["check-core", "(1,2,3)(4,5)", "2,0,0,1,0"])
+    assert code == 0
+    assert doc["verdict"] == cert.verdict == "NotCore"
+    assert doc["witness"] == list(cert.witness) == [0, 1, 1, 0, 1]
 
 
 def test_essential_default_budget(capsys):

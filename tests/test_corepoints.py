@@ -4,6 +4,8 @@ The (2,1,0) witness and its barycentric coordinates were pinned with
 tests/oracles.py (hull check by exhaustive enumeration + exact solve).
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,19 +20,17 @@ from corecuts import (
     Outside,
     all_rotations,
     barycenter,
-    co_projective,
     display_form,
-    equivalent,
-    in_fixed_lattice,
     is_lattice_free,
-    isomorphic,
     membership,
+    orbit,
     parse_generators,
     projected_essential_set,
     rotation_class_key,
     select_cycles,
-    verify_layer,
 )
+from corecuts import simplex
+from corecuts.corepoints import _in_hull_exact
 
 
 def _c3():
@@ -103,6 +103,100 @@ def test_is_lattice_free_binary_points_are_core():
         assert is_lattice_free(gs, z).verdict == "Core"
 
 
+def _referee(gs, z, box_margin=0):
+    """The core check without shortcuts: an exact LP for every non-vertex
+    point of the whole box, in lexicographic order."""
+    verts = orbit(gs, tuple(z))
+    lo = [min(v[j] for v in verts) - box_margin for j in range(gs.n)]
+    hi = [max(v[j] for v in verts) + box_margin for j in range(gs.n)]
+    for cand in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        if cand not in verts and _in_hull_exact(cand, verts):
+            return "NotCore", cand
+    return "Core", None
+
+
+def _agree(gs, z, box_margin=0):
+    cert = is_lattice_free(gs, z, box_margin=box_margin)
+    assert (cert.verdict, cert.witness) == _referee(gs, z, box_margin), z
+    return cert.verdict
+
+
+def test_core_check_matches_full_box_referee_on_full_cycles():
+    rng = random.Random(6)
+    verdicts = set()
+    for n, count in ((3, 12), (4, 10), (5, 6), (6, 3)):
+        gs = _cn(n)
+        for _ in range(count):
+            z = tuple(rng.randint(-1, 2) for _ in range(n))
+            verdicts.add(_agree(gs, z))
+    assert verdicts == {"Core", "NotCore"}
+
+
+def test_core_check_matches_referee_on_other_groups():
+    reordered = parse_generators(["(1,3,2,4)"])
+    select_cycles(reordered)
+    symmetric = parse_generators(["(1,2)", "(1,2,3,4)"])  # S4: 6 to 12 orbit points here
+    select_cycles(symmetric)
+    for gs in (reordered, symmetric):
+        for z in [(2, 1, 0, 0), (2, 0, 1, 0), (1, 1, 0, 0), (2, 1, 1, -1), (0, 1, 2, 0)]:
+            _agree(gs, z)
+
+
+def test_core_check_matches_referee_on_singular_periodic_and_layer_zero():
+    points = [
+        (1, 0, 1, 0),  # periodic: two orbit points
+        (2, 0, 2, 0),
+        (1, 1, 0, 0),  # four orbit points, singular V
+        (0, 1, 2, 1),
+        (1, -1, 0),  # layer 0
+        (2, -1, -1, 0),
+        (1, 0, -1, 0),
+    ]
+    for z in points:
+        for margin in (0, 1):
+            _agree(_cn(len(z)), z, margin)
+    _agree(_cn(6), (2, 1, 0, 1, 0, 0))
+
+
+def test_core_check_margin_on_regular_points():
+    for z in [(2, 1, 0), (1, 0, 0), (2, 0, 1, 0), (2, 2, 2, 2, 1)]:
+        _agree(_cn(len(z)), z, box_margin=1)
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    real = simplex.lp_feasible
+
+    def counting(n, rows, bounds):
+        # the first rows hold the candidate point as right-hand sides
+        calls.append(tuple(r.rhs for r in rows[:-1]))
+        return real(n, rows, bounds)
+
+    monkeypatch.setattr(simplex, "lp_feasible", counting)
+    return calls
+
+
+def test_regular_circulants_run_no_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    assert is_lattice_free(_cn(5), (2, 2, 2, 2, 1)).verdict == "Core"
+    assert is_lattice_free(_cn(7), (1, 1, 0, 1, 0, 0, 0)).verdict == "Core"
+    assert is_lattice_free(_c3(), (2, 1, 0)).witness == (1, 1, 1)
+    assert calls == []
+
+
+def test_singular_points_run_lps_on_their_layer_only(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    z = (2, 1, 0, 1, 0, 0)
+    assert is_lattice_free(_cn(6), z).verdict == "Core"
+    assert calls and all(sum(x) == sum(z) for x in calls)
+    calls.clear()
+    z = (0, 1, 2, 1)
+    cert = is_lattice_free(_cn(4), z)
+    assert cert.witness == (1, 1, 1, 1)
+    assert calls and all(sum(x) == sum(z) for x in calls)
+    assert calls[-1] == cert.witness
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 
@@ -159,35 +253,12 @@ def test_essential_set_entries_and_layers(k, residue, budget):
     for z in ess.points:
         assert len(z) == k
         assert all(-2 <= v <= 2 for v in z)
-        assert verify_layer(z, residue, k)
+        assert sum(z) % k == residue % k
 
 
 # ---------------------------------------------------------------------------
-# group-relative relations
+# barycenter
 
 
 def test_barycenter_full_cycle():
     assert barycenter(_c3(), (2, 1, 0)) == (Fraction(1), Fraction(1), Fraction(1))
-
-
-def test_in_fixed_lattice():
-    gs = _c3()
-    assert in_fixed_lattice((1, 1, 1), gs)
-    assert not in_fixed_lattice((2, 1, 0), gs)
-
-
-def test_equivalent_isomorphic_co_projective():
-    gs = _c3()
-    assert equivalent((2, 1, 0), (0, 2, 1), gs)
-    assert not equivalent((2, 1, 0), (3, 2, 1), gs)
-    # isomorphism also allows shifting along the fixed lattice
-    assert isomorphic((2, 1, 0), (3, 2, 1), gs)
-    assert co_projective((1, 2, 3), (3, 4, 5))
-    assert not co_projective((1, 2, 3), (1, 2, 4))
-
-
-def test_verify_layer():
-    assert verify_layer((1, 1, 1, 0, 0, 0), 3, 6)
-    assert not verify_layer((1, 1, 1, 0, 0, 0), 2, 6)
-    # residues live modulo the cycle length
-    assert verify_layer((2, 2, 2, 2, 1), 4, 5)

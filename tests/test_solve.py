@@ -1,5 +1,6 @@
 """The bounded enumeration engine for subproblems, and its flattening."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG
 from corecuts.instancefile import analyze_group
 from corecuts.simplex import GE, LE, make_row
 from corecuts.solve import (
+    DEFAULT_NODE_BUDGET,
     FEASIBLE,
     INFEASIBLE,
     UNBOUNDED,
@@ -235,6 +237,32 @@ def test_solve_nonlinear_division_guard():
     base = make_instance(1, bounds=_box(1, 0, 3))
     cs = _anchor_set(Constraint(Div(Const(1), Dot((1,), ("x1",))), LE_ZERO))
     assert solve_subproblem(_sub(base, (cs,))).status == INFEASIBLE
+
+
+def test_solve_leaves_no_cyclic_garbage():
+    """The search state is freed on return: a feasible call, a
+    searched-out call and a budget-cut call leave nothing for the cycle
+    collector to find."""
+    from corecuts import Div
+
+    base = make_instance(3, rows=(make_row([1, 1, 1], "==", 4),), bounds=_box(3, 0, 3))
+    # 1/x1 <= 0 holds nowhere, so every leaf is evaluated and rejected
+    never = _anchor_set(Constraint(Div(Const(1), Dot((1,), ("x1",))), LE_ZERO))
+    calls = [
+        (_sub(base), DEFAULT_NODE_BUDGET, FEASIBLE),
+        (_sub(base, (never,)), DEFAULT_NODE_BUDGET, INFEASIBLE),
+        (_sub(base, (never,)), 3, UNKNOWN),
+    ]
+    for sub, budget, _ in calls:
+        solve_subproblem(sub, budget=budget)
+    gc.collect()
+    gc.disable()
+    try:
+        for sub, budget, status in calls:
+            assert solve_subproblem(sub, budget=budget).status == status
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_solve_interval_propagation_prunes_wide_boxes():

@@ -10,18 +10,19 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+
 from corecuts import (
     SingularCirculant,
     circulant,
     det_circulant,
     eigenvalues,
     fourier_pair,
-    partial_circulant,
-    rotate,
     solve_circulant_exact,
     t_hat_exact,
     t_values,
 )
+from corecuts.spectral import scaled_inverse
 
 # first column of Cir(c)^{-1}, pinned by oracles.t_hat_oracle
 T_HAT_PINNED = {
@@ -58,12 +59,6 @@ DET_PINNED = {
 }
 
 
-def test_rotate():
-    assert rotate((1, 2, 3)) == (3, 1, 2)
-    assert rotate((1, 2, 3), 2) == (2, 3, 1)
-    assert rotate((1, 2, 3), 0) == (1, 2, 3)
-
-
 def test_circulant_entry_convention():
     c = (5, 7, 9)
     rows = circulant(c).rows()
@@ -76,16 +71,8 @@ def test_circulant_columns_are_rotations():
     rows = circulant((1, 2, 3, 4)).rows()
     col0 = tuple(rows[i][0] for i in range(4))
     col1 = tuple(rows[i][1] for i in range(4))
-    assert col1 == rotate(col0)
-
-
-def test_partial_circulant_shape():
-    rows = partial_circulant((1, 2, 0, 0, 7), 3).rows()
-    # top 3x3 block circulant on the active entries, rows below constant
-    for i in range(3):
-        for j in range(3):
-            assert rows[i][j] == (1, 2, 0)[(i - j) % 3]
-    assert rows[3] == (0, 0, 0) and rows[4] == (7, 7, 7)
+    # rotated one element down
+    assert col1 == col0[-1:] + col0[:-1]
 
 
 def test_fourier_pair_values():
@@ -185,3 +172,26 @@ def test_solve_circulant_exact():
 def test_solve_circulant_exact_recovers_t_hat():
     c = (3, 1, 0, 0, 1)
     assert solve_circulant_exact(c, (1, 0, 0, 0, 0)) == t_hat_exact(c)
+
+
+def test_scaled_inverse_is_an_integer_multiple_of_the_inverse():
+    """A (D A^{-1}) == D I with D > 0, including matrices that need row
+    swaps and matrices with a negative determinant."""
+    rng = random.Random(13)
+    seen_swap = seen_negative = False
+    for n in range(1, 7):
+        for _ in range(30):
+            A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            try:
+                D, inv = scaled_inverse(A)
+            except SingularCirculant:
+                continue
+            seen_swap |= A[0][0] == 0
+            seen_negative |= oracles.det_fractions(A) < 0
+            assert D > 0 and D == abs(oracles.det_fractions(A))
+            for i in range(n):
+                for j in range(n):
+                    assert sum(A[i][k] * inv[k][j] for k in range(n)) == D * (i == j)
+    assert seen_swap and seen_negative
+    with pytest.raises(SingularCirculant):
+        scaled_inverse([[1, 2], [2, 4]])
