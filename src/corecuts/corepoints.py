@@ -224,6 +224,8 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
     because they fall back into a universal class.  At most ``budget``
     points total.
     """
+    if k_len < 1:
+        raise InputError("cycle length must be >= 1")
     if budget < 1:
         raise InputError("budget must be >= 1")
     popcount = residue % k_len

@@ -9,11 +9,14 @@ counts are a property of the plan, not of solver luck.  The shapes are:
 
 * Algorithm 1 (one full n-cycle): a global singularity subproblem, then
   layers walked from the LP optimum layer toward worse objective values
-  (down, or up when the objective rewards lower layers); each surviving
-  layer gets anchor probes for its projected essential set and one cut
-  subproblem; the walk stops at the first layer divisible by n, where
-  the only candidate worth checking is the fixed-space point
-  (layer/n) * 1 and it is evaluated directly against the instance rows.
+  (down, or up when the objective rewards lower layers); a layer outside
+  the LP layer range (the values of sum(x) over the LP relaxation) is
+  pruned, and one LP, min or max of sum(x), gives the range's end the
+  walk heads toward; each surviving layer gets anchor probes for its
+  projected essential set and one cut subproblem; the walk stops at the
+  first layer divisible by n, where the only candidate worth checking is
+  the fixed-space point (layer/n) * 1 and it is evaluated directly
+  against the instance rows.
 * Algorithm 2 (one k-cycle, k < n allowed): a global singularity
   subproblem for the cycle block plus, for every sub-layer residue
   1..k-1, anchor probes and one cut subproblem.  The residue-k class
@@ -55,7 +58,7 @@ from .corepoints import projected_essential_set
 from .errors import InputError
 from .exprs import Constraint, ConstraintSet, DEFAULT_EPS, Dot, Const, Add, EQ, SUBLAYER
 from .perms import Cycle, GroupSpec
-from .simplex import lp_feasible, make_row
+from .simplex import solve_lp
 from .solve import (
     DEFAULT_BOX,
     DEFAULT_NODE_BUDGET,
@@ -98,6 +101,8 @@ class EngineOptions:
     dry_run: bool = False
 
     def __post_init__(self) -> None:
+        if self.budget < 1:
+            raise InputError("budget must be >= 1")
         if self.essential_budget < 1:
             raise InputError("essential budget must be >= 1")
         if self.box < 0:
@@ -217,8 +222,16 @@ def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     stages: list[tuple[Subproblem, ...]] = [
         (Subproblem("S2", inst, (s2_singular(cycle, opts.box, opts.eps),), S2, ("global",)),)
     ]
+    # sum(x) maps the LP relaxation onto an interval that holds the LP
+    # optimum's layer, and the walk moves away from that layer, so a
+    # walked layer is LP-empty iff it lies beyond the end the walk heads
+    # toward; one LP finds that end (unbounded: no such end)
+    end = None
+    if layer % n:
+        res = solve_lp(n, [1] * n, list(inst.rows), list(inst.bounds), maximize=up)
+        end = res.objective if res.status == "optimal" else None
     while layer % n:
-        if not _layer_lp_feasible(inst, layer):
+        if end is not None and (layer > end if up else layer < end):
             notes.append(f"layer {layer} pruned (empty LP relaxation)")
             layer += step
             continue
@@ -606,9 +619,3 @@ def _check_disjoint(inst: Instance, cycles: Sequence[Cycle]) -> None:
         if overlap:
             raise InputError(f"cycles overlap on coordinates {sorted(overlap)}")
         seen |= set(c.support)
-
-
-def _layer_lp_feasible(inst: Instance, layer: int) -> bool:
-    rows = list(inst.rows)
-    rows.append(make_row([Fraction(1)] * inst.n, "==", Fraction(layer)))
-    return lp_feasible(inst.n, rows, list(inst.bounds))

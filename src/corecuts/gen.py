@@ -16,7 +16,8 @@ exists:
 The barycenter itself (coordinates all 1/n) stays LP-feasible, so the
 instance is integer-infeasible but not trivially so.  Because the
 verdict matters, generation ends with an independent certification
-step: exhaustive enumeration of the integer box against the rows.
+step: exhaustive enumeration of the integer box points on the layer
+against the rows.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .corepoints import is_lattice_free
+from .corepoints import _layer_points, is_lattice_free
 from .errors import InputError, NotCore
 from .instancefile import analyze_group
 from .simplex import LPRow, make_row
@@ -107,21 +108,30 @@ def hard_instance(
 def certify_infeasible(inst: Instance) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exhaustively enumerate the integer box against the rows.  Returns
     (True, None) when no integer point satisfies every row, otherwise
-    (False, witness).  Exact arithmetic throughout: each row is scaled
-    by the LCM of its denominators and checked on integers.  This is the
-    generator's own referee, independent of the search engine."""
-    ranges = []
-    for lo, hi in inst.bounds:
-        if lo is None or hi is None:
-            raise InputError("certification needs finite bounds")
-        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
+    (False, witness), the lexicographically first one.  When a row fixes
+    the layer (``sum(x) == L`` with integer L) only the box points on
+    that layer are enumerated.  Exact arithmetic throughout: each row is
+    scaled by the LCM of its denominators and checked on integers.  This
+    is the generator's own referee, independent of the search engine."""
+    if any(lo is None or hi is None for lo, hi in inst.bounds):
+        raise InputError("certification needs finite bounds")
+    lo = [math.ceil(a) for a, _ in inst.bounds]
+    hi = [math.floor(b) for _, b in inst.bounds]
+    layer_rhs = (
+        Fraction(r.rhs) for r in inst.rows if r.sense == "==" and all(a == 1 for a in r.coeffs)
+    )
+    layer = next((int(b) for b in layer_rhs if b.denominator == 1), None)
+    if layer is None:
+        points = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    else:
+        points = _layer_points(lo, hi, layer)
     rows = []
     for r in inst.rows:
         coeffs = [Fraction(a) for a in r.coeffs]
         rhs = Fraction(r.rhs)
         scale = math.lcm(rhs.denominator, *(a.denominator for a in coeffs))
         rows.append((tuple(int(a * scale) for a in coeffs), r.sense, int(rhs * scale)))
-    for point in product(*ranges):
+    for point in points:
         ok = True
         for coeffs, sense, rhs in rows:
             act = sum(a * v for a, v in zip(coeffs, point))

@@ -188,6 +188,22 @@ def test_solve_negative_box_exits_64(tmp_path, capsys):
     assert "box" in capsys.readouterr().err
 
 
+def test_solve_nonpositive_budget_exits_64(tmp_path, capsys):
+    out = tmp_path / "c5.json"
+    main(["gen", "(1,2,3,4,5)", "2,2,2,2,1", "-o", str(out)])
+    capsys.readouterr()
+    code = main(["solve", str(out), "--budget", "-5"])
+    assert code == 64
+    assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_essential_nonpositive_cycle_length_exits_64(capsys, k):
+    code = main(["essential", k, "1"])
+    assert code == 64
+    assert "cycle length" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [False, "false"])
 def test_solve_continuous_variable_exits_64(tmp_path, capsys, flag):
     inst = make_instance(

@@ -1,5 +1,6 @@
 """Schedules and dispatch for the three layer-search strategies."""
 
+import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -26,7 +27,8 @@ from corecuts import (
     run_plain,
     s2_singular,
 )
-from corecuts.simplex import GE, LE, make_row
+from corecuts import engine, solve
+from corecuts.simplex import GE, LE, lp_feasible, make_row
 
 
 def _full_cycle_group(k):
@@ -66,6 +68,10 @@ def _random_full_cycle_instance(rng, n, sense):
 def test_options_validate():
     with pytest.raises(InputError):
         EngineOptions(essential_budget=0)
+    with pytest.raises(InputError):
+        EngineOptions(budget=0)
+    with pytest.raises(InputError):
+        EngineOptions(budget=-5)
     with pytest.raises(InputError):
         EngineOptions(box=-5)
 
@@ -107,6 +113,102 @@ def test_algorithm1_plan_on_generated_instance():
     assert sch.counts() == {"S1": 1, "S2": 1, "S3": 1, "FIX": 0}
     assert sch.stop_layer == 0
     assert any("pruned" in note for note in sch.notes)
+
+
+def _walked_layers(sch):
+    """Every layer the walk passes before its stop layer, in walk order."""
+    note = sch.notes[0]  # "LP optimum layer V, <walk> starts at L"
+    start = int(note.rsplit(" ", 1)[1])
+    step = 1 if "ascent" in note else -1
+    return list(range(start, sch.stop_layer, step))
+
+
+def test_algorithm1_prunes_exactly_the_lp_empty_layers():
+    """Referee: a walked layer is LP-empty iff the rows plus
+    sum(x) == L have no real solution; the pruned notes and the layer
+    stages must follow that verdict layer by layer."""
+    rng = random.Random(7)
+    pruned_walks, kept = set(), 0
+    for _ in range(200):
+        n = rng.randint(3, 5)
+        inst = _random_full_cycle_instance(rng, n, rng.choice(("feasibility", "max", "min")))
+        if rng.random() < 0.7:
+            # a band lo <= sum(x) <= hi with half-integer ends leaves
+            # walked layers outside the LP layer range
+            lo = Fraction(rng.randint(0, 6 * n), 2)
+            hi = lo + Fraction(rng.randint(0, 2 * n), 2)
+            band = (make_row([1] * n, GE, lo), make_row([1] * n, LE, hi))
+            inst = dataclasses.replace(inst, rows=inst.rows + band)
+        sch = plan_algorithm1(inst, EngineOptions())
+        if sch.stop_layer is None:
+            continue
+        survivors = []
+        for layer in _walked_layers(sch):
+            row = make_row([1] * n, "==", layer)
+            feasible = lp_feasible(n, list(inst.rows) + [row], list(inst.bounds))
+            note = f"layer {layer} pruned (empty LP relaxation)"
+            assert (note in sch.notes) == (not feasible), (layer, inst.rows)
+            if feasible:
+                survivors.append(layer)
+            else:
+                pruned_walks.add("ascent" if "ascent" in sch.notes[0] else "descent")
+        kept += len(survivors)
+        expected = [stage for layer in survivors for stage in (("S3", layer), ("S1", layer))]
+        got = [(stage[0].tag, stage[0].provenance[1]) for stage in sch.stages[1:]]
+        assert got == expected, inst.rows
+    assert pruned_walks == {"ascent", "descent"} and kept
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    real = solve.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_lp", counting)
+    monkeypatch.setattr(solve, "solve_lp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("top,stop,walked,lps", [(6, 0, 6, 2), (7, 7, 0, 1)])
+def test_algorithm1_plans_with_at_most_two_lps(monkeypatch, top, stop, walked, lps):
+    """sum(x) <= 6 on a 7-cycle walks down over the six layers 6..1 and
+    needs the relaxation and one range LP; sum(x) <= 7 starts on its
+    stop layer and needs the relaxation only."""
+    calls = _count_lps(monkeypatch)
+    inst = make_instance(
+        7, rows=(make_row([1] * 7, LE, top),), bounds=_box(7, 0, 3),
+        group=_full_cycle_group(7),
+    )
+    sch = plan_algorithm1(inst, EngineOptions())
+    assert sch.stop_layer == stop
+    assert len(_walked_layers(sch)) == walked
+    assert len(calls) == lps
+
+
+@pytest.mark.parametrize(
+    "sense,rel,rhs,bounds,walked",
+    [
+        # descent over negative layers, sum(x) has no minimum
+        ("max", LE, -1, (None, Fraction(3)), [-1, -2]),
+        # ascent from layer 1, sum(x) has no maximum
+        ("min", GE, 1, (Fraction(0), None), [1, 2]),
+    ],
+)
+def test_algorithm1_unbounded_layer_range_prunes_nothing(sense, rel, rhs, bounds, walked):
+    n = 3
+    inst = make_instance(
+        n, sense=sense, objective=[1] * n, rows=(make_row([1] * n, rel, rhs),),
+        bounds=(bounds,) * n, group=_full_cycle_group(n),
+    )
+    sch = plan_algorithm1(inst, EngineOptions())
+    assert _walked_layers(sch) == walked
+    assert not any("pruned" in note for note in sch.notes)
+    assert [stage[0].provenance[1] for stage in sch.stages[1:]] == [
+        layer for layer in walked for _ in range(2)
+    ]
 
 
 def test_plan_selects_algorithm_by_group():

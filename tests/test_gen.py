@@ -4,11 +4,16 @@ The empty-enumeration expectations below were independently confirmed
 with tests/oracles.py (feasible_points over the exact rows).
 """
 
+import dataclasses
+import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from corecuts import NotCore, certify_infeasible, generate, hard_instance, lp_relax, make_instance
+from corecuts.errors import SingularCirculant
 from corecuts.gen import GenResult
 from corecuts.simplex import make_row
 
@@ -110,3 +115,52 @@ def test_certify_scans_only_the_integers_inside_fractional_bounds():
     # rational rows are checked exactly: 2/3 x = 4/3 only at x = 2
     row = make_row([Fraction(2, 3)], "==", Fraction(4, 3))
     assert certify_infeasible(make_instance(1, rows=(row,), bounds=bounds)) == (False, (2,))
+
+
+def _full_box_certify(inst):
+    """Referee: every integer point of the box, in lexicographic order,
+    against every row in exact arithmetic."""
+    def meets(row, point):
+        act = sum(a * v for a, v in zip(row.coeffs, point))
+        return {"<=": act <= row.rhs, ">=": act >= row.rhs, "==": act == row.rhs}[row.sense]
+
+    # equality rows first: the order changes only how soon a point fails
+    rows = sorted(inst.rows, key=lambda row: row.sense != "==")
+    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in inst.bounds]
+    for point in product(*ranges):
+        if all(meets(row, point) for row in rows):
+            return False, point
+    return True, None
+
+
+def _with_rows(inst, rows):
+    return dataclasses.replace(inst, rows=tuple(rows))
+
+
+def test_certify_matches_full_box_referee():
+    """The layer enumeration gives the full box's verdict and first
+    witness: on generated instances of core and non-core points, on
+    relaxed ones that keep their layer row, and on instances whose layer
+    row is gone, scaled or fractional (full-box route)."""
+    rng = random.Random(11)
+    witnesses = 0
+    for _ in range(12):
+        c = tuple(rng.randint(0, 2) for _ in range(rng.randint(3, 5)))
+        try:
+            inst = hard_instance(c, require_core=False)
+        except SingularCirculant:
+            continue
+        layer = sum(c)
+        others = [r for r in inst.rows if r.sense != "=="]
+        variants = [
+            inst,
+            _with_rows(inst, [r for r in inst.rows if r.sense != "<="]),
+            _with_rows(inst, others),
+            _with_rows(inst, others + [make_row([2] * inst.n, "==", 2 * layer)]),
+            _with_rows(inst, others + [make_row([1] * inst.n, "==", Fraction(2 * layer + 1, 2))]),
+        ]
+        for variant in variants:
+            got = certify_infeasible(variant)
+            assert got == _full_box_certify(variant), (c, variant.rows)
+            witnesses += got[1] is not None
+    assert witnesses
