@@ -29,17 +29,14 @@ from .perms import (
     fixed_space_basis,
     identity,
     inverse,
-    layer_of,
     orbit,
     parse_cycles,
     parse_generators,
     select_cycles,
 )
 from .spectral import (
-    CirculantMatrix,
     Spectrum,
     TValues,
-    circulant,
     det_circulant,
     eigenvalues,
     fourier_pair,
@@ -53,7 +50,6 @@ from .corepoints import (
     EssentialSet,
     Outside,
     all_rotations,
-    barycenter,
     bracelet_class_key,
     display_form,
     is_lattice_free,
@@ -81,7 +77,6 @@ from .exprs import (
     Square,
     Var,
     check_value,
-    eval_exact,
     eval_float,
     linear_form,
     variables_of,

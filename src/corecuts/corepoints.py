@@ -268,13 +268,3 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
     if any(not -2 <= x <= 2 for p in points for x in p):
         raise InputError("essential points escaped the {-2..2} projected range")
     return EssentialSet(residue=residue, points=tuple(points), kinds=tuple(kinds))
-
-
-# ---------------------------------------------------------------------------
-# barycenter
-
-def barycenter(gs: GroupSpec, x: Sequence, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Fraction, ...]:
-    """Average of the orbit of x; always lies in the fixed space."""
-    points = orbit(gs, tuple(x), cap=cap)
-    k = len(points)
-    return tuple(Fraction(sum(p[j] for p in points), k) for j in range(gs.n))

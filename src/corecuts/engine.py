@@ -17,18 +17,29 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   first layer divisible by n, where the only candidate worth checking is
   the fixed-space point (layer/n) * 1 and it is evaluated directly
   against the instance rows.
-* Algorithm 2 (one k-cycle, k < n allowed): a global singularity
-  subproblem for the cycle block plus, for every sub-layer residue
-  1..k-1, anchor probes and one cut subproblem.  The residue-k class
-  needs no cut subproblem: any integer point there averages (over the
-  cycle subgroup) to a feasible fixed-space point, which the singularity
-  subproblem already covers.
-* Algorithm 3 (d >= 2 disjoint cycles): anchor probes per cycle length
-  and residue, then one subproblem per residue tuple in
-  [1..k_1] x ... x [1..k_d] — pure tuples (no residue at its cycle
-  length) become cut subproblems, tuples with some-but-not-all residues
-  at their cycle length become mixed singularity subproblems, and the
-  all-k tuple collapses to a single fixed-space probe.
+* Algorithms 2 (one k-cycle, k < n) and 3 (d >= 2 disjoint cycles)
+  share one residue planner.  Its one stage holds, in order, one
+  singularity subproblem (S2) per cycle, the anchor probes (S3) of every
+  cycle for each sub-layer residue t in 1..k-1, and one cut subproblem
+  (S1) per residue tuple in [1..k_1-1] x ... x [1..k_d-1]: every
+  cycle's sub-layer row, smoothness guards and cuts.
+
+  Why it is sound (a core-point argument: Herr, Rehn and Schürmann,
+  "Exploiting symmetry in integer convex optimization using core
+  points", Oper. Res. Lett. 2013).  Take an optimal or feasible core
+  point x; its block under cycle i is then core under that cycle.
+  - If some block i has a sum divisible by k_i, average that block
+    over its cycle.  The result is integer, feasible, has the same
+    objective, and its block i is constant, hence singular: S2_i
+    holds it.
+  - Otherwise, if some block is singular, S2_i holds x.
+  - Otherwise every block is regular with residue t_i below k_i.  For
+    each essential point z of (k_i, t_i), either a rotation of the
+    block is a translate of z, which a probe holds (blocks rotate
+    independently), or z lies outside the block's hull, which the
+    tuple's cut states.
+  Each step needs every selected cycle to be a symmetry of the
+  instance by itself, not only as a factor of a product generator.
 
 Without usable symmetry the schedule is one plain enumeration of the
 instance.
@@ -57,7 +68,7 @@ from typing import Callable, Optional, Sequence
 from .corepoints import projected_essential_set
 from .errors import InputError
 from .exprs import Constraint, ConstraintSet, DEFAULT_EPS, Dot, Const, Add, EQ, SUBLAYER
-from .perms import Cycle, GroupSpec
+from .perms import Cycle
 from .simplex import solve_lp
 from .solve import (
     DEFAULT_BOX,
@@ -77,8 +88,6 @@ from .solve import (
     symmetry_warnings,
 )
 from .synth import (
-    cycle_var_names,
-    fixed_space_anchor,
     s1_for_point,
     s2_singular,
     s3_anchor,
@@ -220,7 +229,7 @@ def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     notes.append(f"LP optimum layer {layer_value}, {walk} starts at {layer}")
 
     stages: list[tuple[Subproblem, ...]] = [
-        (Subproblem("S2", inst, (s2_singular(cycle, opts.box, opts.eps),), S2, ("global",)),)
+        (Subproblem("S2", inst, (s2_singular(cycle, opts.box),), S2, ("global",)),)
     ]
     # sum(x) maps the LP relaxation onto an interval that holds the LP
     # optimum's layer, and the walk moves away from that layer, so a
@@ -257,34 +266,54 @@ def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     return Schedule(1, tuple(stages), lp=lp, stop_layer=layer, notes=tuple(notes))
 
 
-def plan_algorithm2(inst: Instance, cycle: Cycle, opts: EngineOptions) -> Schedule:
-    _check_cycle(inst, cycle)
-    k = cycle.k
-    subs: list[Subproblem] = [
-        Subproblem("S2", inst, (s2_singular(cycle, opts.box, opts.eps),), S2, ("global",))
-    ]
-    for i in range(1, k):
-        ess = projected_essential_set(k, i, opts.essential_budget)
-        for j, z in enumerate(ess.points):
-            subs.append(
-                Subproblem(
-                    f"R{i}.S3.{j}",
-                    inst,
-                    (sublayer(cycle, i), s3_anchor(z, cycle)),
-                    S3,
-                    ("residue", i, "S3", j),
-                )
-            )
-        subs.append(
-            Subproblem(
-                f"R{i}.S1",
-                inst,
-                _cut_sets(sublayer(cycle, i), cycle, ess.points, opts.eps),
-                S1,
-                ("residue", i, "S1"),
-            )
+def _plan_cycles(
+    inst: Instance, cycles: tuple[Cycle, ...], opts: EngineOptions, algorithm: int
+) -> Schedule:
+    """The residue schedule of Algorithms 2 and 3: one S2 per cycle, the
+    anchor probes of every cycle and residue, then one cut subproblem per
+    residue tuple in [1..k_1-1] x ... x [1..k_d-1]."""
+    _check_disjoint(inst, cycles)
+    subs = [
+        Subproblem(
+            f"A{c.support[0]}.S2",
+            inst,
+            (s2_singular(c, opts.box),),
+            S2,
+            ("singular", c.support[0]),
         )
-    return Schedule(2, (tuple(subs),))
+        for c in cycles
+    ]
+    ess = {
+        (c.k, t): projected_essential_set(c.k, t, opts.essential_budget).points
+        for c in cycles
+        for t in range(1, c.k)
+    }
+    for c in cycles:
+        s = c.support[0]
+        for t in range(1, c.k):
+            for j, z in enumerate(ess[c.k, t]):
+                subs.append(
+                    Subproblem(
+                        f"A{s}.R{t}.S3.{j}",
+                        inst,
+                        (sublayer(c, t), s3_anchor(z, c)),
+                        S3,
+                        ("anchor", s, t, j),
+                    )
+                )
+    for combo in product(*[range(1, c.k) for c in cycles]):
+        sets = tuple(
+            cs
+            for c, t in zip(cycles, combo)
+            for cs in _cut_sets(sublayer(c, t), c, ess[c.k, t], opts.eps)
+        )
+        label = "T" + "_".join(str(t) for t in combo)
+        subs.append(Subproblem(f"{label}.S1", inst, sets, S1, ("tuple",) + combo))
+    return Schedule(algorithm, (tuple(subs),))
+
+
+def plan_algorithm2(inst: Instance, cycle: Cycle, opts: EngineOptions) -> Schedule:
+    return _plan_cycles(inst, (cycle,), opts, 2)
 
 
 def plan_algorithm3(
@@ -293,48 +322,7 @@ def plan_algorithm3(
     cycles = tuple(cycles)
     if len(cycles) < 2:
         raise InputError("need at least two disjoint cycles")
-    _check_disjoint(inst, cycles)
-    subs: list[Subproblem] = []
-
-    # anchor probes; one cycle of each distinct length carries the probes
-    # for that length (anchoring the same residue/point pair on a second
-    # cycle of equal length adds no new feasibility information)
-    seen_lengths: set[int] = set()
-    for c in cycles:
-        if c.k in seen_lengths:
-            continue
-        seen_lengths.add(c.k)
-        for t in range(1, c.k):
-            ess = projected_essential_set(c.k, t, opts.essential_budget)
-            for j, z in enumerate(ess.points):
-                subs.append(
-                    Subproblem(
-                        f"A{c.support[0]}.R{t}.S3.{j}",
-                        inst,
-                        (sublayer(c, t), s3_anchor(z, c)),
-                        S3,
-                        ("anchor", c.support[0], t, j),
-                    )
-                )
-
-    # residue tuples
-    for combo in product(*[range(1, c.k + 1) for c in cycles]):
-        label = "T" + "_".join(str(t) for t in combo)
-        at_k = [t == c.k for t, c in zip(combo, cycles)]
-        if all(at_k):
-            sets = tuple(fixed_space_anchor(c) for c in cycles)
-            subs.append(Subproblem(f"{label}.FIX", inst, sets, FIX, ("tuple",) + combo))
-            continue
-        sets = []
-        for c, t, full in zip(cycles, combo, at_k):
-            if full:
-                sets.append(s2_singular(c, opts.box, opts.eps))
-            else:
-                ess = projected_essential_set(c.k, t, opts.essential_budget)
-                sets.extend(_cut_sets(sublayer(c, t), c, ess.points, opts.eps))
-        tag = S2 if any(at_k) else S1
-        subs.append(Subproblem(f"{label}.{tag}", inst, tuple(sets), tag, ("tuple",) + combo))
-    return Schedule(3, (tuple(subs),))
+    return _plan_cycles(inst, cycles, opts, 3)
 
 
 def plan(inst: Instance, opts: Optional[EngineOptions] = None) -> Schedule:
@@ -519,16 +507,17 @@ def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Repo
 def run_algorithm2(
     inst: Instance, cycle: Cycle, opts: Optional[EngineOptions] = None
 ) -> Report:
-    """Sub-layer search along one selected cycle: the singularity
-    subproblem and every residue's probes and cuts."""
+    """Sub-layer search along one selected cycle: its singularity
+    subproblem, every residue's probes, then every residue's cut."""
     return _run(inst, opts, plan_algorithm2, cycle)
 
 
 def run_algorithm3(
     inst: Instance, cycles: Sequence[Cycle], opts: Optional[EngineOptions] = None
 ) -> Report:
-    """Residue-tuple search across several disjoint cycles: anchor
-    probes and every tuple subproblem."""
+    """Residue-tuple search across several disjoint cycles: one
+    singularity subproblem per cycle, every cycle's anchor probes, then
+    every residue tuple's cut."""
     return _run(inst, opts, plan_algorithm3, cycles)
 
 
@@ -606,15 +595,11 @@ def _single_full_cycle(inst: Instance) -> Cycle:
     return cycle
 
 
-def _check_cycle(inst: Instance, cycle: Cycle) -> None:
-    if max(cycle.support) > inst.n:
-        raise InputError("cycle support escapes the variable range")
-
-
 def _check_disjoint(inst: Instance, cycles: Sequence[Cycle]) -> None:
     seen: set[int] = set()
     for c in cycles:
-        _check_cycle(inst, c)
+        if max(c.support) > inst.n:
+            raise InputError("cycle support escapes the variable range")
         overlap = seen & set(c.support)
         if overlap:
             raise InputError(f"cycles overlap on coordinates {sorted(overlap)}")

@@ -11,9 +11,9 @@ vectors for it.  Serialization must stay bit-exact across emit -> parse
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import InputError
 
@@ -152,39 +152,6 @@ def eval_float(expr: Expr, env: dict[str, float]) -> float:
         acc = 0.0
         for coeff, name in zip(expr.coeffs, expr.names):
             acc = acc + float(coeff) * env[name]
-        return acc
-    raise InputError(f"unknown node {expr!r}")
-
-
-def eval_exact(expr: Expr, env: dict[str, Fraction]) -> Fraction:
-    """Exact rational evaluation; requires all constants to be rational."""
-    if isinstance(expr, Const):
-        if isinstance(expr.value, float):
-            raise InputError("float constant in exact evaluation")
-        return Fraction(expr.value)
-    if isinstance(expr, Var):
-        return Fraction(env[expr.name])
-    if isinstance(expr, Add):
-        return sum((eval_exact(a, env) for a in expr.args), Fraction(0))
-    if isinstance(expr, Mul):
-        acc = Fraction(1)
-        for a in expr.args:
-            acc *= eval_exact(a, env)
-        return acc
-    if isinstance(expr, Div):
-        den = eval_exact(expr.den, env)
-        if den == 0:
-            raise ZeroDivisionError("zero denominator in exact evaluation")
-        return eval_exact(expr.num, env) / den
-    if isinstance(expr, Square):
-        v = eval_exact(expr.arg, env)
-        return v * v
-    if isinstance(expr, Dot):
-        acc = Fraction(0)
-        for coeff, name in zip(expr.coeffs, expr.names):
-            if isinstance(coeff, float):
-                raise InputError("float coefficient in exact evaluation")
-            acc += Fraction(coeff) * Fraction(env[name])
         return acc
     raise InputError(f"unknown node {expr!r}")
 

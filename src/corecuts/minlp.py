@@ -191,10 +191,20 @@ def _decode_bound(v):
 
 
 def parse_problem(path) -> ParsedProblem:
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
-        raise InputError("unsupported or missing format version")
+    """Read a problem file; a malformed document (bad JSON, a missing
+    key, an entry of the wrong type, a zero denominator) raises
+    InputError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
+            raise InputError("unsupported or missing format version")
+        return _decode_problem(doc)
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed problem file: {exc!r}") from exc
+
+
+def _decode_problem(doc: dict) -> ParsedProblem:
     variables = []
     for v in doc.get("vars", ()):
         kind = v.get("kind")

@@ -317,8 +317,3 @@ def fixed_space_basis(gs: GroupSpec) -> list[tuple[int, ...]]:
             vec[i - 1] = 1
             basis.append(tuple(vec))
     return basis
-
-
-def layer_of(z: Sequence) -> int:
-    """The layer index of an integer vector: the sum of its entries."""
-    return sum(z)

@@ -37,28 +37,6 @@ from .errors import InputError, SingularCirculant
 SINGULARITY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CirculantMatrix:
-    """Square circulant matrix, stored by its first column."""
-
-    c: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.c)
-
-    def rows(self) -> list[tuple]:
-        n = self.n
-        return [tuple(self.c[(i - j) % n] for j in range(n)) for i in range(n)]
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows())
-
-
-def circulant(c: Sequence) -> CirculantMatrix:
-    return CirculantMatrix(tuple(c))
-
-
 @lru_cache(maxsize=None)
 def _fourier_table(n: int) -> tuple:
     """All (V_m, U_m) pairs for a given n, cached."""

@@ -156,11 +156,7 @@ def smoothness(cycle: Cycle, eps: float = DEFAULT_EPS) -> ConstraintSet:
     return ConstraintSet(tag=SMOOTH, constraints=tuple(cons))
 
 
-def s2_singular(
-    cycle: Cycle,
-    box_hint: int = DEFAULT_BOX,
-    eps: float = DEFAULT_EPS,
-) -> ConstraintSet:
+def s2_singular(cycle: Cycle, box_hint: int = DEFAULT_BOX) -> ConstraintSet:
     """Singularity disjunction: det Cir(x|cycle) factors into the layer
     sum, the mode-pair projection lengths, and (even k) the alternating
     sum; binaries r_m with sum r <= M-1 force at least one factor to

@@ -270,21 +270,23 @@ def test_criterion_05_core_verdict_agreement():
 def test_criterion_06_schedule_counts():
     opts = EngineOptions(essential_budget=4)
     bad = []
+
+    def ess_total(k):
+        return sum(len(projected_essential_set(k, r, 4).points) for r in range(1, k))
+
     for k, s1, s3 in ((5, 4, 16), (7, 6, 24), (8, 7, 28)):
         group = _full_cycle(k)
         sch = plan_algorithm2(make_instance(k, group=group), group.selected_cycles[0], opts)
-        ess_total = sum(
-            len(projected_essential_set(k, r, 4).points) for r in range(1, k)
-        )
         want = {"S1": s1, "S2": 1, "S3": s3, "FIX": 0}
-        if sch.counts() != want or s3 != ess_total:
-            bad.append((k, sch.counts(), want, ess_total))
-    for k, s1, s2, s3 in ((5, 16, 8, 16), (8, 49, 14, 28)):
+        if sch.counts() != want or s3 != ess_total(k):
+            bad.append((k, sch.counts(), want, ess_total(k)))
+    # two k-cycles: one S2 per cycle, every cycle's probes, (k-1)^2 cuts
+    for k, s1, s3 in ((5, 16, 32), (8, 49, 56)):
         group = _two_cycles(k)
         sch = plan_algorithm3(make_instance(2 * k, group=group), group.selected_cycles, opts)
-        want = {"S1": s1, "S2": s2, "S3": s3, "FIX": 1}
-        if sch.counts() != want:
-            bad.append((2 * k, sch.counts(), want))
+        want = {"S1": s1, "S2": 2, "S3": s3, "FIX": 0}
+        if sch.counts() != want or s3 != 2 * ess_total(k):
+            bad.append((2 * k, sch.counts(), want, 2 * ess_total(k)))
     ok = not bad
     _line(6, ok, "cycle schedules 5/7/8 and 5+5/8+8 all at pinned counts" if ok else f"{bad}")
     assert ok, bad

@@ -19,7 +19,6 @@ from corecuts import (
     NonActiveMismatch,
     Outside,
     all_rotations,
-    barycenter,
     display_form,
     is_lattice_free,
     membership,
@@ -254,11 +253,3 @@ def test_essential_set_entries_and_layers(k, residue, budget):
         assert len(z) == k
         assert all(-2 <= v <= 2 for v in z)
         assert sum(z) % k == residue % k
-
-
-# ---------------------------------------------------------------------------
-# barycenter
-
-
-def test_barycenter_full_cycle():
-    assert barycenter(_c3(), (2, 1, 0)) == (Fraction(1), Fraction(1), Fraction(1))

@@ -4,9 +4,11 @@ import dataclasses
 import os
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import oracles
 from corecuts import (
     ConstraintSet,
     EngineOptions,
@@ -14,6 +16,7 @@ from corecuts import (
     Subproblem,
     analyze_group,
     generate,
+    instance_from_dict,
     make_instance,
     plan,
     plan_algorithm1,
@@ -61,6 +64,31 @@ def _random_full_cycle_instance(rng, n, sense):
     )
 
 
+def _random_cycles_instance(rng, shape, sense):
+    """A small instance invariant under one cycle per entry of shape (the
+    cycles cover x1..xn in order): an equality row family and an
+    inequality row family, each closed under every rotation of every
+    block, and an objective constant on each block; box [0, 2]."""
+    n = sum(shape)
+    starts = [sum(shape[:i]) for i in range(len(shape))]
+    gens = ["(" + ",".join(str(s + j + 1) for j in range(k)) + ")" for s, k in zip(starts, shape)]
+    rows = {}
+    for rel in ("==", rng.choice((LE, GE))):
+        a = [rng.randint(-1, 2) for _ in range(n)]
+        rhs = rng.randint(0, sum(abs(v) for v in a) + 1)
+        for shifts in product(*[range(k) for k in shape]):
+            b = []
+            for s, k, r in zip(starts, shape, shifts):
+                b.extend(a[s + r : s + k] + a[s : s + r])
+            rows[tuple(b), rel] = make_row(b, rel, rhs)
+    weights = [rng.choice((-2, -1, 1, 2)) for _ in shape]
+    objective = None if sense == "feasibility" else [w for w, k in zip(weights, shape) for _ in range(k)]
+    return make_instance(
+        n, sense=sense, objective=objective, rows=list(rows.values()), bounds=_box(n, 0, 2),
+        group=analyze_group(gens, n),
+    )
+
+
 # ---------------------------------------------------------------------------
 # options and subproblem validation
 
@@ -98,13 +126,13 @@ def test_algorithm2_counts_at_budget_four(k, s1, s3):
 
 
 @pytest.mark.parametrize(
-    "k,s1,s2,s3", [(5, 16, 8, 16), (8, 49, 14, 28)]
+    "k,s1,s2,s3", [(5, 16, 2, 32), (8, 49, 2, 56)]
 )
 def test_algorithm3_counts_at_budget_four(k, s1, s2, s3):
     group = _two_cycles_group(k)
     inst = make_instance(2 * k, group=group)
     sch = plan_algorithm3(inst, group.selected_cycles, EngineOptions(essential_budget=4))
-    assert sch.counts() == {"S1": s1, "S2": s2, "S3": s3, "FIX": 1}
+    assert sch.counts() == {"S1": s1, "S2": s2, "S3": s3, "FIX": 0}
 
 
 def test_algorithm1_plan_on_generated_instance():
@@ -332,8 +360,127 @@ def test_run_algorithm3_feasibility_stops_at_first_feasible():
     )
     rep = run_algorithm3(inst, group.selected_cycles)
     assert rep.status == "Feasible"
-    assert rep.point == (1, 0, 0, 0, 2, 2)
+    assert rep.point == (0, 0, 0, 1, 2, 2)
     assert len(rep.results) < len(rep.schedule)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 2), (3, 3), (2, 4), (4, 4), (2, 6)], ids=lambda s: "+".join(map(str, s))
+)
+def test_run_auto_agrees_with_oracle_on_cycle_blocks(shape):
+    # seed 3 draws instances of shapes (2,4) and (4,4) that a planner
+    # probing one cycle per length, or covering singular blocks only at
+    # residue k, answers wrongly
+    rng = random.Random(f"{shape} seed 3")
+    for _ in range(6):
+        sense = rng.choice(("max", "min", "feasibility"))
+        inst = _random_cycles_instance(rng, shape, sense)
+        rows = [(r.coeffs, r.sense, r.rhs) for r in inst.rows]
+        points = oracles.feasible_points(rows, [(0, 2)] * inst.n)
+        rep = run_auto(inst)
+        ids = [sid for sid, _, _ in rep.schedule]
+        assert rep.algorithm == 3 and len(set(ids)) == len(ids)
+        assert rep.status == ("Feasible" if points else "Infeasible"), (sense, rows)
+        if points:
+            assert tuple(rep.point) in points
+            if sense != "feasibility":
+                values = [sum(c * x for c, x in zip(inst.objective, p)) for p in points]
+                assert rep.f_star == (max(values) if sense == "max" else min(values))
+
+
+# pool instance 61: feasible only at points such as (0,0,0,1,0,0), whose
+# first block is singular and whose second is an essential point of the
+# 3-cycle; a planner that probes one cycle per length and covers singular
+# blocks only beside cut blocks schedules no subproblem holding them
+POOL_61 = {
+    "format": 1, "n": 6,
+    "objective": {"sense": "feasibility", "coeffs": ["0", "0", "0", "0", "0", "0"]},
+    "rows": [
+        {"coeffs": ["1", "1", "1", "0", "0", "0"], "sense": ">=", "rhs": "0"},
+        {"coeffs": ["1", "1", "0", "-1", "-1", "-1"], "sense": "==", "rhs": "-1"},
+        {"coeffs": ["0", "1", "1", "-1", "-1", "-1"], "sense": "==", "rhs": "-1"},
+        {"coeffs": ["1", "0", "1", "-1", "-1", "-1"], "sense": "==", "rhs": "-1"},
+        {"coeffs": ["1", "1", "1", "-1", "-1", "-1"], "sense": "==", "rhs": "-1"},
+    ],
+    "bounds": [{"lo": "0", "hi": "1", "integer": True}] * 6,
+    "group": {"generators": ["(1,2,3)", "(4,5,6)"]},
+}
+
+# pool instance 170: the optimum 8 has the 4-cycle block (1,0,1,0),
+# singular at residue 2 < 4, and the 2-cycle block (1,1)
+POOL_170 = {
+    "format": 1, "n": 6,
+    "objective": {"sense": "max", "coeffs": ["1", "1", "3", "3", "3", "3"]},
+    "rows": [
+        {"coeffs": ["0", "0", "2", "-1", "-1", "-1"], "sense": "<=", "rhs": "1"},
+        {"coeffs": ["0", "0", "-1", "2", "-1", "-1"], "sense": "<=", "rhs": "1"},
+        {"coeffs": ["0", "0", "-1", "-1", "2", "-1"], "sense": "<=", "rhs": "1"},
+        {"coeffs": ["0", "0", "-1", "-1", "-1", "2"], "sense": "<=", "rhs": "1"},
+        {"coeffs": ["0", "0", "0", "-1", "-1", "0"], "sense": "==", "rhs": "-1"},
+        {"coeffs": ["0", "0", "0", "0", "-1", "-1"], "sense": "==", "rhs": "-1"},
+        {"coeffs": ["0", "0", "-1", "0", "0", "-1"], "sense": "==", "rhs": "-1"},
+        {"coeffs": ["0", "0", "-1", "-1", "0", "0"], "sense": "==", "rhs": "-1"},
+    ],
+    "bounds": [{"lo": "0", "hi": "1", "integer": True}] * 6,
+    "group": {"generators": ["(1,2)", "(3,4,5,6)"]},
+}
+
+
+def test_pool_61_two_equal_cycles_is_feasible():
+    rep = run_auto(instance_from_dict(POOL_61))
+    assert rep.algorithm == 3
+    assert rep.status == "Feasible"
+    assert sum(rep.point[3:]) - sum(rep.point[:3]) == 1
+
+
+def test_pool_170_singular_block_below_its_cycle_length():
+    rep = run_auto(instance_from_dict(POOL_170))
+    assert rep.algorithm == 3
+    assert rep.status == "Feasible"
+    assert rep.f_star == 8
+    assert rep.point[2:] in ((1, 0, 1, 0), (0, 1, 0, 1))
+
+
+def _four_cycle_rows(offset, a, rel, rhs):
+    """The row a.x rel rhs on the 4-cycle block x[offset:offset+4] of
+    eight variables, with its rotations."""
+    rows = []
+    for r in range(4):
+        coeffs = [0] * 8
+        coeffs[offset : offset + 4] = a[r:] + a[:r]
+        rows.append(make_row(coeffs, rel, rhs))
+    return rows
+
+
+# block rows (a, rel, rhs) on a 4-cycle: every solution of UNPROBED is a
+# regular block that no probe anchors at essential budget 1 (a rotation
+# of (0,1,0,2)); SINGULAR allows only (1,0,1,0) and (0,1,0,1), singular
+# at residue 2; PROBED allows only rotations of (1,0,0,0), which only
+# their own cycle's residue-1 probe holds
+UNPROBED = [([1, 1, 1, 1], "==", 3), ([-1, 0, 2, 0], GE, 0)]
+SINGULAR = [([1, 1, 0, 0], "==", 1)]
+PROBED = [([1, 1, 1, 1], "==", 1)]
+
+
+@pytest.mark.parametrize("partner", ["singular", "probed"])
+@pytest.mark.parametrize("partner_first", [False, True])
+def test_every_cycle_gets_its_own_s2_and_probes(partner, partner_first):
+    blocks = [UNPROBED, SINGULAR if partner == "singular" else PROBED]
+    if partner_first:
+        blocks.reverse()
+    rows = [
+        row
+        for offset, block in zip((0, 4), blocks)
+        for a, rel, rhs in block
+        for row in _four_cycle_rows(offset, a, rel, rhs)
+    ]
+    group = analyze_group(["(1,2,3,4)", "(5,6,7,8)"], 8)
+    inst = make_instance(8, rows=rows, bounds=_box(8, 0, 2), group=group)
+    rep = run_auto(inst)
+    assert rep.status == "Feasible"
+    for r in rows:
+        act = sum(c * x for c, x in zip(r.coeffs, rep.point))
+        assert act == r.rhs if r.sense == "==" else act >= r.rhs
 
 
 def test_run_algorithm2_finds_layer_point():

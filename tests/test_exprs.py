@@ -20,7 +20,6 @@ from corecuts import (
     Square,
     Var,
     check_value,
-    eval_exact,
     eval_float,
     linear_form,
     variables_of,
@@ -42,28 +41,6 @@ def test_eval_float_division_by_zero_raises():
     e = Div(Const(1), Var("x"))
     with pytest.raises(EvalDivisionByZero):
         eval_float(e, {"x": 0.0})
-
-
-def test_eval_exact_uses_fractions():
-    e = Div(Const(Fraction(1)), Const(3))
-    assert eval_exact(e, {}) == Fraction(1, 3)
-
-
-def test_eval_exact_matches_float_on_integers():
-    rng = random.Random(5)
-    names = ("x1", "x2", "x3")
-    e = Add(
-        (
-            Dot((Fraction(1, 2), Fraction(-2), Fraction(3)), names),
-            Square(Var("x2")),
-            Mul((Const(2), Var("x3"), Var("x1"))),
-        )
-    )
-    for _ in range(50):
-        vals = [rng.randint(-5, 5) for _ in range(3)]
-        env_f = dict(zip(names, map(float, vals)))
-        env_e = dict(zip(names, map(Fraction, vals)))
-        assert eval_float(e, env_f) == pytest.approx(float(eval_exact(e, env_e)))
 
 
 def test_variables_of():

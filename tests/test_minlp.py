@@ -159,6 +159,37 @@ def test_parse_rejects_bool_as_number(tmp_path):
         parse_problem(path)
 
 
+_GOOD_VAR = '{"name":"x1","lo":null,"hi":null,"kind":"integer"}'
+_ZERO = '{"kind":"const","value":0}'
+
+
+@pytest.mark.parametrize(
+    "vars_,expr",
+    [
+        ('[{"lo":null,"hi":null,"kind":"integer"}]', _ZERO),
+        (f"[{_GOOD_VAR}]", '{"kind":"add"}'),
+        ('["x1"]', _ZERO),
+        (f"[{_GOOD_VAR}]", '{"kind":"const","value":{"num":1,"den":0}}'),
+    ],
+    ids=["var-without-name", "add-without-args", "var-not-an-object", "zero-denominator"],
+)
+def test_parse_wraps_malformed_documents(tmp_path, vars_, expr):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        f'{{"format":1,"vars":{vars_},"objective":{{"sense":"max","expr":{expr}}},'
+        '"constraints":[]}'
+    )
+    with pytest.raises(InputError):
+        parse_problem(path)
+
+
+def test_parse_rejects_invalid_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"format":1,')
+    with pytest.raises(InputError):
+        parse_problem(path)
+
+
 def test_feasibility_objective_is_zero_const():
     flat = _flat(sense="feasibility")
     doc = json.loads(dumps_problem(flat))

@@ -14,7 +14,6 @@ from corecuts import (
     fixed_space_basis,
     identity,
     inverse,
-    layer_of,
     orbit,
     parse_generators,
     select_cycles,
@@ -142,11 +141,6 @@ def test_fixed_space_basis_partial_cycle():
     assert (1, 1, 1, 0, 0) in basis
     assert (0, 0, 0, 1, 0) in basis and (0, 0, 0, 0, 1) in basis
     assert len(basis) == 3
-
-
-def test_layer_of():
-    assert layer_of((2, 2, 2, 2, 1)) == 9
-    assert layer_of(()) == 0
 
 
 def test_parse_rejects_malformed():

@@ -14,7 +14,6 @@ import oracles
 
 from corecuts import (
     SingularCirculant,
-    circulant,
     det_circulant,
     eigenvalues,
     fourier_pair,
@@ -57,22 +56,6 @@ DET_PINNED = {
     (3, 1, 0, 0, 1): 125,
     (2, 2, 2, 2, 1): 9,
 }
-
-
-def test_circulant_entry_convention():
-    c = (5, 7, 9)
-    rows = circulant(c).rows()
-    for i in range(3):
-        for j in range(3):
-            assert rows[i][j] == c[(i - j) % 3]
-
-
-def test_circulant_columns_are_rotations():
-    rows = circulant((1, 2, 3, 4)).rows()
-    col0 = tuple(rows[i][0] for i in range(4))
-    col1 = tuple(rows[i][1] for i in range(4))
-    # rotated one element down
-    assert col1 == col0[-1:] + col0[:-1]
 
 
 def test_fourier_pair_values():
