@@ -116,6 +116,8 @@ class EngineOptions:
             raise InputError("essential budget must be >= 1")
         if self.box < 0:
             raise InputError("box must be >= 0")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise InputError("eps must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ vectors for it.  Serialization must stay bit-exact across emit -> parse
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -86,8 +87,10 @@ class Constraint:
     def __post_init__(self) -> None:
         if self.sense not in SENSES:
             raise InputError(f"bad sense {self.sense!r}")
-        if self.sense in (STRICT_NEG, NON_NEG) and not self.eps > 0:
-            raise InputError("strict senses need eps > 0")
+        if self.sense in (STRICT_NEG, NON_NEG) and not (
+            self.eps > 0 and math.isfinite(self.eps)
+        ):
+            raise InputError("strict senses need a finite eps > 0")
 
 
 @dataclass(frozen=True)

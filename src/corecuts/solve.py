@@ -5,11 +5,16 @@ Two engines live here:
 * ``lp_relax`` — exact rational simplex over the instance's linear rows
   (synthesized nonlinear sets are never part of the relaxation);
 * ``solve_subproblem`` — bounded depth-first integer enumeration with
-  exact interval propagation on every linear row and float evaluation
-  of the nonlinear constraints (``exprs.eval_float``) at fully assigned
-  leaves.  Each linear row is scaled once to integer coefficients and
-  bounds, so propagation and enumeration run on plain ``int``; points
-  are returned as ``Fraction`` tuples.
+  event-driven exact interval propagation over the linear rows and
+  float evaluation of the nonlinear constraints (``exprs.eval_float``)
+  at fully assigned leaves.  Each linear row is scaled once to integer
+  coefficients and bounds and divided by the gcd of its coefficients,
+  and rows with the same coefficients merge into one ranged row, so
+  propagation and enumeration run on plain ``int``; points are returned
+  as ``Fraction`` tuples.  A node propagates only from the rows that
+  contain the variable it fixes, and a max/min search carries its
+  incumbent as one more row, which cuts off every subtree that cannot
+  beat it.
 
 Both are deliberately small: they replace an external MINLP solver for
 instances a few variables wide, and every verdict they return is
@@ -28,6 +33,7 @@ same problem by construction.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -58,6 +64,7 @@ DEFAULT_BOX = 50
 #: assignment-node budget for one subproblem enumeration
 DEFAULT_NODE_BUDGET = 500_000
 
+#: one propagation call visits at most this many rows per row
 _PROPAGATION_ROUNDS = 20
 
 FEASIBLE = "Feasible"
@@ -297,60 +304,105 @@ class _BudgetExhausted(Exception):
 def _propagate(
     bounds: list[tuple[int, int]],
     rows: Sequence[tuple[list[tuple[int, int]], Optional[int], Optional[int]]],
+    watch: Optional[Sequence[Sequence[int]]] = None,
+    start: Optional[Iterable[int]] = None,
 ) -> Optional[list[tuple[int, int]]]:
-    """Interval propagation to a fixpoint (bounded rounds) over
-    integer-scaled rows (see ``_scale_row``) and integer bounds; floor
-    and ceil of a quotient come from ``//``, so every step is exact.
-    Returns tightened bounds, or None when some row or variable becomes
-    unsatisfiable."""
-    bounds = list(bounds)
-    for _ in range(_PROPAGATION_ROUNDS):
-        changed = False
-        for coeffs, lo_rhs, hi_rhs in rows:
-            # row activity range
-            act_lo = 0
-            act_hi = 0
-            for j, a in coeffs:
-                blo, bhi = bounds[j]
-                if a > 0:
-                    act_lo += a * blo
-                    act_hi += a * bhi
-                else:
-                    act_lo += a * bhi
-                    act_hi += a * blo
-            if hi_rhs is not None and act_lo > hi_rhs:
+    """Event-driven interval propagation over integer-scaled rows (see
+    ``_scale_row``) and integer bounds; floor and ceil of a quotient come
+    from ``//``, so every step is exact.
+
+    ``start`` lists the distinct indices of the rows to visit first (all
+    rows when None); ``watch[j]`` lists the rows that contain variable j
+    (built from ``rows`` when None).  A visit tightens each variable of
+    the row against the row's activity range, updating that range as it
+    goes; every tightened variable queues the rows that watch it, and a
+    ranged row that tightened anything queues itself, so an empty queue
+    is a fixpoint.  The queue is first in, first out and stops after
+    ``_PROPAGATION_ROUNDS * len(rows)`` visits, so every row in
+    ``start`` is visited even when that cap cuts the fixpoint short; the
+    bounds left then are still sound.
+
+    Tightens ``bounds`` in place and returns it, or returns None when
+    some row or variable becomes unsatisfiable."""
+    if watch is None:
+        watch = _watch_lists(rows, len(bounds))
+    queue = deque(range(len(rows)) if start is None else start)
+    queued = set(queue)
+    visits = _PROPAGATION_ROUNDS * len(rows)
+    while queue and visits:
+        visits -= 1
+        r = queue.popleft()
+        queued.discard(r)
+        coeffs, lo_rhs, hi_rhs = rows[r]
+        if lo_rhs is None and hi_rhs is None:
+            continue
+        # row activity range
+        act_lo = 0
+        act_hi = 0
+        for j, a in coeffs:
+            blo, bhi = bounds[j]
+            if a > 0:
+                act_lo += a * blo
+                act_hi += a * bhi
+            else:
+                act_lo += a * bhi
+                act_hi += a * blo
+        # how far the activity may still move toward each side
+        slack_hi = None if hi_rhs is None else hi_rhs - act_lo
+        slack_lo = None if lo_rhs is None else act_hi - lo_rhs
+        if (slack_hi is not None and slack_hi < 0) or (slack_lo is not None and slack_lo < 0):
+            return None
+        tightened = False
+        for j, a in coeffs:
+            blo, bhi = bounds[j]
+            width = bhi - blo
+            # x may rise at most `up` above blo and fall at most `down`
+            # below bhi; floor division keeps both exact
+            if a > 0:
+                up = width if slack_hi is None else slack_hi // a
+                down = width if slack_lo is None else slack_lo // a
+            else:
+                up = width if slack_lo is None else slack_lo // -a
+                down = width if slack_hi is None else slack_hi // -a
+            if up >= width and down >= width:
+                continue
+            new_hi = blo + up if up < width else bhi
+            new_lo = bhi - down if down < width else blo
+            if new_lo > new_hi:
                 return None
-            if lo_rhs is not None and act_hi < lo_rhs:
-                return None
-            for j, a in coeffs:
-                blo, bhi = bounds[j]
-                term_lo = a * blo if a > 0 else a * bhi
-                term_hi = a * bhi if a > 0 else a * blo
-                rest_lo = act_lo - term_lo
-                rest_hi = act_hi - term_hi
-                new_lo, new_hi = blo, bhi
-                if hi_rhs is not None:
-                    # a*x <= hi_rhs - rest_lo
-                    cap = hi_rhs - rest_lo
-                    if a > 0:
-                        new_hi = min(new_hi, cap // a)
-                    else:
-                        new_lo = max(new_lo, -(-cap // a))
-                if lo_rhs is not None:
-                    # a*x >= lo_rhs - rest_hi
-                    need = lo_rhs - rest_hi
-                    if a > 0:
-                        new_lo = max(new_lo, -(-need // a))
-                    else:
-                        new_hi = min(new_hi, need // a)
-                if new_lo > new_hi:
-                    return None
-                if (new_lo, new_hi) != (blo, bhi):
-                    bounds[j] = (new_lo, new_hi)
-                    changed = True
-        if not changed:
-            break
+            bounds[j] = (new_lo, new_hi)
+            if a > 0:
+                if slack_hi is not None:
+                    slack_hi -= a * (new_lo - blo)
+                if slack_lo is not None:
+                    slack_lo -= a * (bhi - new_hi)
+            else:
+                if slack_hi is not None:
+                    slack_hi += a * (bhi - new_hi)
+                if slack_lo is not None:
+                    slack_lo += a * (new_lo - blo)
+            tightened = True
+            for w in watch[j]:
+                if w not in queued and w != r:
+                    queued.add(w)
+                    queue.append(w)
+        if tightened and lo_rhs is not None and hi_rhs is not None:
+            # one side's tightening moves the other side's activity, so
+            # the variables visited before it may tighten further
+            queued.add(r)
+            queue.append(r)
     return bounds
+
+
+def _watch_lists(
+    rows: Sequence[tuple[list[tuple[int, int]], Optional[int], Optional[int]]], nvars: int
+) -> list[list[int]]:
+    """watch[j]: the indices of the rows that contain variable j."""
+    watch: list[list[int]] = [[] for _ in range(nvars)]
+    for r, (coeffs, _, _) in enumerate(rows):
+        for j, _ in coeffs:
+            watch[j].append(r)
+    return watch
 
 
 def _scale_row(
@@ -368,6 +420,36 @@ def _scale_row(
         None if lo is None else int(lo * scale),
         None if hi is None else int(hi * scale),
     )
+
+
+def _merge_rows(
+    rows: Iterable[tuple[list[tuple[int, int]], Optional[int], Optional[int]]],
+) -> Optional[list[tuple[list[tuple[int, int]], Optional[int], Optional[int]]]]:
+    """Normalise integer-scaled rows and merge those with the same
+    coefficients.  Each row is divided by the gcd of its coefficients
+    (bounds rounded inward, which keeps every integer point) and signed
+    so that its lowest-indexed coefficient is positive; rows with equal
+    coefficient vectors become one ``[lo, hi]`` row.  Returns None when
+    some row admits no value at all."""
+    merged: dict[tuple[tuple[int, int], ...], list[Optional[int]]] = {}
+    for coeffs, lo, hi in rows:
+        coeffs = sorted(coeffs)
+        g = math.gcd(*(a for _, a in coeffs))
+        if coeffs[0][1] < 0:
+            g = -g
+            lo, hi = hi, lo
+        key = tuple((j, a // g) for j, a in coeffs)
+        # dividing by g < 0 flips the bounds, which the swap above did
+        lo = None if lo is None else -(-lo // g)
+        hi = None if hi is None else hi // g
+        bnd = merged.setdefault(key, [None, None])
+        if lo is not None and (bnd[0] is None or lo > bnd[0]):
+            bnd[0] = lo
+        if hi is not None and (bnd[1] is None or hi < bnd[1]):
+            bnd[1] = hi
+        if bnd[0] is not None and bnd[1] is not None and bnd[0] > bnd[1]:
+            return None
+    return [(list(key), lo, hi) for key, (lo, hi) in merged.items()]
 
 
 def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, int]]:
@@ -388,46 +470,72 @@ def solve_subproblem(
     constraint sets, over the declared bounds intersected with
     [-box, box].
 
-    Linear rows prune through exact interval propagation at every node;
-    nonlinear constraints are evaluated (``eval_float``) only at fully
-    assigned leaves, where a division by zero simply rejects the leaf —
-    smoothness guards make such leaves infeasible by definition.
+    Linear rows are integer-scaled, divided by their gcd and merged by
+    coefficient vector (``_merge_rows``), then prune through exact
+    interval propagation at every node: the root starts from all rows,
+    a node from the rows that watch the variable it fixes, and each
+    tightening queues the rows of the tightened variable, up to
+    ``_PROPAGATION_ROUNDS`` visits per row (``_propagate``).  Every
+    row is visited at the node that fixes its last variable, cap or
+    not, so a leaf meets every linear row exactly.  Nonlinear constraints are evaluated (``eval_float``)
+    only at fully assigned leaves, where a division by zero simply
+    rejects the leaf — smoothness guards make such leaves infeasible by
+    definition.
 
     The budget counts assignment attempts.  First satisfying point wins
-    for feasibility-sense instances; max/min instances are enumerated
-    exhaustively.  Budget exhaustion yields Unknown: a Feasible that was
-    already found cannot be certified optimal, and an Infeasible cannot
-    be certified at all."""
+    for feasibility-sense instances.  Max/min instances are searched to
+    the end under an incumbent cutoff: the objective, scaled to integers
+    by the lcm D of its denominators, is one more propagated row, whose
+    lower bound becomes ``sign * D * f + 1`` when a point of value f is
+    recorded.  Every variable is an integer, so the cutoff removes only
+    points that are no better than the incumbent, and the search records
+    the same points, in the same order, as a search without it: the
+    answer is the lexicographically first optimum.  Budget exhaustion
+    yields Unknown: a Feasible that was already found cannot be
+    certified optimal, and an Infeasible cannot be certified at all."""
     if budget <= 0:
         return Outcome(UNKNOWN)
     flat = flatten_subproblem(sub)
     var_index = {v.name: i for i, v in enumerate(flat.variables)}
     nvars = len(flat.variables)
 
-    rows = []
+    scaled = []
     for coeffs, lo_rhs, hi_rhs in flat.linear_rows:
         try:
             indexed = [(var_index[name], a) for name, a in coeffs.items() if a != 0]
         except KeyError as exc:
             raise InputError(f"constraint references unknown variable {exc}") from exc
         if indexed:
-            rows.append(_scale_row(indexed, lo_rhs, hi_rhs))
+            scaled.append(_scale_row(indexed, lo_rhs, hi_rhs))
         else:
             # constant row: decide it now
             if (hi_rhs is not None and 0 > hi_rhs) or (lo_rhs is not None and 0 < lo_rhs):
                 return Outcome(INFEASIBLE)
+    rows = _merge_rows(scaled)
+    if rows is None:
+        return Outcome(INFEASIBLE)
 
     programs: list[tuple[Program, str, float]] = [
         (compile_expr(c.expr, var_index), c.sense, c.eps) for c in flat.nonlinear
     ]
 
-    bounds0 = _propagate(_initial_bounds(flat.variables, box), rows)
-    if bounds0 is None:
-        return Outcome(INFEASIBLE)
-
     obj_items = [(var_index[name], c) for name, c in flat.objective.items()]
     want_best = flat.sense in (MAX, MIN)
     sign = -1 if flat.sense == MIN else 1
+    if want_best:
+        # incumbent cutoff: sign * D * objective >= (best key) * D + 1,
+        # unbounded until the first incumbent
+        scale = math.lcm(*(c.denominator for _, c in obj_items))
+        cut_coeffs = [(j, int(sign * c * scale)) for j, c in obj_items]
+        cut = len(rows)
+        rows.append((cut_coeffs, None, None))
+    watch = _watch_lists(rows, nvars)
+    # the cutoff's bound changes at leaves, so every node queues it
+    starts = [w if not want_best or cut in w else w + [cut] for w in watch]
+
+    bounds0 = _propagate(_initial_bounds(flat.variables, box), rows, watch)
+    if bounds0 is None:
+        return Outcome(INFEASIBLE)
 
     values = [0.0] * nvars
     exact = [0] * nvars
@@ -452,6 +560,9 @@ def solve_subproblem(
         if state["best_obj"] is None or key > state["best_obj"]:
             state["best_obj"] = key
             state["best"] = (point, objv)
+            # every variable is an integer, so a strictly better point
+            # scores at least 1 more on the scaled row
+            rows[cut] = (cut_coeffs, int(key * scale) + 1, None)
 
     def dfs(idx: int, bounds: list[tuple[int, int]]) -> bool:
         """Returns True when the search can stop (feasibility hit)."""
@@ -468,11 +579,10 @@ def solve_subproblem(
                 raise _BudgetExhausted
             sub_bounds = list(bounds)
             sub_bounds[idx] = (v, v)
-            tightened = _propagate(sub_bounds, rows)
-            if tightened is not None:
+            if _propagate(sub_bounds, rows, watch, starts[idx]) is not None:
                 values[idx] = float(v)
                 exact[idx] = v
-                if dfs(idx + 1, tightened):
+                if dfs(idx + 1, sub_bounds):
                     return True
             v += 1
         return False

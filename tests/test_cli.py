@@ -204,6 +204,15 @@ def test_essential_nonpositive_cycle_length_exits_64(capsys, k):
     assert "cycle length" in capsys.readouterr().err
 
 
+def test_solve_infinite_eps_exits_64(tmp_path, capsys):
+    out = tmp_path / "c3.json"
+    main(["gen", "(1,2,3)", "1,1,0", "-o", str(out)])
+    capsys.readouterr()
+    code = main(["solve", str(out), "--eps", "inf"])
+    assert code == 64
+    assert "eps" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", [False, "false"])
 def test_solve_continuous_variable_exits_64(tmp_path, capsys, flag):
     inst = make_instance(

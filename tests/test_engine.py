@@ -104,6 +104,20 @@ def test_options_validate():
         EngineOptions(box=-5)
 
 
+@pytest.mark.parametrize("eps", [float("inf"), float("-inf"), float("nan"), 0.0])
+def test_options_and_strict_constraints_reject_bad_eps(eps):
+    """A strict cut realized with an infinite or non-positive eps is
+    unsatisfiable or vacuous, which turns optima wrong: reject it."""
+    from corecuts import Constraint, Dot
+    from corecuts.exprs import NON_NEG, STRICT_NEG
+
+    with pytest.raises(InputError, match="eps"):
+        EngineOptions(eps=eps)
+    for sense in (STRICT_NEG, NON_NEG):
+        with pytest.raises(InputError, match="eps"):
+            Constraint(Dot((1,), ("x1",)), sense, eps)
+
+
 def test_subproblem_tag_must_match_sets():
     inst = make_instance(3)
     with pytest.raises(InputError):
@@ -329,6 +343,31 @@ def test_run_algorithm1_walks_up_when_lower_layers_are_better(sense, weight, f_s
     rep = run_algorithm1(inst)
     assert rep.status == "Feasible"
     assert rep.f_star == f_star
+
+
+def test_loose_max_instance_with_singular_blocks_is_certified_within_budget():
+    """Cycles (1,2) and (3,...,8) under x_i + x_j <= 3 on the box [0, 2]:
+    the incumbent cutoff row lets both the S2 subproblems and the plain
+    search prove the optimum 26 within 5000 nodes a subproblem (they
+    need at most 1,364 and 67; without the cutoff 37,589 and 5,010, and
+    the answer is Unknown)."""
+    n = 8
+    rows = []
+    for i in range(2):
+        for j in range(2, n):
+            coeffs = [0] * n
+            coeffs[i] = coeffs[j] = 1
+            rows.append(make_row(coeffs, LE, 3))
+    inst = make_instance(
+        n, sense="max", objective=[1, 1] + [2] * 6, rows=rows, bounds=_box(n, 0, 2),
+        group=analyze_group(["(1,2)", "(3,4,5,6,7,8)"], n),
+    )
+    opts = EngineOptions(budget=5000)
+    for run in (run_auto, run_plain):
+        rep = run(inst, opts)
+        assert rep.status == "Feasible", run.__name__
+        assert rep.f_star == 26
+        assert rep.point == (1, 1, 2, 2, 2, 2, 2, 2)
 
 
 def test_run_auto_agrees_with_run_plain_on_full_cycles():

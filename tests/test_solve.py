@@ -29,11 +29,13 @@ from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG
 from corecuts.instancefile import analyze_group
 from corecuts.simplex import GE, LE, make_row
 from corecuts.solve import (
+    DEFAULT_BOX,
     DEFAULT_NODE_BUDGET,
     FEASIBLE,
     INFEASIBLE,
     UNBOUNDED,
     UNKNOWN,
+    _merge_rows,
     _propagate,
     _scale_row,
 )
@@ -335,6 +337,110 @@ def test_propagation_keeps_every_feasible_point():
         else:
             empties += 1
     assert 50 < empties < 200
+
+
+def _referee(sense, objective, rows, box):
+    """Brute force: the lexicographically first satisfying point, or for
+    max/min the lexicographically first optimum, as (status, point,
+    objective)."""
+    points = oracles.feasible_points(rows, box)
+    if not points:
+        return INFEASIBLE, None, None
+    if sense == "feasibility":
+        return FEASIBLE, points[0], None
+    sign = 1 if sense == "max" else -1
+    values = [sum((c * v for c, v in zip(objective, p)), Fraction(0)) for p in points]
+    best = max(sign * v for v in values)
+    i = next(i for i, v in enumerate(values) if sign * v == best)
+    return FEASIBLE, points[i], values[i]
+
+
+def _interval(sense, rhs):
+    return (None if sense == "<=" else rhs), (None if sense == ">=" else rhs)
+
+
+def _restated(rng, coeffs, sense, rhs):
+    """The row again as a duplicate, a negation or a rational multiple:
+    the same integer points, stated differently."""
+    flip = {"<=": ">=", ">=": "<=", "==": "=="}
+    kind = rng.choice(("same", "negated", "scaled"))
+    if kind == "same":
+        return coeffs, sense, rhs
+    if kind == "negated":
+        return [-a for a in coeffs], flip[sense], -rhs
+    k = Fraction(rng.choice((2, 3, -2, -3)), rng.choice((1, 2, 5)))
+    return [k * a for a in coeffs], sense if k > 0 else flip[sense], k * rhs
+
+
+def test_propagator_agrees_with_brute_force():
+    """Merged, gcd-rounded rows, the watch-list queue and the incumbent
+    cutoff change no answer: on small random instances with restated
+    rows, rows whose gcd rounds their bounds, fractional and all-zero
+    objectives, solve_subproblem returns the referee's status, point
+    and objective in all three senses."""
+    rng = random.Random(11)
+    seen = {"feasibility": 0, "max": 0, "min": 0}
+    infeasible = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        box = [(-2, 2)] * n
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            g = rng.choice((1, 1, 2, 3))
+            coeffs = [g * rng.randint(-2, 2) for _ in range(n)]
+            if not any(coeffs):
+                continue
+            # an rhs off the multiples of g makes the divided bound round
+            rows.append((coeffs, rng.choice(["<=", ">=", "=="]), Fraction(rng.randint(-6, 6))))
+        rows += [_restated(rng, *rng.choice(rows)) for _ in range(rng.randint(0, 3)) if rows]
+        sense = rng.choice(("feasibility", "max", "min"))
+        if sense == "feasibility" or rng.random() < 0.15:
+            objective = [Fraction(0)] * n
+        else:
+            objective = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+        inst = make_instance(
+            n,
+            sense=sense,
+            objective=objective,
+            rows=[make_row(c, rel, rhs) for c, rel, rhs in rows],
+            bounds=_box(n, -2, 2),
+        )
+        out = solve_subproblem(_sub(inst))
+        status, point, value = _referee(sense, objective, rows, box)
+        merged = _merge_rows(
+            _scale_row([(j, a) for j, a in enumerate(c) if a], *_interval(rel, rhs))
+            for c, rel, rhs in rows
+        )
+        tightened = None if merged is None else _propagate(list(box), merged)
+        if tightened is None:
+            assert status == INFEASIBLE
+        else:
+            # an empty queue is a fixpoint: a second pass over every row
+            # tightens nothing
+            assert _propagate(list(tightened), merged) == tightened
+        assert out.status == status, (sense, objective, rows)
+        assert out.point == point, (sense, objective, rows)
+        if sense != "feasibility":
+            assert out.objective == value, (sense, objective, rows)
+        seen[sense] += 1
+        infeasible += status == INFEASIBLE
+    assert min(seen.values()) > 60
+    assert 30 < infeasible < 200
+
+
+def test_capped_propagation_stays_sound():
+    """x1 - x2 <= -1 and x2 - x1 <= -1 shrink the default box by one per
+    visit, far beyond the visit cap: propagation alone stops before it
+    finds the pair empty, and the search must still prove it infeasible.
+    Either row alone is satisfiable, and the point returned meets it."""
+    pair = (make_row([1, -1], LE, -1), make_row([-1, 1], LE, -1))
+    scaled = [_scale_row(list(enumerate(row.coeffs)), None, row.rhs) for row in pair]
+    assert _propagate([(-DEFAULT_BOX, DEFAULT_BOX)] * 2, scaled) is not None
+    assert solve_subproblem(_sub(make_instance(2, rows=pair))).status == INFEASIBLE
+    for row in pair:
+        out = solve_subproblem(_sub(make_instance(2, rows=(row,))))
+        assert out.status == FEASIBLE
+        assert sum(a * v for a, v in zip(row.coeffs, out.point)) <= row.rhs
 
 
 def test_solve_unbounded_integers_get_default_box():
