@@ -35,8 +35,6 @@ from .solve import Instance, make_instance
 
 FORMAT_VERSION = 1
 
-_SENSES = ("<=", ">=", "==")
-
 
 def _frac_str(v: Fraction) -> str:
     return str(Fraction(v))
@@ -112,17 +110,15 @@ def instance_from_dict(doc: dict) -> Instance:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
         raise InputError("unsupported or missing instance format version")
     try:
-        n = int(doc["n"])
+        n = doc["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InputError(f"n must be a JSON integer, got {n!r}")
         sense = doc["objective"]["sense"]
         objective = [_parse_frac(c) for c in doc["objective"]["coeffs"]]
-        rows = []
-        for r in doc["rows"]:
-            if r["sense"] not in _SENSES:
-                raise InputError(f"unknown row sense {r['sense']!r}")
-            coeffs = [_parse_frac(c) for c in r["coeffs"]]
-            if len(coeffs) != n:
-                raise InputError("row width does not match n")
-            rows.append(make_row(coeffs, r["sense"], _parse_frac(r["rhs"])))
+        rows = [
+            make_row([_parse_frac(c) for c in r["coeffs"]], r["sense"], _parse_frac(r["rhs"]))
+            for r in doc["rows"]
+        ]
         bounds = [(_parse_bound(b["lo"]), _parse_bound(b["hi"])) for b in doc["bounds"]]
         integer = [b.get("integer", True) for b in doc["bounds"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -131,7 +127,10 @@ def instance_from_dict(doc: dict) -> Instance:
         raise InputError("objective/bounds width does not match n")
     group = None
     if "group" in doc:
-        gens = doc["group"].get("generators", [])
+        spec = doc["group"]
+        gens = spec.get("generators") if isinstance(spec, dict) else None
+        if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+            raise InputError('"group" must be an object whose "generators" is a list of strings')
         if gens:
             group = analyze_group(gens, n)
     return make_instance(

@@ -21,20 +21,27 @@ instances a few variables wide, and every verdict they return is
 certified (a satisfying point, or full exhaustion of the box).  When the
 node budget runs out first the verdict is Unknown, never a guess.
 
-``flatten_subproblem`` is the shared lowering step: it merges the base
-instance with the synthesized constraint sets into one variable list
-(instance variables first, then auxiliaries in first-appearance order),
-one exact linear-row system, and one list of residual nonlinear
-constraints.  The MINLP export uses the same flattening, so what the
-enumerator solves and what an external solver would receive are the
-same problem by construction.
+The enumerator and the MINLP export read a subproblem each its own way.
+``solve_subproblem`` reads the instance rows by position
+(``_row_interval``: coefficients and an interval), and lowers only the
+added constraint sets from their expression trees (``_interval_of``),
+keeping the non-affine ones for the leaves.  ``flatten_subproblem``
+builds the export document: the instance rows become expression trees
+(``_row_to_constraint``, from the same ``_row_interval``), followed by
+the added constraints as they are.  Both take their variable order
+(instance variables, then auxiliaries in first-appearance order) from
+``_variables``.  No construction ties the two row readers together;
+``test_export_states_the_enumerated_problem`` in ``tests/test_solve.py``
+does: it lowers the export documents of planned subproblems through
+``_interval_of`` and checks that they give the enumerator's integer
+rows and nonlinear constraints.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -44,10 +51,8 @@ from .exprs import (
     Add,
     Const,
     Constraint,
-    ConstraintSet,
     Dot,
     EQ,
-    EQ_TOL,
     LE_ZERO,
     NON_NEG,
     STRICT_NEG,
@@ -104,6 +109,10 @@ class Instance:
             raise InputError(
                 "continuous variables are not supported: every integrality flag must be true"
             )
+        for row in self.rows:
+            if len(row.coeffs) != self.n:
+                raise InputError(f"row of width {len(row.coeffs)} in an instance of n = {self.n}")
+            _row_interval(row)  # raises on a sense other than <=, >=, ==
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -141,15 +150,12 @@ def symmetry_warnings(inst: Instance) -> list[str]:
     if inst.group is None:
         return []
     warnings: list[str] = []
-    row_key = sorted((r.coeffs, r.sense, r.rhs) for r in inst.rows)
+    rows = Counter(inst.rows)
     for g in inst.group.generators:
         label = f"generator {g.images}"
         if apply(g, inst.objective) != inst.objective:
             warnings.append(f"{label} does not fix the objective")
-        permuted = sorted(
-            (tuple(apply(g, r.coeffs)), r.sense, r.rhs) for r in inst.rows
-        )
-        if permuted != row_key:
+        if Counter(replace(r, coeffs=apply(g, r.coeffs)) for r in inst.rows) != rows:
             warnings.append(f"{label} does not permute the constraint rows")
         if apply(g, inst.bounds) != inst.bounds:
             warnings.append(f"{label} does not preserve bounds")
@@ -194,31 +200,34 @@ class FlatVar:
 
 @dataclass(frozen=True)
 class FlatProblem:
+    """A subproblem as one MINLP export document."""
+
     variables: tuple[FlatVar, ...]
     sense: str
     objective: dict[str, Fraction]
-    #: exact interval rows: (coeffs by name, lower, upper), None = unbounded
-    linear_rows: tuple[tuple[dict[str, Fraction], Optional[Fraction], Optional[Fraction]], ...]
-    #: constraints that stay nonlinear after lowering
-    nonlinear: tuple[Constraint, ...]
-    #: every constraint in expression form, for export (base rows first)
+    #: every constraint in expression form (base rows first)
     constraints: tuple[Constraint, ...]
 
 
-def _row_to_constraint(row: LPRow, names: Sequence[str]) -> Constraint:
-    coeffs = tuple(Fraction(c) for c in row.coeffs)
+def _row_interval(
+    row: LPRow,
+) -> tuple[tuple[Fraction, ...], Optional[Fraction], Optional[Fraction]]:
+    """An instance row as ``lo <= coeffs . x <= hi`` (None = unbounded),
+    by position.  ``>=`` is negated into an upper bound, as its export
+    tree states it.  Nothing else here reads ``LPRow.sense``."""
     if row.sense == "<=":
-        expr = Add((Dot(coeffs, tuple(names)), Const(-Fraction(row.rhs))))
-        return Constraint(expr, LE_ZERO)
+        return row.coeffs, None, row.rhs
     if row.sense == ">=":
-        expr = Add(
-            (Dot(tuple(-c for c in coeffs), tuple(names)), Const(Fraction(row.rhs)))
-        )
-        return Constraint(expr, LE_ZERO)
+        return tuple(-a for a in row.coeffs), None, -row.rhs
     if row.sense == "==":
-        expr = Add((Dot(coeffs, tuple(names)), Const(-Fraction(row.rhs))))
-        return Constraint(expr, EQ)
+        return row.coeffs, row.rhs, row.rhs
     raise InputError(f"unknown row sense {row.sense!r}")
+
+
+def _row_to_constraint(row: LPRow, names: Sequence[str]) -> Constraint:
+    coeffs, lo, hi = _row_interval(row)
+    expr = Add((Dot(tuple(Fraction(a) for a in coeffs), tuple(names)), Const(-Fraction(hi))))
+    return Constraint(expr, LE_ZERO if lo is None else EQ)
 
 
 def _interval_of(con: Constraint) -> Optional[
@@ -242,20 +251,16 @@ def _interval_of(con: Constraint) -> Optional[
     raise InputError(f"unknown constraint sense {con.sense!r}")
 
 
-def flatten_subproblem(sub) -> FlatProblem:
-    """Merge sub.base (an Instance) with sub.added (ConstraintSets) into
-    one flat problem.  Variable order: instance variables, then
-    auxiliaries in first-appearance order."""
+def _variables(sub) -> tuple[FlatVar, ...]:
+    """The variables of sub: instance variables, then auxiliaries in
+    first-appearance order.  Export and enumeration both take their
+    variable order from here."""
     base: Instance = sub.base
-    added: Sequence[ConstraintSet] = tuple(sub.added)
-    names = base.var_names
-
-    variables: list[FlatVar] = []
-    for i, name in enumerate(names):
-        lo, hi = base.bounds[i]
-        variables.append(FlatVar(name, lo, hi, "integer"))
-    seen = set(names)
-    for cs in added:
+    variables = [
+        FlatVar(name, lo, hi, "integer") for name, (lo, hi) in zip(base.var_names, base.bounds)
+    ]
+    seen = set(base.var_names)
+    for cs in sub.added:
         for av in cs.aux_vars:
             if av.name in seen:
                 raise InputError(f"duplicate auxiliary variable {av.name}")
@@ -264,31 +269,22 @@ def flatten_subproblem(sub) -> FlatProblem:
                 variables.append(FlatVar(av.name, Fraction(0), Fraction(1), "binary"))
             else:
                 variables.append(FlatVar(av.name, None, None, "integer"))
+    return tuple(variables)
 
-    constraints: list[Constraint] = [_row_to_constraint(r, names) for r in base.rows]
-    for cs in added:
+
+def flatten_subproblem(sub) -> FlatProblem:
+    """The export document of sub = sub.base (an Instance) plus sub.added
+    (ConstraintSets): the variables of ``_variables``, the base rows as
+    expression trees, then the added constraints as they are."""
+    base: Instance = sub.base
+    names = base.var_names
+    constraints = [_row_to_constraint(r, names) for r in base.rows]
+    for cs in sub.added:
         constraints.extend(cs.constraints)
-
-    linear_rows = []
-    nonlinear = []
-    for con in constraints:
-        row = _interval_of(con)
-        if row is None:
-            nonlinear.append(con)
-        else:
-            linear_rows.append(row)
-
-    objective = {
-        names[i]: base.objective[i]
-        for i in range(base.n)
-        if base.objective[i] != 0
-    }
     return FlatProblem(
-        variables=tuple(variables),
+        variables=_variables(sub),
         sense=base.sense,
-        objective=objective,
-        linear_rows=tuple(linear_rows),
-        nonlinear=tuple(nonlinear),
+        objective={names[i]: c for i, c in enumerate(base.objective) if c != 0},
         constraints=tuple(constraints),
     )
 
@@ -461,6 +457,44 @@ def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, i
     return out
 
 
+def _lower(
+    sub, var_index: dict[str, int]
+) -> tuple[
+    Optional[list[tuple[list[tuple[int, int]], Optional[int], Optional[int]]]],
+    list[Constraint],
+]:
+    """The enumerator's view of sub: its linear rows integer-scaled and
+    merged (``_scale_row``, ``_merge_rows``), or None when some row admits
+    no point, and the added constraints that stay nonlinear.  Instance
+    rows are read by position (``_row_interval``); only the added sets
+    are lowered from their expression trees (``_interval_of``)."""
+    indexed = [
+        ([(j, a) for j, a in enumerate(coeffs) if a != 0], lo, hi)
+        for coeffs, lo, hi in map(_row_interval, sub.base.rows)
+    ]
+    nonlinear: list[Constraint] = []
+    for cs in sub.added:
+        for con in cs.constraints:
+            row = _interval_of(con)
+            if row is None:
+                nonlinear.append(con)
+                continue
+            coeffs, lo, hi = row
+            try:
+                positional = [(var_index[name], a) for name, a in coeffs.items() if a != 0]
+            except KeyError as exc:
+                raise InputError(f"constraint references unknown variable {exc}") from exc
+            indexed.append((positional, lo, hi))
+    scaled = []
+    for coeffs, lo, hi in indexed:
+        if coeffs:
+            scaled.append(_scale_row(coeffs, lo, hi))
+        elif (hi is not None and 0 > hi) or (lo is not None and 0 < lo):
+            # constant row: decide it now
+            return None, nonlinear
+    return _merge_rows(scaled), nonlinear
+
+
 def solve_subproblem(
     sub,
     box: int = DEFAULT_BOX,
@@ -470,17 +504,19 @@ def solve_subproblem(
     constraint sets, over the declared bounds intersected with
     [-box, box].
 
-    Linear rows are integer-scaled, divided by their gcd and merged by
-    coefficient vector (``_merge_rows``), then prune through exact
-    interval propagation at every node: the root starts from all rows,
-    a node from the rows that watch the variable it fixes, and each
-    tightening queues the rows of the tightened variable, up to
-    ``_PROPAGATION_ROUNDS`` visits per row (``_propagate``).  Every
-    row is visited at the node that fixes its last variable, cap or
-    not, so a leaf meets every linear row exactly.  Nonlinear constraints are evaluated (``eval_float``)
-    only at fully assigned leaves, where a division by zero simply
-    rejects the leaf — smoothness guards make such leaves infeasible by
-    definition.
+    The instance rows are read by position and only the added sets are
+    lowered from their trees (``_lower``); the export document is not
+    built.  Linear rows are integer-scaled, divided by their gcd and
+    merged by coefficient vector (``_merge_rows``), then prune through
+    exact interval propagation at every node: the root starts from all
+    rows, a node from the rows that watch the variable it fixes, and
+    each tightening queues the rows of the tightened variable, up to
+    ``_PROPAGATION_ROUNDS`` visits per row (``_propagate``).  Every row
+    is visited at the node that fixes its last variable, cap or not, so
+    a leaf meets every linear row exactly.  Nonlinear constraints are
+    evaluated (``eval_float``) only at fully assigned leaves, where a
+    division by zero simply rejects the leaf — smoothness guards make
+    such leaves infeasible by definition.
 
     The budget counts assignment attempts.  First satisfying point wins
     for feasibility-sense instances.  Max/min instances are searched to
@@ -495,33 +531,21 @@ def solve_subproblem(
     certified optimal, and an Infeasible cannot be certified at all."""
     if budget <= 0:
         return Outcome(UNKNOWN)
-    flat = flatten_subproblem(sub)
-    var_index = {v.name: i for i, v in enumerate(flat.variables)}
-    nvars = len(flat.variables)
-
-    scaled = []
-    for coeffs, lo_rhs, hi_rhs in flat.linear_rows:
-        try:
-            indexed = [(var_index[name], a) for name, a in coeffs.items() if a != 0]
-        except KeyError as exc:
-            raise InputError(f"constraint references unknown variable {exc}") from exc
-        if indexed:
-            scaled.append(_scale_row(indexed, lo_rhs, hi_rhs))
-        else:
-            # constant row: decide it now
-            if (hi_rhs is not None and 0 > hi_rhs) or (lo_rhs is not None and 0 < lo_rhs):
-                return Outcome(INFEASIBLE)
-    rows = _merge_rows(scaled)
+    variables = _variables(sub)
+    var_index = {v.name: i for i, v in enumerate(variables)}
+    nvars = len(variables)
+    rows, nonlinear = _lower(sub, var_index)
     if rows is None:
         return Outcome(INFEASIBLE)
 
     programs: list[tuple[Program, str, float]] = [
-        (compile_expr(c.expr, var_index), c.sense, c.eps) for c in flat.nonlinear
+        (compile_expr(c.expr, var_index), c.sense, c.eps) for c in nonlinear
     ]
 
-    obj_items = [(var_index[name], c) for name, c in flat.objective.items()]
-    want_best = flat.sense in (MAX, MIN)
-    sign = -1 if flat.sense == MIN else 1
+    base: Instance = sub.base
+    obj_items = [(j, c) for j, c in enumerate(base.objective) if c != 0]
+    want_best = base.sense in (MAX, MIN)
+    sign = -1 if base.sense == MIN else 1
     if want_best:
         # incumbent cutoff: sign * D * objective >= (best key) * D + 1,
         # unbounded until the first incumbent
@@ -533,7 +557,7 @@ def solve_subproblem(
     # the cutoff's bound changes at leaves, so every node queues it
     starts = [w if not want_best or cut in w else w + [cut] for w in watch]
 
-    bounds0 = _propagate(_initial_bounds(flat.variables, box), rows, watch)
+    bounds0 = _propagate(_initial_bounds(variables, box), rows, watch)
     if bounds0 is None:
         return Outcome(INFEASIBLE)
 
@@ -551,7 +575,7 @@ def solve_subproblem(
         return True
 
     def record() -> None:
-        point = tuple(Fraction(v) for v in exact[: len(sub.base.var_names)])
+        point = tuple(Fraction(v) for v in exact[: base.n])
         if not want_best:
             state["best"] = point
             return

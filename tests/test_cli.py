@@ -231,6 +231,24 @@ def test_solve_continuous_variable_exits_64(tmp_path, capsys, flag):
     assert "integrality" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "analyze"])
+def test_malformed_group_exits_64(tmp_path, capsys, command):
+    inst = make_instance(
+        3,
+        rows=(make_row([1, 1, 1], "==", 3),),
+        bounds=[(0, 2)] * 3,
+        group=analyze_group(["(1,2,3)"], 3),
+    )
+    path = tmp_path / "group.json"
+    write_instance(inst, path)
+    doc = json.loads(path.read_text())
+    doc["group"] = ["(1,2,3)"]
+    path.write_text(json.dumps(doc))
+    code = main([command, str(path)])
+    assert code == 64
+    assert "generators" in capsys.readouterr().err
+
+
 def test_usage_error_exits_64():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])

@@ -101,6 +101,31 @@ def test_parser_rejects_bad_documents():
         instance_from_dict(bad_width)
 
 
+@pytest.mark.parametrize(
+    "group",
+    [["(1,2,3)"], "(1,2,3)", {"generators": [12]}, {"generators": [["(1,2,3)"]]}, {}],
+    ids=["list", "string", "number-generator", "nested-generator", "no-generators"],
+)
+def test_parser_rejects_malformed_group(group):
+    doc = instance_to_dict(_sample())
+    doc["group"] = group
+    with pytest.raises(InputError, match="generators"):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("n", [2.5, "2", True, 2.0])
+def test_parser_rejects_non_integer_n(n):
+    """Each value truncates (int(n)) to the width of the document's
+    rows, so only the type check rejects it."""
+    width = int(n)
+    doc = instance_to_dict(
+        make_instance(width, rows=(make_row([1] * width, LE, 1),), bounds=[(0, 1)] * width)
+    )
+    doc["n"] = n
+    with pytest.raises(InputError, match="n must be"):
+        instance_from_dict(doc)
+
+
 def test_parser_rejects_bool_numbers():
     doc = instance_to_dict(_sample())
     doc["rows"][0]["rhs"] = True

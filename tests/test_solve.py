@@ -21,13 +21,14 @@ from corecuts import (
     flatten_subproblem,
     lp_relax,
     make_instance,
+    plan,
     run_plain,
     solve_subproblem,
     symmetry_warnings,
 )
 from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG
 from corecuts.instancefile import analyze_group
-from corecuts.simplex import GE, LE, make_row
+from corecuts.simplex import GE, LE, LPRow, make_row
 from corecuts.solve import (
     DEFAULT_BOX,
     DEFAULT_NODE_BUDGET,
@@ -35,10 +36,13 @@ from corecuts.solve import (
     INFEASIBLE,
     UNBOUNDED,
     UNKNOWN,
+    _interval_of,
+    _lower,
     _merge_rows,
     _propagate,
     _scale_row,
 )
+from test_engine import _random_cycles_instance, _random_full_cycle_instance
 
 
 def _sub(base, added=(), tag="PLAIN", sid="t"):
@@ -80,6 +84,22 @@ def test_instance_rejects_continuous_variables():
             bounds=[(0, 3)] * 2,
             integer=[False, False],
         )
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        LPRow((Fraction(1),), "<=", Fraction(1)),
+        LPRow((Fraction(1),) * 3, ">=", Fraction(1)),
+        LPRow((Fraction(1),) * 2, "<", Fraction(1)),
+    ],
+    ids=["too-short", "too-long", "bad-sense"],
+)
+def test_instance_rejects_malformed_rows(row):
+    # gen.certify_infeasible zips each row against the point, so a row of
+    # another width would be checked on the wrong coordinates
+    with pytest.raises(InputError, match="row"):
+        make_instance(2, rows=(row,), bounds=_box(2, 0, 1))
 
 
 def test_symmetry_warnings_flag_asymmetric_objective():
@@ -165,6 +185,50 @@ def test_flatten_rejects_duplicate_aux_names():
     )
     with pytest.raises(InputError):
         flatten_subproblem(_sub(base, (mk(), mk())))
+
+
+def _lower_export(sub):
+    """The export document of sub lowered by name, constraint by
+    constraint through _interval_of: (integer rows merged, or None when
+    a constant row fails; the constraints that stay nonlinear)."""
+    flat = flatten_subproblem(sub)
+    index = {v.name: i for i, v in enumerate(flat.variables)}
+    scaled, nonlinear = [], []
+    for con in flat.constraints:
+        row = _interval_of(con)
+        if row is None:
+            nonlinear.append(con)
+            continue
+        coeffs, lo, hi = row
+        indexed = [(index[name], a) for name, a in coeffs.items() if a != 0]
+        if indexed:
+            scaled.append(_scale_row(indexed, lo, hi))
+        elif (hi is not None and hi < 0) or (lo is not None and lo > 0):
+            return None, nonlinear
+    return _merge_rows(scaled), nonlinear
+
+
+def test_export_states_the_enumerated_problem():
+    """The enumerator reads instance rows by position; the export states
+    them as expression trees.  On every planned subproblem of random
+    symmetric instances in all three senses, lowering the export
+    document by name gives the enumerator's integer rows and nonlinear
+    constraints."""
+    rng = random.Random(13)
+    subs = nonlinear_subs = 0
+    for i in range(36):
+        sense = ("feasibility", "max", "min")[i % 3]
+        if i % 2:
+            inst = _random_full_cycle_instance(rng, rng.choice((3, 4)), sense)
+        else:
+            inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
+        for sub in plan(inst).subproblems:
+            index = {v.name: j for j, v in enumerate(flatten_subproblem(sub).variables)}
+            rows, nonlinear = _lower(sub, index)
+            assert (rows, nonlinear) == _lower_export(sub), (sub.id, inst.rows)
+            subs += 1
+            nonlinear_subs += bool(nonlinear)
+    assert subs > 150 and nonlinear_subs > 50
 
 
 # ---------------------------------------------------------------------------
