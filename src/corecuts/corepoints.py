@@ -24,6 +24,7 @@ layer 0) is tested point by point with an exact LP.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,12 @@ from . import simplex
 from .errors import InputError, LayerMismatch, NonActiveMismatch, SingularCirculant
 from .perms import Cycle, GroupSpec, orbit, DEFAULT_ORBIT_CAP
 from .spectral import scaled_inverse, solve_circulant_exact
+
+
+#: most {0,1}-vectors ``projected_essential_set`` enumerates, C(k, t) for
+#: a cycle of length k and residue t: C(16, 8) = 12,870 is allowed,
+#: C(18, 9) = 48,620 is refused
+MAX_ESSENTIAL_COMBINATIONS = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +229,20 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
     reflection, canonical display form, largest-first), then atoms of
     the first universal point in (i, j) order; binary atoms are skipped
     because they fall back into a universal class.  At most ``budget``
-    points total.
+    points total.  Every {0,1}-vector of the residue's popcount is
+    enumerated before the budget applies, so a sub-layer with more than
+    ``MAX_ESSENTIAL_COMBINATIONS`` of them is refused with ``InputError``.
     """
     if k_len < 1:
         raise InputError("cycle length must be >= 1")
     if budget < 1:
         raise InputError("budget must be >= 1")
     popcount = residue % k_len
+    if math.comb(k_len, popcount) > MAX_ESSENTIAL_COMBINATIONS:
+        raise InputError(
+            f"sub-layer too large: C({k_len}, {popcount}) = {math.comb(k_len, popcount)} "
+            f"vectors to enumerate exceed {MAX_ESSENTIAL_COMBINATIONS}"
+        )
     merged: dict[tuple, list[tuple]] = {}
     if popcount == 0:
         merged[(1,) * k_len] = [(1,) * k_len]

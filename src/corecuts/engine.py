@@ -12,11 +12,17 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   (down, or up when the objective rewards lower layers); a layer outside
   the LP layer range (the values of sum(x) over the LP relaxation) is
   pruned, and one LP, min or max of sum(x), gives the range's end the
-  walk heads toward; each surviving layer gets anchor probes for its
-  projected essential set and one cut subproblem; the walk stops at the
-  first layer divisible by n, where the only candidate worth checking is
-  the fixed-space point (layer/n) * 1 and it is evaluated directly
-  against the instance rows.
+  walk heads toward.  Both planning LPs run on one ``simplex.Tableau``
+  of the instance's rows and bounds: phase 1 runs once, and the range
+  LP is a phase-2 reoptimisation from the relaxation's optimal basis.
+  A feasibility instance walks down from the top of the layer range;
+  when sum(x) has no LP maximum it walks up from the bottom instead,
+  and when it has no LP bound at all the walk is empty and stops at
+  layer 0.  Each surviving layer gets anchor probes for its projected
+  essential set and one cut subproblem; the walk stops at the first
+  layer divisible by n, where the only candidate worth checking is the
+  fixed-space point (layer/n) * 1 and it is evaluated directly against
+  the instance rows.
 * Algorithms 2 (one k-cycle, k < n) and 3 (d >= 2 disjoint cycles)
   share one residue planner.  Its one stage holds, in order, one
   singularity subproblem (S2) per cycle, the anchor probes (S3) of every
@@ -69,7 +75,7 @@ from .corepoints import projected_essential_set
 from .errors import InputError
 from .exprs import Constraint, ConstraintSet, DEFAULT_EPS, Dot, Const, Add, EQ, SUBLAYER
 from .perms import Cycle
-from .simplex import solve_lp
+from .simplex import Tableau
 from .solve import (
     DEFAULT_BOX,
     DEFAULT_NODE_BUDGET,
@@ -217,30 +223,51 @@ def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     cycle = _single_full_cycle(inst)
     n = inst.n
     notes: list[str] = []
-    lp = lp_relax(inst)
+    # one tableau serves the relaxation and the layer-range LP
+    tableau = Tableau(n, inst.rows, inst.bounds)
+    lp = lp_relax(inst, tableau)
     if lp.status in (INFEASIBLE, UNBOUNDED):
         return Schedule(1, (), lp=lp, notes=(f"LP relaxation {lp.status}",))
-    assert lp.point is not None
-    layer_value = sum(lp.point, Fraction(0))
-    # the objective is c * layer on a symmetric instance: walk from the LP
-    # optimum layer toward worse values, so the first feasible layer is best
-    weight = sum(inst.objective, Fraction(0))
-    up = (inst.sense == MIN and weight > 0) or (inst.sense == MAX and weight < 0)
-    step, walk = (1, "ascent") if up else (-1, "descent")
-    layer = math.ceil(layer_value) if up else math.floor(layer_value)
-    notes.append(f"LP optimum layer {layer_value}, {walk} starts at {layer}")
+    ones = (1,) * n
+    # sum(x) maps the LP relaxation onto an interval that holds the start
+    # layer, and the walk moves away from that layer, so a walked layer
+    # is LP-empty iff it lies beyond the end the walk heads toward; one
+    # LP finds that end (None: no such end)
+    end = None
+    if lp.point is not None:
+        layer_value = sum(lp.point, Fraction(0))
+        # the objective is c * layer on a symmetric instance: walk from the
+        # LP optimum layer toward worse values, so the first feasible
+        # layer is best
+        weight = sum(inst.objective, Fraction(0))
+        up = (inst.sense == MIN and weight > 0) or (inst.sense == MAX and weight < 0)
+        layer = math.ceil(layer_value) if up else math.floor(layer_value)
+        walk = "ascent" if up else "descent"
+        notes.append(f"LP optimum layer {layer_value}, {walk} starts at {layer}")
+        if layer % n:
+            res = tableau.optimize(ones, maximize=up)
+            end = res.objective if res.status == "optimal" else None
+    else:
+        # a feasibility instance whose sum(x) has no LP maximum ascends
+        # from the LP minimum; with no minimum either, every layer holds
+        # LP points, so their orbit averages put (0, ..., 0) in the
+        # relaxation and the walk is empty: the probe runs at layer 0
+        up, walk = True, "ascent"
+        low = tableau.optimize(ones, maximize=False)
+        if low.status == "optimal":
+            layer = math.ceil(low.objective)
+            notes.append(
+                f"LP layer range has no top; LP bottom layer {low.objective}, "
+                f"ascent starts at {layer}"
+            )
+        else:
+            layer = 0
+            notes.append("LP layer range has no top or bottom; ascent starts at 0")
+    step = 1 if up else -1
 
     stages: list[tuple[Subproblem, ...]] = [
         (Subproblem("S2", inst, (s2_singular(cycle, opts.box),), S2, ("global",)),)
     ]
-    # sum(x) maps the LP relaxation onto an interval that holds the LP
-    # optimum's layer, and the walk moves away from that layer, so a
-    # walked layer is LP-empty iff it lies beyond the end the walk heads
-    # toward; one LP finds that end (unbounded: no such end)
-    end = None
-    if layer % n:
-        res = solve_lp(n, [1] * n, list(inst.rows), list(inst.bounds), maximize=up)
-        end = res.objective if res.status == "optimal" else None
     while layer % n:
         if end is not None and (layer > end if up else layer < end):
             notes.append(f"layer {layer} pruned (empty LP relaxation)")

@@ -1,17 +1,45 @@
-"""Exact rational LP solver: two-phase primal simplex with Bland's rule.
+"""Exact rational LP solver: a bounded-variable primal simplex, built once
+per constraint system and reoptimised from its last basis.
 
-The tableau is fraction-free (Edmonds' integer-preserving pivot, the LP
-form of Bareiss elimination): every row is scaled to integers when it is
-built, and the entries are plain ``int`` over one common denominator,
-which each pivot divides out exactly.  Optima, basic points and
-infeasibility verdicts are exact ``Fraction`` values.  Bland's
-anti-cycling rule keeps the method finite on every input.  Designed for
+A ``Tableau`` is built from ``(n, rows, bounds)`` and runs phase 1 once.
+Each ``optimize(objective, maximize)`` then runs phase 2 from the current
+basis, so further objectives over the same rows and bounds cost no
+second phase 1 (a warm start).  ``solve_lp`` and ``lp_feasible`` are
+one-shot wrappers over the same code.
+
+* Bounded variables (the upper-bounding technique of Chvátal, *Linear
+  Programming*, 1983, ch. 8).  Each variable is shifted to a lower
+  bound of 0: a variable with only an upper bound is negated, a free
+  one is split in two, and a fixed one is a constant with no column.
+  A finite upper bound never becomes a row.  The ratio test stops a
+  basic variable at it, an entering variable that reaches its own
+  bound first flips to it, and a variable at its upper bound is kept
+  complemented (its column negated), so every nonbasic variable is 0.
+* Ranged rows.  Each row is scaled to integers once, divided by the
+  gcd of its coefficients and given a positive leading coefficient;
+  rows with the same coefficient vector merge into one ranged row
+  ``lo <= a.x <= hi``.  The bounds stay exact, nothing is rounded.  A
+  ranged row has one logical variable in ``[0, hi - lo]``; an equality
+  row has none.
+* Artificials only where needed.  With every structural variable at 0,
+  a logical that lies within its bounds starts basic; only the other
+  rows, and the equality rows, get an artificial.
+* Fraction-free pivots (Edmonds' integer-preserving pivot, the LP form
+  of Bareiss elimination).  Entries are plain ``int`` over one common
+  denominator, which each pivot divides out exactly.
+* The reduced-cost row lives in the tableau.  ``optimize`` prices it
+  once for its objective, and every pivot updates it like any other
+  row.
+
+Bland's smallest-index rule keeps both phases finite.  Optima, points
+and infeasibility verdicts are exact ``Fraction`` values.  Designed for
 desk-scale problems (tens of variables).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -47,79 +75,327 @@ def make_row(coeffs: Sequence, sense: str, rhs) -> LPRow:
     return LPRow(tuple(_frac(a) for a in coeffs), sense, _frac(rhs))
 
 
-class _Tableau:
-    """Simplex tableau in equality standard form A y = b, y >= 0, b >= 0.
+def _ranged_rows(n: int, rows: Sequence[LPRow]):
+    """Merge the rows by primitive integer coefficient vector.
 
-    Entry (i, j) is ``rows[i][j] / den`` and right-hand side i is
-    ``rhs[i] / den``, with integer numerators and ``den > 0``; a basic
-    column holds ``den`` in its row and 0 elsewhere."""
+    Returns ``{coeffs: [lo, hi]}`` in first-appearance order.  A bound on
+    ``coeffs . x`` is an exact ratio ``(num, den)`` with ``den > 0``, or
+    None for no bound.  Returns None when an all-zero row is violated or
+    a merged row's bounds cross."""
+    merged: dict[tuple[int, ...], list] = {}
+    empty = False
+    for row in rows:
+        if len(row.coeffs) != n:
+            raise InputError("row length mismatch")
+        if row.sense not in (LE, GE, EQ):
+            raise InputError(f"bad row sense {row.sense!r}")
+        rhs = row.rhs
+        scale = math.lcm(rhs.denominator, *(a.denominator for a in row.coeffs))
+        ints = [a.numerator * (scale // a.denominator) for a in row.coeffs]
+        b = rhs.numerator * (scale // rhs.denominator)
+        g = math.gcd(*ints)
+        if g == 0:
+            empty |= {LE: 0 > b, GE: 0 < b, EQ: 0 != b}[row.sense]
+            continue
+        sense = row.sense
+        if next(v for v in ints if v) < 0:
+            g, b = -g, -b
+            sense = {LE: GE, GE: LE, EQ: EQ}[sense]
+        bound = (b, abs(g))
+        entry = merged.setdefault(tuple(v // g for v in ints), [None, None])
+        if sense != LE and (entry[0] is None or b * entry[0][1] > entry[0][0] * bound[1]):
+            entry[0] = bound
+        if sense != GE and (entry[1] is None or b * entry[1][1] < entry[1][0] * bound[1]):
+            entry[1] = bound
+    for lo, hi in merged.values():
+        empty |= lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]
+    return None if empty else merged
 
-    def __init__(self, rows: list[list[int]], rhs: list[int], basis: list[int], ncols: int):
-        self.rows = rows
-        self.rhs = rhs
-        self.basis = basis
-        self.ncols = ncols
+
+class Tableau:
+    """The LP ``{x : rows, bounds}`` in bounded standard form, with a
+    feasible basis once phase 1 has run (when it is built).
+
+    Each column holds a variable ``v`` in ``[0, upper[col]]`` (``None``:
+    no upper bound), or its complement ``upper[col] - v`` when
+    ``flipped[col]``; a nonbasic column's variable is 0.  Structural
+    columns come first: variable j is ``shift[j] + sum(sign * v[col] /
+    scale[col])`` over its columns ``subst[j]``.  Then one logical per
+    ranged row, then, during phase 1 only, the artificials.  Entry
+    (i, col) is ``rows[i][col] / den``, the basic value of row i is
+    ``rhs[i] / den`` and the reduced cost of column col is
+    ``cost[col] / den``, with integer numerators and ``den > 0``; a
+    basic column holds ``den`` in its row and 0 in every other row and
+    in the cost row."""
+
+    def __init__(self, n: int, rows: Sequence[LPRow], bounds: Sequence[tuple[Bound, Bound]]):
+        if len(bounds) != n:
+            raise InputError("objective/bounds length mismatch")
+        self.n = n
+        self.shift: list[Fraction] = []
+        self.subst: list[tuple[tuple[int, int], ...]] = []
+        self.scale: list[int] = []
+        self.upper: list[Optional[int]] = []
+        self.rows: list[list[int]] = []
+        self.rhs: list[int] = []
+        self.cost: list[int] = []
+        self.basis: list[int] = []
+        self.flipped: list[bool] = []
         self.den = 1
+        ranged = _ranged_rows(n, rows)
+        self.feasible = ranged is not None and self._add_variables(bounds)
+        if self.feasible:
+            self.feasible = self._phase1(self._add_rows(ranged))
 
-    def pivot(self, r: int, col: int) -> None:
+    def _add_variables(self, bounds) -> bool:
+        """Shift every variable to lower bound 0; False when a variable's
+        bounds cross."""
+        for lo, hi in bounds:
+            lo = None if lo is None else _frac(lo)
+            hi = None if hi is None else _frac(hi)
+            col = len(self.upper)
+            if lo is not None and hi is not None:
+                width = hi - lo
+                if width < 0:
+                    return False
+                self.shift.append(lo)
+                if width == 0:
+                    self.subst.append(())
+                    continue
+                # v = width.denominator * (x - lo) keeps the bound integral
+                self.subst.append(((col, 1),))
+                self.scale.append(width.denominator)
+                self.upper.append(width.numerator)
+            elif lo is not None or hi is not None:
+                self.shift.append(lo if lo is not None else hi)
+                self.subst.append(((col, 1 if lo is not None else -1),))
+                self.scale.append(1)
+                self.upper.append(None)
+            else:
+                self.shift.append(Fraction(0))
+                self.subst.append(((col, 1), (col + 1, -1)))
+                self.scale += [1, 1]
+                self.upper += [None, None]
+        return True
+
+    def _add_rows(self, ranged: dict) -> list[int]:
+        """State the ranged rows over the shifted columns, each scaled to
+        integers, with their logicals; returns the rows that need an
+        artificial (their logical cannot start basic)."""
+        nstruct = len(self.upper)
+        shift_den = math.lcm(*(s.denominator for s in self.shift))
+        shift_num = [s.numerator * (shift_den // s.denominator) for s in self.shift]
+        col_scaled = any(d != 1 for d in self.scale)
+        work = []
+        for coeffs, (lo, hi) in ranged.items():
+            # the bounds num / den become num / den - moved / shift_den
+            moved = sum(map(operator.mul, coeffs, shift_num))
+            dens = []
+            if lo is not None:
+                lo = (lo[0] * shift_den - moved * lo[1], lo[1] * shift_den)
+                dens.append(lo[1] // math.gcd(*lo))
+            if hi is not None:
+                hi = (hi[0] * shift_den - moved * hi[1], hi[1] * shift_den)
+                dens.append(hi[1] // math.gcd(*hi))
+            if col_scaled:
+                dens += [self.scale[col] for a, sub in zip(coeffs, self.subst) if a for col, _ in sub]
+            scale = math.lcm(*dens)
+            ints = [0] * nstruct
+            for a, sub in zip(coeffs, self.subst):
+                if a:
+                    for col, sign in sub:
+                        ints[col] = sign * a * (scale // self.scale[col])
+            if hi is None:  # a.x >= lo, stated as -a.x + s = -lo
+                work.append(([-a for a in ints], -lo[0] * scale // lo[1], None))
+            else:
+                hi = hi[0] * scale // hi[1]
+                work.append((ints, hi, None if lo is None else hi - lo[0] * scale // lo[1]))
+
+        # every row but an equality row gets a logical; it starts basic
+        # when its value with all structurals at 0 lies within its bounds
+        self.upper += [width for _, _, width in work if width != 0]
+        nreal = len(self.upper)
+        self.flipped = [False] * nreal
+        logical = nstruct
+        artificial = []
+        for ints, b, width in work:
+            row = ints + [0] * (nreal - nstruct)
+            if width != 0:
+                row[logical] = 1
+                logical += 1
+                if b >= 0 and (width is None or b <= width):
+                    self.basis.append(logical - 1)
+                    self.rows.append(row)
+                    self.rhs.append(b)
+                    continue
+            if b < 0:
+                row = [-a for a in row]
+                b = -b
+            artificial.append(len(self.rows))
+            self.basis.append(nreal + len(artificial) - 1)
+            self.rows.append(row)
+            self.rhs.append(b)
+        return artificial
+
+    def _phase1(self, artificial: list[int]) -> bool:
+        """Minimise the sum of the artificials of rows ``artificial`` and
+        drop them; False when the LP is infeasible."""
+        if not artificial:
+            return True
+        nreal = len(self.upper)
+        nart = len(artificial)
+        for row in self.rows:
+            row += [0] * nart
+        for k, r in enumerate(artificial):
+            self.rows[r][nreal + k] = 1
+        self.upper += [None] * nart
+        self.flipped += [False] * nart
+        # phase 1: minimise the sum of the artificials
+        cost = [0] * nreal + [1] * nart
+        for r in artificial:
+            cost = [c - a for c, a in zip(cost, self.rows[r])]
+        self.cost = cost
+        self._minimize()
+        keep = []
+        for r, b in enumerate(self.basis):
+            if b >= nreal:
+                if self.rhs[r]:
+                    return False
+                col = next((j for j in range(nreal) if self.rows[r][j]), None)
+                if col is None:
+                    continue  # a redundant row: all zero outside the artificials
+                self._pivot(r, col)
+            keep.append(r)
+        self.rows = [self.rows[r][:nreal] for r in keep]
+        self.rhs = [self.rhs[r] for r in keep]
+        self.basis = [self.basis[r] for r in keep]
+        del self.upper[nreal:], self.flipped[nreal:]
+        return True
+
+    def _pivot(self, r: int, col: int) -> None:
         den = self.den
-        piv = self.rows[r][col]
         prow = self.rows[r]
         prhs = self.rhs[r]
-        for i in range(len(self.rows)):
+        piv = prow[col]
+        rows, rhs = self.rows, self.rhs
+        for i, row in enumerate(rows):
             if i == r:
                 continue
-            f = self.rows[i][col]
+            f = row[col]
             if f:
-                self.rows[i] = [(piv * a - f * p) // den for a, p in zip(self.rows[i], prow)]
+                rows[i] = [(piv * a - f * p) // den for a, p in zip(row, prow)]
+                rhs[i] = (piv * rhs[i] - f * prhs) // den
             elif piv != den:
-                self.rows[i] = [piv * a // den for a in self.rows[i]]
-            self.rhs[i] = (piv * self.rhs[i] - f * prhs) // den
+                rows[i] = [piv * a // den for a in row]
+                rhs[i] = piv * rhs[i] // den
+        f = self.cost[col]
+        if f:
+            self.cost = [(piv * a - f * p) // den for a, p in zip(self.cost, prow)]
+        elif piv != den:
+            self.cost = [piv * a // den for a in self.cost]
         if piv < 0:
-            self.rows = [[-a for a in row] for row in self.rows]
-            self.rhs = [-b for b in self.rhs]
+            self.rows = [[-a for a in row] for row in rows]
+            self.rhs = [-b for b in rhs]
+            self.cost = [-a for a in self.cost]
             piv = -piv
         self.den = piv
         self.basis[r] = col
 
-    def minimize(self, cost: list[int], frozen: set[int]) -> tuple[str, Fraction]:
-        """Run simplex iterations minimizing cost^T y; Bland's rule throughout.
+    def _flip(self, col: int) -> None:
+        """Move nonbasic column col to its other bound: complement it."""
+        u = self.upper[col]
+        for i, row in enumerate(self.rows):
+            a = row[col]
+            if a:
+                self.rhs[i] -= a * u
+                row[col] = -a
+        self.cost[col] = -self.cost[col]
+        self.flipped[col] = not self.flipped[col]
 
-        ``cost`` is integer.  Columns in ``frozen`` are never allowed to
-        enter the basis.  Returns (status, objective value)."""
-        m = len(self.rows)
+    def _minimize(self) -> bool:
+        """Simplex iterations on the current cost row with Bland's rule;
+        False when the objective is unbounded below."""
+        basis, upper = self.basis, self.upper
         while True:
-            # reduced costs relative to the current basis, times den
-            dual = [cost[self.basis[i]] for i in range(m)]
-            den = self.den
-            entering = -1
-            basic = set(self.basis)
-            for j in range(self.ncols):
-                if j in frozen or j in basic:
-                    continue
-                red = cost[j] * den - sum(dual[i] * self.rows[i][j] for i in range(m))
-                if red < 0:
-                    entering = j  # Bland: smallest index wins
-                    break
+            entering = next((j for j, d in enumerate(self.cost) if d < 0), -1)
             if entering < 0:
-                value = sum(dual[i] * self.rhs[i] for i in range(m))
-                return "optimal", Fraction(value, den)
-            # ratio test by cross-multiplying, Bland tie-break on the
-            # smallest basis column
-            leave_row = -1
-            best_b = best_a = 0
-            for i in range(m):
-                a = self.rows[i][entering]
+                return True
+            # ratio test by cross-multiplying: row i stops the step at
+            # num / dnm; ties go to the smallest basic column
+            den = self.den
+            leave, best_num, best_dnm = -1, 0, 1
+            for i, row in enumerate(self.rows):
+                a = row[entering]
                 if a > 0:
-                    b = self.rhs[i]
-                    if leave_row >= 0:
-                        lhs, rhs = b * best_a, best_b * a
-                        if lhs > rhs or (lhs == rhs and self.basis[i] > self.basis[leave_row]):
-                            continue
-                    best_b, best_a, leave_row = b, a, i
-            if leave_row < 0:
-                return "unbounded", Fraction(0)
-            self.pivot(leave_row, entering)
+                    num, dnm = self.rhs[i], a
+                elif a < 0 and upper[basis[i]] is not None:
+                    num, dnm = upper[basis[i]] * den - self.rhs[i], -a
+                else:
+                    continue
+                if leave >= 0:
+                    lhs, rhs = num * best_dnm, best_num * dnm
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, best_num, best_dnm = i, num, dnm
+            u = upper[entering]
+            if u is not None and (leave < 0 or u * best_dnm < best_num):
+                self._flip(entering)
+                continue
+            if leave < 0:
+                return False
+            if self.rows[leave][entering] < 0:
+                # the basic variable leaves at its upper bound: complement it
+                row = [-a for a in self.rows[leave]]
+                row[basis[leave]] = den
+                self.rows[leave] = row
+                self.rhs[leave] = upper[basis[leave]] * den - self.rhs[leave]
+                self.flipped[basis[leave]] = not self.flipped[basis[leave]]
+            self._pivot(leave, entering)
+
+    def optimize(self, objective: Sequence, maximize: bool = True) -> LPResult:
+        """Max or min objective^T x by phase 2 from the current basis."""
+        obj = [_frac(a) for a in objective]
+        if len(obj) != self.n:
+            raise InputError("objective/bounds length mismatch")
+        if not self.feasible:
+            return LPResult(status="infeasible")
+        obj_den = math.lcm(*(c.denominator for c in obj))
+        col_den = math.lcm(*self.scale)
+        cost = [0] * len(self.flipped)
+        for c, sub in zip(obj, self.subst):
+            k = c.numerator * (obj_den // c.denominator) * (-1 if maximize else 1)
+            for col, sign in sub:
+                cost[col] = sign * k * (col_den // self.scale[col])
+                if self.flipped[col]:
+                    cost[col] = -cost[col]
+        den = self.den
+        priced = [den * c for c in cost]
+        for row, b in zip(self.rows, self.basis):
+            cb = cost[b]
+            if cb:
+                priced = [p - cb * a for p, a in zip(priced, row)]
+        self.cost = priced
+        if not self._minimize():
+            return LPResult(status="unbounded")
+        x = self._point()
+        return LPResult(status="optimal", x=x, objective=sum(c * v for c, v in zip(obj, x)))
+
+    def _point(self) -> tuple[Fraction, ...]:
+        """The original variables at the current basic solution."""
+        den = self.den
+        value = [0] * len(self.flipped)  # times den
+        for r, b in enumerate(self.basis):
+            value[b] = self.rhs[r]
+        for col, flipped in enumerate(self.flipped):
+            if flipped:
+                value[col] = self.upper[col] * den - value[col]
+        # the columns of one variable share its scale (a split one has 1)
+        return tuple(
+            s + Fraction(sum(sign * value[col] for col, sign in sub), den * self.scale[sub[0][0]])
+            if sub
+            else s
+            for s, sub in zip(self.shift, self.subst)
+        )
 
 
 def solve_lp(
@@ -133,137 +409,11 @@ def solve_lp(
 
     ``bounds[i]`` is (lo, hi) with None meaning unbounded on that side.
     """
-    obj = [_frac(a) for a in objective]
-    if len(obj) != n or len(bounds) != n:
+    if len(objective) != n:
         raise InputError("objective/bounds length mismatch")
-
-    # Substitute each original variable by nonnegative ones:
-    #   lo finite:            x = lo + u
-    #   lo = -inf, hi finite: x = hi - u
-    #   free:                 x = u - w
-    # subst[i] = list of (column, coefficient); shift[i] = constant term.
-    subst: list[list[tuple[int, int]]] = []
-    shift: list[Fraction] = []
-    ncols = 0
-    extra_rows: list[LPRow] = []
-    for i, (lo, hi) in enumerate(bounds):
-        lo = None if lo is None else _frac(lo)
-        hi = None if hi is None else _frac(hi)
-        if lo is not None and hi is not None and hi < lo:
-            return LPResult(status="infeasible")
-        if lo is not None:
-            subst.append([(ncols, 1)])
-            shift.append(lo)
-            if hi is not None:
-                coeffs = [Fraction(0)] * n
-                coeffs[i] = Fraction(1)
-                extra_rows.append(LPRow(tuple(coeffs), LE, hi))
-            ncols += 1
-        elif hi is not None:
-            subst.append([(ncols, -1)])
-            shift.append(hi)
-            ncols += 1
-        else:
-            subst.append([(ncols, 1), (ncols + 1, -1)])
-            shift.append(Fraction(0))
-            ncols += 2
-    nstruct = ncols
-
-    # Each row is moved to u-space (every u column belongs to one
-    # original variable, so only the right-hand side needs rational
-    # arithmetic) and scaled by the LCM of its denominators.  Its slack
-    # and artificial keep coefficient +-1, i.e. they are scaled by the
-    # same factor, which the phase-1 costs undo.  Positive row and
-    # column scalings leave every sign Bland's rule reads unchanged, so
-    # the pivot sequence is that of the unscaled tableau.
-    work: list[tuple[list[int], str, int, int]] = []
-    for row in list(rows) + extra_rows:
-        if len(row.coeffs) != n:
-            raise InputError("row length mismatch")
-        coeffs = [_frac(a) for a in row.coeffs]
-        b = _frac(row.rhs) - sum(a * s for a, s in zip(coeffs, shift) if a and s)
-        sense = row.sense
-        flip = 1
-        if b < 0:
-            flip, b = -1, -b
-            sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-        scale = math.lcm(b.denominator, *(a.denominator for a in coeffs))
-        ints = [0] * nstruct
-        for i, a in enumerate(coeffs):
-            if a:
-                k = flip * a.numerator * (scale // a.denominator)
-                for col, sign in subst[i]:
-                    ints[col] = sign * k
-        work.append((ints, sense, b.numerator * (scale // b.denominator), scale))
-
-    m = len(work)
-    nslack = sum(1 for _, s, _, _ in work if s != EQ)
-    total = nstruct + nslack + m  # artificials for every row keep phase 1 simple
-    tab_rows: list[list[int]] = []
-    tab_rhs: list[int] = []
-    basis: list[int] = []
-    slack_at = nstruct
-    art_at = nstruct + nslack
-    for r, (coeffs, sense, b, _) in enumerate(work):
-        full = coeffs + [0] * (total - nstruct)
-        if sense == LE:
-            full[slack_at] = 1
-            slack_at += 1
-        elif sense == GE:
-            full[slack_at] = -1
-            slack_at += 1
-        full[art_at + r] = 1
-        tab_rows.append(full)
-        tab_rhs.append(b)
-        basis.append(art_at + r)
-
-    tab = _Tableau(tab_rows, tab_rhs, basis, total)
-
-    # Phase 1: drive out the artificial variables, minimizing their sum
-    # in unscaled units (artificial r carries weight 1 / scale_r).
-    phase1 = [0] * total
-    art_lcm = math.lcm(*(scale for _, _, _, scale in work))
-    for r, (_, _, _, scale) in enumerate(work):
-        phase1[art_at + r] = art_lcm // scale
-    status, value = tab.minimize(phase1, frozen=set())
-    if value != 0:
-        return LPResult(status="infeasible")
-    artificial = set(range(art_at, total))
-    for r in range(m):
-        if tab.basis[r] in artificial:
-            # pivot the (zero-valued) artificial out if any real column is usable
-            for j in range(art_at):
-                if tab.rows[r][j] != 0:
-                    tab.pivot(r, j)
-                    break
-
-    # Phase 2 on the real objective (minimize -obj when maximizing),
-    # scaled to integers.
-    cost_scale = math.lcm(*(c.denominator for c in obj))
-    cost = [0] * total
-    for i in range(n):
-        c = obj[i] * cost_scale
-        c_int = -c.numerator if maximize else c.numerator
-        for col, sign in subst[i]:
-            cost[col] += c_int * sign
-    status, value = tab.minimize(cost, frozen=artificial)
-    if status == "unbounded":
-        return LPResult(status="unbounded")
-
-    u = [Fraction(0)] * total
-    for r in range(m):
-        u[tab.basis[r]] = Fraction(tab.rhs[r], tab.den)
-    x = []
-    for i in range(n):
-        xi = shift[i]
-        for col, sign in subst[i]:
-            xi += sign * u[col]
-        x.append(xi)
-    objective_value = sum(o * xi for o, xi in zip(obj, x))
-    return LPResult(status="optimal", x=tuple(x), objective=objective_value)
+    return Tableau(n, rows, bounds).optimize(objective, maximize)
 
 
 def lp_feasible(n: int, rows: Sequence[LPRow], bounds: Sequence[tuple[Bound, Bound]]) -> bool:
     """Exact feasibility check of a linear system (phase 1 only)."""
-    res = solve_lp(n, [0] * n, rows, bounds, maximize=True)
-    return res.status != "infeasible"
+    return Tableau(n, rows, bounds).feasible

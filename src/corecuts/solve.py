@@ -60,7 +60,7 @@ from .exprs import (
     linear_form,
 )
 from .perms import GroupSpec, apply
-from .simplex import LPRow, LPResult, solve_lp
+from .simplex import LPRow, Tableau
 
 #: half-width of the fallback enumeration box for variables whose
 #: declared bounds are missing or wider
@@ -162,23 +162,25 @@ def symmetry_warnings(inst: Instance) -> list[str]:
     return warnings
 
 
-def lp_relax(inst: Instance) -> Outcome:
-    """Exact LP relaxation over the instance's linear rows.
+def lp_relax(inst: Instance, tableau: Optional[Tableau] = None) -> Outcome:
+    """Exact LP relaxation over the instance's linear rows and bounds.
 
-    Feasibility-sense instances are relaxed with the all-ones objective
-    (maximized), so the returned objective doubles as the top layer
-    index; min-sense instances are solved by maximizing the negated
-    objective."""
+    A max or min instance optimises its objective.  A feasibility
+    instance maximises sum(x), so the returned objective doubles as the
+    top layer index.  A feasibility instance is never Unbounded: when
+    sum(x) has no maximum over a nonempty relaxation, the outcome is
+    Feasible with no point (Algorithm 1 then ascends from the minimum of
+    sum(x)).  ``tableau`` is a ``simplex.Tableau`` of the instance's rows
+    and bounds that the caller keeps, to reoptimise it for further
+    objectives without another phase 1; by default one is built."""
+    if tableau is None:
+        tableau = Tableau(inst.n, inst.rows, inst.bounds)
     if inst.sense == FEASIBILITY:
-        objective: Sequence[Fraction] = (Fraction(1),) * inst.n
-        maximize = True
-    elif inst.sense == MAX:
-        objective = inst.objective
-        maximize = True
+        res = tableau.optimize((1,) * inst.n, maximize=True)
+        if res.status == "unbounded":
+            return Outcome(FEASIBLE)
     else:
-        objective = inst.objective
-        maximize = False
-    res: LPResult = solve_lp(inst.n, objective, list(inst.rows), list(inst.bounds), maximize)
+        res = tableau.optimize(inst.objective, maximize=inst.sense == MAX)
     if res.status == "infeasible":
         return Outcome(INFEASIBLE)
     if res.status == "unbounded":

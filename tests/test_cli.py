@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -202,6 +203,16 @@ def test_essential_nonpositive_cycle_length_exits_64(capsys, k):
     code = main(["essential", k, "1"])
     assert code == 64
     assert "cycle length" in capsys.readouterr().err
+
+
+def test_essential_oversized_sub_layer_exits_64_at_once(capsys):
+    """C(30, 15) vectors would take hours to enumerate; the command is
+    refused before enumerating any."""
+    t0 = time.perf_counter()
+    code = main(["essential", "30", "15", "1"])
+    assert code == 64
+    assert "sub-layer too large" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 5
 
 
 def test_solve_infinite_eps_exits_64(tmp_path, capsys):

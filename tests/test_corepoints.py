@@ -5,6 +5,7 @@ tests/oracles.py (hull check by exhaustive enumeration + exact solve).
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from corecuts import (
     BaryCoords,
     Cycle,
+    InputError,
     LayerMismatch,
     NonActiveMismatch,
     Outside,
@@ -29,7 +31,7 @@ from corecuts import (
     select_cycles,
 )
 from corecuts import simplex
-from corecuts.corepoints import _in_hull_exact
+from corecuts.corepoints import MAX_ESSENTIAL_COMBINATIONS, _in_hull_exact
 
 
 def _c3():
@@ -241,6 +243,17 @@ def test_essential_set_totals_k8():
 def test_essential_set_budget_one_keeps_first_universal():
     ess = projected_essential_set(6, 3, 1)
     assert ess.points == ((1, 1, 1, 0, 0, 0),)
+
+
+def test_essential_set_refuses_oversized_sub_layers():
+    """C(18, 9) = 48,620 vectors exceed the limit; the all-ones residue
+    of the same cycle has one vector and is answered."""
+    assert math.comb(18, 9) > MAX_ESSENTIAL_COMBINATIONS >= math.comb(16, 8)
+    with pytest.raises(InputError, match="sub-layer too large"):
+        projected_essential_set(18, 9, 1)
+    with pytest.raises(InputError, match="sub-layer too large"):
+        projected_essential_set(30, 15, 1)
+    assert projected_essential_set(18, 18, 1).points == ((1,) * 18,)
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,8 +30,8 @@ from corecuts import (
     run_plain,
     s2_singular,
 )
-from corecuts import engine, solve
-from corecuts.simplex import GE, LE, lp_feasible, make_row
+from corecuts import engine
+from corecuts.simplex import GE, LE, Tableau, lp_feasible, make_row
 
 
 def _full_cycle_group(k):
@@ -201,25 +201,29 @@ def test_algorithm1_prunes_exactly_the_lp_empty_layers():
     assert pruned_walks == {"ascent", "descent"} and kept
 
 
-def _count_lps(monkeypatch):
-    calls = []
-    real = solve.solve_lp
+def _count_lp_work(monkeypatch):
+    """Count tableau builds, phase-1 runs and optimised objectives."""
+    counts = {"built": 0, "phase1": 0, "objectives": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "solve_lp", counting)
-    monkeypatch.setattr(solve, "solve_lp", counting)
-    return calls
+        return wrapper
+
+    for key, attr in (("built", "__init__"), ("phase1", "_phase1"), ("objectives", "optimize")):
+        monkeypatch.setattr(Tableau, attr, counting(key, getattr(Tableau, attr)))
+    return counts
 
 
-@pytest.mark.parametrize("top,stop,walked,lps", [(6, 0, 6, 2), (7, 7, 0, 1)])
-def test_algorithm1_plans_with_at_most_two_lps(monkeypatch, top, stop, walked, lps):
+@pytest.mark.parametrize("top,stop,walked,objectives", [(6, 0, 6, 2), (7, 7, 0, 1)])
+def test_algorithm1_plans_with_at_most_two_lps(monkeypatch, top, stop, walked, objectives):
     """sum(x) <= 6 on a 7-cycle walks down over the six layers 6..1 and
     needs the relaxation and one range LP; sum(x) <= 7 starts on its
-    stop layer and needs the relaxation only."""
-    calls = _count_lps(monkeypatch)
+    stop layer and needs the relaxation only.  Both objectives run on
+    one tableau, so phase 1 runs once."""
+    counts = _count_lp_work(monkeypatch)
     inst = make_instance(
         7, rows=(make_row([1] * 7, LE, top),), bounds=_box(7, 0, 3),
         group=_full_cycle_group(7),
@@ -227,7 +231,7 @@ def test_algorithm1_plans_with_at_most_two_lps(monkeypatch, top, stop, walked, l
     sch = plan_algorithm1(inst, EngineOptions())
     assert sch.stop_layer == stop
     assert len(_walked_layers(sch)) == walked
-    assert len(calls) == lps
+    assert counts == {"built": 1, "phase1": 1, "objectives": objectives}
 
 
 @pytest.mark.parametrize(
@@ -251,6 +255,38 @@ def test_algorithm1_unbounded_layer_range_prunes_nothing(sense, rel, rhs, bounds
     assert [stage[0].provenance[1] for stage in sch.stages[1:]] == [
         layer for layer in walked for _ in range(2)
     ]
+
+
+def test_feasibility_instance_without_a_top_layer_ascends(monkeypatch):
+    """sum(x) >= 1 over x >= 0 has no LP maximum: a feasibility instance
+    is then not Unbounded, and Algorithm 1 ascends from the LP minimum of
+    sum(x), layer 1, as a second objective on the same tableau."""
+    inst = make_instance(
+        3, rows=(make_row([1, 1, 1], GE, 1),), bounds=[(Fraction(0), None)] * 3,
+        group=analyze_group(["(1,2,3)"], 3),
+    )
+    counts = _count_lp_work(monkeypatch)
+    sch = plan_algorithm1(inst, EngineOptions())
+    assert counts == {"built": 1, "phase1": 1, "objectives": 2}
+    assert (sch.lp.status, sch.lp.point) == ("Feasible", None)
+    assert _walked_layers(sch) == [1, 2] and sch.stop_layer == 3
+    rep, ref = run_auto(inst), run_plain(inst)
+    assert rep.status == ref.status == "Feasible"
+    assert sum(rep.point) >= 1 and all(v >= 0 for v in rep.point)
+
+
+def test_feasibility_instance_without_layer_bounds_probes_layer_zero():
+    """x_i - x_(i+1) <= 1 around a 3-cycle leaves sum(x) unbounded both
+    ways: the walk is empty, and its stop layer is 0, where the direct
+    probe finds the origin (here the global S2 answers first)."""
+    rows = tuple(make_row(a, LE, 1) for a in ([1, -1, 0], [0, 1, -1], [-1, 0, 1]))
+    inst = make_instance(3, rows=rows, group=_full_cycle_group(3))
+    sch = plan_algorithm1(inst, EngineOptions())
+    assert _walked_layers(sch) == [] and sch.stop_layer == 0
+    rep, ref = run_auto(inst), run_plain(inst)
+    assert rep.status == ref.status == "Feasible"
+    assert all(sum(a * v for a, v in zip(row.coeffs, rep.point)) <= 1 for row in rows)
+    assert engine._direct_fixed_probe(inst, 0).point == (0, 0, 0)
 
 
 def test_plan_selects_algorithm_by_group():

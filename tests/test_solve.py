@@ -17,6 +17,7 @@ from corecuts import (
     AuxVar,
     InputError,
     Instance,
+    Outcome,
     Subproblem,
     flatten_subproblem,
     lp_relax,
@@ -143,6 +144,12 @@ def test_lp_relax_max():
 def test_lp_relax_unbounded():
     inst = make_instance(1, sense="max", objective=[1])
     assert lp_relax(inst).status == UNBOUNDED
+
+
+def test_lp_relax_feasibility_sense_is_never_unbounded():
+    """sum(x) has no maximum: Feasible, with no point to report."""
+    inst = make_instance(2, rows=(make_row([1, -1], LE, 0),))
+    assert lp_relax(inst) == Outcome(FEASIBLE)
 
 
 # ---------------------------------------------------------------------------
