@@ -75,7 +75,7 @@ from .corepoints import projected_essential_set
 from .errors import InputError
 from .exprs import Constraint, ConstraintSet, DEFAULT_EPS, Dot, Const, Add, EQ, SUBLAYER
 from .perms import Cycle
-from .simplex import Tableau
+from .simplex import Tableau, _row_interval
 from .solve import (
     DEFAULT_BOX,
     DEFAULT_NODE_BUDGET,
@@ -395,13 +395,9 @@ def _direct_fixed_probe(inst: Instance, layer: int) -> Outcome:
     for (lo, hi) in inst.bounds:
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             return Outcome(INFEASIBLE)
-    for row in inst.rows:
-        act = sum((Fraction(c) * value for c in row.coeffs), Fraction(0))
-        if row.sense == "<=" and act > row.rhs:
-            return Outcome(INFEASIBLE)
-        if row.sense == ">=" and act < row.rhs:
-            return Outcome(INFEASIBLE)
-        if row.sense == "==" and act != row.rhs:
+    for coeffs, lo, hi in map(_row_interval, inst.rows):
+        act = sum(coeffs, Fraction(0)) * value
+        if (lo is not None and act < lo) or (hi is not None and act > hi):
             return Outcome(INFEASIBLE)
     objective = None if inst.sense == FEASIBILITY else _objective_of(inst, point)
     return Outcome(FEASIBLE, point=point, objective=objective)

@@ -47,20 +47,15 @@ from .exprs import (
     Constraint,
     Div,
     Dot,
-    EQ,
     Expr,
-    LE_ZERO,
     Mul,
-    NON_NEG,
-    STRICT_NEG,
+    SENSES,
     Square,
     Var,
 )
 from .solve import FlatProblem, FlatVar
 
 FORMAT_VERSION = 1
-
-_SENSES = (STRICT_NEG, NON_NEG, EQ, LE_ZERO)
 
 Number = Union[Fraction, float, int]
 
@@ -220,7 +215,7 @@ def _decode_problem(doc: dict) -> ParsedProblem:
     objective = _decode_expr(obj["expr"])
     constraints = []
     for c in doc.get("constraints", ()):
-        if c.get("sense") not in _SENSES:
+        if c.get("sense") not in SENSES:
             raise InputError(f"unknown constraint sense {c.get('sense')!r}")
         eps = _decode_number(c.get("eps", 0.0))
         constraints.append(

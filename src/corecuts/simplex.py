@@ -18,9 +18,11 @@ one-shot wrappers over the same code.
 * Ranged rows.  Each row is scaled to integers once, divided by the
   gcd of its coefficients and given a positive leading coefficient;
   rows with the same coefficient vector merge into one ranged row
-  ``lo <= a.x <= hi``.  The bounds stay exact, nothing is rounded.  A
-  ranged row has one logical variable in ``[0, hi - lo]``; an equality
-  row has none.
+  ``lo <= a.x <= hi`` (``_merge_row``).  The bounds stay exact, nothing
+  is rounded.  A ranged row has one logical variable in ``[0, hi -
+  lo]``; an equality row has none.  The integer enumerator
+  (``solve._lower``) builds its rows with the same ``_merge_row`` and
+  rounds each bound inward.
 * Artificials only where needed.  With every structural variable at 0,
   a logical that lies within its bounds starts basic; only the other
   rows, and the equality rows, get an artificial.
@@ -39,7 +41,6 @@ desk-scale problems (tens of variables).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -75,41 +76,56 @@ def make_row(coeffs: Sequence, sense: str, rhs) -> LPRow:
     return LPRow(tuple(_frac(a) for a in coeffs), sense, _frac(rhs))
 
 
-def _ranged_rows(n: int, rows: Sequence[LPRow]):
-    """Merge the rows by primitive integer coefficient vector.
+def _row_interval(
+    row: LPRow,
+) -> tuple[tuple[Fraction, ...], Optional[Fraction], Optional[Fraction]]:
+    """An instance row as ``lo <= coeffs . x <= hi`` (None = unbounded),
+    by position.  ``>=`` is negated into an upper bound, as its export
+    tree states it.  The solvers read ``LPRow.sense`` only through here;
+    the instance file writer and the generator's independent referee
+    (``gen.certify_infeasible``) read it on their own."""
+    if row.sense == "<=":
+        return row.coeffs, None, row.rhs
+    if row.sense == ">=":
+        return tuple(-a for a in row.coeffs), None, -row.rhs
+    if row.sense == "==":
+        return row.coeffs, row.rhs, row.rhs
+    raise InputError(f"unknown row sense {row.sense!r}")
 
-    Returns ``{coeffs: [lo, hi]}`` in first-appearance order.  A bound on
-    ``coeffs . x`` is an exact ratio ``(num, den)`` with ``den > 0``, or
-    None for no bound.  Returns None when an all-zero row is violated or
-    a merged row's bounds cross."""
-    merged: dict[tuple[int, ...], list] = {}
-    empty = False
-    for row in rows:
-        if len(row.coeffs) != n:
-            raise InputError("row length mismatch")
-        if row.sense not in (LE, GE, EQ):
-            raise InputError(f"bad row sense {row.sense!r}")
-        rhs = row.rhs
-        scale = math.lcm(rhs.denominator, *(a.denominator for a in row.coeffs))
-        ints = [a.numerator * (scale // a.denominator) for a in row.coeffs]
-        b = rhs.numerator * (scale // rhs.denominator)
-        g = math.gcd(*ints)
-        if g == 0:
-            empty |= {LE: 0 > b, GE: 0 < b, EQ: 0 != b}[row.sense]
-            continue
-        sense = row.sense
-        if next(v for v in ints if v) < 0:
-            g, b = -g, -b
-            sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-        bound = (b, abs(g))
-        entry = merged.setdefault(tuple(v // g for v in ints), [None, None])
-        if sense != LE and (entry[0] is None or b * entry[0][1] > entry[0][0] * bound[1]):
-            entry[0] = bound
-        if sense != GE and (entry[1] is None or b * entry[1][1] < entry[1][0] * bound[1]):
-            entry[1] = bound
-    for lo, hi in merged.values():
-        empty |= lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]
-    return None if empty else merged
+
+def _merge_row(merged: dict, coeffs, lo: Bound, hi: Bound) -> bool:
+    """Merge the row ``lo <= sum(a * x[j] for j, a in coeffs) <= hi``
+    into ``merged``, keyed by its primitive integer coefficients.
+
+    The row is scaled to integers by the lcm of its denominators,
+    divided by the gcd of its coefficients and signed so that its
+    lowest-indexed coefficient is positive.  ``merged`` maps the sparse
+    key ``((j, a), ...)`` to ``[lo, hi]`` in first-appearance order; a
+    bound is an exact ratio ``(num, den)`` with ``den > 0``, or None for
+    no bound.  Returns False when the row is all zero and excludes 0, or
+    when the merged range is empty."""
+    coeffs = sorted(coeffs)
+    scale = math.lcm(
+        *(a.denominator for _, a in coeffs), *(b.denominator for b in (lo, hi) if b is not None)
+    )
+    ints = [(j, v) for j, a in coeffs if (v := a.numerator * (scale // a.denominator))]
+    lo = None if lo is None else lo.numerator * (scale // lo.denominator)
+    hi = None if hi is None else hi.numerator * (scale // hi.denominator)
+    if not ints:
+        return (lo is None or lo <= 0) and (hi is None or hi >= 0)
+    g = math.gcd(*(v for _, v in ints))
+    if ints[0][1] < 0:
+        g, lo, hi = -g, (None if hi is None else -hi), (None if lo is None else -lo)
+    # divided by g, the scaled row bounds its key by lo / |g| and hi / |g|
+    entry = merged.setdefault(tuple((j, v // g) for j, v in ints), [None, None])
+    lo = None if lo is None else (lo, abs(g))
+    hi = None if hi is None else (hi, abs(g))
+    if lo is not None and (entry[0] is None or lo[0] * entry[0][1] > entry[0][0] * lo[1]):
+        entry[0] = lo
+    if hi is not None and (entry[1] is None or hi[0] * entry[1][1] < entry[1][0] * hi[1]):
+        entry[1] = hi
+    lo, hi = entry
+    return lo is None or hi is None or lo[0] * hi[1] <= hi[0] * lo[1]
 
 
 class Tableau:
@@ -142,8 +158,14 @@ class Tableau:
         self.basis: list[int] = []
         self.flipped: list[bool] = []
         self.den = 1
-        ranged = _ranged_rows(n, rows)
-        self.feasible = ranged is not None and self._add_variables(bounds)
+        ranged: dict = {}
+        nonempty = True
+        for row in rows:
+            if len(row.coeffs) != n:
+                raise InputError("row length mismatch")
+            coeffs, lo, hi = _row_interval(row)
+            nonempty = nonempty and _merge_row(ranged, enumerate(coeffs), lo, hi)
+        self.feasible = nonempty and self._add_variables(bounds)
         if self.feasible:
             self.feasible = self._phase1(self._add_rows(ranged))
 
@@ -189,7 +211,7 @@ class Tableau:
         work = []
         for coeffs, (lo, hi) in ranged.items():
             # the bounds num / den become num / den - moved / shift_den
-            moved = sum(map(operator.mul, coeffs, shift_num))
+            moved = sum(a * shift_num[j] for j, a in coeffs)
             dens = []
             if lo is not None:
                 lo = (lo[0] * shift_den - moved * lo[1], lo[1] * shift_den)
@@ -198,13 +220,12 @@ class Tableau:
                 hi = (hi[0] * shift_den - moved * hi[1], hi[1] * shift_den)
                 dens.append(hi[1] // math.gcd(*hi))
             if col_scaled:
-                dens += [self.scale[col] for a, sub in zip(coeffs, self.subst) if a for col, _ in sub]
+                dens += [self.scale[col] for j, _ in coeffs for col, _ in self.subst[j]]
             scale = math.lcm(*dens)
             ints = [0] * nstruct
-            for a, sub in zip(coeffs, self.subst):
-                if a:
-                    for col, sign in sub:
-                        ints[col] = sign * a * (scale // self.scale[col])
+            for j, a in coeffs:
+                for col, sign in self.subst[j]:
+                    ints[col] = sign * a * (scale // self.scale[col])
             if hi is None:  # a.x >= lo, stated as -a.x + s = -lo
                 work.append(([-a for a in ints], -lo[0] * scale // lo[1], None))
             else:
@@ -409,8 +430,6 @@ def solve_lp(
 
     ``bounds[i]`` is (lo, hi) with None meaning unbounded on that side.
     """
-    if len(objective) != n:
-        raise InputError("objective/bounds length mismatch")
     return Tableau(n, rows, bounds).optimize(objective, maximize)
 
 

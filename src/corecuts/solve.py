@@ -7,14 +7,15 @@ Two engines live here:
 * ``solve_subproblem`` — bounded depth-first integer enumeration with
   event-driven exact interval propagation over the linear rows and
   float evaluation of the nonlinear constraints (``exprs.eval_float``)
-  at fully assigned leaves.  Each linear row is scaled once to integer
-  coefficients and bounds and divided by the gcd of its coefficients,
-  and rows with the same coefficients merge into one ranged row, so
-  propagation and enumeration run on plain ``int``; points are returned
-  as ``Fraction`` tuples.  A node propagates only from the rows that
-  contain the variable it fixes, and a max/min search carries its
-  incumbent as one more row, which cuts off every subtree that cannot
-  beat it.
+  at fully assigned leaves.  The linear rows go through the LP's row
+  normaliser (``simplex._merge_row``: scaled to integers, divided by
+  the gcd of their coefficients, merged by coefficient vector into
+  ranged rows with exact bounds), and each merged bound is then rounded
+  inward once, so propagation and enumeration run on plain ``int``;
+  points are returned as ``Fraction`` tuples.  A node propagates only
+  from the rows that contain the variable it fixes, and a max/min search
+  carries its incumbent as one more row, which cuts off every subtree
+  that cannot beat it.
 
 Both are deliberately small: they replace an external MINLP solver for
 instances a few variables wide, and every verdict they return is
@@ -23,7 +24,8 @@ node budget runs out first the verdict is Unknown, never a guess.
 
 The enumerator and the MINLP export read a subproblem each its own way.
 ``solve_subproblem`` reads the instance rows by position
-(``_row_interval``: coefficients and an interval), and lowers only the
+(``simplex._row_interval``: coefficients and an interval, the reader
+the LP and the direct fixed-point probe share), and lowers only the
 added constraint sets from their expression trees (``_interval_of``),
 keeping the non-affine ones for the leaves.  ``flatten_subproblem``
 builds the export document: the instance rows become expression trees
@@ -60,7 +62,7 @@ from .exprs import (
     linear_form,
 )
 from .perms import GroupSpec, apply
-from .simplex import LPRow, Tableau
+from .simplex import LPRow, Tableau, _merge_row, _row_interval
 
 #: half-width of the fallback enumeration box for variables whose
 #: declared bounds are missing or wider
@@ -211,21 +213,6 @@ class FlatProblem:
     constraints: tuple[Constraint, ...]
 
 
-def _row_interval(
-    row: LPRow,
-) -> tuple[tuple[Fraction, ...], Optional[Fraction], Optional[Fraction]]:
-    """An instance row as ``lo <= coeffs . x <= hi`` (None = unbounded),
-    by position.  ``>=`` is negated into an upper bound, as its export
-    tree states it.  Nothing else here reads ``LPRow.sense``."""
-    if row.sense == "<=":
-        return row.coeffs, None, row.rhs
-    if row.sense == ">=":
-        return tuple(-a for a in row.coeffs), None, -row.rhs
-    if row.sense == "==":
-        return row.coeffs, row.rhs, row.rhs
-    raise InputError(f"unknown row sense {row.sense!r}")
-
-
 def _row_to_constraint(row: LPRow, names: Sequence[str]) -> Constraint:
     coeffs, lo, hi = _row_interval(row)
     expr = Add((Dot(tuple(Fraction(a) for a in coeffs), tuple(names)), Const(-Fraction(hi))))
@@ -305,8 +292,8 @@ def _propagate(
     watch: Optional[Sequence[Sequence[int]]] = None,
     start: Optional[Iterable[int]] = None,
 ) -> Optional[list[tuple[int, int]]]:
-    """Event-driven interval propagation over integer-scaled rows (see
-    ``_scale_row``) and integer bounds; floor and ceil of a quotient come
+    """Event-driven interval propagation over integer rows (see
+    ``_lower``) and integer bounds; floor and ceil of a quotient come
     from ``//``, so every step is exact.
 
     ``start`` lists the distinct indices of the rows to visit first (all
@@ -403,53 +390,6 @@ def _watch_lists(
     return watch
 
 
-def _scale_row(
-    coeffs: list[tuple[int, Fraction]], lo: Optional[Fraction], hi: Optional[Fraction]
-) -> tuple[list[tuple[int, int]], Optional[int], Optional[int]]:
-    """Multiply a row by the LCM of the denominators of its coefficients
-    and bounds, so that it holds integers only; the set of points it
-    admits is unchanged."""
-    scale = math.lcm(
-        *(a.denominator for _, a in coeffs),
-        *(b.denominator for b in (lo, hi) if b is not None),
-    )
-    return (
-        [(j, int(a * scale)) for j, a in coeffs],
-        None if lo is None else int(lo * scale),
-        None if hi is None else int(hi * scale),
-    )
-
-
-def _merge_rows(
-    rows: Iterable[tuple[list[tuple[int, int]], Optional[int], Optional[int]]],
-) -> Optional[list[tuple[list[tuple[int, int]], Optional[int], Optional[int]]]]:
-    """Normalise integer-scaled rows and merge those with the same
-    coefficients.  Each row is divided by the gcd of its coefficients
-    (bounds rounded inward, which keeps every integer point) and signed
-    so that its lowest-indexed coefficient is positive; rows with equal
-    coefficient vectors become one ``[lo, hi]`` row.  Returns None when
-    some row admits no value at all."""
-    merged: dict[tuple[tuple[int, int], ...], list[Optional[int]]] = {}
-    for coeffs, lo, hi in rows:
-        coeffs = sorted(coeffs)
-        g = math.gcd(*(a for _, a in coeffs))
-        if coeffs[0][1] < 0:
-            g = -g
-            lo, hi = hi, lo
-        key = tuple((j, a // g) for j, a in coeffs)
-        # dividing by g < 0 flips the bounds, which the swap above did
-        lo = None if lo is None else -(-lo // g)
-        hi = None if hi is None else hi // g
-        bnd = merged.setdefault(key, [None, None])
-        if lo is not None and (bnd[0] is None or lo > bnd[0]):
-            bnd[0] = lo
-        if hi is not None and (bnd[1] is None or hi < bnd[1]):
-            bnd[1] = hi
-        if bnd[0] is not None and bnd[1] is not None and bnd[0] > bnd[1]:
-            return None
-    return [(list(key), lo, hi) for key, (lo, hi) in merged.items()]
-
-
 def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, int]]:
     out = []
     for v in variables:
@@ -465,15 +405,17 @@ def _lower(
     Optional[list[tuple[list[tuple[int, int]], Optional[int], Optional[int]]]],
     list[Constraint],
 ]:
-    """The enumerator's view of sub: its linear rows integer-scaled and
-    merged (``_scale_row``, ``_merge_rows``), or None when some row admits
-    no point, and the added constraints that stay nonlinear.  Instance
-    rows are read by position (``_row_interval``); only the added sets
-    are lowered from their expression trees (``_interval_of``)."""
-    indexed = [
-        ([(j, a) for j, a in enumerate(coeffs) if a != 0], lo, hi)
-        for coeffs, lo, hi in map(_row_interval, sub.base.rows)
-    ]
+    """The enumerator's view of sub: its linear rows merged by primitive
+    integer coefficients (``simplex._merge_row``, shared with the LP) and
+    each merged bound rounded inward to an integer, or None when some row
+    admits no integer point; and the added constraints that stay
+    nonlinear.  Instance rows are read by position (``_row_interval``);
+    only the added sets are lowered from their expression trees
+    (``_interval_of``)."""
+    merged: dict = {}
+    nonempty = True
+    for coeffs, lo, hi in map(_row_interval, sub.base.rows):
+        nonempty = nonempty and _merge_row(merged, enumerate(coeffs), lo, hi)
     nonlinear: list[Constraint] = []
     for cs in sub.added:
         for con in cs.constraints:
@@ -486,15 +428,18 @@ def _lower(
                 positional = [(var_index[name], a) for name, a in coeffs.items() if a != 0]
             except KeyError as exc:
                 raise InputError(f"constraint references unknown variable {exc}") from exc
-            indexed.append((positional, lo, hi))
-    scaled = []
-    for coeffs, lo, hi in indexed:
-        if coeffs:
-            scaled.append(_scale_row(coeffs, lo, hi))
-        elif (hi is not None and 0 > hi) or (lo is not None and 0 < lo):
-            # constant row: decide it now
+            nonempty = nonempty and _merge_row(merged, positional, lo, hi)
+    if not nonempty:
+        return None, nonlinear
+    rows = []
+    for key, (lo, hi) in merged.items():
+        # every point is integer, so ceil and floor lose none of them
+        lo = None if lo is None else -(-lo[0] // lo[1])
+        hi = None if hi is None else hi[0] // hi[1]
+        if lo is not None and hi is not None and lo > hi:
             return None, nonlinear
-    return _merge_rows(scaled), nonlinear
+        rows.append((list(key), lo, hi))
+    return rows, nonlinear
 
 
 def solve_subproblem(
@@ -508,11 +453,12 @@ def solve_subproblem(
 
     The instance rows are read by position and only the added sets are
     lowered from their trees (``_lower``); the export document is not
-    built.  Linear rows are integer-scaled, divided by their gcd and
-    merged by coefficient vector (``_merge_rows``), then prune through
-    exact interval propagation at every node: the root starts from all
-    rows, a node from the rows that watch the variable it fixes, and
-    each tightening queues the rows of the tightened variable, up to
+    built.  Linear rows are integer-scaled, divided by their gcd, merged
+    by coefficient vector (``simplex._merge_row``) and rounded inward,
+    then prune through exact interval propagation at every node: the
+    root starts from all rows, a node from the rows that watch the
+    variable it fixes, and each tightening queues the rows of the
+    tightened variable, up to
     ``_PROPAGATION_ROUNDS`` visits per row (``_propagate``).  Every row
     is visited at the node that fixes its last variable, cap or not, so
     a leaf meets every linear row exactly.  Nonlinear constraints are

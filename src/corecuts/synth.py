@@ -291,7 +291,9 @@ def sublayer(cycle: Cycle, residue: int) -> ConstraintSet:
 
 def fixed_space_anchor(cycle: Cycle) -> ConstraintSet:
     """Equalities forcing a constant value across the cycle block (the
-    fixed-space restriction used for the all-residues-full probe)."""
+    fixed-space restriction).  No planner uses it: it is kept for the
+    export pool of criterion 8 in ``tests/test_acceptance.py``, its only
+    caller outside its own unit test."""
     names = cycle_var_names(cycle)
     cons = tuple(
         Constraint(

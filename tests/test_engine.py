@@ -289,6 +289,21 @@ def test_feasibility_instance_without_layer_bounds_probes_layer_zero():
     assert engine._direct_fixed_probe(inst, 0).point == (0, 0, 0)
 
 
+def test_direct_fixed_probe_checks_every_row_sense():
+    """At layer 3 of a 3-cycle the probe's point is (1, 1, 1), where
+    x1 + 2 x2 - x3 is 2: the rows <= 2, >= 2 and == 2 admit it, and each
+    of <= 1, >= 3, == 1 and == 3 rejects it."""
+    for rel, rhs, status in (
+        (LE, 2, "Feasible"), (LE, 1, "Infeasible"),
+        (GE, 2, "Feasible"), (GE, 3, "Infeasible"),
+        ("==", 2, "Feasible"), ("==", 1, "Infeasible"), ("==", 3, "Infeasible"),
+    ):
+        inst = make_instance(3, rows=(make_row([1, 2, -1], rel, rhs),), group=_full_cycle_group(3))
+        out = engine._direct_fixed_probe(inst, 3)
+        assert out.status == status, (rel, rhs)
+        assert out.point == ((1, 1, 1) if status == "Feasible" else None)
+
+
 def test_plan_selects_algorithm_by_group():
     full = make_instance(4, group=_full_cycle_group(4))
     assert plan(full).algorithm == 1

@@ -1,6 +1,8 @@
 """The bounded enumeration engine for subproblems, and its flattening."""
 
 import gc
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,7 +31,8 @@ from corecuts import (
 )
 from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG
 from corecuts.instancefile import analyze_group
-from corecuts.simplex import GE, LE, LPRow, make_row
+from corecuts import simplex
+from corecuts.simplex import GE, LE, LPRow, _merge_row, make_row
 from corecuts.solve import (
     DEFAULT_BOX,
     DEFAULT_NODE_BUDGET,
@@ -39,9 +42,7 @@ from corecuts.solve import (
     UNKNOWN,
     _interval_of,
     _lower,
-    _merge_rows,
     _propagate,
-    _scale_row,
 )
 from test_engine import _random_cycles_instance, _random_full_cycle_instance
 
@@ -194,25 +195,45 @@ def test_flatten_rejects_duplicate_aux_names():
         flatten_subproblem(_sub(base, (mk(), mk())))
 
 
+def _rounded(merged):
+    """Merged rows with each exact bound rounded inward (math.ceil for lo,
+    math.floor for hi), as the enumerator uses them; None when a range
+    holds no integer."""
+    rows = []
+    for key, (lo, hi) in merged.items():
+        lo = None if lo is None else math.ceil(Fraction(*lo))
+        hi = None if hi is None else math.floor(Fraction(*hi))
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        rows.append((list(key), lo, hi))
+    return rows
+
+
+def _int_rows(rows):
+    """Sparse rows (coeffs, lo, hi) merged by _merge_row and rounded
+    inward; None when some row admits no integer point."""
+    merged = {}
+    if not all(_merge_row(merged, *row) for row in rows):
+        return None
+    return _rounded(merged)
+
+
 def _lower_export(sub):
     """The export document of sub lowered by name, constraint by
     constraint through _interval_of: (integer rows merged, or None when
-    a constant row fails; the constraints that stay nonlinear)."""
+    some row admits no integer point; the constraints that stay
+    nonlinear)."""
     flat = flatten_subproblem(sub)
     index = {v.name: i for i, v in enumerate(flat.variables)}
-    scaled, nonlinear = [], []
+    linear, nonlinear = [], []
     for con in flat.constraints:
         row = _interval_of(con)
         if row is None:
             nonlinear.append(con)
             continue
         coeffs, lo, hi = row
-        indexed = [(index[name], a) for name, a in coeffs.items() if a != 0]
-        if indexed:
-            scaled.append(_scale_row(indexed, lo, hi))
-        elif (hi is not None and hi < 0) or (lo is not None and lo > 0):
-            return None, nonlinear
-    return _merge_rows(scaled), nonlinear
+        linear.append(([(index[name], a) for name, a in coeffs.items()], lo, hi))
+    return _int_rows(linear), nonlinear
 
 
 def test_export_states_the_enumerated_problem():
@@ -380,14 +401,8 @@ def test_propagation_keeps_every_feasible_point():
             rows.append((coeffs, sense, rhs))
         expected = oracles.feasible_points(rows, box)
 
-        scaled = []
-        for coeffs, sense, rhs in rows:
-            indexed = [(j, a) for j, a in enumerate(coeffs) if a != 0]
-            if indexed:
-                lo = None if sense == "<=" else rhs
-                hi = None if sense == ">=" else rhs
-                scaled.append(_scale_row(indexed, lo, hi))
-        tightened = _propagate(list(box), scaled)
+        merged = _int_rows((enumerate(c), *_interval(sense, rhs)) for c, sense, rhs in rows)
+        tightened = None if merged is None else _propagate(list(box), merged)
         if tightened is None:
             assert expected == []
         else:
@@ -478,10 +493,7 @@ def test_propagator_agrees_with_brute_force():
         )
         out = solve_subproblem(_sub(inst))
         status, point, value = _referee(sense, objective, rows, box)
-        merged = _merge_rows(
-            _scale_row([(j, a) for j, a in enumerate(c) if a], *_interval(rel, rhs))
-            for c, rel, rhs in rows
-        )
+        merged = _int_rows((enumerate(c), *_interval(rel, rhs)) for c, rel, rhs in rows)
         tightened = None if merged is None else _propagate(list(box), merged)
         if tightened is None:
             assert status == INFEASIBLE
@@ -499,13 +511,117 @@ def test_propagator_agrees_with_brute_force():
     assert 30 < infeasible < 200
 
 
+def _restated_range(rng, coeffs, lo, hi):
+    """The row lo <= coeffs . x <= hi again as a duplicate, a negation or
+    a rational multiple: the same points, stated differently."""
+    kind = rng.choice(("same", "negated", "scaled"))
+    k = {"same": 1, "negated": -1, "scaled": Fraction(rng.choice((2, 3, -2, -3)), 5)}[kind]
+    lo, hi = (None if b is None else k * b for b in (lo, hi))
+    return [k * a for a in coeffs], *((lo, hi) if k > 0 else (hi, lo))
+
+
+def _rational(rng, m):
+    return Fraction(rng.randint(-m, m), rng.choice((1, 1, 2, 3)))
+
+
+def _admits(rows, point):
+    return all(
+        (lo is None or lo <= act) and (hi is None or act <= hi)
+        for coeffs, lo, hi in rows
+        for act in [sum(a * point[j] for j, a in coeffs)]
+    )
+
+
+def test_merge_row_keeps_exactly_the_integer_points():
+    """_merge_row on rational rows with restated, negated and scaled
+    duplicates, all-zero rows and bounds that the gcd rounds: the merged
+    rows rounded inward admit exactly the integer points of the box that
+    the rows admit, and a merged range is empty only when the rows admit
+    no real point at all (checked by vertex enumeration over a box far
+    wider than any vertex of these rows)."""
+    rng = random.Random(17)
+    seen = {"zero": 0, "merged": 0, "rounded": 0, "crossed": 0, "no integer": 0}
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.1:
+                coeffs = [Fraction(0)] * n
+            else:
+                # a common factor g makes the gcd round integer bounds
+                g = rng.choice((1, 2, 3))
+                coeffs = [g * _rational(rng, 2) for _ in range(n)]
+            lo, hi = (rng.choice((None, _rational(rng, 6))) for _ in range(2))
+            if rng.random() < 0.2:
+                hi = lo
+            rows.append((coeffs, lo, hi))
+        rows += [_restated_range(rng, *rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+        merged = {}
+        nonempty = all([_merge_row(merged, enumerate(c), lo, hi) for c, lo, hi in rows])
+        sparse = [(list(enumerate(c)), lo, hi) for c, lo, hi in rows]
+        box = list(itertools.product(range(-2, 3), repeat=n))
+        expected = [p for p in box if _admits(sparse, p)]
+        if nonempty:
+            rounded = _rounded(merged)
+            got = [p for p in box if rounded is not None and _admits(rounded, p)]
+            seen["no integer"] += rounded is None
+            seen["rounded"] += any(
+                b is not None and b[0] % b[1] for bounds in merged.values() for b in bounds
+            )
+        else:
+            got = []
+            split = [(c, ">=", lo) for c, lo, _ in rows if lo is not None]
+            split += [(c, "<=", hi) for c, _, hi in rows if hi is not None]
+            verdict, _ = oracles.lp_vertex_oracle([0] * n, split, [(-10**6, 10**6)] * n)
+            assert verdict == "infeasible", rows
+            seen["crossed"] += all(any(c) for c, _, _ in rows)
+        assert got == expected, rows
+        seen["zero"] += any(not any(c) for c, _, _ in rows)
+        seen["merged"] += len(merged) < sum(any(c) for c, _, _ in rows)
+    assert min(seen.values()) > 15, seen
+
+
+def test_enumerator_rows_are_the_tableau_rows_rounded_inward(monkeypatch):
+    """The LP and the enumerator normalise the instance rows the same
+    way: on random instances with restated rows and rational data, the
+    integer rows of _lower are the ranged rows that Tableau builds, each
+    bound rounded inward, in the same order."""
+    merge = simplex._merge_row
+    built = {}
+
+    def spy(merged, coeffs, lo, hi):
+        ok = merge(merged, coeffs, lo, hi)
+        built["ranged"], built["nonempty"] = merged, built.get("nonempty", True) and ok
+        return ok
+
+    monkeypatch.setattr(simplex, "_merge_row", spy)
+    rng = random.Random(19)
+    empty = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))) for _ in range(n)]
+            rhs = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4)))
+            rows.append((coeffs, rng.choice((LE, GE, "==")), rhs))
+        rows += [_restated(rng, *rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+        inst = make_instance(n, rows=[make_row(*row) for row in rows], bounds=_box(n, -2, 2))
+        built.clear()
+        simplex.Tableau(n, inst.rows, inst.bounds)
+        lowered, _ = _lower(_sub(inst), {name: j for j, name in enumerate(inst.var_names)})
+        assert lowered == (_rounded(built["ranged"]) if built["nonempty"] else None), rows
+        empty += lowered is None
+    assert 20 < empty < 200
+
+
 def test_capped_propagation_stays_sound():
     """x1 - x2 <= -1 and x2 - x1 <= -1 shrink the default box by one per
     visit, far beyond the visit cap: propagation alone stops before it
     finds the pair empty, and the search must still prove it infeasible.
     Either row alone is satisfiable, and the point returned meets it."""
     pair = (make_row([1, -1], LE, -1), make_row([-1, 1], LE, -1))
-    scaled = [_scale_row(list(enumerate(row.coeffs)), None, row.rhs) for row in pair]
+    # normalised one by one: merged, the pair is one empty ranged row
+    scaled = [_int_rows([(enumerate(row.coeffs), None, row.rhs)])[0] for row in pair]
     assert _propagate([(-DEFAULT_BOX, DEFAULT_BOX)] * 2, scaled) is not None
     assert solve_subproblem(_sub(make_instance(2, rows=pair))).status == INFEASIBLE
     for row in pair:
