@@ -82,8 +82,9 @@ def _row_interval(
     """An instance row as ``lo <= coeffs . x <= hi`` (None = unbounded),
     by position.  ``>=`` is negated into an upper bound, as its export
     tree states it.  The solvers read ``LPRow.sense`` only through here;
-    the instance file writer and the generator's independent referee
-    (``gen.certify_infeasible``) read it on their own."""
+    ``solve.Instance`` checks it on its own (without building the
+    negated row), and so do the instance file writer and the
+    generator's independent referee (``gen.certify_infeasible``)."""
     if row.sense == "<=":
         return row.coeffs, None, row.rhs
     if row.sense == ">=":

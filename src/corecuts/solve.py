@@ -7,11 +7,14 @@ Two engines live here:
 * ``solve_subproblem`` — bounded depth-first integer enumeration with
   event-driven exact interval propagation over the linear rows and
   float evaluation of the nonlinear constraints (``exprs.eval_float``)
-  at fully assigned leaves.  The linear rows go through the LP's row
-  normaliser (``simplex._merge_row``: scaled to integers, divided by
-  the gcd of their coefficients, merged by coefficient vector into
-  ranged rows with exact bounds), and each merged bound is then rounded
-  inward once, so propagation and enumeration run on plain ``int``;
+  at fully assigned leaves.  The search is one loop over an explicit
+  stack of ``(depth, value to try, bounds)`` entries, so an instance's
+  width is not bounded by Python's recursion limit.  The linear rows go
+  through the LP's row normaliser (``simplex._merge_row``: scaled to
+  integers, divided by the gcd of their coefficients, merged by
+  coefficient vector into ranged rows with exact bounds), and each
+  merged bound is then rounded inward once, so propagation and
+  enumeration run on plain ``int``;
   points are returned as ``Fraction`` tuples.  A node propagates only
   from the rows that contain the variable it fixes, and a max/min search
   carries its incumbent as one more row, which cuts off every subtree
@@ -62,7 +65,7 @@ from .exprs import (
     linear_form,
 )
 from .perms import GroupSpec, apply
-from .simplex import LPRow, Tableau, _merge_row, _row_interval
+from .simplex import EQ as ROW_EQ, GE, LE, LPRow, Tableau, _merge_row, _row_interval
 
 #: half-width of the fallback enumeration box for variables whose
 #: declared bounds are missing or wider
@@ -114,7 +117,8 @@ class Instance:
         for row in self.rows:
             if len(row.coeffs) != self.n:
                 raise InputError(f"row of width {len(row.coeffs)} in an instance of n = {self.n}")
-            _row_interval(row)  # raises on a sense other than <=, >=, ==
+            if row.sense not in (LE, GE, ROW_EQ):
+                raise InputError(f"unknown row sense {row.sense!r}")
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -280,10 +284,6 @@ def flatten_subproblem(sub) -> FlatProblem:
 
 # ---------------------------------------------------------------------------
 # bounded integer enumeration
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def _propagate(
@@ -466,6 +466,17 @@ def solve_subproblem(
     division by zero simply rejects the leaf — smoothness guards make
     such leaves infeasible by definition.
 
+    The search is one loop over a stack of ``(depth, value, bounds)``
+    entries; ``bounds`` has fixed the variables before ``depth``, and
+    ``value`` is the next value to try for variable ``depth`` (None: its
+    lower bound).  Popping an entry pushes its sibling (the next value,
+    up to the variable's upper bound), charges one attempt, and pushes
+    the child (the variable fixed to ``value``, then propagated) above
+    the sibling when propagation leaves it nonempty, so values are tried
+    in increasing order, depth first.  An entry at depth
+    ``len(variables)`` is a leaf: its bounds fix every variable, so they
+    are its point.
+
     The budget counts assignment attempts.  First satisfying point wins
     for feasibility-sense instances.  Max/min instances are searched to
     the end under an incumbent cutoff: the objective, scaled to integers
@@ -509,73 +520,46 @@ def solve_subproblem(
     if bounds0 is None:
         return Outcome(INFEASIBLE)
 
-    values = [0.0] * nvars
-    exact = [0] * nvars
-    state = {"budget": budget, "best": None, "best_obj": None}
-
-    def leaf_ok() -> bool:
-        for prog, sense, ceps in programs:
-            ok, val = prog.run(values)
-            if not ok:
-                return False
-            if not check_value(val, sense, ceps):
-                return False
-        return True
-
-    def record() -> None:
-        point = tuple(Fraction(v) for v in exact[: base.n])
-        if not want_best:
-            state["best"] = point
-            return
-        objv = sum((c * exact[j] for j, c in obj_items), Fraction(0))
-        key = sign * objv
-        if state["best_obj"] is None or key > state["best_obj"]:
-            state["best_obj"] = key
-            state["best"] = (point, objv)
-            # every variable is an integer, so a strictly better point
-            # scores at least 1 more on the scaled row
-            rows[cut] = (cut_coeffs, int(key * scale) + 1, None)
-
-    def dfs(idx: int, bounds: list[tuple[int, int]]) -> bool:
-        """Returns True when the search can stop (feasibility hit)."""
-        if idx == nvars:
-            if leaf_ok():
-                record()
-                return not want_best
-            return False
-        lo, hi = bounds[idx]
-        v = lo
-        while v <= hi:
-            state["budget"] -= 1
-            if state["budget"] < 0:
-                raise _BudgetExhausted
-            sub_bounds = list(bounds)
-            sub_bounds[idx] = (v, v)
-            if _propagate(sub_bounds, rows, watch, starts[idx]) is not None:
-                values[idx] = float(v)
-                exact[idx] = v
-                if dfs(idx + 1, sub_bounds):
-                    return True
-            v += 1
-        return False
-
-    try:
-        stopped = dfs(0, bounds0)
-    except _BudgetExhausted:
-        return Outcome(UNKNOWN)
-    finally:
-        # dfs refers to itself through its closure cell; break that
-        # cycle so the search state is freed on return, not by the collector
-        del dfs
-
-    if not want_best:
-        if stopped and state["best"] is not None:
-            return Outcome(FEASIBLE, point=state["best"])
-        return Outcome(INFEASIBLE)
-    if state["best"] is None:
-        return Outcome(INFEASIBLE)
-    point, objv = state["best"]
-    return Outcome(FEASIBLE, point=point, objective=objv)
+    best: Optional[Outcome] = None
+    best_key: Optional[Fraction] = None
+    stack: list[tuple[int, Optional[int], list[tuple[int, int]]]] = [(0, None, bounds0)]
+    while stack:
+        depth, v, bounds = stack.pop()
+        if depth == nvars:
+            # a leaf: every variable is fixed, so its bounds are its point
+            values = [float(lo) for lo, _ in bounds] if programs else None
+            for prog, sense, ceps in programs:
+                ok, val = prog.run(values)
+                if not ok or not check_value(val, sense, ceps):
+                    break
+            else:  # every nonlinear constraint holds
+                point = tuple(Fraction(lo) for lo, _ in bounds[: base.n])
+                if not want_best:
+                    return Outcome(FEASIBLE, point=point)
+                objv = sum((c * bounds[j][0] for j, c in obj_items), Fraction(0))
+                key = sign * objv
+                if best_key is None or key > best_key:
+                    best_key = key
+                    best = Outcome(FEASIBLE, point=point, objective=objv)
+                    # every variable is an integer, so a strictly better
+                    # point scores at least 1 more on the scaled row
+                    rows[cut] = (cut_coeffs, int(key * scale) + 1, None)
+            continue
+        lo, hi = bounds[depth]
+        if v is None:
+            v = lo
+        if v > hi:  # the bounds were empty before the search
+            continue
+        if v < hi:
+            stack.append((depth, v + 1, bounds))
+        budget -= 1
+        if budget < 0:
+            return Outcome(UNKNOWN)
+        child = list(bounds)
+        child[depth] = (v, v)
+        if _propagate(child, rows, watch, starts[depth]) is not None:
+            stack.append((depth + 1, None, child))
+    return best or Outcome(INFEASIBLE)
 
 
 def export_subproblem(sub, path) -> None:

@@ -80,6 +80,14 @@ def eigenvalues(c: Sequence) -> Spectrum:
     return Spectrum(n=n, psi_re=tuple(re), psi_im=tuple(im), proj_len_sq=tuple(proj))
 
 
+def _mode_pairs(n: int) -> tuple[int, bool]:
+    """Number of conjugate mode pairs of an n-cycle's spectrum and
+    whether the alternating (m = n/2) linear factor exists."""
+    if n % 2:
+        return (n - 1) // 2, False
+    return (n - 2) // 2, True
+
+
 def _norm_sq(c: Sequence) -> float:
     return sum(float(x) * float(x) for x in c)
 
@@ -111,11 +119,11 @@ def t_values(c: Sequence) -> TValues:
     scale = _norm_sq(c)
     if _zero_factor(spec.psi_re[0] ** 2, scale):
         raise SingularCirculant(f"<c,1> ~ 0 for c={tuple(c)}")
-    half = (n - 1) // 2 if n % 2 else (n - 2) // 2
-    for m in range(1, half + 1):
+    pairs, alternating = _mode_pairs(n)
+    for m in range(1, pairs + 1):
         if _zero_factor(spec.proj_len_sq[m], scale):
             raise SingularCirculant(f"mode {m} projection ~ 0 for c={tuple(c)}")
-    if n % 2 == 0 and _zero_factor(spec.psi_re[n // 2] ** 2, scale):
+    if alternating and _zero_factor(spec.psi_re[n // 2] ** 2, scale):
         raise SingularCirculant(f"mode {n//2} factor ~ 0 for c={tuple(c)}")
 
     table = _fourier_table(n)
@@ -123,13 +131,13 @@ def t_values(c: Sequence) -> TValues:
     t = []
     for k in range(n):
         acc = 0.0
-        for m in range(1, half + 1):
+        for m in range(1, pairs + 1):
             V = table[m][0]
             # <sigma^{-k}(V_m), c>: rotating the mode back k steps
             # shifts its argument forward by k.
             dot = sum(V[(j + k) % n] * cf[j] for j in range(n))
             acc += 2.0 * dot / spec.proj_len_sq[m]
-        if n % 2 == 0:
+        if alternating:
             acc += (-1.0) ** k / spec.psi_re[n // 2]
         t.append(acc)
     inv_layer = 1.0 / spec.psi_re[0]
@@ -142,14 +150,12 @@ def det_circulant(c: Sequence) -> float:
     """det(Cir(c)) via the spectral product formula."""
     n = len(c)
     spec = eigenvalues(c)
+    pairs, alternating = _mode_pairs(n)
     det = spec.psi_re[0]
-    if n % 2:
-        for m in range(1, (n - 1) // 2 + 1):
-            det *= spec.proj_len_sq[m]
-    else:
+    if alternating:
         det *= spec.psi_re[n // 2]
-        for m in range(1, (n - 2) // 2 + 1):
-            det *= spec.proj_len_sq[m]
+    for m in range(1, pairs + 1):
+        det *= spec.proj_len_sq[m]
     return det
 
 

@@ -53,7 +53,7 @@ from .exprs import (
 )
 from .perms import Cycle
 from .solve import DEFAULT_BOX
-from .spectral import fourier_pair
+from .spectral import _mode_pairs, fourier_pair
 
 
 def cycle_var_names(cycle: Cycle) -> tuple[str, ...]:
@@ -78,14 +78,6 @@ def reduce_projected(z: Sequence[int]) -> tuple[int, ...]:
 def canonical_projected(z: Sequence[int]) -> tuple[int, ...]:
     """Reduced z rotated to its display-canonical form."""
     return display_form(all_rotations(reduce_projected(z)))
-
-
-def _mode_pairs(k: int) -> tuple[int, bool]:
-    """Number of conjugate mode pairs and whether the alternating
-    (m = k/2) linear factor exists."""
-    if k % 2:
-        return (k - 1) // 2, False
-    return (k - 2) // 2, True
 
 
 def _proj_len_sq_expr(k: int, m: int, names: Sequence[str]) -> Expr:

@@ -180,6 +180,17 @@ def test_solve_feasible_exit_zero(tmp_path, capsys):
     assert sum(int(v) for v in doc["point"]) == 3
 
 
+def test_solve_wide_instance_exits_zero(tmp_path, capsys):
+    """1,200 variables fixed to 0: wider than Python's recursion limit."""
+    n = 1200
+    path = tmp_path / "wide.json"
+    write_instance(make_instance(n, bounds=[(0, 0)] * n), path)
+    code, doc = _run(capsys, ["solve", str(path)])
+    assert code == 0
+    assert doc["status"] == "Feasible"
+    assert doc["point"] == ["0"] * n
+
+
 def test_solve_negative_box_exits_64(tmp_path, capsys):
     out = tmp_path / "c3.json"
     main(["gen", "(1,2,3)", "1,1,0", "-o", str(out)])

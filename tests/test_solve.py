@@ -298,6 +298,30 @@ def test_solve_budget_zero_is_unknown():
     assert solve_subproblem(_sub(inst), budget=0).status == UNKNOWN
 
 
+@pytest.mark.parametrize("budget, status", [(20, INFEASIBLE), (19, UNKNOWN)])
+def test_solve_budget_counts_every_attempt(budget, status):
+    """Box [0,3]^2 and a leaf constraint no leaf meets: the search tries
+    4 values of x1 and 4 of x2 under each, 4 + 16 = 20 attempts, so a
+    budget of exactly 20 searches the box out and 19 does not."""
+    from corecuts import Div
+
+    inst = make_instance(2, bounds=_box(2, 0, 3))
+    never = _anchor_set(Constraint(Div(Const(1), Dot((1,), ("x1",))), LE_ZERO))
+    assert solve_subproblem(_sub(inst, (never,)), budget=budget).status == status
+
+
+def test_solve_width_is_not_bounded_by_the_recursion_limit():
+    """The search keeps its path on an explicit stack, so an instance
+    wider than Python's recursion limit is searched like a narrow one."""
+    n = 1200
+    inst = make_instance(n, bounds=_box(n, 0, 0))
+    zero = (Fraction(0),) * n
+    out = solve_subproblem(_sub(inst))
+    assert (out.status, out.point) == (FEASIBLE, zero)
+    report = run_plain(inst)
+    assert (report.status, report.point) == (FEASIBLE, zero)
+
+
 def test_solve_honors_added_equalities():
     base = make_instance(2, bounds=_box(2, 0, 5))
     anchor = _anchor_set(
