@@ -28,7 +28,9 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   singularity subproblem (S2) per cycle, the anchor probes (S3) of every
   cycle for each sub-layer residue t in 1..k-1, and one cut subproblem
   (S1) per residue tuple in [1..k_1-1] x ... x [1..k_d-1]: every
-  cycle's sub-layer row, smoothness guards and cuts.
+  cycle's sub-layer row, smoothness guards and cuts.  Each cycle-residue's
+  sets are built once and shared: its probes and every tuple's cut hold
+  the same set objects.
 
   Why it is sound (a core-point argument: Herr, Rehn and Schürmann,
   "Exploiting symmetry in integer convex optimization using core
@@ -48,7 +50,9 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   instance by itself, not only as a factor of a product generator.
 
 Without usable symmetry the schedule is one plain enumeration of the
-instance.
+instance.  ``plan()`` also plans an instance plain when its declared group
+does not fix it (``symmetry_warnings``), and the forced algorithms refuse
+such an instance.
 
 One runner exports and solves every schedule's subproblems in order and
 stops early by one rule: a feasibility instance stops at its first
@@ -66,14 +70,15 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .corepoints import projected_essential_set
 from .errors import InputError
-from .exprs import Constraint, ConstraintSet, DEFAULT_EPS, Dot, Const, Add, EQ, SUBLAYER
+from .exprs import Add, Const, Constraint, ConstraintSet, DEFAULT_EPS, Dot, EQ
+from .exprs import S1, S2, S3, SUBLAYER
 from .perms import Cycle
 from .simplex import Tableau, _row_interval
 from .solve import (
@@ -101,7 +106,7 @@ from .synth import (
     sublayer,
 )
 
-S1, S2, S3, FIX = "S1", "S2", "S3", "FIX"
+FIX = "FIX"
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,8 @@ class Schedule:
     #: Algorithm 1 only: the layer divisible by n where the walk stops
     stop_layer: Optional[int] = None
     notes: tuple[str, ...] = ()
+    #: plan() only: how the declared group fails to fix the instance
+    warnings: tuple[str, ...] = ()
 
     @property
     def subproblems(self) -> tuple[Subproblem, ...]:
@@ -208,15 +215,15 @@ def _layer_row(inst: Instance, layer: int) -> ConstraintSet:
     return ConstraintSet(tag=SUBLAYER, constraints=(Constraint(expr, EQ),))
 
 
-def _cut_sets(
-    row: ConstraintSet, cycle: Cycle, points: Sequence[tuple[int, ...]], eps: float
-) -> tuple[ConstraintSet, ...]:
-    """Layer or sub-layer row, smoothness guards, and one cut per
-    essential point."""
-    sets = [row, smoothness(cycle, eps)]
-    for z in points:
-        sets.append(s1_for_point(z, cycle, eps))
-    return tuple(sets)
+def _residue_sets(
+    row: ConstraintSet, cycle: Cycle, points: Sequence[tuple[int, ...]], opts: EngineOptions
+) -> tuple[tuple[tuple[ConstraintSet, ...], ...], tuple[ConstraintSet, ...]]:
+    """The sets of one layer or sub-layer row: the probe sets (row,
+    anchor) of each essential point, and the cut (row, smoothness guards,
+    one S1 cut per essential point)."""
+    probes = tuple((row, s3_anchor(z, cycle)) for z in points)
+    cuts = tuple(s1_for_point(z, cycle, opts.eps) for z in points)
+    return probes, (row, smoothness(cycle, opts.eps)) + cuts
 
 
 def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
@@ -273,23 +280,15 @@ def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
             notes.append(f"layer {layer} pruned (empty LP relaxation)")
             layer += step
             continue
-        residue = layer % n
-        ess = projected_essential_set(n, residue, opts.essential_budget)
-        row = _layer_row(inst, layer)
+        ess = projected_essential_set(n, layer % n, opts.essential_budget)
+        probes, cut = _residue_sets(_layer_row(inst, layer), cycle, ess.points, opts)
         stages.append(
             tuple(
-                Subproblem(
-                    f"L{layer}.S3.{j}",
-                    inst,
-                    (row, s3_anchor(z, cycle)),
-                    S3,
-                    ("layer", layer, "S3", j),
-                )
-                for j, z in enumerate(ess.points)
+                Subproblem(f"L{layer}.S3.{j}", inst, sets, S3, ("layer", layer, "S3", j))
+                for j, sets in enumerate(probes)
             )
         )
-        sets = _cut_sets(row, cycle, ess.points, opts.eps)
-        stages.append((Subproblem(f"L{layer}.S1", inst, sets, S1, ("layer", layer, "S1")),))
+        stages.append((Subproblem(f"L{layer}.S1", inst, cut, S1, ("layer", layer, "S1")),))
         layer += step
     notes.append(f"{walk} stops at layer {layer} (divisible by {n})")
     return Schedule(1, tuple(stages), lp=lp, stop_layer=layer, notes=tuple(notes))
@@ -317,25 +316,18 @@ def _plan_cycles(
         for c in cycles
         for t in range(1, c.k)
     }
+    # each (cycle, residue) is synthesized once; every tuple shares its cut
+    cuts: dict[tuple[int, int], tuple[ConstraintSet, ...]] = {}
     for c in cycles:
         s = c.support[0]
         for t in range(1, c.k):
-            for j, z in enumerate(ess[c.k, t]):
-                subs.append(
-                    Subproblem(
-                        f"A{s}.R{t}.S3.{j}",
-                        inst,
-                        (sublayer(c, t), s3_anchor(z, c)),
-                        S3,
-                        ("anchor", s, t, j),
-                    )
-                )
+            probes, cuts[s, t] = _residue_sets(sublayer(c, t), c, ess[c.k, t], opts)
+            subs.extend(
+                Subproblem(f"A{s}.R{t}.S3.{j}", inst, sets, S3, ("anchor", s, t, j))
+                for j, sets in enumerate(probes)
+            )
     for combo in product(*[range(1, c.k) for c in cycles]):
-        sets = tuple(
-            cs
-            for c, t in zip(cycles, combo)
-            for cs in _cut_sets(sublayer(c, t), c, ess[c.k, t], opts.eps)
-        )
+        sets = tuple(cs for c, t in zip(cycles, combo) for cs in cuts[c.support[0], t])
         label = "T" + "_".join(str(t) for t in combo)
         subs.append(Subproblem(f"{label}.S1", inst, sets, S1, ("tuple",) + combo))
     return Schedule(algorithm, (tuple(subs),))
@@ -356,9 +348,14 @@ def plan_algorithm3(
 
 def plan(inst: Instance, opts: Optional[EngineOptions] = None) -> Schedule:
     """Choose the algorithm from the instance's analyzed group and build
-    its full schedule; an instance without usable cycles gets the
-    no-symmetry schedule (one plain bounded enumeration)."""
+    its full schedule; an instance without usable cycles, or whose
+    declared group does not fix it, gets the no-symmetry schedule (one
+    plain bounded enumeration)."""
     opts = opts or EngineOptions()
+    warnings = tuple(symmetry_warnings(inst))
+    if warnings:
+        note = "declared group does not fix the instance; plain enumeration"
+        return replace(_plain_schedule(inst, opts), notes=(note,), warnings=warnings)
     group = inst.group
     if group is None or not group.selected_cycles:
         return _plain_schedule(inst, opts)
@@ -434,20 +431,11 @@ def _aggregate(
 
     if schedule.lp is not None and schedule.lp.status == UNBOUNDED:
         status = UNBOUNDED
-    elif inst.sense == FEASIBILITY:
-        if feasible:
-            status = FEASIBLE
-        elif unknown:
-            status = UNKNOWN
-        else:
-            status = INFEASIBLE
+    elif feasible and (inst.sense == FEASIBILITY or not unknown):
+        # on a max/min instance any Unknown outcome makes the verdict Unknown
+        status = FEASIBLE
     else:
-        if unknown:
-            status = UNKNOWN
-        elif feasible:
-            status = FEASIBLE
-        else:
-            status = INFEASIBLE
+        status = UNKNOWN if unknown else INFEASIBLE
 
     return Report(
         algorithm=schedule.algorithm,
@@ -461,7 +449,7 @@ def _aggregate(
         point=point,
         lp=schedule.lp,
         wall_time=wall_time,
-        warnings=tuple(symmetry_warnings(inst)),
+        warnings=schedule.warnings,
         notes=schedule.notes,
     )
 
@@ -526,6 +514,7 @@ def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Repo
     surviving layer anchor probes and one cut subproblem, stopping at
     the first feasible layer or at the first layer divisible by n, where
     the fixed-space point is evaluated directly."""
+    _check_symmetric(inst)
     return _run(inst, opts, plan_algorithm1)
 
 
@@ -534,6 +523,7 @@ def run_algorithm2(
 ) -> Report:
     """Sub-layer search along one selected cycle: its singularity
     subproblem, every residue's probes, then every residue's cut."""
+    _check_symmetric(inst)
     return _run(inst, opts, plan_algorithm2, cycle)
 
 
@@ -543,6 +533,7 @@ def run_algorithm3(
     """Residue-tuple search across several disjoint cycles: one
     singularity subproblem per cycle, every cycle's anchor probes, then
     every residue tuple's cut."""
+    _check_symmetric(inst)
     return _run(inst, opts, plan_algorithm3, cycles)
 
 
@@ -618,6 +609,12 @@ def _single_full_cycle(inst: Instance) -> Cycle:
             f"Algorithm 1 needs a full-support cycle (k={cycle.k}, n={inst.n})"
         )
     return cycle
+
+
+def _check_symmetric(inst: Instance) -> None:
+    warnings = symmetry_warnings(inst)
+    if warnings:
+        raise InputError("declared group does not fix the instance: " + "; ".join(warnings))
 
 
 def _check_disjoint(inst: Instance, cycles: Sequence[Cycle]) -> None:

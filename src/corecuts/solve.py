@@ -152,7 +152,12 @@ def symmetry_warnings(inst: Instance) -> list[str]:
     must permute the row multiset onto itself, fix the objective vector
     and permute the bound declarations onto themselves.
     Returns human-readable warnings; an empty list means the declaration
-    is consistent."""
+    is consistent.
+
+    Rows are compared as written: a row that a generator maps onto a
+    rescaled copy of another row (``2*x1 <= 2`` for ``x2 <= 1``) counts as
+    not fixed.  ``engine.plan`` plans such an instance plain, which is
+    sound but slower."""
     if inst.group is None:
         return []
     warnings: list[str] = []
@@ -516,7 +521,12 @@ def solve_subproblem(
     # the cutoff's bound changes at leaves, so every node queues it
     starts = [w if not want_best or cut in w else w + [cut] for w in watch]
 
-    bounds0 = _propagate(_initial_bounds(variables, box), rows, watch)
+    bounds0 = _initial_bounds(variables, box)
+    # an empty integer range admits no point; propagation visits only rows,
+    # so it would miss one on a variable that no row holds
+    if any(lo > hi for lo, hi in bounds0):
+        return Outcome(INFEASIBLE)
+    bounds0 = _propagate(bounds0, rows, watch)
     if bounds0 is None:
         return Outcome(INFEASIBLE)
 
@@ -548,8 +558,6 @@ def solve_subproblem(
         lo, hi = bounds[depth]
         if v is None:
             v = lo
-        if v > hi:  # the bounds were empty before the search
-            continue
         if v < hi:
             stack.append((depth, v + 1, bounds))
         budget -= 1

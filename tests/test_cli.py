@@ -209,6 +209,19 @@ def test_solve_nonpositive_budget_exits_64(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_solve_forced_algorithm_on_an_unfixed_instance_exits_64(tmp_path, capsys):
+    """The declared 3-cycle does not fix x1 == 2, x2 == x3 == 0."""
+    rows = [make_row(a, "==", b) for a, b in (([1, 0, 0], 2), ([0, 1, 0], 0), ([0, 0, 1], 0))]
+    inst = make_instance(3, rows=rows, bounds=[(0, 3)] * 3, group=analyze_group(["(1,2,3)"], 3))
+    path = tmp_path / "pinned.json"
+    write_instance(inst, path)
+    assert main(["solve", str(path), "--algorithm", "1"]) == 64
+    assert "does not fix" in capsys.readouterr().err
+    code, doc = _run(capsys, ["solve", str(path)])
+    assert (code, doc["algorithm"], doc["point"]) == (0, 0, ["2", "0", "0"])
+    assert doc["warnings"]
+
+
 @pytest.mark.parametrize("k", ["0", "-3"])
 def test_essential_nonpositive_cycle_length_exits_64(capsys, k):
     code = main(["essential", k, "1"])

@@ -328,6 +328,77 @@ def test_algorithm3_requires_two_cycles():
         plan_algorithm3(inst, group.selected_cycles, EngineOptions())
 
 
+def test_residue_sets_are_built_once_and_shared():
+    """Every residue tuple's cut holds the very set objects of its
+    cycles' residue cuts, and each probe of (cycle, residue) holds that
+    residue's sub-layer row."""
+    inst = _random_cycles_instance(random.Random(0), (3, 4), "max")
+    schedule = plan(inst, EngineOptions(essential_budget=4))
+    assert schedule.algorithm == 3
+    probes = {}
+    for sp in schedule.subproblems:
+        if sp.tag == "S3":
+            _, s, t, _ = sp.provenance
+            probes.setdefault((s, t), []).append(sp.added)
+    cuts = {}
+    for sp in schedule.subproblems:
+        if sp.tag != "S1":
+            continue
+        sets = sp.added
+        for s, t in zip((1, 4), sp.provenance[1:]):
+            size = 2 + len(probes[s, t])
+            cut, sets = sets[:size], sets[size:]
+            first = cuts.setdefault((s, t), cut)
+            assert all(a is b for a, b in zip(cut, first))
+            assert all(p[0] is cut[0] for p in probes[s, t])
+        assert sets == ()
+    assert len(cuts) == 2 + 3
+
+
+def _unfixed_instances():
+    """Two instances that the declared 3-cycle does not fix: a fixed
+    point off the fixed space, and an objective on x1 alone."""
+    group = _full_cycle_group(3)
+    pinned = make_instance(
+        3,
+        rows=[make_row(a, "==", b) for a, b in (([1, 0, 0], 2), ([0, 1, 0], 0), ([0, 0, 1], 0))],
+        bounds=_box(3, 0, 3),
+        group=group,
+    )
+    skewed = make_instance(
+        3, sense="max", objective=[1, 0, 0], rows=(make_row([1, 1, 1], LE, 4),),
+        bounds=_box(3, 0, 3), group=group,
+    )
+    return pinned, skewed
+
+
+@pytest.mark.parametrize("which, point", [(0, (2, 0, 0)), (1, (3, 0, 0))])
+def test_run_auto_plans_plain_when_the_group_does_not_fix_the_instance(which, point):
+    inst = _unfixed_instances()[which]
+    schedule = plan(inst)
+    assert schedule.algorithm == 0
+    assert schedule.warnings and len(schedule.notes) == 1
+    rep = run_auto(inst)
+    assert (rep.algorithm, rep.status, rep.point) == (0, "Feasible", point)
+    assert rep.warnings == schedule.warnings
+    assert report_to_dict(rep)["warnings"] == list(schedule.warnings)
+    ref = run_plain(inst)
+    assert (rep.point, rep.f_star) == (ref.point, ref.f_star)
+
+
+def test_forced_algorithms_refuse_an_instance_the_group_does_not_fix():
+    for inst in _unfixed_instances():
+        with pytest.raises(InputError, match="does not fix"):
+            run_algorithm1(inst)
+    row = make_row([1, 0, 0], "==", 1)
+    partial = make_instance(3, rows=(row,), group=analyze_group(["(1,2)"], 3))
+    with pytest.raises(InputError, match="does not fix"):
+        run_algorithm2(partial, partial.group.selected_cycles[0])
+    double = make_instance(4, rows=(make_row([0, 0, 1, 0], "==", 1),), group=_two_cycles_group(2))
+    with pytest.raises(InputError, match="does not fix"):
+        run_algorithm3(double, double.group.selected_cycles)
+
+
 # ---------------------------------------------------------------------------
 # dispatch semantics
 

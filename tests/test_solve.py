@@ -298,6 +298,17 @@ def test_solve_budget_zero_is_unknown():
     assert solve_subproblem(_sub(inst), budget=0).status == UNKNOWN
 
 
+def test_solve_empty_bounds_are_infeasible_before_the_search():
+    """[1/3, 2/3] holds no integer, and no row holds that variable: the
+    answer is Infeasible without a single attempt, however wide the rest
+    of the box is."""
+    empty = (Fraction(1, 3), Fraction(2, 3))
+    narrow = make_instance(2, bounds=_box(1, 0, 3) + (empty,))
+    assert solve_subproblem(_sub(narrow), budget=3).status == INFEASIBLE
+    wide = make_instance(12, bounds=_box(11, 0, 3) + (empty,))
+    assert solve_subproblem(_sub(wide), budget=1).status == INFEASIBLE
+
+
 @pytest.mark.parametrize("budget, status", [(20, INFEASIBLE), (19, UNKNOWN)])
 def test_solve_budget_counts_every_attempt(budget, status):
     """Box [0,3]^2 and a leaf constraint no leaf meets: the search tries
