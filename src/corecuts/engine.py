@@ -51,18 +51,20 @@ counts are a property of the plan, not of solver luck.  The shapes are:
 
 Without usable symmetry the schedule is one plain enumeration of the
 instance.  ``plan()`` also plans an instance plain when its declared group
-does not fix it (``symmetry_warnings``), and the forced algorithms refuse
-such an instance.
+does not fix it (``symmetry_warnings``), and the public planners, and so
+the forced algorithms, refuse such an instance.
 
 One runner exports and solves every schedule's subproblems in order and
 stops early by one rule: a feasibility instance stops at its first
 Feasible result, and Algorithm 1 on a max/min instance stops after the
 first layer (probes, then cut) with a Feasible result.  A walk that
-reaches its stop layer ends with the direct fixed-space probe.
-Aggregation follows the strictness rule: on a max/min instance any
-Unknown outcome (budget or box truncation) makes the verdict Unknown;
-Infeasible is only reported when every scheduled subproblem ran and
-certified exhaustion.
+reaches its stop layer ends with the direct fixed-space probe.  The
+runner reads the instance once: it merges the instance rows and lowers
+each added set once, and hands that reading to every subproblem and to
+the direct probe.  Aggregation follows the strictness rule: on a
+max/min instance any Unknown outcome (budget or box truncation) makes
+the verdict Unknown; Infeasible is only reported when every scheduled
+subproblem ran and certified exhaustion.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from .errors import InputError
 from .exprs import Add, Const, Constraint, ConstraintSet, DEFAULT_EPS, Dot, EQ
 from .exprs import S1, S2, S3, SUBLAYER
 from .perms import Cycle
-from .simplex import Tableau, _row_interval
+from .simplex import Tableau
 from .solve import (
     DEFAULT_BOX,
     DEFAULT_NODE_BUDGET,
@@ -93,6 +95,8 @@ from .solve import (
     Outcome,
     UNBOUNDED,
     UNKNOWN,
+    _Lowering,
+    _lower_instance,
     export_subproblem,
     lp_relax,
     solve_subproblem,
@@ -227,6 +231,13 @@ def _residue_sets(
 
 
 def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
+    """Algorithm 1's layer walk; refuses an instance its declared group
+    does not fix."""
+    _check_symmetric(inst)
+    return _plan_algorithm1(inst, opts)
+
+
+def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     cycle = _single_full_cycle(inst)
     n = inst.n
     notes: list[str] = []
@@ -334,12 +345,18 @@ def _plan_cycles(
 
 
 def plan_algorithm2(inst: Instance, cycle: Cycle, opts: EngineOptions) -> Schedule:
+    """Algorithm 2's residue schedule along one cycle; refuses an
+    instance its declared group does not fix."""
+    _check_symmetric(inst)
     return _plan_cycles(inst, (cycle,), opts, 2)
 
 
 def plan_algorithm3(
     inst: Instance, cycles: Sequence[Cycle], opts: EngineOptions
 ) -> Schedule:
+    """Algorithm 3's residue schedule across disjoint cycles; refuses an
+    instance its declared group does not fix."""
+    _check_symmetric(inst)
     cycles = tuple(cycles)
     if len(cycles) < 2:
         raise InputError("need at least two disjoint cycles")
@@ -359,12 +376,11 @@ def plan(inst: Instance, opts: Optional[EngineOptions] = None) -> Schedule:
     group = inst.group
     if group is None or not group.selected_cycles:
         return _plain_schedule(inst, opts)
+    # the group was checked above, so the planner bodies run unchecked
     cycles = group.selected_cycles
-    if len(cycles) == 1:
-        if cycles[0].k == inst.n:
-            return plan_algorithm1(inst, opts)
-        return plan_algorithm2(inst, cycles[0], opts)
-    return plan_algorithm3(inst, cycles, opts)
+    if len(cycles) == 1 and cycles[0].k == inst.n:
+        return _plan_algorithm1(inst, opts)
+    return _plan_cycles(inst, tuple(cycles), opts, 2 if len(cycles) == 1 else 3)
 
 
 def _plain_schedule(inst: Instance, opts: EngineOptions) -> Schedule:
@@ -382,19 +398,32 @@ def _objective_of(inst: Instance, point: Sequence[Fraction]) -> Fraction:
     return sum((c * x for c, x in zip(inst.objective, point)), Fraction(0))
 
 
-def _direct_fixed_probe(inst: Instance, layer: int) -> Outcome:
+def _direct_fixed_probe(
+    inst: Instance, layer: int, lowering: Optional[_Lowering] = None
+) -> Outcome:
     """Evaluate the fixed-space candidate (layer/n) * 1 directly against
-    the instance rows and bounds — exact, no enumeration."""
-    if layer % inst.n:
+    the instance's bounds and its merged integer rows (``lowering``, the
+    run's reading of inst; by default inst is read here) — exact, by
+    integer cross-multiplication, no enumeration."""
+    n = inst.n
+    if layer % n:
         raise InputError("direct probe needs a layer divisible by n")
-    value = Fraction(layer, inst.n)
-    point = (value,) * inst.n
+    if lowering is None:
+        lowering = _lower_instance(inst)
+    value = Fraction(layer, n)
+    point = (value,) * n
     for (lo, hi) in inst.bounds:
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             return Outcome(INFEASIBLE)
-    for coeffs, lo, hi in map(_row_interval, inst.rows):
-        act = sum(coeffs, Fraction(0)) * value
-        if (lo is not None and act < lo) or (hi is not None and act > hi):
+    if not lowering.nonempty:
+        return Outcome(INFEASIBLE)
+    for key, (lo, hi) in lowering.merged.items():
+        # the row's activity at the point is sum(a) * layer / n; a bound
+        # is a ratio (num, den) with den > 0
+        act = sum(a for _, a in key) * layer
+        if (lo is not None and lo[0] * n > act * lo[1]) or (
+            hi is not None and hi[0] * n < act * hi[1]
+        ):
             return Outcome(INFEASIBLE)
     objective = None if inst.sense == FEASIBILITY else _objective_of(inst, point)
     return Outcome(FEASIBLE, point=point, objective=objective)
@@ -466,10 +495,16 @@ def _run(
     layer stage with a Feasible result of Algorithm 1 on a max/min
     instance (layers come best first).  A layer walk that reaches its
     stop layer ends with the direct fixed-space probe.  A dry run solves
-    nothing and reports every subproblem Unknown."""
+    nothing and reports every subproblem Unknown.
+
+    The instance is read once per run (``solve._lower_instance``): its
+    rows are merged once, each added set is lowered once on first use,
+    and every subproblem and the direct probe start from that reading.
+    A dry run, or a schedule with nothing to solve, reads nothing."""
     opts = opts or EngineOptions()
     t0 = time.perf_counter()
     schedule = planner(inst, *args, opts)
+    lowering = _lower_instance(inst) if schedule.stages and not opts.dry_run else None
     if opts.export_dir:
         os.makedirs(opts.export_dir, exist_ok=True)
     results: list[SubResult] = []
@@ -483,7 +518,7 @@ def _run(
             if opts.dry_run:
                 out = Outcome(UNKNOWN)
             else:
-                out = solve_subproblem(sp, box=opts.box, budget=opts.budget)
+                out = solve_subproblem(sp, box=opts.box, budget=opts.budget, _lowering=lowering)
             results.append(SubResult(sp.id, sp.tag, sp.provenance, out, time.perf_counter() - t1))
             found = found or out.status == FEASIBLE
             if found and inst.sense == FEASIBILITY:
@@ -496,7 +531,7 @@ def _run(
 
     if not stopped and schedule.stop_layer is not None and not opts.dry_run:
         t1 = time.perf_counter()
-        out = _direct_fixed_probe(inst, schedule.stop_layer)
+        out = _direct_fixed_probe(inst, schedule.stop_layer, lowering)
         results.append(
             SubResult(
                 f"L{schedule.stop_layer}.fix",
@@ -514,7 +549,6 @@ def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Repo
     surviving layer anchor probes and one cut subproblem, stopping at
     the first feasible layer or at the first layer divisible by n, where
     the fixed-space point is evaluated directly."""
-    _check_symmetric(inst)
     return _run(inst, opts, plan_algorithm1)
 
 
@@ -523,7 +557,6 @@ def run_algorithm2(
 ) -> Report:
     """Sub-layer search along one selected cycle: its singularity
     subproblem, every residue's probes, then every residue's cut."""
-    _check_symmetric(inst)
     return _run(inst, opts, plan_algorithm2, cycle)
 
 
@@ -533,7 +566,6 @@ def run_algorithm3(
     """Residue-tuple search across several disjoint cycles: one
     singularity subproblem per cycle, every cycle's anchor probes, then
     every residue tuple's cut."""
-    _check_symmetric(inst)
     return _run(inst, opts, plan_algorithm3, cycles)
 
 

@@ -21,8 +21,8 @@ one-shot wrappers over the same code.
   ``lo <= a.x <= hi`` (``_merge_row``).  The bounds stay exact, nothing
   is rounded.  A ranged row has one logical variable in ``[0, hi -
   lo]``; an equality row has none.  The integer enumerator
-  (``solve._lower``) builds its rows with the same ``_merge_row`` and
-  rounds each bound inward.
+  (``solve._lower_instance`` and ``solve._lower``) builds its rows with
+  the same ``_merge_row`` and rounds each bound inward.
 * Artificials only where needed.  With every structural variable at 0,
   a logical that lies within its bounds starts basic; only the other
   rows, and the equality rows, get an artificial.

@@ -26,11 +26,17 @@ certified (a satisfying point, or full exhaustion of the box).  When the
 node budget runs out first the verdict is Unknown, never a guess.
 
 The enumerator and the MINLP export read a subproblem each its own way.
-``solve_subproblem`` reads the instance rows by position
+The enumerator reads the instance rows by position
 (``simplex._row_interval``: coefficients and an interval, the reader
-the LP and the direct fixed-point probe share), and lowers only the
-added constraint sets from their expression trees (``_interval_of``),
-keeping the non-affine ones for the leaves.  ``flatten_subproblem``
+the LP shares) and merges them (``_lower_instance``), and lowers only
+the added constraint sets from their expression trees
+(``_interval_of``), by name, keeping the non-affine ones for the
+leaves.  One run does this once: ``engine._run`` hands that reading
+(``_Lowering``) to every subproblem and to the direct fixed-space
+probe; each subproblem copies the merged instance rows and merges its
+added sets in order, and each set is lowered once, on first use.  A
+standalone ``solve_subproblem`` call reads its subproblem on its own
+and runs the same search.  ``flatten_subproblem``
 builds the export document: the instance rows become expression trees
 (``_row_to_constraint``, from the same ``_row_interval``), followed by
 the added constraints as they are.  Both take their variable order
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -154,19 +160,27 @@ def symmetry_warnings(inst: Instance) -> list[str]:
     Returns human-readable warnings; an empty list means the declaration
     is consistent.
 
-    Rows are compared as written: a row that a generator maps onto a
-    rescaled copy of another row (``2*x1 <= 2`` for ``x2 <= 1``) counts as
-    not fixed.  ``engine.plan`` plans such an instance plain, which is
-    sound but slower."""
+    Each row is read once, into an exact integer key: the
+    ``as_integer_ratio`` of each coefficient, the sense and the ratio of
+    the rhs, so ``1``, ``Fraction(1)`` and ``1.0`` give one key, as they
+    compare equal; a generator permutes those keys.  Rows are compared
+    as written: a row that a generator maps onto a rescaled copy of
+    another row (``2*x1 <= 2`` for ``x2 <= 1``) counts as not fixed.
+    ``engine.plan`` plans such an instance plain, which is sound but
+    slower."""
     if inst.group is None:
         return []
     warnings: list[str] = []
-    rows = Counter(inst.rows)
+    keys = [
+        (tuple(a.as_integer_ratio() for a in r.coeffs), r.sense, r.rhs.as_integer_ratio())
+        for r in inst.rows
+    ]
+    rows = Counter(keys)
     for g in inst.group.generators:
         label = f"generator {g.images}"
         if apply(g, inst.objective) != inst.objective:
             warnings.append(f"{label} does not fix the objective")
-        if Counter(replace(r, coeffs=apply(g, r.coeffs)) for r in inst.rows) != rows:
+        if Counter((apply(g, coeffs), sense, rhs) for coeffs, sense, rhs in keys) != rows:
             warnings.append(f"{label} does not permute the constraint rows")
         if apply(g, inst.bounds) != inst.bounds:
             warnings.append(f"{label} does not preserve bounds")
@@ -404,8 +418,40 @@ def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, i
     return out
 
 
+@dataclass(frozen=True)
+class _Lowering:
+    """One run's reading of an instance and of the sets its schedule
+    adds: the instance rows merged once by primitive integer coefficients
+    (``simplex._merge_row``, read by position through ``_row_interval``),
+    False in ``nonempty`` when some row admits no point, and each added
+    set's constraints lowered once (``_interval_of``), by name, keyed by
+    the set's identity.  The schedule holds every set until the run ends,
+    so an identity is not reused within it; hashing a frozen set instead
+    would walk its whole tree."""
+
+    merged: dict
+    nonempty: bool
+    sets: dict[int, list[tuple[Constraint, Optional[tuple]]]] = field(default_factory=dict)
+
+    def set_rows(self, cs) -> list[tuple[Constraint, Optional[tuple]]]:
+        rows = self.sets.get(id(cs))
+        if rows is None:
+            rows = self.sets[id(cs)] = [(con, _interval_of(con)) for con in cs.constraints]
+        return rows
+
+
+def _lower_instance(inst: Instance) -> _Lowering:
+    """Read inst's rows once: the start of every subproblem's ``_lower``
+    and the rows of the direct fixed-space probe."""
+    merged: dict = {}
+    nonempty = True
+    for coeffs, lo, hi in map(_row_interval, inst.rows):
+        nonempty = nonempty and _merge_row(merged, enumerate(coeffs), lo, hi)
+    return _Lowering(merged, nonempty)
+
+
 def _lower(
-    sub, var_index: dict[str, int]
+    sub, var_index: dict[str, int], lowering: Optional[_Lowering] = None
 ) -> tuple[
     Optional[list[tuple[list[tuple[int, int]], Optional[int], Optional[int]]]],
     list[Constraint],
@@ -414,17 +460,20 @@ def _lower(
     integer coefficients (``simplex._merge_row``, shared with the LP) and
     each merged bound rounded inward to an integer, or None when some row
     admits no integer point; and the added constraints that stay
-    nonlinear.  Instance rows are read by position (``_row_interval``);
-    only the added sets are lowered from their expression trees
-    (``_interval_of``)."""
-    merged: dict = {}
-    nonempty = True
-    for coeffs, lo, hi in map(_row_interval, sub.base.rows):
-        nonempty = nonempty and _merge_row(merged, enumerate(coeffs), lo, hi)
+    nonlinear.  ``lowering`` is the run's reading of sub.base and of the
+    sets (``_lower_instance``; by default sub.base is read here).  sub
+    starts from a copy of its merged instance rows and merges its added
+    sets in order; their rows are keyed by name and get their positions
+    from ``var_index``, since an auxiliary's position differs between
+    subproblems."""
+    if lowering is None:
+        lowering = _lower_instance(sub.base)
+    # merging updates the [lo, hi] entries in place
+    merged = {key: list(entry) for key, entry in lowering.merged.items()}
+    nonempty = lowering.nonempty
     nonlinear: list[Constraint] = []
     for cs in sub.added:
-        for con in cs.constraints:
-            row = _interval_of(con)
+        for con, row in lowering.set_rows(cs):
             if row is None:
                 nonlinear.append(con)
                 continue
@@ -451,6 +500,8 @@ def solve_subproblem(
     sub,
     box: int = DEFAULT_BOX,
     budget: int = DEFAULT_NODE_BUDGET,
+    *,
+    _lowering: Optional[_Lowering] = None,
 ) -> Outcome:
     """Depth-first integer enumeration of sub = base instance + added
     constraint sets, over the declared bounds intersected with
@@ -458,9 +509,12 @@ def solve_subproblem(
 
     The instance rows are read by position and only the added sets are
     lowered from their trees (``_lower``); the export document is not
-    built.  Linear rows are integer-scaled, divided by their gcd, merged
-    by coefficient vector (``simplex._merge_row``) and rounded inward,
-    then prune through exact interval propagation at every node: the
+    built.  ``_lowering`` is a run's reading of sub.base and of the sets
+    its schedule adds (``_lower_instance``, passed by ``engine._run``);
+    without it, sub is read here, and the search is the same.  Linear
+    rows are integer-scaled, divided by their gcd, merged by coefficient
+    vector (``simplex._merge_row``) and rounded inward, then prune
+    through exact interval propagation at every node: the
     root starts from all rows, a node from the rows that watch the
     variable it fixes, and each tightening queues the rows of the
     tightened variable, up to
@@ -498,7 +552,7 @@ def solve_subproblem(
     variables = _variables(sub)
     var_index = {v.name: i for i, v in enumerate(variables)}
     nvars = len(variables)
-    rows, nonlinear = _lower(sub, var_index)
+    rows, nonlinear = _lower(sub, var_index, _lowering)
     if rows is None:
         return Outcome(INFEASIBLE)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -30,7 +31,7 @@ from corecuts import (
     run_plain,
     s2_singular,
 )
-from corecuts import engine
+from corecuts import engine, simplex, solve
 from corecuts.simplex import GE, LE, Tableau, lp_feasible, make_row
 
 
@@ -302,6 +303,41 @@ def test_direct_fixed_probe_checks_every_row_sense():
         out = engine._direct_fixed_probe(inst, 3)
         assert out.status == status, (rel, rhs)
         assert out.point == ((1, 1, 1) if status == "Feasible" else None)
+    # fractional coefficients and right-hand sides, pairs of rows that
+    # merge into one ranged row (5/2 <= sum(x) <= 4 twice,
+    # 1/2 x1 + 2 x2 - 1/3 x3 == 13/6, sum(x) <= 3), and an empty
+    # instance, against the exact Fraction value of every row at
+    # (layer/3) * 1
+    half = Fraction(1, 2)
+    skew = [half, 2, Fraction(-1, 3)]
+    cases = [
+        [make_row(skew, rel, rhs)]
+        for rel in (LE, GE, "==")
+        for rhs in (Fraction(13, 6), Fraction(2), Fraction(7, 3), Fraction(-13, 3))
+    ] + [
+        [make_row([1, 1, 1], LE, 4), make_row([2, 2, 2], GE, 5)],
+        [make_row([-half] * 3, GE, -2), make_row([Fraction(2, 3)] * 3, GE, Fraction(5, 3))],
+        [make_row(skew, LE, Fraction(13, 6)), make_row([-3, -12, 2], LE, -13)],
+        [make_row([1, 1, 1], LE, 4), make_row([-1, -1, -1], GE, -3)],
+        # an all-zero row that excludes 0 empties the instance
+        [make_row([0, 0, 0], LE, -1), make_row([1, 1, 1], LE, 4)],
+    ]
+    seen = {"Feasible": 0, "Infeasible": 0}
+    for rows in cases:
+        inst = make_instance(3, rows=rows, group=_full_cycle_group(3))
+        for layer in (-6, -3, 0, 3, 6, 9):
+            value = Fraction(layer, 3)
+            holds = []
+            for row in rows:
+                act = sum(a * value for a in row.coeffs)
+                met = {LE: act <= row.rhs, GE: act >= row.rhs, "==": act == row.rhs}
+                holds.append(met[row.sense])
+            status = "Feasible" if all(holds) else "Infeasible"
+            out = engine._direct_fixed_probe(inst, layer)
+            assert out.status == status, (rows, layer)
+            assert out.point == ((value,) * 3 if all(holds) else None)
+            seen[status] += 1
+    assert min(seen.values()) > 15, seen
 
 
 def test_plan_selects_algorithm_by_group():
@@ -386,17 +422,35 @@ def test_run_auto_plans_plain_when_the_group_does_not_fix_the_instance(which, po
     assert (rep.point, rep.f_star) == (ref.point, ref.f_star)
 
 
-def test_forced_algorithms_refuse_an_instance_the_group_does_not_fix():
-    for inst in _unfixed_instances():
-        with pytest.raises(InputError, match="does not fix"):
-            run_algorithm1(inst)
+def _unfixed_forced_cases():
+    """(algorithm, instance, cycle arguments) for each forced algorithm,
+    on instances their declared group does not fix."""
     row = make_row([1, 0, 0], "==", 1)
     partial = make_instance(3, rows=(row,), group=analyze_group(["(1,2)"], 3))
-    with pytest.raises(InputError, match="does not fix"):
-        run_algorithm2(partial, partial.group.selected_cycles[0])
     double = make_instance(4, rows=(make_row([0, 0, 1, 0], "==", 1),), group=_two_cycles_group(2))
-    with pytest.raises(InputError, match="does not fix"):
-        run_algorithm3(double, double.group.selected_cycles)
+    return [(1, inst, ()) for inst in _unfixed_instances()] + [
+        (2, partial, (partial.group.selected_cycles[0],)),
+        (3, double, (double.group.selected_cycles,)),
+    ]
+
+
+def test_forced_algorithms_refuse_an_instance_the_group_does_not_fix():
+    runs = {1: run_algorithm1, 2: run_algorithm2, 3: run_algorithm3}
+    for algorithm, inst, args in _unfixed_forced_cases():
+        with pytest.raises(InputError, match="does not fix"):
+            runs[algorithm](inst, *args)
+
+
+def test_public_planners_refuse_an_instance_the_group_does_not_fix():
+    """A caller that solves a planner's schedule itself must not get a
+    false certificate: on the pinned 3-cycle instance, (2, 0, 0) is
+    feasible, yet every subproblem of the Algorithm 1 schedule planned
+    for it would be Infeasible."""
+    plans = {1: plan_algorithm1, 2: plan_algorithm2, 3: plan_algorithm3}
+    for algorithm, inst, args in _unfixed_forced_cases():
+        with pytest.raises(InputError, match="does not fix"):
+            plans[algorithm](inst, *args, EngineOptions())
+    assert run_plain(_unfixed_instances()[0]).point == (2, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +734,83 @@ def test_dry_run_dispatches_nothing():
     assert all(r.outcome.status == "Unknown" for r in rep.results)
     assert not [r for r in rep.results if r.tag == "FIX"]
     assert rep.status == "Unknown"
+
+
+def _spy_on_reads(monkeypatch):
+    """Count the instance-row reads of the run's lowering
+    (solve._row_interval) and of the planning Tableau
+    (simplex._row_interval), the _interval_of calls per constraint, and
+    record each subproblem the run dispatches, with its keyword
+    arguments and outcome."""
+    reads, lowered, dispatched = Counter(), Counter(), []
+    for module, key in ((solve, "lowering"), (simplex, "tableau")):
+
+        def read(row, fn=module._row_interval, key=key):
+            reads[key] += 1
+            return fn(row)
+
+        monkeypatch.setattr(module, "_row_interval", read)
+    interval_of = solve._interval_of
+
+    def lower(con):
+        lowered[id(con)] += 1
+        return interval_of(con)
+
+    monkeypatch.setattr(solve, "_interval_of", lower)
+    solve_subproblem = engine.solve_subproblem
+
+    def dispatch(sp, **kwargs):
+        out = solve_subproblem(sp, **kwargs)
+        dispatched.append((sp, kwargs, out))
+        return out
+
+    monkeypatch.setattr(engine, "solve_subproblem", dispatch)
+    return reads, lowered, dispatched
+
+
+def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch):
+    """run_auto reads the instance rows once for all its subproblems
+    (Algorithm 1's Tableau keeps its own read) and lowers each distinct
+    constraint once, and every dispatched subproblem answers as a
+    standalone solve_subproblem call does; the direct probe answers as
+    it does reading the instance on its own.  A dry run reads nothing."""
+    reads, lowered, dispatched = _spy_on_reads(monkeypatch)
+    rng = random.Random(31)
+    seen, statuses = Counter(), set()
+    for i in range(120):
+        sense = ("feasibility", "max", "min")[i % 3]
+        if i % 2:
+            n = rng.choice((3, 4, 5))
+            inst = _random_full_cycle_instance(rng, n, sense)
+            if i % 4 == 1:
+                # a row on sum(x) merges with every layer row
+                band = make_row([1] * n, LE, rng.randint(n, 3 * n))
+                inst = dataclasses.replace(inst, rows=inst.rows + (band,))
+        else:
+            inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
+        opts = EngineOptions(budget=rng.choice((40, solve.DEFAULT_NODE_BUDGET)))
+        for spy in (reads, lowered, dispatched):
+            spy.clear()
+        rep = run_auto(inst, opts)
+        if not dispatched:
+            continue
+        assert reads["lowering"] == len(inst.rows)
+        assert reads["tableau"] == (len(inst.rows) if rep.algorithm == 1 else 0)
+        constraints = {id(c) for sp, _, _ in dispatched for cs in sp.added for c in cs.constraints}
+        assert set(lowered) == constraints and set(lowered.values()) == {1}
+        for sp, kwargs, out in dispatched:
+            assert solve.solve_subproblem(sp, kwargs["box"], kwargs["budget"]) == out, sp.id
+        for r in rep.results:
+            if r.tag == "FIX":
+                assert engine._direct_fixed_probe(inst, r.provenance[1]) == r.outcome
+                seen["probes"] += 1
+        seen[f"algorithm {rep.algorithm}"] += len(dispatched) > 1
+        statuses.update(out.status for _, _, out in dispatched)
+    assert seen["algorithm 1"] > 10 and seen["algorithm 3"] > 40 and seen["probes"] > 10, seen
+    assert statuses == {"Feasible", "Infeasible", "Unknown"}
+    reads.clear()
+    run_auto(generate((1, 1, 0)).instance, EngineOptions(dry_run=True))
+    assert reads["lowering"] == 0
 
 
 def test_plain_dry_run_exports_its_subproblem(tmp_path):

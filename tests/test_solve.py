@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from corecuts import (
 )
 from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG
 from corecuts.instancefile import analyze_group
+from corecuts.perms import apply
 from corecuts import simplex
 from corecuts.simplex import GE, LE, LPRow, _merge_row, make_row
 from corecuts.solve import (
@@ -122,6 +124,92 @@ def test_symmetry_warnings_flag_unpermuted_rows():
         make_row([1 if j == i else 0 for j in range(3)], LE, 1) for i in range(3)
     )
     assert symmetry_warnings(make_instance(3, rows=sym_rows, group=group)) == []
+
+
+def _warnings_by_row_multiset(inst):
+    """The reference rule: each generator's image of every row rebuilt as
+    an LPRow, and the Counters of LPRows compared."""
+    if inst.group is None:
+        return []
+    warnings = []
+    rows = Counter(inst.rows)
+    for g in inst.group.generators:
+        label = f"generator {g.images}"
+        if apply(g, inst.objective) != inst.objective:
+            warnings.append(f"{label} does not fix the objective")
+        if Counter(LPRow(apply(g, r.coeffs), r.sense, r.rhs) for r in inst.rows) != rows:
+            warnings.append(f"{label} does not permute the constraint rows")
+        if apply(g, inst.bounds) != inst.bounds:
+            warnings.append(f"{label} does not preserve bounds")
+    return warnings
+
+
+def _as_written(rng, v):
+    """v as an int, a Fraction or a float, where that type holds it exactly."""
+    forms = [v]
+    if v.denominator == 1:
+        forms.append(int(v))
+    if v.denominator in (1, 2, 4):
+        forms.append(float(v))
+    return rng.choice(forms)
+
+
+def test_symmetry_warnings_match_the_row_multiset_rule():
+    """On random instances under cyclic and transposition groups, with
+    rows closed under the group, then permuted, perturbed, given another
+    sense or rescaled, and coefficients written as equal int, Fraction
+    and float values,
+    symmetry_warnings returns the reference rule's list."""
+    rng = random.Random(29)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        cycle = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+        choices = [[cycle], ["(1,2)"]]
+        if n >= 4:
+            choices.append(["(1,2)", "(1,2)(3,4)"])
+        gens = rng.choice(choices)
+        group = analyze_group(gens, n)
+        rows = []
+        for _ in range(rng.randint(0, 3)):
+            orbit = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))]
+            sense = rng.choice((LE, GE, "=="))
+            rhs = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+            for coeffs in orbit:
+                for g in group.generators:
+                    if (image := apply(g, coeffs)) not in orbit:
+                        orbit.append(image)
+            rows.extend([coeffs, sense, rhs] for coeffs in orbit)
+        change = rng.choice(("none", "perturb", "resense", "rescale one", "rescale all"))
+        if rows and change == "perturb":
+            row = rng.choice(rows)
+            j = rng.randrange(n + 1)
+            if j == n:
+                row[2] += Fraction(1, 2)
+            else:
+                row[0] = row[0][:j] + (row[0][j] + Fraction(1, 2),) + row[0][j + 1 :]
+        elif rows and change == "resense":
+            row = rng.choice(rows)
+            row[1] = rng.choice([rel for rel in (LE, GE, "==") if rel != row[1]])
+        elif rows and change.startswith("rescale"):
+            for row in rows if change == "rescale all" else [rng.choice(rows)]:
+                row[0], row[2] = tuple(2 * a for a in row[0]), 2 * row[2]
+        rng.shuffle(rows)
+        lp_rows = [
+            LPRow(tuple(_as_written(rng, a) for a in coeffs), sense, _as_written(rng, rhs))
+            for coeffs, sense, rhs in rows
+        ]
+        w = rng.choice((1, 2))
+        objective = [w] * n if rng.random() < 0.8 else [w + (j == 0) for j in range(n)]
+        bounds = _box(n, 0, 3) if rng.random() < 0.8 else ((0, 3),) + _box(n - 1, 0, 2)
+        inst = make_instance(
+            n, sense="max", objective=objective, rows=lp_rows, bounds=bounds, group=group
+        )
+        expected = _warnings_by_row_multiset(inst)
+        assert symmetry_warnings(inst) == expected, (gens, rows)
+        seen["rows" if any("rows" in w for w in expected) else "fixed rows"] += 1
+        seen["mixed types"] += len({type(a) for r in lp_rows for a in r.coeffs}) > 1
+    assert min(seen.values()) > 60, seen
 
 
 # ---------------------------------------------------------------------------
