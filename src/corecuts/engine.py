@@ -97,6 +97,7 @@ from .solve import (
     UNKNOWN,
     _Lowering,
     _lower_instance,
+    _read_export,
     export_subproblem,
     lp_relax,
     solve_subproblem,
@@ -500,11 +501,17 @@ def _run(
     The instance is read once per run (``solve._lower_instance``): its
     rows are merged once, each added set is lowered once on first use,
     and every subproblem and the direct probe start from that reading.
-    A dry run, or a schedule with nothing to solve, reads nothing."""
+    A dry run, or a schedule with nothing to solve, reads nothing.  A
+    run with an export directory also keeps one export reading
+    (``solve._read_export``): the instance rows become export
+    constraints once, and each variable entry, objective and constraint
+    is encoded to JSON once, on first use, and shared by every file the
+    run writes."""
     opts = opts or EngineOptions()
     t0 = time.perf_counter()
     schedule = planner(inst, *args, opts)
     lowering = _lower_instance(inst) if schedule.stages and not opts.dry_run else None
+    reading = _read_export(inst) if opts.export_dir else None
     if opts.export_dir:
         os.makedirs(opts.export_dir, exist_ok=True)
     results: list[SubResult] = []
@@ -513,7 +520,8 @@ def _run(
         found = False
         for sp in stage:
             if opts.export_dir:
-                export_subproblem(sp, os.path.join(opts.export_dir, f"{sp.id}.json"))
+                path = os.path.join(opts.export_dir, f"{sp.id}.json")
+                export_subproblem(sp, path, _reading=reading)
             t1 = time.perf_counter()
             if opts.dry_run:
                 out = Outcome(UNKNOWN)

@@ -20,14 +20,24 @@ where an expression E is one of::
     {"kind": "dot",    "coeffs": [n, ...], "names": [str, ...]}
 
 and a number n is either a JSON double or an exact rational
-``{"num": int, "den": int}``.  The writer builds the document as plain
-dicts and lists and hands it to ``json.dumps``, which prints doubles
-with ``repr``: the shortest text that reads back as the same double, so
+``{"num": int, "den": int}``.  The writer encodes each piece of a
+document to JSON text on its own, with one encoder's settings: each
+variable entry, the objective and each constraint's ``{"expr",
+"sense", "eps"}`` object.  It then joins those texts as ``json.dumps``
+joins a list's items, so the document is the same text that one
+``json.dumps`` of the whole document gives.  Doubles are printed with
+``repr``: the shortest text that reads back as the same double, so
 every finite double survives the round trip bit for bit.  Non-finite
-doubles are rejected.  Rationals stay exact by construction.
+doubles are rejected.  Rationals stay exact by construction.  A run
+that exports many subproblems of one instance hands the writer one
+dict of texts (``_texts``), so each piece is encoded once per run:
+constraints are keyed by identity (the run holds every one of them
+until it ends), variables and the objective by value.
 
 The parser is plain ``json.load`` plus a typed decode: JSON numbers
-become Python floats, ``{"num","den"}`` objects become Fractions.
+become finite Python floats, ``{"num","den"}`` objects with exact
+``int`` entries become Fractions, each distinct pair decoded once per
+file and shared, as a Fraction is immutable.
 Because the writer preserves argument order and the evaluator folds
 n-ary nodes strictly left to right, export → parse → evaluate is
 bit-exact against evaluating the original tree.
@@ -36,9 +46,10 @@ bit-exact against evaluating the original tree.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import InputError
 from .exprs import (
@@ -88,48 +99,65 @@ def _expr(e: Expr) -> dict:
     raise InputError(f"cannot serialize expression node {type(e).__name__}")
 
 
-def _objective_expr(flat: FlatProblem) -> Expr:
-    coeffs = []
-    names = []
-    for v in flat.variables:
-        c = flat.objective.get(v.name)
-        if c:
-            coeffs.append(c)
-            names.append(v.name)
-    if not coeffs:
-        return Const(Fraction(0))
-    return Dot(tuple(coeffs), tuple(names))
+# the settings every piece is encoded with; the document joins the pieces
+# as json.dumps with these separators joins a list's items.  A fresh
+# tree has no cycles, so the cycle check (a third of the encoder's time
+# here) can find nothing
+_encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False).encode
 
 
-def dumps_problem(flat: FlatProblem) -> str:
-    doc = {
-        "format": FORMAT_VERSION,
-        "vars": [
-            {
-                "name": v.name,
-                "lo": None if v.lo is None else _number(v.lo),
-                "hi": None if v.hi is None else _number(v.hi),
-                "kind": v.kind,
-            }
-            for v in flat.variables
-        ],
-        "objective": {"sense": flat.sense, "expr": _expr(_objective_expr(flat))},
-        "constraints": [
-            {"expr": _expr(con.expr), "sense": con.sense, "eps": _number(con.eps)}
-            for con in flat.constraints
-        ],
-    }
+def _var_text(v: FlatVar) -> str:
+    lo = None if v.lo is None else _number(v.lo)
+    hi = None if v.hi is None else _number(v.hi)
+    return _encode({"name": v.name, "lo": lo, "hi": hi, "kind": v.kind})
+
+
+def _objective_text(key: tuple) -> str:
+    sense, terms = key
+    if terms:
+        names, coeffs = zip(*terms)
+        expr = Dot(coeffs, names)
+    else:
+        expr = Const(Fraction(0))
+    return _encode({"sense": sense, "expr": _expr(expr)})
+
+
+def _constraint_text(con: Constraint) -> str:
+    return _encode({"expr": _expr(con.expr), "sense": con.sense, "eps": _number(con.eps)})
+
+
+def dumps_problem(flat: FlatProblem, *, _texts: Optional[dict] = None) -> str:
+    """The document of flat.  ``_texts`` is one run's encoded pieces
+    (``solve._ExportReading``): constraints keyed by identity, variables
+    and the objective by value; by default every piece is encoded here.
+    A value key does not tell ``0`` from ``Fraction(0)``, which encode
+    differently, but one run exports one instance, whose bounds and
+    weights stay the same objects."""
+    texts = {} if _texts is None else _texts
+
+    def text(key, encode, piece) -> str:
+        out = texts.get(key)
+        if out is None:
+            out = texts[key] = encode(piece)
+        return out
+
+    # the objective: the nonzero weights, in variable order
+    terms = tuple((v.name, c) for v in flat.variables if (c := flat.objective.get(v.name)))
+    key = (flat.sense, terms)
     try:
-        # doc is a fresh tree, so the encoder's cycle check (a third of
-        # its time here) can find nothing
-        text = json.dumps(doc, separators=(",", ":"), allow_nan=False, check_circular=False)
+        variables = ",".join([text(v, _var_text, v) for v in flat.variables])
+        objective = text(key, _objective_text, key)
+        constraints = ",".join([text(id(c), _constraint_text, c) for c in flat.constraints])
     except ValueError as exc:
         raise InputError(f"cannot serialize non-finite double: {exc}") from None
-    return text + "\n"
+    return (
+        f'{{"format":{FORMAT_VERSION},"vars":[{variables}],'
+        f'"objective":{objective},"constraints":[{constraints}]}}\n'
+    )
 
 
-def write_problem(flat: FlatProblem, path) -> None:
-    text = dumps_problem(flat)
+def write_problem(flat: FlatProblem, path, *, _texts: Optional[dict] = None) -> None:
+    text = dumps_problem(flat, _texts=_texts)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 
@@ -146,80 +174,99 @@ class ParsedProblem:
     constraints: tuple[Constraint, ...]
 
 
-def _decode_number(v) -> Union[Fraction, float]:
-    if isinstance(v, dict):
-        if set(v) != {"num", "den"} or not all(isinstance(v[k], int) for k in v):
-            raise InputError(f"malformed rational {v!r}")
-        return Fraction(v["num"], v["den"])
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InputError(f"malformed number {v!r}")
-    return float(v)
+def _decode_number(v, rationals: dict) -> Union[Fraction, float]:
+    """A JSON number as a finite float, or a ``{"num", "den"}`` object
+    of two ints as a Fraction; ``rationals`` maps each (num, den) pair
+    of the file decoded so far to its Fraction."""
+    if type(v) is float or type(v) is int:
+        # a huge integer raises OverflowError here, which the parser wraps
+        v = float(v)
+        if math.isfinite(v):
+            return v
+        raise InputError(f"non-finite number {v!r}")
+    if type(v) is dict:
+        num, den = v.get("num"), v.get("den")
+        if len(v) == 2 and type(num) is int and type(den) is int:
+            frac = rationals.get((num, den))
+            if frac is None:
+                frac = rationals[num, den] = Fraction(num, den)
+            return frac
+        raise InputError(f"malformed rational {v!r}")
+    raise InputError(f"malformed number {v!r}")
 
 
-def _decode_expr(d) -> Expr:
-    if not isinstance(d, dict) or "kind" not in d:
+def _decode_expr(d, rationals: dict) -> Expr:
+    if type(d) is not dict or "kind" not in d:
         raise InputError(f"malformed expression {d!r}")
     kind = d["kind"]
     if kind == "const":
-        return Const(_decode_number(d["value"]))
+        return Const(_decode_number(d["value"], rationals))
     if kind == "var":
         return Var(str(d["name"]))
     if kind in ("add", "mul"):
-        args = tuple(_decode_expr(a) for a in d["args"])
+        args = tuple([_decode_expr(a, rationals) for a in d["args"]])
         return Add(args) if kind == "add" else Mul(args)
     if kind == "div":
-        return Div(_decode_expr(d["num"]), _decode_expr(d["den"]))
+        return Div(_decode_expr(d["num"], rationals), _decode_expr(d["den"], rationals))
     if kind == "square":
-        return Square(_decode_expr(d["arg"]))
+        return Square(_decode_expr(d["arg"], rationals))
     if kind == "dot":
-        coeffs = tuple(_decode_number(c) for c in d["coeffs"])
-        names = tuple(str(n) for n in d["names"])
+        coeffs = tuple([_decode_number(c, rationals) for c in d["coeffs"]])
+        names = tuple([str(n) for n in d["names"]])
         return Dot(coeffs, names)
     raise InputError(f"unknown expression kind {kind!r}")
 
 
-def _decode_bound(v):
+def _decode_bound(v, rationals: dict):
     if v is None:
         return None
-    num = _decode_number(v)
-    return num if isinstance(num, Fraction) else Fraction(num)
+    num = _decode_number(v, rationals)
+    return num if type(num) is Fraction else Fraction(num)
 
 
 def parse_problem(path) -> ParsedProblem:
     """Read a problem file; a malformed document (bad JSON, a missing
-    key, an entry of the wrong type, a zero denominator) raises
-    InputError."""
+    key, an entry of the wrong type, a zero denominator, a non-finite
+    or out-of-range number) raises InputError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
             raise InputError("unsupported or missing format version")
         return _decode_problem(doc)
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (
+        AttributeError,
+        KeyError,
+        OverflowError,
+        TypeError,
+        ValueError,
+        ZeroDivisionError,
+    ) as exc:
         raise InputError(f"malformed problem file: {exc!r}") from exc
 
 
 def _decode_problem(doc: dict) -> ParsedProblem:
+    # each distinct rational of the file is decoded once
+    rationals: dict[tuple[int, int], Fraction] = {}
     variables = []
     for v in doc.get("vars", ()):
         kind = v.get("kind")
         if kind not in ("integer", "binary"):
             raise InputError(f"unknown variable kind {kind!r}")
-        variables.append(
-            FlatVar(str(v["name"]), _decode_bound(v["lo"]), _decode_bound(v["hi"]), kind)
-        )
+        lo, hi = _decode_bound(v["lo"], rationals), _decode_bound(v["hi"], rationals)
+        variables.append(FlatVar(str(v["name"]), lo, hi, kind))
     obj = doc.get("objective", {})
     sense = obj.get("sense")
     if sense not in ("max", "min", "feasibility"):
         raise InputError(f"unknown objective sense {sense!r}")
-    objective = _decode_expr(obj["expr"])
+    objective = _decode_expr(obj["expr"], rationals)
     constraints = []
     for c in doc.get("constraints", ()):
         if c.get("sense") not in SENSES:
             raise InputError(f"unknown constraint sense {c.get('sense')!r}")
-        eps = _decode_number(c.get("eps", 0.0))
+        eps = _decode_number(c.get("eps", 0.0), rationals)
         constraints.append(
-            Constraint(_decode_expr(c["expr"]), c["sense"], float(eps))
+            Constraint(_decode_expr(c["expr"], rationals), c["sense"], float(eps))
         )
     return ParsedProblem(
         variables=tuple(variables),

@@ -39,7 +39,13 @@ standalone ``solve_subproblem`` call reads its subproblem on its own
 and runs the same search.  ``flatten_subproblem``
 builds the export document: the instance rows become expression trees
 (``_row_to_constraint``, from the same ``_row_interval``), followed by
-the added constraints as they are.  Both take their variable order
+the added constraints as they are.  A run that exports keeps one export
+reading (``_ExportReading``), made by ``engine._run``: the instance
+rows become expression trees once per run, and the writer encodes each
+variable entry, objective and constraint to JSON once per run, into the
+reading's texts.  A standalone ``flatten_subproblem`` or
+``export_subproblem`` call makes a fresh reading and runs the same
+code.  Both readers take their variable order
 (instance variables, then auxiliaries in first-appearance order) from
 ``_variables``.  No construction ties the two row readers together;
 ``test_export_states_the_enumerated_problem`` in ``tests/test_solve.py``
@@ -91,6 +97,15 @@ UNBOUNDED = "Unbounded"
 MAX, MIN, FEASIBILITY = "max", "min", "feasibility"
 
 
+def _exact(v) -> Fraction:
+    """A row entry (an int, a finite float or a Fraction) as a Fraction."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
+        raise InputError(f"row entry {v!r} is not a number")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise InputError(f"row entry {v!r} is not finite")
+    return Fraction(v)
+
+
 @dataclass(frozen=True)
 class Instance:
     """An ILP with a declared cyclic symmetry.
@@ -98,7 +113,9 @@ class Instance:
     Variables are implicitly named ``x1`` .. ``xn`` (1-based), matching
     the names the synthesizer emits for cycle blocks.  Every variable
     must be integer: the enumerator searches integer points only, so a
-    continuous variable is rejected rather than answered wrongly.
+    continuous variable is rejected rather than answered wrongly.  A
+    row's coefficients and right-hand side may be ints, finite floats or
+    Fractions; each is converted exactly to a Fraction.
     """
 
     n: int
@@ -120,11 +137,17 @@ class Instance:
             raise InputError(
                 "continuous variables are not supported: every integrality flag must be true"
             )
+        rows = []
         for row in self.rows:
             if len(row.coeffs) != self.n:
                 raise InputError(f"row of width {len(row.coeffs)} in an instance of n = {self.n}")
             if row.sense not in (LE, GE, ROW_EQ):
                 raise InputError(f"unknown row sense {row.sense!r}")
+            if not all(type(v) is Fraction for v in (*row.coeffs, row.rhs)):
+                row = LPRow(tuple(map(_exact, row.coeffs)), row.sense, _exact(row.rhs))
+            rows.append(row)
+        # the solvers read Fraction rows; int and float entries convert exactly
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -162,8 +185,7 @@ def symmetry_warnings(inst: Instance) -> list[str]:
 
     Each row is read once, into an exact integer key: the
     ``as_integer_ratio`` of each coefficient, the sense and the ratio of
-    the rhs, so ``1``, ``Fraction(1)`` and ``1.0`` give one key, as they
-    compare equal; a generator permutes those keys.  Rows are compared
+    the rhs; a generator permutes those keys.  Rows are compared
     as written: a row that a generator maps onto a rescaled copy of
     another row (``2*x1 <= 2`` for ``x2 <= 1``) counts as not fixed.
     ``engine.plan`` plans such an instance plain, which is sound but
@@ -284,15 +306,38 @@ def _variables(sub) -> tuple[FlatVar, ...]:
     return tuple(variables)
 
 
-def flatten_subproblem(sub) -> FlatProblem:
+@dataclass(frozen=True)
+class _ExportReading:
+    """One run's reading of an instance for export: its rows as export
+    constraints (``_row_to_constraint``), built once, and the JSON text
+    of each piece the writer has encoded (``minlp.dumps_problem``'s
+    ``_texts``).  The reading holds the row constraints, and the
+    schedule every added one, until the run ends, so a constraint's
+    identity is not reused within it."""
+
+    rows: tuple[Constraint, ...]
+    texts: dict = field(default_factory=dict)
+
+
+def _read_export(inst: Instance) -> _ExportReading:
+    names = inst.var_names
+    return _ExportReading(tuple(_row_to_constraint(r, names) for r in inst.rows))
+
+
+def flatten_subproblem(sub, *, _reading: Optional[_ExportReading] = None) -> FlatProblem:
     """The export document of sub = sub.base (an Instance) plus sub.added
     (ConstraintSets): the variables of ``_variables``, the base rows as
-    expression trees, then the added constraints as they are."""
+    expression trees, then the added constraints as they are.
+    ``_reading`` is a run's export reading of sub.base (``_read_export``,
+    made by ``engine._run``), whose row constraints every subproblem of
+    the run shares; by default sub.base is read here."""
     base: Instance = sub.base
-    names = base.var_names
-    constraints = [_row_to_constraint(r, names) for r in base.rows]
+    if _reading is None:
+        _reading = _read_export(base)
+    constraints = list(_reading.rows)
     for cs in sub.added:
         constraints.extend(cs.constraints)
+    names = base.var_names
     return FlatProblem(
         variables=_variables(sub),
         sense=base.sense,
@@ -624,9 +669,16 @@ def solve_subproblem(
     return best or Outcome(INFEASIBLE)
 
 
-def export_subproblem(sub, path) -> None:
+def export_subproblem(sub, path, *, _reading: Optional[_ExportReading] = None) -> None:
     """Write sub as a MINLP-JSON file (see the serialization module for
-    the schema and the bit-exactness contract)."""
+    the schema and the bit-exactness contract).  ``_reading`` is a run's
+    export reading of sub.base (``_read_export``): the run's subproblems
+    share its row constraints and its encoded texts, so each piece is
+    encoded once per run; by default sub.base is read here, and the file
+    is the same."""
     from . import minlp
 
-    minlp.write_problem(flatten_subproblem(sub), path)
+    if _reading is None:
+        _reading = _read_export(sub.base)
+    flat = flatten_subproblem(sub, _reading=_reading)
+    minlp.write_problem(flat, path, _texts=_reading.texts)

@@ -2,10 +2,13 @@
 
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from corecuts import minlp, solve
 from corecuts import (
     Add,
     Const,
@@ -13,6 +16,7 @@ from corecuts import (
     ConstraintSet,
     Div,
     Dot,
+    EngineOptions,
     InputError,
     Mul,
     Square,
@@ -20,12 +24,17 @@ from corecuts import (
     Var,
     dumps_problem,
     eval_float,
+    export_subproblem,
     flatten_subproblem,
     make_instance,
     parse_problem,
+    plan,
+    run_auto,
     write_problem,
 )
-from corecuts.simplex import LE, make_row
+from corecuts.instancefile import analyze_group
+from corecuts.simplex import LE, LPRow, make_row
+from test_engine import _random_cycles_instance, _random_full_cycle_instance
 
 
 def _flat(sense="max", objective=(1,), nonlinear=()):
@@ -170,8 +179,27 @@ _ZERO = '{"kind":"const","value":0}'
         (f"[{_GOOD_VAR}]", '{"kind":"add"}'),
         ('["x1"]', _ZERO),
         (f"[{_GOOD_VAR}]", '{"kind":"const","value":{"num":1,"den":0}}'),
+        (f"[{_GOOD_VAR}]", '{"kind":"const","value":{"num":true,"den":1}}'),
+        (f"[{_GOOD_VAR}]", '{"kind":"const","value":{"num":1,"den":true}}'),
+        ('[{"name":"x1","lo":1' + "0" * 399 + ',"hi":null,"kind":"integer"}]', _ZERO),
+        ('[{"name":"x1","lo":Infinity,"hi":null,"kind":"integer"}]', _ZERO),
+        (f"[{_GOOD_VAR}]", '{"kind":"const","value":NaN}'),
+        (f"[{_GOOD_VAR}]", '{"kind":"const","value":Infinity}'),
+        (f"[{_GOOD_VAR}]", '{"kind":"const","value":1e400}'),
     ],
-    ids=["var-without-name", "add-without-args", "var-not-an-object", "zero-denominator"],
+    ids=[
+        "var-without-name",
+        "add-without-args",
+        "var-not-an-object",
+        "zero-denominator",
+        "bool-numerator",
+        "bool-denominator",
+        "400-digit-bound",
+        "infinite-bound",
+        "nan-const",
+        "infinite-const",
+        "overflowing-const",
+    ],
 )
 def test_parse_wraps_malformed_documents(tmp_path, vars_, expr):
     path = tmp_path / "bad.json"
@@ -194,3 +222,141 @@ def test_feasibility_objective_is_zero_const():
     flat = _flat(sense="feasibility")
     doc = json.loads(dumps_problem(flat))
     assert doc["objective"]["sense"] == "feasibility"
+
+
+# ---------------------------------------------------------------------------
+# a run's export: byte-identical documents, each piece encoded once
+
+
+def _reference_dumps(flat):
+    """The writer as one json.dumps of the whole document, the way it
+    was written before pieces were encoded on their own: the bytes every
+    export must match."""
+
+    def number(v):
+        return {"num": v.numerator, "den": v.denominator} if isinstance(v, Fraction) else v
+
+    def expr(e):
+        if isinstance(e, Const):
+            return {"kind": "const", "value": number(e.value)}
+        if isinstance(e, Var):
+            return {"kind": "var", "name": e.name}
+        if isinstance(e, (Add, Mul)):
+            kind = "add" if isinstance(e, Add) else "mul"
+            return {"kind": kind, "args": [expr(a) for a in e.args]}
+        if isinstance(e, Div):
+            return {"kind": "div", "num": expr(e.num), "den": expr(e.den)}
+        if isinstance(e, Square):
+            return {"kind": "square", "arg": expr(e.arg)}
+        return {"kind": "dot", "coeffs": [number(c) for c in e.coeffs], "names": list(e.names)}
+
+    names = tuple(v.name for v in flat.variables if flat.objective.get(v.name))
+    coeffs = tuple(flat.objective[name] for name in names)
+    objective = Dot(coeffs, names) if coeffs else Const(Fraction(0))
+    doc = {
+        "format": 1,
+        "vars": [
+            {
+                "name": v.name,
+                "lo": None if v.lo is None else number(v.lo),
+                "hi": None if v.hi is None else number(v.hi),
+                "kind": v.kind,
+            }
+            for v in flat.variables
+        ],
+        "objective": {"sense": flat.sense, "expr": expr(objective)},
+        "constraints": [
+            {"expr": expr(c.expr), "sense": c.sense, "eps": number(c.eps)}
+            for c in flat.constraints
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def _with_denominators(inst, d):
+    """inst with every row and objective weight divided by d and each
+    bound widened by 1/d: the same integer points and the same symmetry,
+    written with non-unit denominators."""
+    rows = tuple(LPRow(tuple(a / d for a in r.coeffs), r.sense, r.rhs / d) for r in inst.rows)
+    step = Fraction(1, d)
+    bounds = tuple((lo - step, hi + step) for lo, hi in inst.bounds)
+    objective = tuple(c / d for c in inst.objective)
+    return replace(inst, rows=rows, bounds=bounds, objective=objective)
+
+
+def test_a_run_exports_the_reference_bytes(tmp_path):
+    """On seeded random symmetric instances in all three senses, some
+    written with non-unit denominators, and with float eps: every file a
+    dry run writes equals the one-json.dumps reference and the file of a
+    one-shot export_subproblem, and parses back to flatten_subproblem's
+    variables and constraints."""
+    rng = random.Random(41)
+    seen = Counter()
+    for i in range(24):
+        sense = ("feasibility", "max", "min")[i % 3]
+        if i % 2:
+            inst = _random_full_cycle_instance(rng, rng.choice((3, 4)), sense)
+        else:
+            inst = _random_cycles_instance(rng, rng.choice(((2, 3), (3,), (2, 2))), sense)
+        if i % 4 >= 2:
+            inst = _with_denominators(inst, rng.choice((2, 3, 7)))
+            seen["denominators"] += 1
+        eps = rng.choice((1e-6, 0.1, 1 / 3))
+        opts = EngineOptions(eps=eps, export_dir=str(tmp_path / str(i)), dry_run=True)
+        report = run_auto(inst, opts)
+        subs = plan(inst, opts).subproblems
+        assert [sid for sid, _, _ in report.schedule] == [sp.id for sp in subs]
+        for sp in subs:
+            flat = flatten_subproblem(sp)
+            path = tmp_path / str(i) / f"{sp.id}.json"
+            alone = tmp_path / "alone.json"
+            export_subproblem(sp, alone)
+            assert path.read_bytes() == alone.read_bytes() == _reference_dumps(flat).encode()
+            parsed = parse_problem(path)
+            assert parsed.variables == flat.variables and parsed.constraints == flat.constraints
+            seen.update(v.kind for v in flat.variables[inst.n :])
+            seen[sp.tag] += 1
+    assert seen["binary"] and seen["integer"] and seen["S1"] > 10 and seen["denominators"] == 12
+
+
+def test_a_run_encodes_each_piece_once(monkeypatch, tmp_path):
+    """A run with an export directory turns each instance row into an
+    export constraint once and encodes each distinct constraint once, on
+    Algorithm 1 and Algorithm 3 schedules; a run without one encodes
+    nothing."""
+    built, encoded = [], []
+    row_to_constraint, constraint_text = solve._row_to_constraint, minlp._constraint_text
+    monkeypatch.setattr(
+        solve, "_row_to_constraint", lambda *args: built.append(args) or row_to_constraint(*args)
+    )
+    monkeypatch.setattr(
+        minlp, "_constraint_text", lambda con: encoded.append(con) or constraint_text(con)
+    )
+    c5 = make_instance(
+        5,
+        rows=(make_row([1] * 5, "==", 7),),
+        bounds=((Fraction(0), Fraction(3)),) * 5,
+        group=analyze_group(["(1,2,3,4,5)"], 5),
+    )
+    parity = make_instance(
+        6,
+        rows=(make_row([1] * 6, "==", 7), make_row([1, 1, 1, -1, -1, -1], "==", 0)),
+        bounds=((Fraction(0), Fraction(2)),) * 6,
+        group=analyze_group(["(1,2,3)", "(4,5,6)"], 6),
+    )
+    for inst, algorithm in ((c5, 1), (parity, 3)):
+        built.clear()
+        encoded.clear()
+        opts = EngineOptions(export_dir=str(tmp_path / str(algorithm)), dry_run=True)
+        report = run_auto(inst, opts)
+        assert report.algorithm == algorithm
+        assert len(built) == len(inst.rows)
+        subs = plan(inst, opts).subproblems
+        added = {id(c) for sp in subs for cs in sp.added for c in cs.constraints}
+        assert len({id(c) for c in encoded}) == len(encoded) == len(inst.rows) + len(added)
+        # a one-shot export per subproblem would encode every constraint of each
+        assert len(encoded) < sum(len(flatten_subproblem(sp).constraints) for sp in subs)
+        built.clear()
+        encoded.clear()
+        run_auto(inst, EngineOptions(dry_run=True))
+        assert built == [] and encoded == []

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,8 @@ from corecuts import (
     lp_relax,
     make_instance,
     plan,
+    report_to_dict,
+    run_auto,
     run_plain,
     solve_subproblem,
     symmetry_warnings,
@@ -210,6 +213,53 @@ def test_symmetry_warnings_match_the_row_multiset_rule():
         seen["rows" if any("rows" in w for w in expected) else "fixed rows"] += 1
         seen["mixed types"] += len({type(a) for r in lp_rows for a in r.coeffs}) > 1
     assert min(seen.values()) > 60, seen
+
+
+def _report(run, inst):
+    d = report_to_dict(run(inst))
+    del d["wall_time"]
+    for r in d["results"]:
+        del r["seconds"]
+    return d
+
+
+def test_int_and_float_rows_read_as_exact_fractions():
+    """An Instance converts int and float row entries exactly to
+    Fractions, so rows written with floats (halves and quarters among
+    them) give the same rows, and run_plain and run_auto the same
+    reports, as the rows written with Fractions; a non-finite or
+    non-number entry is refused."""
+    repro = (LPRow((1.0, 0.5), LE, 1), LPRow((1, 1), LE, 1.5))
+    for row in repro:
+        inst = make_instance(2, rows=(row,), bounds=_box(2, 0, 2))
+        assert all(type(v) is Fraction for v in (*inst.rows[0].coeffs, inst.rows[0].rhs))
+        assert run_plain(inst).status == FEASIBLE
+    rng = random.Random(5)
+    for i in range(12):
+        sense = ("feasibility", "max", "min")[i % 3]
+        if i % 2:
+            inst = _random_full_cycle_instance(rng, 4, sense)
+        else:
+            inst = _random_cycles_instance(rng, (2, 3), sense)
+        d = rng.choice((1, 2, 4))
+        rows = tuple(LPRow(tuple(a / d for a in r.coeffs), r.sense, r.rhs / d) for r in inst.rows)
+        exact = replace(inst, rows=rows)
+        written = replace(
+            inst,
+            rows=tuple(
+                LPRow(tuple(_as_written(rng, a) for a in r.coeffs), r.sense, float(r.rhs))
+                for r in rows
+            ),
+        )
+        assert written.rows == exact.rows
+        assert all(type(a) is Fraction for r in written.rows for a in (*r.coeffs, r.rhs))
+        for run in (run_plain, run_auto):
+            assert _report(run, written) == _report(run, exact)
+    for bad in (float("inf"), float("nan"), "1", None, True):
+        with pytest.raises(InputError):
+            make_instance(2, rows=(LPRow((1, bad), LE, 1),))
+        with pytest.raises(InputError):
+            make_instance(2, rows=(LPRow((1, 1), LE, bad),))
 
 
 # ---------------------------------------------------------------------------

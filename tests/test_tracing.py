@@ -57,3 +57,30 @@ def test_tracer_records_leaf_and_subproblem_spans():
     assert engine.run_auto is run_auto
     assert engine.solve_subproblem is solve_subproblem is solve.solve_subproblem
     assert evalcore.Program.run is run
+
+
+def test_tracer_records_one_export_span_per_subproblem(tmp_path):
+    """A traced dry-run export and a parse of its files record one span
+    of each export layer the benchmark groups per subproblem, so the
+    shared per-run encoding cannot hide a layer from the trace."""
+    spans = _load_spans()
+    engine = importlib.import_module("corecuts.engine")
+    minlp = importlib.import_module("corecuts.minlp")
+    inst = make_instance(
+        6,
+        rows=(make_row([1] * 6, "==", 7), make_row([1, 1, 1, -1, -1, -1], "==", 0)),
+        bounds=[(0, 2)] * 6,
+        group=analyze_group(["(1,2,3)", "(4,5,6)"], 6),
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        report = engine.run_auto(inst, EngineOptions(export_dir=str(tmp_path), dry_run=True))
+        for sid, _, _ in report.schedule:
+            minlp.parse_problem(tmp_path / f"{sid}.json")
+    finally:
+        tracer.uninstall()
+    calls = {name: n for name, (n, _) in tracer.self_times().items()}
+    assert len(report.schedule) > 5
+    for name in ("minlp.dumps_problem", "minlp.parse_problem", "solve.flatten_subproblem"):
+        assert calls.get(name) == len(report.schedule), name
