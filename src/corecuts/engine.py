@@ -13,8 +13,9 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   the LP layer range (the values of sum(x) over the LP relaxation) is
   pruned, and one LP, min or max of sum(x), gives the range's end the
   walk heads toward.  Both planning LPs run on one ``simplex.Tableau``
-  of the instance's rows and bounds: phase 1 runs once, and the range
-  LP is a phase-2 reoptimisation from the relaxation's optimal basis.
+  of the instance's rows and bounds, which starts from the run's merged
+  rows: phase 1 runs once, and the range LP is a phase-2 reoptimisation
+  from the relaxation's optimal basis.
   A feasibility instance walks down from the top of the layer range;
   when sum(x) has no LP maximum it walks up from the bottom instead,
   and when it has no LP bound at all the walk is empty and stops at
@@ -48,20 +49,25 @@ counts are a property of the plan, not of solver luck.  The shapes are:
     tuple's cut states.
   Each step needs every selected cycle to be a symmetry of the
   instance by itself, not only as a factor of a product generator.
+  So ``plan()`` plans only the selected cycles whose permutation alone
+  fixes the instance, by the check ``symmetry_warnings`` makes of a
+  generator.
 
 Without usable symmetry the schedule is one plain enumeration of the
 instance.  ``plan()`` also plans an instance plain when its declared group
-does not fix it (``symmetry_warnings``), and the public planners, and so
-the forced algorithms, refuse such an instance.
+does not fix it (``symmetry_warnings``), or when no selected cycle fixes
+it by itself, and the public planners, and so the forced algorithms,
+refuse such an instance.
 
 One runner exports and solves every schedule's subproblems in order and
 stops early by one rule: a feasibility instance stops at its first
 Feasible result, and Algorithm 1 on a max/min instance stops after the
 first layer (probes, then cut) with a Feasible result.  A walk that
 reaches its stop layer ends with the direct fixed-space probe.  The
-runner reads the instance once: it merges the instance rows and lowers
-each added set once, and hands that reading to every subproblem and to
-the direct probe.  Aggregation follows the strictness rule: on a
+runner reads the instance once, before planning: it merges the instance
+rows and lowers each added set once, and hands that reading to
+Algorithm 1's planning LPs, to every subproblem and to the direct
+probe.  Aggregation follows the strictness rule: on a
 max/min instance any Unknown outcome (budget or box truncation) makes
 the verdict Unknown; Infeasible is only reported when every scheduled
 subproblem ran and certified exhaustion.
@@ -98,6 +104,7 @@ from .solve import (
     _Lowering,
     _lower_instance,
     _read_export,
+    _symmetry_check,
     export_subproblem,
     lp_relax,
     solve_subproblem,
@@ -231,19 +238,30 @@ def _residue_sets(
     return probes, (row, smoothness(cycle, opts.eps)) + cuts
 
 
-def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
-    """Algorithm 1's layer walk; refuses an instance its declared group
-    does not fix."""
-    _check_symmetric(inst)
-    return _plan_algorithm1(inst, opts)
+def plan_algorithm1(
+    inst: Instance, opts: EngineOptions, *, _lowering: Optional[_Lowering] = None
+) -> Schedule:
+    """Algorithm 1's layer walk; refuses an instance its declared group,
+    or its cycle alone, does not fix.  ``_lowering`` is a run's reading
+    of inst (``solve._lower_instance``, made by ``_run``), which the
+    planning LPs start from; by default they read inst themselves."""
+    _check_symmetric(inst, inst.group.selected_cycles if inst.group else ())
+    return _plan_algorithm1(inst, opts, _lowering)
 
 
-def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
+def _plan_algorithm1(
+    inst: Instance, opts: EngineOptions, lowering: Optional[_Lowering] = None
+) -> Schedule:
+    """The layer walk of an instance its group and cycle fix.  One
+    ``Tableau`` serves the relaxation and the layer-range LP; it starts
+    from the merged rows of ``lowering``, the run's reading of inst, or
+    merges inst's rows itself when there is none (a dry run or a direct
+    call)."""
     cycle = _single_full_cycle(inst)
     n = inst.n
     notes: list[str] = []
-    # one tableau serves the relaxation and the layer-range LP
-    tableau = Tableau(n, inst.rows, inst.bounds)
+    merged = None if lowering is None else (lowering.merged, lowering.nonempty)
+    tableau = Tableau(n, inst.rows, inst.bounds, _merged=merged)
     lp = lp_relax(inst, tableau)
     if lp.status in (INFEASIBLE, UNBOUNDED):
         return Schedule(1, (), lp=lp, notes=(f"LP relaxation {lp.status}",))
@@ -347,8 +365,9 @@ def _plan_cycles(
 
 def plan_algorithm2(inst: Instance, cycle: Cycle, opts: EngineOptions) -> Schedule:
     """Algorithm 2's residue schedule along one cycle; refuses an
-    instance its declared group does not fix."""
-    _check_symmetric(inst)
+    instance its declared group, or the cycle alone, does not fix."""
+    _check_disjoint(inst, (cycle,))
+    _check_symmetric(inst, (cycle,))
     return _plan_cycles(inst, (cycle,), opts, 2)
 
 
@@ -356,32 +375,55 @@ def plan_algorithm3(
     inst: Instance, cycles: Sequence[Cycle], opts: EngineOptions
 ) -> Schedule:
     """Algorithm 3's residue schedule across disjoint cycles; refuses an
-    instance its declared group does not fix."""
-    _check_symmetric(inst)
+    instance its declared group, or one of the cycles alone, does not
+    fix."""
     cycles = tuple(cycles)
     if len(cycles) < 2:
         raise InputError("need at least two disjoint cycles")
+    _check_disjoint(inst, cycles)
+    _check_symmetric(inst, cycles)
     return _plan_cycles(inst, cycles, opts, 3)
 
 
-def plan(inst: Instance, opts: Optional[EngineOptions] = None) -> Schedule:
+def plan(
+    inst: Instance, opts: Optional[EngineOptions] = None, *, _lowering: Optional[_Lowering] = None
+) -> Schedule:
     """Choose the algorithm from the instance's analyzed group and build
     its full schedule; an instance without usable cycles, or whose
     declared group does not fix it, gets the no-symmetry schedule (one
-    plain bounded enumeration)."""
+    plain bounded enumeration).  Only the selected cycles that fix the
+    instance by themselves are planned, each with a note when it does
+    not: a cycle of a product generator may not.  With none left, the
+    schedule is plain.  ``_lowering`` is a run's reading of inst, which
+    Algorithm 1's planning LPs start from (see ``plan_algorithm1``)."""
     opts = opts or EngineOptions()
-    warnings = tuple(symmetry_warnings(inst))
+    group = inst.group
+    if group is None:
+        return _plain_schedule(inst, opts)
+    check = _symmetry_check(inst)
+    warnings = tuple(symmetry_warnings(inst, _check=check))
     if warnings:
         note = "declared group does not fix the instance; plain enumeration"
         return replace(_plain_schedule(inst, opts), notes=(note,), warnings=warnings)
-    group = inst.group
-    if group is None or not group.selected_cycles:
+    if not group.selected_cycles:
         return _plain_schedule(inst, opts)
-    # the group was checked above, so the planner bodies run unchecked
-    cycles = group.selected_cycles
+    cycles, notes = [], []
+    for c in group.selected_cycles:
+        misses = _cycle_misses(inst, c, check)
+        if misses:
+            notes.append(f"cycle {c} alone {', '.join(misses)}; not planned")
+        else:
+            cycles.append(c)
+    if not cycles:
+        note = "no selected cycle fixes the instance by itself; plain enumeration"
+        return replace(_plain_schedule(inst, opts), notes=(*notes, note))
+    # the group and the cycles were checked above, so the planner bodies
+    # run unchecked
     if len(cycles) == 1 and cycles[0].k == inst.n:
-        return _plan_algorithm1(inst, opts)
-    return _plan_cycles(inst, tuple(cycles), opts, 2 if len(cycles) == 1 else 3)
+        schedule = _plan_algorithm1(inst, opts, _lowering)
+    else:
+        schedule = _plan_cycles(inst, tuple(cycles), opts, 2 if len(cycles) == 1 else 3)
+    return replace(schedule, notes=(*notes, *schedule.notes)) if notes else schedule
 
 
 def _plain_schedule(inst: Instance, opts: EngineOptions) -> Schedule:
@@ -489,6 +531,7 @@ def _run(
     opts: Optional[EngineOptions],
     planner: Callable[..., Schedule],
     *args,
+    plans_lp: bool = False,
 ) -> Report:
     """Plan with ``planner(inst, *args, opts)``, then export and solve the
     subproblems stage by stage in schedule order.  The run stops at the
@@ -498,10 +541,13 @@ def _run(
     stop layer ends with the direct fixed-space probe.  A dry run solves
     nothing and reports every subproblem Unknown.
 
-    The instance is read once per run (``solve._lower_instance``): its
-    rows are merged once, each added set is lowered once on first use,
-    and every subproblem and the direct probe start from that reading.
-    A dry run, or a schedule with nothing to solve, reads nothing.  A
+    The instance is read once per run, before planning
+    (``solve._lower_instance``): its rows are merged once, each added set
+    is lowered once on first use, and Algorithm 1's planning LPs, every
+    subproblem and the direct probe start from that reading.  A planner
+    that may plan by LP (``plans_lp``) gets the reading as its private
+    ``_lowering`` argument.  A dry run reads nothing, and its planner
+    reads the rows where an LP needs them.  A
     run with an export directory also keeps one export reading
     (``solve._read_export``): the instance rows become export
     constraints once, and each variable entry, objective and constraint
@@ -509,8 +555,11 @@ def _run(
     run writes."""
     opts = opts or EngineOptions()
     t0 = time.perf_counter()
-    schedule = planner(inst, *args, opts)
-    lowering = _lower_instance(inst) if schedule.stages and not opts.dry_run else None
+    lowering = None if opts.dry_run else _lower_instance(inst)
+    if plans_lp:
+        schedule = planner(inst, *args, opts, _lowering=lowering)
+    else:
+        schedule = planner(inst, *args, opts)
     reading = _read_export(inst) if opts.export_dir else None
     if opts.export_dir:
         os.makedirs(opts.export_dir, exist_ok=True)
@@ -557,7 +606,7 @@ def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Repo
     surviving layer anchor probes and one cut subproblem, stopping at
     the first feasible layer or at the first layer divisible by n, where
     the fixed-space point is evaluated directly."""
-    return _run(inst, opts, plan_algorithm1)
+    return _run(inst, opts, plan_algorithm1, plans_lp=True)
 
 
 def run_algorithm2(
@@ -584,7 +633,7 @@ def run_plain(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:
 
 def run_auto(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:
     """plan() then run the chosen algorithm."""
-    return _run(inst, opts, plan)
+    return _run(inst, opts, plan, plans_lp=True)
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +700,27 @@ def _single_full_cycle(inst: Instance) -> Cycle:
     return cycle
 
 
-def _check_symmetric(inst: Instance) -> None:
-    warnings = symmetry_warnings(inst)
+def _cycle_misses(inst: Instance, cycle: Cycle, check) -> list[str]:
+    """What the cycle's permutation alone does not fix of inst (``check``
+    is ``solve._symmetry_check(inst)``).  A cycle that is a declared
+    generator was checked with the group, so it is not checked again."""
+    p = cycle.as_permutation(inst.n)
+    if inst.group is not None and p in inst.group.generators:
+        return []
+    return check(p)
+
+
+def _check_symmetric(inst: Instance, cycles: Sequence[Cycle]) -> None:
+    """Refuse inst when its declared group, or one of the cycles to be
+    planned on its own, does not fix it."""
+    check = _symmetry_check(inst)
+    warnings = symmetry_warnings(inst, _check=check)
     if warnings:
         raise InputError("declared group does not fix the instance: " + "; ".join(warnings))
+    for c in cycles:
+        misses = _cycle_misses(inst, c, check)
+        if misses:
+            raise InputError(f"cycle {c} alone does not fix the instance: {', '.join(misses)}")
 
 
 def _check_disjoint(inst: Instance, cycles: Sequence[Cycle]) -> None:

@@ -178,70 +178,118 @@ def variables_of(expr: Expr) -> set[str]:
     raise InputError(f"unknown node {expr!r}")
 
 
+class _NotAffine(Exception):
+    """Ends ``linear_form`` at the first node that is not affine."""
+
+
+def _rational(v) -> Union[int, Fraction]:
+    """A constant or coefficient exactly: an int when integral, else a
+    Fraction.  A float is not exact, so it is not affine."""
+    if type(v) is int:
+        return v
+    if isinstance(v, float):
+        raise _NotAffine
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _value(expr: Expr) -> Optional[Union[int, Fraction]]:
+    """The exact value of a subtree, or None when it holds a variable
+    (the walk stops there); raises _NotAffine where it is not affine."""
+    t = type(expr)
+    if t is Const:
+        return _rational(expr.value)
+    if t is Var:
+        return None
+    if t is Dot:
+        return None if expr.names else 0
+    if t is Add or t is Mul:
+        acc = 0 if t is Add else 1
+        for a in expr.args:
+            v = _value(a)
+            if v is None:
+                return None
+            acc = acc + v if t is Add else acc * v
+        return acc
+    if t is Div:
+        den = _value(expr.den)
+        if not den:  # a variable or a zero denominator
+            raise _NotAffine
+        num = _value(expr.num)
+        return None if num is None else _rational(Fraction(num, den))
+    if t is Square:
+        v = _value(expr.arg)
+        if v is None:
+            raise _NotAffine
+        return v * v
+    raise InputError(f"unknown node {expr!r}")
+
+
+def _add_scaled(expr: Expr, scale, coeffs: dict) -> Union[int, Fraction]:
+    """Add scale times the variable part of expr into coeffs and return
+    scale times its constant part."""
+    t = type(expr)
+    if t is Add:
+        const = 0
+        for a in expr.args:
+            const += _add_scaled(a, scale, coeffs)
+        return const
+    if t is Dot:
+        for c, name in zip(expr.coeffs, expr.names):
+            coeffs[name] = coeffs.get(name, 0) + scale * _rational(c)
+        return 0
+    if t is Const:
+        return scale * _rational(expr.value)
+    if t is Var:
+        coeffs[expr.name] = coeffs.get(expr.name, 0) + scale
+        return 0
+    if t is Mul:
+        # at most one factor may hold variables; the rest fold into scale
+        linear = None
+        for a in expr.args:
+            v = _value(a)
+            if v is None:
+                if linear is not None:
+                    raise _NotAffine  # a product of two variable factors
+                linear = a
+            else:
+                scale = scale * v
+        return scale if linear is None else _add_scaled(linear, scale, coeffs)
+    if t is Div:
+        den = _value(expr.den)
+        if not den:  # a variable or a zero denominator
+            raise _NotAffine
+        return _add_scaled(expr.num, _rational(Fraction(scale, den)), coeffs)
+    if t is Square:
+        return scale * _value(expr)  # never None: a variable argument raises
+    raise InputError(f"unknown node {expr!r}")
+
+
 def linear_form(expr: Expr) -> Optional[tuple[dict[str, Fraction], Fraction]]:
     """Affine decomposition (coeffs, constant) with exact rational
     coefficients, or None when the tree is nonlinear or carries float
     constants.  Lets the solver lower synthesized equalities and linear
-    inequalities to exact rows for propagation."""
-    if isinstance(expr, Const):
-        if isinstance(expr.value, float):
-            return None
-        return {}, Fraction(expr.value)
-    if isinstance(expr, Var):
-        return {expr.name: Fraction(1)}, Fraction(0)
-    if isinstance(expr, Add):
-        coeffs: dict[str, Fraction] = {}
-        const = Fraction(0)
-        for a in expr.args:
-            sub = linear_form(a)
-            if sub is None:
-                return None
-            for k, v in sub[0].items():
-                coeffs[k] = coeffs.get(k, Fraction(0)) + v
-            const += sub[1]
-        return coeffs, const
-    if isinstance(expr, Mul):
-        parts = [linear_form(a) for a in expr.args]
-        if any(p is None for p in parts):
-            return None
-        # at most one factor may carry variables; the rest fold into a scalar
-        linear: Optional[tuple[dict[str, Fraction], Fraction]] = None
-        scalar = Fraction(1)
-        for p in parts:
-            assert p is not None
-            if p[0]:
-                if linear is not None:
-                    return None  # product of two linear parts: quadratic
-                linear = p
-            else:
-                scalar *= p[1]
-        if linear is None:
-            return {}, scalar
-        return {k: v * scalar for k, v in linear[0].items()}, scalar * linear[1]
-    if isinstance(expr, Div):
-        den = linear_form(expr.den)
-        if den is None or den[0]:
-            return None
-        if den[1] == 0:
-            return None
-        num = linear_form(expr.num)
-        if num is None:
-            return None
-        return {k: v / den[1] for k, v in num[0].items()}, num[1] / den[1]
-    if isinstance(expr, Square):
-        arg = linear_form(expr.arg)
-        if arg is None or arg[0]:
-            return None
-        return {}, arg[1] * arg[1]
-    if isinstance(expr, Dot):
-        coeffs = {}
-        const = Fraction(0)
-        for coeff, name in zip(expr.coeffs, expr.names):
-            if isinstance(coeff, float):
-                return None
-            coeffs[name] = coeffs.get(name, Fraction(0)) + Fraction(coeff)
-        return coeffs, const
-    raise InputError(f"unknown node {expr!r}")
+    inequalities to exact rows for propagation.
+
+    One walk adds each node, scaled by the constant factors above it,
+    into one dict; integral values are ints, and a Fraction appears only
+    where a denominator does.  The walk stops at the first node that is
+    not affine: a product of two factors that hold variables, a square
+    of one or a division by one (or by zero), or a float constant or
+    coefficient.  A variable keeps its key when its coefficients sum
+    to 0."""
+    coeffs: dict = {}
+    try:
+        const = _add_scaled(expr, 1, coeffs)
+    except _NotAffine:
+        return None
+    for name, v in coeffs.items():
+        if type(v) is not int and v.denominator == 1:
+            coeffs[name] = v.numerator
+    if type(const) is not int and const.denominator == 1:
+        const = const.numerator
+    return coeffs, const
 
 
 def check_value(value: float, sense: str, eps: float) -> bool:

@@ -195,24 +195,35 @@ def _decode_number(v, rationals: dict) -> Union[Fraction, float]:
     raise InputError(f"malformed number {v!r}")
 
 
-def _decode_expr(d, rationals: dict) -> Expr:
+def _decode_expr(d, rationals: dict, declared: dict) -> Expr:
+    """An expression whose variables are all declared: ``declared`` maps
+    each declared name to itself, so one lookup checks and gives it."""
     if type(d) is not dict or "kind" not in d:
         raise InputError(f"malformed expression {d!r}")
     kind = d["kind"]
     if kind == "const":
         return Const(_decode_number(d["value"], rationals))
     if kind == "var":
-        return Var(str(d["name"]))
+        name = declared.get(d["name"])
+        if name is None:
+            raise InputError(f"undeclared variable {d['name']!r}")
+        return Var(name)
     if kind in ("add", "mul"):
-        args = tuple([_decode_expr(a, rationals) for a in d["args"]])
+        args = tuple([_decode_expr(a, rationals, declared) for a in d["args"]])
         return Add(args) if kind == "add" else Mul(args)
     if kind == "div":
-        return Div(_decode_expr(d["num"], rationals), _decode_expr(d["den"], rationals))
+        return Div(
+            _decode_expr(d["num"], rationals, declared),
+            _decode_expr(d["den"], rationals, declared),
+        )
     if kind == "square":
-        return Square(_decode_expr(d["arg"], rationals))
+        return Square(_decode_expr(d["arg"], rationals, declared))
     if kind == "dot":
         coeffs = tuple([_decode_number(c, rationals) for c in d["coeffs"]])
-        names = tuple([str(n) for n in d["names"]])
+        try:
+            names = tuple([declared[n] for n in d["names"]])
+        except KeyError as exc:
+            raise InputError(f"undeclared variable {exc}") from None
         return Dot(coeffs, names)
     raise InputError(f"unknown expression kind {kind!r}")
 
@@ -225,13 +236,15 @@ def _decode_bound(v, rationals: dict):
 
 
 def parse_problem(path) -> ParsedProblem:
-    """Read a problem file; a malformed document (bad JSON, a missing
-    key, an entry of the wrong type, a zero denominator, a non-finite
-    or out-of-range number) raises InputError."""
+    """Read a problem file; a malformed document (bad JSON, a format
+    that is not the integer 1, a missing key, an entry of the wrong type,
+    an undeclared variable, a zero denominator, a non-finite or
+    out-of-range number) raises InputError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
+        version = doc.get("format") if isinstance(doc, dict) else None
+        if type(version) is not int or version != FORMAT_VERSION:
             raise InputError("unsupported or missing format version")
         return _decode_problem(doc)
     except (
@@ -249,24 +262,25 @@ def _decode_problem(doc: dict) -> ParsedProblem:
     # each distinct rational of the file is decoded once
     rationals: dict[tuple[int, int], Fraction] = {}
     variables = []
-    for v in doc.get("vars", ()):
+    for v in doc["vars"]:
         kind = v.get("kind")
         if kind not in ("integer", "binary"):
             raise InputError(f"unknown variable kind {kind!r}")
         lo, hi = _decode_bound(v["lo"], rationals), _decode_bound(v["hi"], rationals)
         variables.append(FlatVar(str(v["name"]), lo, hi, kind))
+    declared = {v.name: v.name for v in variables}
     obj = doc.get("objective", {})
     sense = obj.get("sense")
     if sense not in ("max", "min", "feasibility"):
         raise InputError(f"unknown objective sense {sense!r}")
-    objective = _decode_expr(obj["expr"], rationals)
+    objective = _decode_expr(obj["expr"], rationals, declared)
     constraints = []
-    for c in doc.get("constraints", ()):
+    for c in doc["constraints"]:
         if c.get("sense") not in SENSES:
             raise InputError(f"unknown constraint sense {c.get('sense')!r}")
         eps = _decode_number(c.get("eps", 0.0), rationals)
         constraints.append(
-            Constraint(_decode_expr(c["expr"], rationals), c["sense"], float(eps))
+            Constraint(_decode_expr(c["expr"], rationals, declared), c["sense"], float(eps))
         )
     return ParsedProblem(
         variables=tuple(variables),

@@ -22,7 +22,10 @@ one-shot wrappers over the same code.
   is rounded.  A ranged row has one logical variable in ``[0, hi -
   lo]``; an equality row has none.  The integer enumerator
   (``solve._lower_instance`` and ``solve._lower``) builds its rows with
-  the same ``_merge_row`` and rounds each bound inward.
+  the same ``_merge_row`` and rounds each bound inward.  A run merges
+  an instance's rows once (``solve._lower_instance``), and Algorithm
+  1's planning ``Tableau`` starts from those merged rows; a ``Tableau``
+  built without them merges its rows itself.
 * Artificials only where needed.  With every structural variable at 0,
   a logical that lies within its bounds starts basic; only the other
   rows, and the equality rows, get an artificial.
@@ -145,7 +148,18 @@ class Tableau:
     basic column holds ``den`` in its row and 0 in every other row and
     in the cost row."""
 
-    def __init__(self, n: int, rows: Sequence[LPRow], bounds: Sequence[tuple[Bound, Bound]]):
+    def __init__(
+        self,
+        n: int,
+        rows: Sequence[LPRow],
+        bounds: Sequence[tuple[Bound, Bound]],
+        *,
+        _merged: Optional[tuple[dict, bool]] = None,
+    ):
+        """``_merged`` is ``rows`` already merged by ``_merge_row`` (the
+        dict, and False when some row admits no point), such as a run's
+        reading of an instance (``solve._lower_instance``); by default
+        the rows are merged here."""
         if len(bounds) != n:
             raise InputError("objective/bounds length mismatch")
         self.n = n
@@ -159,13 +173,16 @@ class Tableau:
         self.basis: list[int] = []
         self.flipped: list[bool] = []
         self.den = 1
-        ranged: dict = {}
-        nonempty = True
-        for row in rows:
-            if len(row.coeffs) != n:
-                raise InputError("row length mismatch")
-            coeffs, lo, hi = _row_interval(row)
-            nonempty = nonempty and _merge_row(ranged, enumerate(coeffs), lo, hi)
+        if _merged is None:
+            ranged: dict = {}
+            nonempty = True
+            for row in rows:
+                if len(row.coeffs) != n:
+                    raise InputError("row length mismatch")
+                coeffs, lo, hi = _row_interval(row)
+                nonempty = nonempty and _merge_row(ranged, enumerate(coeffs), lo, hi)
+        else:
+            ranged, nonempty = _merged
         self.feasible = nonempty and self._add_variables(bounds)
         if self.feasible:
             self.feasible = self._phase1(self._add_rows(ranged))

@@ -27,16 +27,18 @@ node budget runs out first the verdict is Unknown, never a guess.
 
 The enumerator and the MINLP export read a subproblem each its own way.
 The enumerator reads the instance rows by position
-(``simplex._row_interval``: coefficients and an interval, the reader
-the LP shares) and merges them (``_lower_instance``), and lowers only
-the added constraint sets from their expression trees
-(``_interval_of``), by name, keeping the non-affine ones for the
-leaves.  One run does this once: ``engine._run`` hands that reading
-(``_Lowering``) to every subproblem and to the direct fixed-space
-probe; each subproblem copies the merged instance rows and merges its
-added sets in order, and each set is lowered once, on first use.  A
-standalone ``solve_subproblem`` call reads its subproblem on its own
-and runs the same search.  ``flatten_subproblem``
+(``simplex._row_interval``: coefficients and an interval) and merges
+them (``_lower_instance``), and lowers only the added constraint sets
+from their expression trees (``_interval_of``, through the one-pass
+integer reader ``exprs.linear_form``), by name, keeping the non-affine
+ones for the leaves.  One run does this once, before it plans:
+``engine._run`` hands that reading (``_Lowering``) to Algorithm 1's
+planning ``Tableau``, which starts from its merged rows, to every
+subproblem and to the direct fixed-space probe; each subproblem copies
+the merged instance rows and merges its added sets in order, and each
+set is lowered once, on first use.  A standalone ``solve_subproblem``
+call, or a ``Tableau`` built without the reading, reads the rows on
+its own with the same code.  ``flatten_subproblem``
 builds the export document: the instance rows become expression trees
 (``_row_to_constraint``, from the same ``_row_interval``), followed by
 the added constraints as they are.  A run that exports keeps one export
@@ -60,7 +62,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError
 from .evalcore import Program, compile_expr
@@ -76,7 +78,7 @@ from .exprs import (
     check_value,
     linear_form,
 )
-from .perms import GroupSpec, apply
+from .perms import GroupSpec, Permutation, apply
 from .simplex import EQ as ROW_EQ, GE, LE, LPRow, Tableau, _merge_row, _row_interval
 
 #: half-width of the fallback enumeration box for variables whose
@@ -97,13 +99,19 @@ UNBOUNDED = "Unbounded"
 MAX, MIN, FEASIBILITY = "max", "min", "feasibility"
 
 
+def _number(v, what: str):
+    """v when it is an int, a finite float or a Fraction; InputError
+    naming it as ``what`` otherwise."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
+        raise InputError(f"{what} {v!r} is not a number")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise InputError(f"{what} {v!r} is not finite")
+    return v
+
+
 def _exact(v) -> Fraction:
     """A row entry (an int, a finite float or a Fraction) as a Fraction."""
-    if isinstance(v, bool) or not isinstance(v, (int, float, Fraction)):
-        raise InputError(f"row entry {v!r} is not a number")
-    if isinstance(v, float) and not math.isfinite(v):
-        raise InputError(f"row entry {v!r} is not finite")
-    return Fraction(v)
+    return Fraction(_number(v, "row entry"))
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,9 @@ class Instance:
     must be integer: the enumerator searches integer points only, so a
     continuous variable is rejected rather than answered wrongly.  A
     row's coefficients and right-hand side may be ints, finite floats or
-    Fractions; each is converted exactly to a Fraction.
+    Fractions; each is converted exactly to a Fraction.  Objective
+    weights and bounds must be such numbers too (a bound may be None);
+    they are checked and kept as given.
     """
 
     n: int
@@ -137,6 +147,14 @@ class Instance:
             raise InputError(
                 "continuous variables are not supported: every integrality flag must be true"
             )
+        for v in self.objective:
+            _number(v, "objective weight")
+        for pair in self.bounds:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise InputError(f"bound {pair!r} is not a (lo, hi) pair")
+            for v in pair:
+                if v is not None:
+                    _number(v, "bound")
         rows = []
         for row in self.rows:
             if len(row.coeffs) != self.n:
@@ -163,7 +181,11 @@ def make_instance(
     integer: Optional[Sequence[bool]] = None,
     group: Optional[GroupSpec] = None,
 ) -> Instance:
-    obj = tuple(Fraction(v) for v in objective) if objective else (Fraction(0),) * n
+    obj = (
+        tuple(Fraction(_number(v, "objective weight")) for v in objective)
+        if objective
+        else (Fraction(0),) * n
+    )
     bnd = tuple(bounds) if bounds is not None else ((None, None),) * n
     flags = tuple(integer) if integer is not None else (True,) * n
     return Instance(n, sense, obj, tuple(rows), bnd, flags, group)
@@ -176,37 +198,48 @@ class Outcome:
     objective: Optional[Fraction] = None
 
 
-def symmetry_warnings(inst: Instance) -> list[str]:
+def symmetry_warnings(inst: Instance, *, _check=None) -> list[str]:
     """Check the declared generators really fix the instance: each one
     must permute the row multiset onto itself, fix the objective vector
     and permute the bound declarations onto themselves.
     Returns human-readable warnings; an empty list means the declaration
-    is consistent.
+    is consistent.  ``_check`` is ``_symmetry_check(inst)``, when the
+    caller checks further permutations with the same keys; by default it
+    is made here.
 
-    Each row is read once, into an exact integer key: the
-    ``as_integer_ratio`` of each coefficient, the sense and the ratio of
-    the rhs; a generator permutes those keys.  Rows are compared
-    as written: a row that a generator maps onto a rescaled copy of
-    another row (``2*x1 <= 2`` for ``x2 <= 1``) counts as not fixed.
-    ``engine.plan`` plans such an instance plain, which is sound but
-    slower."""
+    Rows are compared as written: a row that a generator maps onto a
+    rescaled copy of another row (``2*x1 <= 2`` for ``x2 <= 1``) counts
+    as not fixed.  ``engine.plan`` plans such an instance plain, which is
+    sound but slower."""
     if inst.group is None:
         return []
-    warnings: list[str] = []
+    check = _check or _symmetry_check(inst)
+    return [f"generator {g.images} {miss}" for g in inst.group.generators for miss in check(g)]
+
+
+def _symmetry_check(inst: Instance) -> Callable[[Permutation], list[str]]:
+    """A check of permutations against inst: what a permutation does not
+    fix, as phrases such as "does not fix the objective" (none: it fixes
+    inst).  Each row is read once, into an exact integer key: the
+    ``as_integer_ratio`` of each coefficient, the sense and the ratio of
+    the rhs; a permutation permutes those keys."""
     keys = [
         (tuple(a.as_integer_ratio() for a in r.coeffs), r.sense, r.rhs.as_integer_ratio())
         for r in inst.rows
     ]
     rows = Counter(keys)
-    for g in inst.group.generators:
-        label = f"generator {g.images}"
-        if apply(g, inst.objective) != inst.objective:
-            warnings.append(f"{label} does not fix the objective")
-        if Counter((apply(g, coeffs), sense, rhs) for coeffs, sense, rhs in keys) != rows:
-            warnings.append(f"{label} does not permute the constraint rows")
-        if apply(g, inst.bounds) != inst.bounds:
-            warnings.append(f"{label} does not preserve bounds")
-    return warnings
+
+    def check(p: Permutation) -> list[str]:
+        misses = []
+        if apply(p, inst.objective) != inst.objective:
+            misses.append("does not fix the objective")
+        if Counter((apply(p, coeffs), sense, rhs) for coeffs, sense, rhs in keys) != rows:
+            misses.append("does not permute the constraint rows")
+        if apply(p, inst.bounds) != inst.bounds:
+            misses.append("does not preserve bounds")
+        return misses
+
+    return check
 
 
 def lp_relax(inst: Instance, tableau: Optional[Tableau] = None) -> Outcome:
@@ -268,8 +301,9 @@ def _interval_of(con: Constraint) -> Optional[
     tuple[dict[str, Fraction], Optional[Fraction], Optional[Fraction]]
 ]:
     """Lower a constraint to an exact interval row when its expression
-    is affine with rational coefficients; strict senses get their eps
-    folded into the bound so propagation and leaf checking agree."""
+    is affine with rational coefficients (ints where integral, see
+    ``linear_form``); strict senses get their eps folded into the bound
+    so propagation and leaf checking agree."""
     lf = linear_form(con.expr)
     if lf is None:
         return None
@@ -470,9 +504,11 @@ class _Lowering:
     (``simplex._merge_row``, read by position through ``_row_interval``),
     False in ``nonempty`` when some row admits no point, and each added
     set's constraints lowered once (``_interval_of``), by name, keyed by
-    the set's identity.  The schedule holds every set until the run ends,
-    so an identity is not reused within it; hashing a frozen set instead
-    would walk its whole tree."""
+    the set's identity.  ``engine._run`` makes it before planning, so
+    Algorithm 1's ``Tableau`` starts from ``merged`` and ``nonempty``
+    too; nothing changes them after this is built.  The schedule holds
+    every set until the run ends, so an identity is not reused within
+    it; hashing a frozen set instead would walk its whole tree."""
 
     merged: dict
     nonempty: bool

@@ -222,6 +222,25 @@ def test_solve_forced_algorithm_on_an_unfixed_instance_exits_64(tmp_path, capsys
     assert doc["warnings"]
 
 
+def test_solve_plans_only_cycles_that_fix_the_instance_alone(tmp_path, capsys):
+    """Neither cycle of the product generator (1,2,3)(4,5,6) fixes the
+    rows by itself: the planned solve runs plain and finds the feasible
+    point, and a forced Algorithm 3 is refused."""
+    rows = [make_row([1, 1, 1, 0, 0, 0], "==", 3), make_row([0, 0, 0, 1, 1, 1], "==", 4)]
+    rows += [
+        make_row(a, ">=", 2)
+        for a in ([-2, 0, 0, 2, 0, 1], [0, -2, 0, 1, 2, 0], [0, 0, -2, 0, 1, 2])
+    ]
+    group = analyze_group(["(1,2,3)(4,5,6)"], 6)
+    path = tmp_path / "linked.json"
+    write_instance(make_instance(6, rows=rows, bounds=[(0, 3)] * 6, group=group), path)
+    code, doc = _run(capsys, ["solve", str(path)])
+    assert (code, doc["status"], doc["algorithm"]) == (0, "Feasible", 0)
+    assert doc["point"] == ["0", "1", "2", "0", "2", "2"]
+    assert main(["solve", str(path), "--algorithm", "3"]) == 64
+    assert "alone does not fix" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k", ["0", "-3"])
 def test_essential_nonpositive_cycle_length_exits_64(capsys, k):
     code = main(["essential", k, "1"])

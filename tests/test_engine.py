@@ -453,6 +453,80 @@ def test_public_planners_refuse_an_instance_the_group_does_not_fix():
     assert run_plain(_unfixed_instances()[0]).point == (2, 0, 0)
 
 
+def _joint_orbit(a, rel, rhs):
+    """The rows a.x rel rhs under each power of (1,2,3)(4,5,6)."""
+    return [
+        make_row(a[3 - r : 3] + a[: 3 - r] + a[6 - r :] + a[3 : 6 - r], rel, rhs) for r in range(3)
+    ]
+
+
+def _repro_d():
+    """Two 3-blocks joined by one product generator: block sums 3 and 4
+    and the orbit of -2x1 + 2x4 + x6 >= 2 under the joint rotation.
+    Neither cycle alone fixes the rows, and (0, 1, 2, 0, 2, 2) is
+    feasible."""
+    rows = [make_row([1, 1, 1, 0, 0, 0], "==", 3), make_row([0, 0, 0, 1, 1, 1], "==", 4)]
+    rows += _joint_orbit([-2, 0, 0, 2, 0, 1], GE, 2)
+    return make_instance(
+        6, rows=rows, bounds=_box(6, 0, 3), group=analyze_group(["(1,2,3)(4,5,6)"], 6)
+    )
+
+
+def test_plan_skips_cycles_that_do_not_fix_the_instance_alone():
+    inst = _repro_d()
+    assert not solve.symmetry_warnings(inst)
+    assert [str(c) for c in inst.group.selected_cycles] == ["(1,2,3)", "(4,5,6)"]
+    schedule = plan(inst)
+    assert schedule.algorithm == 0 and not schedule.warnings
+    assert schedule.notes == (
+        "cycle (1,2,3) alone does not permute the constraint rows; not planned",
+        "cycle (4,5,6) alone does not permute the constraint rows; not planned",
+        "no selected cycle fixes the instance by itself; plain enumeration",
+    )
+    rep = run_auto(inst)
+    assert (rep.algorithm, rep.status, rep.point) == (0, "Feasible", (0, 1, 2, 0, 2, 2))
+    assert rep.point == run_plain(inst).point
+    with pytest.raises(InputError, match="alone does not fix"):
+        run_algorithm3(inst, inst.group.selected_cycles)
+    with pytest.raises(InputError, match="alone does not fix"):
+        plan_algorithm2(inst, inst.group.selected_cycles[0], EngineOptions())
+
+
+def _linked_blocks_instance(rng, sense):
+    """Two 3-blocks under the product generator (1,2,3)(4,5,6), box
+    [0, 3]: the block sums fixed (3 and 4, or drawn) and the orbit of
+    one random row under the joint rotation, which sometimes stays
+    inside one block; the objective weighs each block alike."""
+    sums = (3, 4) if rng.random() < 0.6 else (rng.randint(0, 9), rng.randint(0, 9))
+    rows = [make_row([1, 1, 1, 0, 0, 0], "==", sums[0]), make_row([0, 0, 0, 1, 1, 1], "==", sums[1])]
+    a = [rng.randint(-2, 2) for _ in range(6)]
+    if rng.random() < 0.25:
+        a[3:] = [0, 0, 0]
+    rows += _joint_orbit(a, rng.choice((LE, GE)), rng.randint(-3, 4))
+    weights = [rng.choice((-2, -1, 1, 2)) for _ in range(2)]
+    objective = None if sense == "feasibility" else [weights[0]] * 3 + [weights[1]] * 3
+    return make_instance(
+        6, sense=sense, objective=objective, rows=rows, bounds=_box(6, 0, 3),
+        group=analyze_group(["(1,2,3)(4,5,6)"], 6),
+    )
+
+
+def test_run_auto_agrees_with_run_plain_on_linked_blocks():
+    """On seeded linked-block instances run_auto gives run_plain's status
+    and optimum, whether it plans both cycles, one, or none."""
+    rng = random.Random(47)
+    seen = Counter()
+    for i in range(90):
+        inst = _linked_blocks_instance(rng, ("feasibility", "max", "min")[i % 3])
+        rep, ref = run_auto(inst), run_plain(inst)
+        assert (rep.status, rep.f_star) == (ref.status, ref.f_star), inst
+        if rep.point is not None:
+            assert oracles._satisfies(rep.point, [(r.coeffs, r.sense, r.rhs) for r in inst.rows])
+        seen[rep.algorithm, rep.status] += 1
+    assert seen[0, "Feasible"] > 5 and seen[3, "Feasible"] > 5, seen
+    assert seen[0, "Infeasible"] + seen[3, "Infeasible"] > 5, seen
+
+
 # ---------------------------------------------------------------------------
 # dispatch semantics
 
@@ -769,11 +843,13 @@ def _spy_on_reads(monkeypatch):
 
 
 def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch):
-    """run_auto reads the instance rows once for all its subproblems
-    (Algorithm 1's Tableau keeps its own read) and lowers each distinct
-    constraint once, and every dispatched subproblem answers as a
+    """run_auto reads the instance rows once for its planning LP and all
+    its subproblems (Algorithm 1's Tableau starts from the run's merged
+    rows) and lowers each distinct constraint once, and every
+    dispatched subproblem answers as a
     standalone solve_subproblem call does; the direct probe answers as
-    it does reading the instance on its own.  A dry run reads nothing."""
+    it does reading the instance on its own.  A dry run makes no
+    reading: only its planning Tableau reads the rows."""
     reads, lowered, dispatched = _spy_on_reads(monkeypatch)
     rng = random.Random(31)
     seen, statuses = Counter(), set()
@@ -795,7 +871,7 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch):
         if not dispatched:
             continue
         assert reads["lowering"] == len(inst.rows)
-        assert reads["tableau"] == (len(inst.rows) if rep.algorithm == 1 else 0)
+        assert reads["tableau"] == 0
         constraints = {id(c) for sp, _, _ in dispatched for cs in sp.added for c in cs.constraints}
         assert set(lowered) == constraints and set(lowered.values()) == {1}
         for sp, kwargs, out in dispatched:
@@ -809,8 +885,10 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch):
     assert seen["algorithm 1"] > 10 and seen["algorithm 3"] > 40 and seen["probes"] > 10, seen
     assert statuses == {"Feasible", "Infeasible", "Unknown"}
     reads.clear()
-    run_auto(generate((1, 1, 0)).instance, EngineOptions(dry_run=True))
-    assert reads["lowering"] == 0
+    dry = generate((1, 1, 0)).instance
+    run_auto(dry, EngineOptions(dry_run=True))
+    # a dry run plans, so its Tableau reads the rows itself
+    assert (reads["lowering"], reads["tableau"]) == (0, len(dry.rows))
 
 
 def test_plain_dry_run_exports_its_subproblem(tmp_path):

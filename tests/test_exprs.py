@@ -80,6 +80,138 @@ def test_linear_form_division_by_constant():
     assert coeffs == {"x": Fraction(1, 4)} and const == 0
 
 
+def reference_linear_form(expr):
+    """The recursive affine reader that ``linear_form`` replaced: one
+    Fraction dict per subtree.  Kept as the reference of its results."""
+    if isinstance(expr, Const):
+        if isinstance(expr.value, float):
+            return None
+        return {}, Fraction(expr.value)
+    if isinstance(expr, Var):
+        return {expr.name: Fraction(1)}, Fraction(0)
+    if isinstance(expr, Add):
+        coeffs, const = {}, Fraction(0)
+        for a in expr.args:
+            sub = reference_linear_form(a)
+            if sub is None:
+                return None
+            for k, v in sub[0].items():
+                coeffs[k] = coeffs.get(k, Fraction(0)) + v
+            const += sub[1]
+        return coeffs, const
+    if isinstance(expr, Mul):
+        parts = [reference_linear_form(a) for a in expr.args]
+        if any(p is None for p in parts):
+            return None
+        linear, scalar = None, Fraction(1)
+        for p in parts:
+            if p[0]:
+                if linear is not None:
+                    return None
+                linear = p
+            else:
+                scalar *= p[1]
+        if linear is None:
+            return {}, scalar
+        return {k: v * scalar for k, v in linear[0].items()}, scalar * linear[1]
+    if isinstance(expr, Div):
+        den = reference_linear_form(expr.den)
+        if den is None or den[0] or den[1] == 0:
+            return None
+        num = reference_linear_form(expr.num)
+        if num is None:
+            return None
+        return {k: v / den[1] for k, v in num[0].items()}, num[1] / den[1]
+    if isinstance(expr, Square):
+        arg = reference_linear_form(expr.arg)
+        if arg is None or arg[0]:
+            return None
+        return {}, arg[1] * arg[1]
+    if isinstance(expr, Dot):
+        coeffs = {}
+        for coeff, name in zip(expr.coeffs, expr.names):
+            if isinstance(coeff, float):
+                return None
+            coeffs[name] = coeffs.get(name, Fraction(0)) + Fraction(coeff)
+        return coeffs, Fraction(0)
+    raise AssertionError(expr)
+
+
+def _number(rng):
+    """An int, a Fraction (sometimes integral) or, rarely, a float."""
+    roll = rng.random()
+    if roll < 0.04:
+        return rng.choice((0.5, 2.0, -1.25))
+    if roll < 0.5:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4)))
+
+
+def _constant_tree(rng, depth):
+    """A tree without variables."""
+    kind = rng.choice(("const", "const", "add", "mul", "div", "square", "dot"))
+    if depth <= 0 or kind == "const":
+        return Const(_number(rng))
+    if kind == "dot":
+        return Dot((), ())
+    if kind in ("add", "mul"):
+        args = tuple(_constant_tree(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+        return Add(args) if kind == "add" else Mul(args)
+    if kind == "div":
+        return Div(_constant_tree(rng, depth - 1), _constant_tree(rng, depth - 1))
+    return Square(_constant_tree(rng, depth - 1))
+
+
+def _random_tree(rng, depth):
+    names = ("x", "y", "z")
+    kinds = ("const", "var", "dot") + (
+        ("add", "add", "mul", "mul", "div_const", "div_var", "square") if depth > 0 else ()
+    )
+    kind = rng.choice(kinds)
+    if kind == "const":
+        return Const(_number(rng))
+    if kind == "var":
+        return Var(rng.choice(names))
+    if kind == "dot":
+        picked = tuple(rng.choice(names) for _ in range(rng.randint(0, 3)))
+        return Dot(tuple(_number(rng) for _ in picked), picked)
+    if kind == "add":
+        return Add(tuple(_random_tree(rng, depth - 1) for _ in range(rng.randint(0, 3))))
+    if kind == "mul":
+        # 0-2 factors that may hold variables, among constant-valued ones
+        factors = [_random_tree(rng, depth - 1) for _ in range(rng.randint(0, 2))]
+        factors += [_constant_tree(rng, depth - 1) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(factors)
+        return Mul(tuple(factors))
+    if kind == "div_const":
+        return Div(_random_tree(rng, depth - 1), _constant_tree(rng, depth - 1))
+    if kind == "div_var":
+        return Div(_random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+    return Square(_random_tree(rng, depth - 1))
+
+
+def test_linear_form_matches_the_recursive_reader():
+    """On seeded random trees the one-pass reader gives the recursive
+    reader's result: both None, or equal coefficients (a variable whose
+    coefficients cancel keeps its key) and constant.  Every integral
+    value it returns is an int."""
+    rng = random.Random(2024)
+    seen = {"affine": 0, "not affine": 0, "fractional": 0}
+    for _ in range(4000):
+        expr = _random_tree(rng, rng.randint(0, 4))
+        expected = reference_linear_form(expr)
+        got = linear_form(expr)
+        assert got == expected, expr
+        if got is None:
+            seen["not affine"] += 1
+            continue
+        seen["affine"] += 1
+        values = [*got[0].values(), got[1]]
+        assert all(type(v) is int for v in values if Fraction(v).denominator == 1), expr
+        seen["fractional"] += any(type(v) is Fraction for v in values)
+    assert min(seen.values()) > 300, seen
+
+
 # ---------------------------------------------------------------------------
 # constraint senses
 

@@ -186,6 +186,8 @@ _ZERO = '{"kind":"const","value":0}'
         (f"[{_GOOD_VAR}]", '{"kind":"const","value":NaN}'),
         (f"[{_GOOD_VAR}]", '{"kind":"const","value":Infinity}'),
         (f"[{_GOOD_VAR}]", '{"kind":"const","value":1e400}'),
+        ("[]", '{"kind":"var","name":"zz"}'),
+        (f"[{_GOOD_VAR}]", '{"kind":"dot","coeffs":[1,1],"names":["x1","x2"]}'),
     ],
     ids=[
         "var-without-name",
@@ -199,6 +201,8 @@ _ZERO = '{"kind":"const","value":0}'
         "nan-const",
         "infinite-const",
         "overflowing-const",
+        "undeclared-var",
+        "undeclared-dot-name",
     ],
 )
 def test_parse_wraps_malformed_documents(tmp_path, vars_, expr):
@@ -209,6 +213,34 @@ def test_parse_wraps_malformed_documents(tmp_path, vars_, expr):
     )
     with pytest.raises(InputError):
         parse_problem(path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"format":true,"vars":[],"objective":{"sense":"feasibility","expr":%s},"constraints":[]}',
+        '{"format":1.0,"vars":[],"objective":{"sense":"feasibility","expr":%s},"constraints":[]}',
+        '{"format":1,"objective":{"sense":"feasibility","expr":%s},"constraints":[]}',
+        '{"format":1,"vars":[],"objective":{"sense":"feasibility","expr":%s}}',
+        '{"format":1,"vars":[],"objective":{"sense":"feasibility","expr":%s},'
+        '"constraints":[{"expr":{"kind":"var","name":"x1"},"sense":"eq","eps":0.0}]}',
+    ],
+    ids=["bool-format", "float-format", "no-vars", "no-constraints", "undeclared-in-constraint"],
+)
+def test_parse_refuses_a_bad_format_missing_keys_and_undeclared_names(tmp_path, doc):
+    """The format must be the integer 1, "vars" and "constraints" must be
+    present (empty lists are valid), and every variable must be
+    declared."""
+    path = tmp_path / "bad.json"
+    path.write_text(doc % _ZERO)
+    with pytest.raises(InputError):
+        parse_problem(path)
+    path.write_text(
+        '{"format":1,"vars":[],"objective":{"sense":"feasibility","expr":%s},'
+        '"constraints":[]}' % _ZERO
+    )
+    parsed = parse_problem(path)
+    assert (parsed.variables, parsed.constraints) == ((), ())
 
 
 def test_parse_rejects_invalid_json(tmp_path):

@@ -36,7 +36,7 @@ from corecuts import (
 from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG
 from corecuts.instancefile import analyze_group
 from corecuts.perms import apply
-from corecuts import simplex
+from corecuts import simplex, solve
 from corecuts.simplex import GE, LE, LPRow, _merge_row, make_row
 from corecuts.solve import (
     DEFAULT_BOX,
@@ -50,6 +50,7 @@ from corecuts.solve import (
     _propagate,
 )
 from test_engine import _random_cycles_instance, _random_full_cycle_instance
+from test_exprs import reference_linear_form
 
 
 def _sub(base, added=(), tag="PLAIN", sid="t"):
@@ -107,6 +108,30 @@ def test_instance_rejects_malformed_rows(row):
     # another width would be checked on the wrong coordinates
     with pytest.raises(InputError, match="row"):
         make_instance(2, rows=(row,), bounds=_box(2, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"bounds": ((float("nan"), 2), (0, 2))},
+        {"bounds": ((0, float("inf")), (0, 2))},
+        {"bounds": (("0", 2), (0, 2))},
+        {"bounds": ((0, True), (0, 2))},
+        {"bounds": ((0,), (0, 2))},
+        {"objective": (float("nan"), 1)},
+        {"objective": ("1", 1)},
+    ],
+    ids=["nan-bound", "infinite-bound", "string-bound", "bool-bound", "short-bound",
+         "nan-weight", "string-weight"],
+)
+def test_instance_rejects_malformed_bounds_and_objective(kwargs):
+    """Each of these once escaped as a ValueError or TypeError from the
+    solver or from make_instance; every solver path now refuses it when
+    the instance is built."""
+    with pytest.raises(InputError):
+        make_instance(2, **kwargs)
+    good = make_instance(2, objective=(1, Fraction(1, 2)), bounds=((0, 2.5), (None, Fraction(7, 2))))
+    assert good.bounds == ((0, 2.5), (None, Fraction(7, 2)))
 
 
 def test_symmetry_warnings_flag_asymmetric_objective():
@@ -395,6 +420,36 @@ def test_export_states_the_enumerated_problem():
             subs += 1
             nonlinear_subs += bool(nonlinear)
     assert subs > 150 and nonlinear_subs > 50
+
+
+def test_lower_gives_the_recursive_readers_rows(monkeypatch):
+    """On every planned subproblem of seeded Algorithm 1, 2 and 3
+    instances, the integer rows and the nonlinear constraints of _lower
+    are those it gives with the recursive affine reader that
+    linear_form replaced."""
+    rng = random.Random(29)
+    algorithms = Counter()
+    planned = []
+    for i in range(60):
+        sense = ("feasibility", "max", "min")[i // 3 % 3]
+        if i % 3 == 0:
+            inst = _random_full_cycle_instance(rng, rng.choice((3, 4, 5)), sense)
+        elif i % 3 == 1:
+            inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
+        else:
+            # the first cycle of two, declared alone: Algorithm 2
+            inst = _random_cycles_instance(rng, (rng.choice((3, 4, 5)), 1), sense)
+            inst = replace(inst, group=analyze_group([str(inst.group.selected_cycles[0])], inst.n))
+        schedule = plan(inst)
+        algorithms[schedule.algorithm] += 1
+        planned += schedule.subproblems
+    for sub in planned:
+        index = {v.name: j for j, v in enumerate(flatten_subproblem(sub).variables)}
+        lowered = _lower(sub, index)
+        with monkeypatch.context() as patch:
+            patch.setattr(solve, "linear_form", reference_linear_form)
+            assert lowered == _lower(sub, index), sub.id
+    assert min(algorithms[a] for a in (1, 2, 3)) >= 10 and len(planned) > 300, algorithms
 
 
 # ---------------------------------------------------------------------------

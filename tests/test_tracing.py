@@ -84,3 +84,28 @@ def test_tracer_records_one_export_span_per_subproblem(tmp_path):
     assert len(report.schedule) > 5
     for name in ("minlp.dumps_problem", "minlp.parse_problem", "solve.flatten_subproblem"):
         assert calls.get(name) == len(report.schedule), name
+
+
+def test_tracer_records_one_plan_and_one_lp_span_per_algorithm1_run():
+    """Algorithm 1 plans from the run's reading of the instance; a traced
+    run_auto still records one span of the planning layers the benchmark
+    groups (``engine.plan``, ``solve.lp_relax``) per run, so neither
+    layer reads zero."""
+    spans = _load_spans()
+    engine = importlib.import_module("corecuts.engine")
+    inst = make_instance(
+        3,
+        rows=(make_row([1, 1, 1], "<=", 4),),
+        bounds=[(0, 2)] * 3,
+        group=analyze_group(["(1,2,3)"], 3),
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        reports = [engine.run_auto(inst, EngineOptions()) for _ in range(2)]
+    finally:
+        tracer.uninstall()
+    assert [r.algorithm for r in reports] == [1, 1]
+    calls = {name: n for name, (n, _) in tracer.self_times().items()}
+    assert calls.get("engine.plan") == 2 and calls.get("solve.lp_relax") == 2, calls
+    assert tracer.descendants("solve.lp_relax", "engine.plan") == 2
