@@ -64,10 +64,11 @@ stops early by one rule: a feasibility instance stops at its first
 Feasible result, and Algorithm 1 on a max/min instance stops after the
 first layer (probes, then cut) with a Feasible result.  A walk that
 reaches its stop layer ends with the direct fixed-space probe.  The
-runner reads the instance once, before planning: it merges the instance
-rows and lowers each added set once, and hands that reading to
-Algorithm 1's planning LPs, to every subproblem and to the direct
-probe.  Aggregation follows the strictness rule: on a
+runner makes one reading of the instance per run (``solve._Reading``),
+before planning, and hands it to Algorithm 1's planning LPs, to every
+subproblem it exports or solves and to the direct probe: the instance
+rows are merged once, each added set is lowered once, and each exported
+piece is encoded once.  Aggregation follows the strictness rule: on a
 max/min instance any Unknown outcome (budget or box truncation) makes
 the verdict Unknown; Infeasible is only reported when every scheduled
 subproblem ran and certified exhaustion.
@@ -101,9 +102,7 @@ from .solve import (
     Outcome,
     UNBOUNDED,
     UNKNOWN,
-    _Lowering,
-    _lower_instance,
-    _read_export,
+    _Reading,
     _symmetry_check,
     export_subproblem,
     lp_relax,
@@ -133,6 +132,12 @@ class EngineOptions:
     dry_run: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("budget", "box", "essential_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{name.replace('_', ' ')} must be an integer, not {value!r}")
+        if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float, Fraction)):
+            raise InputError(f"eps must be a number, not {self.eps!r}")
         if self.budget < 1:
             raise InputError("budget must be >= 1")
         if self.essential_budget < 1:
@@ -239,29 +244,24 @@ def _residue_sets(
 
 
 def plan_algorithm1(
-    inst: Instance, opts: EngineOptions, *, _lowering: Optional[_Lowering] = None
+    inst: Instance, opts: EngineOptions, *, _reading: Optional[_Reading] = None
 ) -> Schedule:
     """Algorithm 1's layer walk; refuses an instance its declared group,
-    or its cycle alone, does not fix.  ``_lowering`` is a run's reading
-    of inst (``solve._lower_instance``, made by ``_run``), which the
-    planning LPs start from; by default they read inst themselves."""
+    or its cycle alone, does not fix.  ``_reading`` is the run's reading
+    of inst (``solve._Reading``, made by ``_run``), which the planning
+    LPs start from; by default inst is read here."""
     _check_symmetric(inst, inst.group.selected_cycles if inst.group else ())
-    return _plan_algorithm1(inst, opts, _lowering)
+    return _plan_algorithm1(inst, opts, _reading or _Reading(inst))
 
 
-def _plan_algorithm1(
-    inst: Instance, opts: EngineOptions, lowering: Optional[_Lowering] = None
-) -> Schedule:
+def _plan_algorithm1(inst: Instance, opts: EngineOptions, reading: _Reading) -> Schedule:
     """The layer walk of an instance its group and cycle fix.  One
     ``Tableau`` serves the relaxation and the layer-range LP; it starts
-    from the merged rows of ``lowering``, the run's reading of inst, or
-    merges inst's rows itself when there is none (a dry run or a direct
-    call)."""
+    from the merged rows of ``reading``, the run's reading of inst."""
     cycle = _single_full_cycle(inst)
     n = inst.n
     notes: list[str] = []
-    merged = None if lowering is None else (lowering.merged, lowering.nonempty)
-    tableau = Tableau(n, inst.rows, inst.bounds, _merged=merged)
+    tableau = Tableau(n, reading.merged, inst.bounds)
     lp = lp_relax(inst, tableau)
     if lp.status in (INFEASIBLE, UNBOUNDED):
         return Schedule(1, (), lp=lp, notes=(f"LP relaxation {lp.status}",))
@@ -386,7 +386,7 @@ def plan_algorithm3(
 
 
 def plan(
-    inst: Instance, opts: Optional[EngineOptions] = None, *, _lowering: Optional[_Lowering] = None
+    inst: Instance, opts: Optional[EngineOptions] = None, *, _reading: Optional[_Reading] = None
 ) -> Schedule:
     """Choose the algorithm from the instance's analyzed group and build
     its full schedule; an instance without usable cycles, or whose
@@ -394,7 +394,7 @@ def plan(
     plain bounded enumeration).  Only the selected cycles that fix the
     instance by themselves are planned, each with a note when it does
     not: a cycle of a product generator may not.  With none left, the
-    schedule is plain.  ``_lowering`` is a run's reading of inst, which
+    schedule is plain.  ``_reading`` is the run's reading of inst, which
     Algorithm 1's planning LPs start from (see ``plan_algorithm1``)."""
     opts = opts or EngineOptions()
     group = inst.group
@@ -420,7 +420,7 @@ def plan(
     # the group and the cycles were checked above, so the planner bodies
     # run unchecked
     if len(cycles) == 1 and cycles[0].k == inst.n:
-        schedule = _plan_algorithm1(inst, opts, _lowering)
+        schedule = _plan_algorithm1(inst, opts, _reading or _Reading(inst))
     else:
         schedule = _plan_cycles(inst, tuple(cycles), opts, 2 if len(cycles) == 1 else 3)
     return replace(schedule, notes=(*notes, *schedule.notes)) if notes else schedule
@@ -441,26 +441,23 @@ def _objective_of(inst: Instance, point: Sequence[Fraction]) -> Fraction:
     return sum((c * x for c, x in zip(inst.objective, point)), Fraction(0))
 
 
-def _direct_fixed_probe(
-    inst: Instance, layer: int, lowering: Optional[_Lowering] = None
-) -> Outcome:
+def _direct_fixed_probe(inst: Instance, layer: int, reading: _Reading) -> Outcome:
     """Evaluate the fixed-space candidate (layer/n) * 1 directly against
-    the instance's bounds and its merged integer rows (``lowering``, the
-    run's reading of inst; by default inst is read here) — exact, by
-    integer cross-multiplication, no enumeration."""
+    the instance's bounds and its merged rows (``reading``, the run's
+    reading of inst) — exact, by integer cross-multiplication, no
+    enumeration."""
     n = inst.n
     if layer % n:
         raise InputError("direct probe needs a layer divisible by n")
-    if lowering is None:
-        lowering = _lower_instance(inst)
     value = Fraction(layer, n)
     point = (value,) * n
     for (lo, hi) in inst.bounds:
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             return Outcome(INFEASIBLE)
-    if not lowering.nonempty:
+    merged, nonempty = reading.merged
+    if not nonempty:
         return Outcome(INFEASIBLE)
-    for key, (lo, hi) in lowering.merged.items():
+    for key, (lo, hi) in merged.items():
         # the row's activity at the point is sum(a) * layer / n; a bound
         # is a ratio (num, den) with den > 0
         act = sum(a for _, a in key) * layer
@@ -541,26 +538,23 @@ def _run(
     stop layer ends with the direct fixed-space probe.  A dry run solves
     nothing and reports every subproblem Unknown.
 
-    The instance is read once per run, before planning
-    (``solve._lower_instance``): its rows are merged once, each added set
-    is lowered once on first use, and Algorithm 1's planning LPs, every
-    subproblem and the direct probe start from that reading.  A planner
-    that may plan by LP (``plans_lp``) gets the reading as its private
-    ``_lowering`` argument.  A dry run reads nothing, and its planner
-    reads the rows where an LP needs them.  A
-    run with an export directory also keeps one export reading
-    (``solve._read_export``): the instance rows become export
-    constraints once, and each variable entry, objective and constraint
-    is encoded to JSON once, on first use, and shared by every file the
-    run writes."""
+    Every run makes one reading of the instance (``solve._Reading``)
+    before planning and hands it to Algorithm 1's planning LPs, to every
+    subproblem it exports or solves and to the direct probe; a planner
+    that may plan by LP (``plans_lp``) gets it as its private
+    ``_reading`` argument.  Each part of the reading is made on first
+    use: the merged rows, each added set's rows, the export rows and the
+    encoded JSON texts.  So the run reads each instance row once for the
+    LP and the enumerator, lowers each added set once and encodes each
+    exported piece once, and a dry run reads only what its planning LP
+    and its export need."""
     opts = opts or EngineOptions()
     t0 = time.perf_counter()
-    lowering = None if opts.dry_run else _lower_instance(inst)
+    reading = _Reading(inst)
     if plans_lp:
-        schedule = planner(inst, *args, opts, _lowering=lowering)
+        schedule = planner(inst, *args, opts, _reading=reading)
     else:
         schedule = planner(inst, *args, opts)
-    reading = _read_export(inst) if opts.export_dir else None
     if opts.export_dir:
         os.makedirs(opts.export_dir, exist_ok=True)
     results: list[SubResult] = []
@@ -575,7 +569,7 @@ def _run(
             if opts.dry_run:
                 out = Outcome(UNKNOWN)
             else:
-                out = solve_subproblem(sp, box=opts.box, budget=opts.budget, _lowering=lowering)
+                out = solve_subproblem(sp, box=opts.box, budget=opts.budget, _reading=reading)
             results.append(SubResult(sp.id, sp.tag, sp.provenance, out, time.perf_counter() - t1))
             found = found or out.status == FEASIBLE
             if found and inst.sense == FEASIBILITY:
@@ -588,7 +582,7 @@ def _run(
 
     if not stopped and schedule.stop_layer is not None and not opts.dry_run:
         t1 = time.perf_counter()
-        out = _direct_fixed_probe(inst, schedule.stop_layer, lowering)
+        out = _direct_fixed_probe(inst, schedule.stop_layer, reading)
         results.append(
             SubResult(
                 f"L{schedule.stop_layer}.fix",

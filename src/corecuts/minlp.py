@@ -29,10 +29,11 @@ joins a list's items, so the document is the same text that one
 ``repr``: the shortest text that reads back as the same double, so
 every finite double survives the round trip bit for bit.  Non-finite
 doubles are rejected.  Rationals stay exact by construction.  A run
-that exports many subproblems of one instance hands the writer one
-dict of texts (``_texts``), so each piece is encoded once per run:
-constraints are keyed by identity (the run holds every one of them
-until it ends), variables and the objective by value.
+that exports many subproblems of one instance hands the writer the
+dict of texts of its reading of the instance (``_texts``, the
+``texts`` of ``solve._Reading``), so each piece is encoded once per
+run: constraints are keyed by identity (the run holds every one of
+them until it ends), variables and the objective by value.
 
 The parser is plain ``json.load`` plus a typed decode: JSON numbers
 become finite Python floats, ``{"num","den"}`` objects with exact
@@ -128,11 +129,12 @@ def _constraint_text(con: Constraint) -> str:
 
 def dumps_problem(flat: FlatProblem, *, _texts: Optional[dict] = None) -> str:
     """The document of flat.  ``_texts`` is one run's encoded pieces
-    (``solve._ExportReading``): constraints keyed by identity, variables
-    and the objective by value; by default every piece is encoded here.
-    A value key does not tell ``0`` from ``Fraction(0)``, which encode
-    differently, but one run exports one instance, whose bounds and
-    weights stay the same objects."""
+    (the ``texts`` of ``solve._Reading``): constraints keyed by
+    identity, variables and the objective by value; by default every
+    piece is encoded here.  A value key does not tell ``0`` from
+    ``Fraction(0)``, which encode differently, but one run exports one
+    instance, whose bounds stay the same objects and whose weights are
+    Fractions."""
     texts = {} if _texts is None else _texts
 
     def text(key, encode, piece) -> str:

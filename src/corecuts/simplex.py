@@ -1,8 +1,9 @@
 """Exact rational LP solver: a bounded-variable primal simplex, built once
 per constraint system and reoptimised from its last basis.
 
-A ``Tableau`` is built from ``(n, rows, bounds)`` and runs phase 1 once.
-Each ``optimize(objective, maximize)`` then runs phase 2 from the current
+A ``Tableau`` is built from ``(n, merged, bounds)``, where ``merged`` is
+the rows as ``_merge_rows`` merges them, and runs phase 1 once.  Each
+``optimize(objective, maximize)`` then runs phase 2 from the current
 basis, so further objectives over the same rows and bounds cost no
 second phase 1 (a warm start).  ``solve_lp`` and ``lp_feasible`` are
 one-shot wrappers over the same code.
@@ -20,12 +21,13 @@ one-shot wrappers over the same code.
   rows with the same coefficient vector merge into one ranged row
   ``lo <= a.x <= hi`` (``_merge_row``).  The bounds stay exact, nothing
   is rounded.  A ranged row has one logical variable in ``[0, hi -
-  lo]``; an equality row has none.  The integer enumerator
-  (``solve._lower_instance`` and ``solve._lower``) builds its rows with
-  the same ``_merge_row`` and rounds each bound inward.  A run merges
-  an instance's rows once (``solve._lower_instance``), and Algorithm
-  1's planning ``Tableau`` starts from those merged rows; a ``Tableau``
-  built without them merges its rows itself.
+  lo]``; an equality row has none.  ``_merge_rows`` is the one place
+  that merges a system's rows, for the LP and for the integer
+  enumerator: a run merges its instance's rows once
+  (``solve._Reading.merged``), and Algorithm 1's planning ``Tableau``,
+  every subproblem and the direct fixed-space probe start from that.
+  The enumerator (``solve._lower``) merges its added sets into a copy
+  with the same ``_merge_row`` and rounds each bound inward.
 * Artificials only where needed.  With every structural variable at 0,
   a logical that lies within its bounds starts basic; only the other
   rows, and the equality rows, get an artificial.
@@ -132,6 +134,21 @@ def _merge_row(merged: dict, coeffs, lo: Bound, hi: Bound) -> bool:
     return lo is None or hi is None or lo[0] * hi[1] <= hi[0] * lo[1]
 
 
+def _merge_rows(n: int, rows: Sequence[LPRow]) -> tuple[dict, bool]:
+    """The rows of an LP over n variables merged into ranged rows by
+    ``_merge_row``, and False when some row admits no point.  The LP and
+    the integer enumerator merge their rows only here; every row is read
+    (``_row_interval``) once."""
+    merged: dict = {}
+    nonempty = True
+    for row in rows:
+        if len(row.coeffs) != n:
+            raise InputError("row length mismatch")
+        coeffs, lo, hi = _row_interval(row)
+        nonempty = nonempty and _merge_row(merged, enumerate(coeffs), lo, hi)
+    return merged, nonempty
+
+
 class Tableau:
     """The LP ``{x : rows, bounds}`` in bounded standard form, with a
     feasible basis once phase 1 has run (when it is built).
@@ -149,17 +166,10 @@ class Tableau:
     in the cost row."""
 
     def __init__(
-        self,
-        n: int,
-        rows: Sequence[LPRow],
-        bounds: Sequence[tuple[Bound, Bound]],
-        *,
-        _merged: Optional[tuple[dict, bool]] = None,
+        self, n: int, merged: tuple[dict, bool], bounds: Sequence[tuple[Bound, Bound]]
     ):
-        """``_merged`` is ``rows`` already merged by ``_merge_row`` (the
-        dict, and False when some row admits no point), such as a run's
-        reading of an instance (``solve._lower_instance``); by default
-        the rows are merged here."""
+        """``merged`` is the rows merged by ``_merge_rows``: the ranged
+        rows, and False when some row admits no point."""
         if len(bounds) != n:
             raise InputError("objective/bounds length mismatch")
         self.n = n
@@ -173,16 +183,7 @@ class Tableau:
         self.basis: list[int] = []
         self.flipped: list[bool] = []
         self.den = 1
-        if _merged is None:
-            ranged: dict = {}
-            nonempty = True
-            for row in rows:
-                if len(row.coeffs) != n:
-                    raise InputError("row length mismatch")
-                coeffs, lo, hi = _row_interval(row)
-                nonempty = nonempty and _merge_row(ranged, enumerate(coeffs), lo, hi)
-        else:
-            ranged, nonempty = _merged
+        ranged, nonempty = merged
         self.feasible = nonempty and self._add_variables(bounds)
         if self.feasible:
             self.feasible = self._phase1(self._add_rows(ranged))
@@ -448,9 +449,9 @@ def solve_lp(
 
     ``bounds[i]`` is (lo, hi) with None meaning unbounded on that side.
     """
-    return Tableau(n, rows, bounds).optimize(objective, maximize)
+    return Tableau(n, _merge_rows(n, rows), bounds).optimize(objective, maximize)
 
 
 def lp_feasible(n: int, rows: Sequence[LPRow], bounds: Sequence[tuple[Bound, Bound]]) -> bool:
     """Exact feasibility check of a linear system (phase 1 only)."""
-    return Tableau(n, rows, bounds).feasible
+    return Tableau(n, _merge_rows(n, rows), bounds).feasible

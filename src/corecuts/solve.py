@@ -25,31 +25,33 @@ instances a few variables wide, and every verdict they return is
 certified (a satisfying point, or full exhaustion of the box).  When the
 node budget runs out first the verdict is Unknown, never a guess.
 
-The enumerator and the MINLP export read a subproblem each its own way.
-The enumerator reads the instance rows by position
-(``simplex._row_interval``: coefficients and an interval) and merges
-them (``_lower_instance``), and lowers only the added constraint sets
-from their expression trees (``_interval_of``, through the one-pass
-integer reader ``exprs.linear_form``), by name, keeping the non-affine
-ones for the leaves.  One run does this once, before it plans:
-``engine._run`` hands that reading (``_Lowering``) to Algorithm 1's
-planning ``Tableau``, which starts from its merged rows, to every
-subproblem and to the direct fixed-space probe; each subproblem copies
-the merged instance rows and merges its added sets in order, and each
-set is lowered once, on first use.  A standalone ``solve_subproblem``
-call, or a ``Tableau`` built without the reading, reads the rows on
-its own with the same code.  ``flatten_subproblem``
-builds the export document: the instance rows become expression trees
-(``_row_to_constraint``, from the same ``_row_interval``), followed by
-the added constraints as they are.  A run that exports keeps one export
-reading (``_ExportReading``), made by ``engine._run``: the instance
-rows become expression trees once per run, and the writer encodes each
-variable entry, objective and constraint to JSON once per run, into the
-reading's texts.  A standalone ``flatten_subproblem`` or
-``export_subproblem`` call makes a fresh reading and runs the same
-code.  Both readers take their variable order
-(instance variables, then auxiliaries in first-appearance order) from
-``_variables``.  No construction ties the two row readers together;
+One run reads its instance once, into one ``_Reading``: ``engine._run``
+makes it before planning and hands it to Algorithm 1's planning
+``Tableau``, to every ``solve_subproblem`` and ``export_subproblem``
+call and to the direct fixed-space probe; a standalone call makes its
+own.  Each part of the reading is made on first use, so a run reads
+only what it needs:
+
+* ``merged``: the instance rows read by position
+  (``simplex._row_interval``: coefficients and an interval) and merged
+  once (``simplex._merge_rows``).  The planning ``Tableau`` and the
+  direct probe start from it; each subproblem copies it and merges its
+  added sets in order (``_lower``).
+* ``set_rows``: each added set lowered once, from its expression trees
+  (``_interval_of``, through the one-pass integer reader
+  ``exprs.linear_form``), by name, keeping the non-affine constraints
+  for the leaves.
+* ``export_rows``: the instance rows as expression trees
+  (``_row_to_constraint``, from the same ``_row_interval``), which
+  ``flatten_subproblem`` puts before the added constraints of the
+  export document.
+* ``texts``: the JSON text of each variable entry, objective and
+  constraint the writer has encoded (``minlp.dumps_problem``'s
+  ``_texts``), shared by every file of the run.
+
+The enumerator and the export take their variable order (instance
+variables, then auxiliaries in first-appearance order) from
+``_variables``.  No construction ties their two row readers together;
 ``test_export_states_the_enumerated_problem`` in ``tests/test_solve.py``
 does: it lowers the export documents of planned subproblems through
 ``_interval_of`` and checks that they give the enumerator's integer
@@ -62,6 +64,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -79,7 +82,7 @@ from .exprs import (
     linear_form,
 )
 from .perms import GroupSpec, Permutation, apply
-from .simplex import EQ as ROW_EQ, GE, LE, LPRow, Tableau, _merge_row, _row_interval
+from .simplex import EQ as ROW_EQ, GE, LE, LPRow, Tableau, _merge_row, _merge_rows, _row_interval
 
 #: half-width of the fallback enumeration box for variables whose
 #: declared bounds are missing or wider
@@ -122,9 +125,9 @@ class Instance:
     the names the synthesizer emits for cycle blocks.  Every variable
     must be integer: the enumerator searches integer points only, so a
     continuous variable is rejected rather than answered wrongly.  A
-    row's coefficients and right-hand side may be ints, finite floats or
-    Fractions; each is converted exactly to a Fraction.  Objective
-    weights and bounds must be such numbers too (a bound may be None);
+    row's coefficients and right-hand side, and the objective weights,
+    may be ints, finite floats or Fractions; each is converted exactly to
+    a Fraction.  Bounds must be such numbers too (a bound may be None);
     they are checked and kept as given.
     """
 
@@ -147,8 +150,9 @@ class Instance:
             raise InputError(
                 "continuous variables are not supported: every integrality flag must be true"
             )
-        for v in self.objective:
-            _number(v, "objective weight")
+        if not all(type(v) is Fraction for v in self.objective):
+            objective = tuple(Fraction(_number(v, "objective weight")) for v in self.objective)
+            object.__setattr__(self, "objective", objective)
         for pair in self.bounds:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise InputError(f"bound {pair!r} is not a (lo, hi) pair")
@@ -164,7 +168,8 @@ class Instance:
             if not all(type(v) is Fraction for v in (*row.coeffs, row.rhs)):
                 row = LPRow(tuple(map(_exact, row.coeffs)), row.sense, _exact(row.rhs))
             rows.append(row)
-        # the solvers read Fraction rows; int and float entries convert exactly
+        # the solvers read Fraction rows and weights; int and float
+        # entries convert exactly
         object.__setattr__(self, "rows", tuple(rows))
 
     @property
@@ -181,11 +186,7 @@ def make_instance(
     integer: Optional[Sequence[bool]] = None,
     group: Optional[GroupSpec] = None,
 ) -> Instance:
-    obj = (
-        tuple(Fraction(_number(v, "objective weight")) for v in objective)
-        if objective
-        else (Fraction(0),) * n
-    )
+    obj = tuple(objective) if objective else (Fraction(0),) * n
     bnd = tuple(bounds) if bounds is not None else ((None, None),) * n
     flags = tuple(integer) if integer is not None else (True,) * n
     return Instance(n, sense, obj, tuple(rows), bnd, flags, group)
@@ -254,7 +255,7 @@ def lp_relax(inst: Instance, tableau: Optional[Tableau] = None) -> Outcome:
     and bounds that the caller keeps, to reoptimise it for further
     objectives without another phase 1; by default one is built."""
     if tableau is None:
-        tableau = Tableau(inst.n, inst.rows, inst.bounds)
+        tableau = Tableau(inst.n, _merge_rows(inst.n, inst.rows), inst.bounds)
     if inst.sense == FEASIBILITY:
         res = tableau.optimize((1,) * inst.n, maximize=True)
         if res.status == "unbounded":
@@ -340,35 +341,55 @@ def _variables(sub) -> tuple[FlatVar, ...]:
     return tuple(variables)
 
 
-@dataclass(frozen=True)
-class _ExportReading:
-    """One run's reading of an instance for export: its rows as export
-    constraints (``_row_to_constraint``), built once, and the JSON text
-    of each piece the writer has encoded (``minlp.dumps_problem``'s
-    ``_texts``).  The reading holds the row constraints, and the
-    schedule every added one, until the run ends, so a constraint's
-    identity is not reused within it."""
+@dataclass(frozen=True, eq=False)
+class _Reading:
+    """One run's reading of an instance and of the sets its schedule
+    adds; each part is made on first use and kept until the run ends.
+    Its users copy what they change: ``merged`` stays as it was made.
+    The schedule holds every added set and constraint until the run
+    ends, so an identity is not reused within it; hashing a frozen set
+    instead would walk its whole tree."""
 
-    rows: tuple[Constraint, ...]
-    texts: dict = field(default_factory=dict)
+    inst: Instance
+    #: each added set's constraints with their rows (``_interval_of``),
+    #: keyed by the set's identity
+    sets: dict[int, list[tuple[Constraint, Optional[tuple]]]] = field(
+        default_factory=dict, init=False
+    )
+    #: the JSON text of each piece the writer has encoded
+    #: (``minlp.dumps_problem``'s ``_texts``)
+    texts: dict = field(default_factory=dict, init=False)
+
+    @cached_property
+    def merged(self) -> tuple[dict, bool]:
+        """The instance rows merged by ``simplex._merge_rows``: the
+        ranged rows, and False when some row admits no point."""
+        return _merge_rows(self.inst.n, self.inst.rows)
+
+    @cached_property
+    def export_rows(self) -> tuple[Constraint, ...]:
+        """The instance rows as export constraints."""
+        names = self.inst.var_names
+        return tuple(_row_to_constraint(r, names) for r in self.inst.rows)
+
+    def set_rows(self, cs) -> list[tuple[Constraint, Optional[tuple]]]:
+        rows = self.sets.get(id(cs))
+        if rows is None:
+            rows = self.sets[id(cs)] = [(con, _interval_of(con)) for con in cs.constraints]
+        return rows
 
 
-def _read_export(inst: Instance) -> _ExportReading:
-    names = inst.var_names
-    return _ExportReading(tuple(_row_to_constraint(r, names) for r in inst.rows))
-
-
-def flatten_subproblem(sub, *, _reading: Optional[_ExportReading] = None) -> FlatProblem:
+def flatten_subproblem(sub, *, _reading: Optional[_Reading] = None) -> FlatProblem:
     """The export document of sub = sub.base (an Instance) plus sub.added
     (ConstraintSets): the variables of ``_variables``, the base rows as
     expression trees, then the added constraints as they are.
-    ``_reading`` is a run's export reading of sub.base (``_read_export``,
-    made by ``engine._run``), whose row constraints every subproblem of
-    the run shares; by default sub.base is read here."""
+    ``_reading`` is the run's reading of sub.base, whose export rows
+    every subproblem of the run shares; by default sub.base is read
+    here."""
     base: Instance = sub.base
     if _reading is None:
-        _reading = _read_export(base)
-    constraints = list(_reading.rows)
+        _reading = _Reading(base)
+    constraints = list(_reading.export_rows)
     for cs in sub.added:
         constraints.extend(cs.constraints)
     names = base.var_names
@@ -497,42 +518,8 @@ def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, i
     return out
 
 
-@dataclass(frozen=True)
-class _Lowering:
-    """One run's reading of an instance and of the sets its schedule
-    adds: the instance rows merged once by primitive integer coefficients
-    (``simplex._merge_row``, read by position through ``_row_interval``),
-    False in ``nonempty`` when some row admits no point, and each added
-    set's constraints lowered once (``_interval_of``), by name, keyed by
-    the set's identity.  ``engine._run`` makes it before planning, so
-    Algorithm 1's ``Tableau`` starts from ``merged`` and ``nonempty``
-    too; nothing changes them after this is built.  The schedule holds
-    every set until the run ends, so an identity is not reused within
-    it; hashing a frozen set instead would walk its whole tree."""
-
-    merged: dict
-    nonempty: bool
-    sets: dict[int, list[tuple[Constraint, Optional[tuple]]]] = field(default_factory=dict)
-
-    def set_rows(self, cs) -> list[tuple[Constraint, Optional[tuple]]]:
-        rows = self.sets.get(id(cs))
-        if rows is None:
-            rows = self.sets[id(cs)] = [(con, _interval_of(con)) for con in cs.constraints]
-        return rows
-
-
-def _lower_instance(inst: Instance) -> _Lowering:
-    """Read inst's rows once: the start of every subproblem's ``_lower``
-    and the rows of the direct fixed-space probe."""
-    merged: dict = {}
-    nonempty = True
-    for coeffs, lo, hi in map(_row_interval, inst.rows):
-        nonempty = nonempty and _merge_row(merged, enumerate(coeffs), lo, hi)
-    return _Lowering(merged, nonempty)
-
-
 def _lower(
-    sub, var_index: dict[str, int], lowering: Optional[_Lowering] = None
+    sub, var_index: dict[str, int], reading: _Reading
 ) -> tuple[
     Optional[list[tuple[list[tuple[int, int]], Optional[int], Optional[int]]]],
     list[Constraint],
@@ -541,20 +528,17 @@ def _lower(
     integer coefficients (``simplex._merge_row``, shared with the LP) and
     each merged bound rounded inward to an integer, or None when some row
     admits no integer point; and the added constraints that stay
-    nonlinear.  ``lowering`` is the run's reading of sub.base and of the
-    sets (``_lower_instance``; by default sub.base is read here).  sub
-    starts from a copy of its merged instance rows and merges its added
-    sets in order; their rows are keyed by name and get their positions
-    from ``var_index``, since an auxiliary's position differs between
-    subproblems."""
-    if lowering is None:
-        lowering = _lower_instance(sub.base)
+    nonlinear.  ``reading`` is the run's reading of sub.base and of the
+    sets.  sub starts from a copy of its merged instance rows and merges
+    its added sets in order; their rows are keyed by name and get their
+    positions from ``var_index``, since an auxiliary's position differs
+    between subproblems."""
+    merged, nonempty = reading.merged
     # merging updates the [lo, hi] entries in place
-    merged = {key: list(entry) for key, entry in lowering.merged.items()}
-    nonempty = lowering.nonempty
+    merged = {key: list(entry) for key, entry in merged.items()}
     nonlinear: list[Constraint] = []
     for cs in sub.added:
-        for con, row in lowering.set_rows(cs):
+        for con, row in reading.set_rows(cs):
             if row is None:
                 nonlinear.append(con)
                 continue
@@ -582,7 +566,7 @@ def solve_subproblem(
     box: int = DEFAULT_BOX,
     budget: int = DEFAULT_NODE_BUDGET,
     *,
-    _lowering: Optional[_Lowering] = None,
+    _reading: Optional[_Reading] = None,
 ) -> Outcome:
     """Depth-first integer enumeration of sub = base instance + added
     constraint sets, over the declared bounds intersected with
@@ -590,16 +574,15 @@ def solve_subproblem(
 
     The instance rows are read by position and only the added sets are
     lowered from their trees (``_lower``); the export document is not
-    built.  ``_lowering`` is a run's reading of sub.base and of the sets
-    its schedule adds (``_lower_instance``, passed by ``engine._run``);
-    without it, sub is read here, and the search is the same.  Linear
-    rows are integer-scaled, divided by their gcd, merged by coefficient
-    vector (``simplex._merge_row``) and rounded inward, then prune
-    through exact interval propagation at every node: the
-    root starts from all rows, a node from the rows that watch the
-    variable it fixes, and each tightening queues the rows of the
-    tightened variable, up to
-    ``_PROPAGATION_ROUNDS`` visits per row (``_propagate``).  Every row
+    built.  ``_reading`` is the run's reading of sub.base and of the
+    sets its schedule adds; without it, sub is read here, and the search
+    is the same.  Linear rows are integer-scaled, divided by their gcd,
+    merged by coefficient vector (``simplex._merge_row``) and rounded
+    inward, then prune through exact interval propagation at every
+    node: the root starts from all rows, a node from the rows that watch
+    the variable it fixes, and each tightening queues the rows of the
+    tightened variable, up to ``_PROPAGATION_ROUNDS`` visits per row
+    (``_propagate``).  Every row
     is visited at the node that fixes its last variable, cap or not, so
     a leaf meets every linear row exactly.  Nonlinear constraints are
     evaluated (``eval_float``) only at fully assigned leaves, where a
@@ -633,7 +616,7 @@ def solve_subproblem(
     variables = _variables(sub)
     var_index = {v.name: i for i, v in enumerate(variables)}
     nvars = len(variables)
-    rows, nonlinear = _lower(sub, var_index, _lowering)
+    rows, nonlinear = _lower(sub, var_index, _reading or _Reading(sub.base))
     if rows is None:
         return Outcome(INFEASIBLE)
 
@@ -705,16 +688,15 @@ def solve_subproblem(
     return best or Outcome(INFEASIBLE)
 
 
-def export_subproblem(sub, path, *, _reading: Optional[_ExportReading] = None) -> None:
+def export_subproblem(sub, path, *, _reading: Optional[_Reading] = None) -> None:
     """Write sub as a MINLP-JSON file (see the serialization module for
-    the schema and the bit-exactness contract).  ``_reading`` is a run's
-    export reading of sub.base (``_read_export``): the run's subproblems
-    share its row constraints and its encoded texts, so each piece is
-    encoded once per run; by default sub.base is read here, and the file
-    is the same."""
+    the schema and the bit-exactness contract).  ``_reading`` is the
+    run's reading of sub.base: the run's subproblems share its export
+    rows and its encoded texts, so each piece is encoded once per run;
+    by default sub.base is read here, and the file is the same."""
     from . import minlp
 
     if _reading is None:
-        _reading = _read_export(sub.base)
+        _reading = _Reading(sub.base)
     flat = flatten_subproblem(sub, _reading=_reading)
     minlp.write_problem(flat, path, _texts=_reading.texts)

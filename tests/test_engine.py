@@ -95,14 +95,23 @@ def _random_cycles_instance(rng, shape, sense):
 
 
 def test_options_validate():
-    with pytest.raises(InputError):
-        EngineOptions(essential_budget=0)
-    with pytest.raises(InputError):
-        EngineOptions(budget=0)
-    with pytest.raises(InputError):
-        EngineOptions(budget=-5)
-    with pytest.raises(InputError):
-        EngineOptions(box=-5)
+    for bad in (
+        {"essential_budget": 0},
+        {"budget": 0},
+        {"budget": -5},
+        {"box": -5},
+        # counts are ints, and a bool is not a count
+        {"budget": 1.5},
+        {"budget": "3"},
+        {"box": 2.5},
+        {"essential_budget": True},
+        {"eps": "x"},
+        {"eps": True},
+    ):
+        with pytest.raises(InputError):
+            EngineOptions(**bad)
+    opts = EngineOptions(budget=3, box=0, essential_budget=2, eps=1e-6)
+    assert (opts.budget, opts.box, opts.essential_budget) == (3, 0, 2)
 
 
 @pytest.mark.parametrize("eps", [float("inf"), float("-inf"), float("nan"), 0.0])
@@ -287,7 +296,7 @@ def test_feasibility_instance_without_layer_bounds_probes_layer_zero():
     rep, ref = run_auto(inst), run_plain(inst)
     assert rep.status == ref.status == "Feasible"
     assert all(sum(a * v for a, v in zip(row.coeffs, rep.point)) <= 1 for row in rows)
-    assert engine._direct_fixed_probe(inst, 0).point == (0, 0, 0)
+    assert engine._direct_fixed_probe(inst, 0, solve._Reading(inst)).point == (0, 0, 0)
 
 
 def test_direct_fixed_probe_checks_every_row_sense():
@@ -300,7 +309,7 @@ def test_direct_fixed_probe_checks_every_row_sense():
         ("==", 2, "Feasible"), ("==", 1, "Infeasible"), ("==", 3, "Infeasible"),
     ):
         inst = make_instance(3, rows=(make_row([1, 2, -1], rel, rhs),), group=_full_cycle_group(3))
-        out = engine._direct_fixed_probe(inst, 3)
+        out = engine._direct_fixed_probe(inst, 3, solve._Reading(inst))
         assert out.status == status, (rel, rhs)
         assert out.point == ((1, 1, 1) if status == "Feasible" else None)
     # fractional coefficients and right-hand sides, pairs of rows that
@@ -333,7 +342,7 @@ def test_direct_fixed_probe_checks_every_row_sense():
                 met = {LE: act <= row.rhs, GE: act >= row.rhs, "==": act == row.rhs}
                 holds.append(met[row.sense])
             status = "Feasible" if all(holds) else "Infeasible"
-            out = engine._direct_fixed_probe(inst, layer)
+            out = engine._direct_fixed_probe(inst, layer, solve._Reading(inst))
             assert out.status == status, (rows, layer)
             assert out.point == ((value,) * 3 if all(holds) else None)
             seen[status] += 1
@@ -811,19 +820,18 @@ def test_dry_run_dispatches_nothing():
 
 
 def _spy_on_reads(monkeypatch):
-    """Count the instance-row reads of the run's lowering
-    (solve._row_interval) and of the planning Tableau
-    (simplex._row_interval), the _interval_of calls per constraint, and
-    record each subproblem the run dispatches, with its keyword
+    """Count the instance-row reads of simplex._row_interval, the one
+    reader that merging uses, and the _interval_of calls per constraint,
+    and record each subproblem the run dispatches, with its keyword
     arguments and outcome."""
     reads, lowered, dispatched = Counter(), Counter(), []
-    for module, key in ((solve, "lowering"), (simplex, "tableau")):
+    row_interval = simplex._row_interval
 
-        def read(row, fn=module._row_interval, key=key):
-            reads[key] += 1
-            return fn(row)
+    def read(row):
+        reads["rows"] += 1
+        return row_interval(row)
 
-        monkeypatch.setattr(module, "_row_interval", read)
+    monkeypatch.setattr(simplex, "_row_interval", read)
     interval_of = solve._interval_of
 
     def lower(con):
@@ -848,8 +856,9 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch):
     rows) and lowers each distinct constraint once, and every
     dispatched subproblem answers as a
     standalone solve_subproblem call does; the direct probe answers as
-    it does reading the instance on its own.  A dry run makes no
-    reading: only its planning Tableau reads the rows."""
+    it does reading the instance on its own.  A dry run of Algorithm 1
+    reads the rows once too, for its planning LP; a dry run of
+    Algorithm 3, or of a plain instance, reads none."""
     reads, lowered, dispatched = _spy_on_reads(monkeypatch)
     rng = random.Random(31)
     seen, statuses = Counter(), set()
@@ -870,25 +879,68 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch):
         rep = run_auto(inst, opts)
         if not dispatched:
             continue
-        assert reads["lowering"] == len(inst.rows)
-        assert reads["tableau"] == 0
+        assert reads["rows"] == len(inst.rows)
         constraints = {id(c) for sp, _, _ in dispatched for cs in sp.added for c in cs.constraints}
         assert set(lowered) == constraints and set(lowered.values()) == {1}
         for sp, kwargs, out in dispatched:
             assert solve.solve_subproblem(sp, kwargs["box"], kwargs["budget"]) == out, sp.id
         for r in rep.results:
             if r.tag == "FIX":
-                assert engine._direct_fixed_probe(inst, r.provenance[1]) == r.outcome
+                probe = engine._direct_fixed_probe(inst, r.provenance[1], solve._Reading(inst))
+                assert probe == r.outcome
                 seen["probes"] += 1
         seen[f"algorithm {rep.algorithm}"] += len(dispatched) > 1
         statuses.update(out.status for _, _, out in dispatched)
     assert seen["algorithm 1"] > 10 and seen["algorithm 3"] > 40 and seen["probes"] > 10, seen
     assert statuses == {"Feasible", "Infeasible", "Unknown"}
+    dry = EngineOptions(dry_run=True)
     reads.clear()
-    dry = generate((1, 1, 0)).instance
-    run_auto(dry, EngineOptions(dry_run=True))
-    # a dry run plans, so its Tableau reads the rows itself
-    assert (reads["lowering"], reads["tableau"]) == (0, len(dry.rows))
+    inst = generate((1, 1, 0)).instance
+    assert run_auto(inst, dry).algorithm == 1
+    assert reads["rows"] == len(inst.rows)
+    inst = _random_cycles_instance(rng, (2, 3), "max")
+    for run, algorithm in ((run_auto, 3), (run_plain, 0)):
+        reads.clear()
+        assert run(inst, dry).algorithm == algorithm
+        assert reads["rows"] == 0, run
+
+
+def test_every_run_makes_one_reading(monkeypatch, tmp_path):
+    """Every run, dry or not, exporting or not, reads its instance into
+    one solve._Reading and hands it to its planner, its subproblems and
+    its direct probe: neither the run nor anything it calls makes a
+    second one."""
+    made = []
+    reading = solve._Reading
+
+    def spy(inst):
+        made.append(inst)
+        return reading(inst)
+
+    monkeypatch.setattr(engine, "_Reading", spy)
+    monkeypatch.setattr(solve, "_Reading", spy)
+    full = generate((1, 1, 0)).instance
+    group = analyze_group(["(1,2,3)"], 4)
+    one = make_instance(
+        4, rows=(make_row([1, 1, 1, 1], "==", 4),), bounds=_box(4, 0, 2), group=group
+    )
+    group = _two_cycles_group(2)
+    two = make_instance(4, rows=(make_row([1] * 4, "==", 3),), bounds=_box(4, 0, 2), group=group)
+    runs = (
+        (run_auto, full),
+        (run_auto, two),
+        (run_plain, full),
+        (run_algorithm1, full),
+        (lambda inst, opts: run_algorithm2(inst, inst.group.selected_cycles[0], opts), one),
+        (lambda inst, opts: run_algorithm3(inst, inst.group.selected_cycles, opts), two),
+    )
+    for i, (run, inst) in enumerate(runs):
+        for dry_run, export in product((False, True), repeat=2):
+            export_dir = str(tmp_path / f"{i}-{dry_run}") if export else None
+            made.clear()
+            run(inst, EngineOptions(dry_run=dry_run, export_dir=export_dir))
+            assert made == [inst], (i, dry_run, export)
+            assert not export or os.listdir(export_dir)
 
 
 def test_plain_dry_run_exports_its_subproblem(tmp_path):

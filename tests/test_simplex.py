@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from corecuts.simplex import EQ, GE, LE, Tableau, lp_feasible, make_row, solve_lp
+from corecuts.errors import InputError
+from corecuts.simplex import EQ, GE, LE, Tableau, _merge_rows, lp_feasible, make_row, solve_lp
 from oracles import lp_vertex_oracle
 
 
@@ -58,6 +59,14 @@ def test_negative_lower_bounds():
     res = solve_lp(2, [1, 1], rows, [(Fraction(-2), Fraction(2))] * 2)
     assert res.status == "optimal"
     assert res.objective == 0
+
+
+def test_rows_of_another_width_are_refused():
+    rows = [make_row([1, 1], LE, 4)]
+    with pytest.raises(InputError, match="row"):
+        solve_lp(3, [1, 1, 1], rows, [(None, None)] * 3)
+    with pytest.raises(InputError, match="row"):
+        lp_feasible(1, rows, [(None, None)])
 
 
 def test_exactness_no_rounding():
@@ -227,7 +236,7 @@ def test_warm_starts_match_cold_solves():
     statuses = set()
     for _ in range(200):
         n, objective, rows, bounds, maximize = _random_general_lp(rng)
-        tableau = Tableau(n, rows, bounds)
+        tableau = Tableau(n, _merge_rows(n, rows), bounds)
         for _ in range(4):
             warm = tableau.optimize(objective, maximize)
             cold = solve_lp(n, objective, rows, bounds, maximize=maximize)

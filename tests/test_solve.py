@@ -45,6 +45,7 @@ from corecuts.solve import (
     INFEASIBLE,
     UNBOUNDED,
     UNKNOWN,
+    _Reading,
     _interval_of,
     _lower,
     _propagate,
@@ -287,6 +288,19 @@ def test_int_and_float_rows_read_as_exact_fractions():
             make_instance(2, rows=(LPRow((1, 1), LE, bad),))
 
 
+def test_float_objective_weights_read_as_exact_fractions():
+    """An Instance converts int and float objective weights exactly to
+    Fractions, as it does row entries: a float weight once escaped from
+    the solver as an AttributeError."""
+    row = make_row([1, 1], LE, 3)
+    inst = Instance(2, "max", (1.5, 1), (row,), ((0, 2), (0, 2)), (True, True))
+    assert inst.objective == (Fraction(3, 2), 1)
+    assert all(type(v) is Fraction for v in inst.objective)
+    for run in (run_plain, run_auto):
+        rep = run(inst)
+        assert (rep.status, rep.point, rep.f_star) == (FEASIBLE, (2, 1), 4)
+
+
 # ---------------------------------------------------------------------------
 # LP relaxation
 
@@ -415,7 +429,7 @@ def test_export_states_the_enumerated_problem():
             inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
         for sub in plan(inst).subproblems:
             index = {v.name: j for j, v in enumerate(flatten_subproblem(sub).variables)}
-            rows, nonlinear = _lower(sub, index)
+            rows, nonlinear = _lower(sub, index, _Reading(sub.base))
             assert (rows, nonlinear) == _lower_export(sub), (sub.id, inst.rows)
             subs += 1
             nonlinear_subs += bool(nonlinear)
@@ -445,10 +459,10 @@ def test_lower_gives_the_recursive_readers_rows(monkeypatch):
         planned += schedule.subproblems
     for sub in planned:
         index = {v.name: j for j, v in enumerate(flatten_subproblem(sub).variables)}
-        lowered = _lower(sub, index)
+        lowered = _lower(sub, index, _Reading(sub.base))
         with monkeypatch.context() as patch:
             patch.setattr(solve, "linear_form", reference_linear_form)
-            assert lowered == _lower(sub, index), sub.id
+            assert lowered == _lower(sub, index, _Reading(sub.base)), sub.id
     assert min(algorithms[a] for a in (1, 2, 3)) >= 10 and len(planned) > 300, algorithms
 
 
@@ -835,8 +849,9 @@ def test_enumerator_rows_are_the_tableau_rows_rounded_inward(monkeypatch):
         rows += [_restated(rng, *rng.choice(rows)) for _ in range(rng.randint(0, 3))]
         inst = make_instance(n, rows=[make_row(*row) for row in rows], bounds=_box(n, -2, 2))
         built.clear()
-        simplex.Tableau(n, inst.rows, inst.bounds)
-        lowered, _ = _lower(_sub(inst), {name: j for j, name in enumerate(inst.var_names)})
+        simplex.Tableau(n, simplex._merge_rows(n, inst.rows), inst.bounds)
+        index = {name: j for j, name in enumerate(inst.var_names)}
+        lowered, _ = _lower(_sub(inst), index, _Reading(inst))
         assert lowered == (_rounded(built["ranged"]) if built["nonempty"] else None), rows
         empty += lowered is None
     assert 20 < empty < 200

@@ -16,13 +16,18 @@ from corecuts.simplex import make_row
 from corecuts.solve import make_instance
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+RUN = SPANS.with_name("run.py")
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans():
+    return _load(SPANS, "perfbench_spans")
 
 
 def test_tracer_records_leaf_and_subproblem_spans():
@@ -109,3 +114,39 @@ def test_tracer_records_one_plan_and_one_lp_span_per_algorithm1_run():
     calls = {name: n for name, (n, _) in tracer.self_times().items()}
     assert calls.get("engine.plan") == 2 and calls.get("solve.lp_relax") == 2, calls
     assert tracer.descendants("solve.lp_relax", "engine.plan") == 2
+
+
+def test_benchmark_layer_groups_name_traced_layers(monkeypatch):
+    """Each function the benchmark groups into a per-layer metric
+    (``LAYER_GROUPS`` in ``perfbench/run.py``) is one the tracer wraps,
+    or one of its ``METHODS``, and each module prefix names a traced
+    module; a rename would otherwise leave that metric reading zero."""
+    monkeypatch.syspath_prepend(str(RUN.parent))
+    groups = _load(RUN, "perfbench_run").LAYER_GROUPS
+    spans = _load_spans()
+    layers = {
+        layer: importlib.import_module(f"corecuts.{layer}") for layer in spans.LAYER_MODULES
+    }
+    before = {layer: dict(vars(module)) for layer, module in layers.items()}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # a function is wrapped under its own module's name only
+        wrapped = {
+            f"{layer}.{attr}"
+            for layer, names in before.items()
+            for attr, fn in names.items()
+            if getattr(layers[layer], attr) is not fn
+            and getattr(fn, "__module__", None) == layers[layer].__name__
+        }
+    finally:
+        tracer.uninstall()
+    wrapped |= {".".join(method) for method in spans.METHODS}
+    named = 0
+    for metric, names in groups.items():
+        if isinstance(names, str):
+            assert names.endswith(".") and names[:-1] in spans.LAYER_MODULES, metric
+        else:
+            assert set(names) <= wrapped, (metric, set(names) - wrapped)
+            named += len(names)
+    assert named >= 20
