@@ -13,9 +13,9 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   the LP layer range (the values of sum(x) over the LP relaxation) is
   pruned, and one LP, min or max of sum(x), gives the range's end the
   walk heads toward.  Both planning LPs run on one ``simplex.Tableau``
-  of the instance's rows and bounds, which starts from the run's merged
-  rows: phase 1 runs once, and the range LP is a phase-2 reoptimisation
-  from the relaxation's optimal basis.
+  of the instance's rows and bounds, which starts from the instance's
+  merged rows (``Instance._merged``): phase 1 runs once, and the range
+  LP is a phase-2 reoptimisation from the relaxation's optimal basis.
   A feasibility instance walks down from the top of the layer range;
   when sum(x) has no LP maximum it walks up from the bottom instead,
   and when it has no LP bound at all the walk is empty and stops at
@@ -64,11 +64,9 @@ stops early by one rule: a feasibility instance stops at its first
 Feasible result, and Algorithm 1 on a max/min instance stops after the
 first layer (probes, then cut) with a Feasible result.  A walk that
 reaches its stop layer ends with the direct fixed-space probe.  The
-runner makes one reading of the instance per run (``solve._Reading``),
-before planning, and hands it to Algorithm 1's planning LPs, to every
-subproblem it exports or solves and to the direct probe: the instance
-rows are merged once, each added set is lowered once, and each exported
-piece is encoded once.  Aggregation follows the strictness rule: on a
+instance and each added set keep their own readings (see ``solve``), so
+the runner hands nothing around but one dict of encoded JSON texts per
+exporting run.  Aggregation follows the strictness rule: on a
 max/min instance any Unknown outcome (budget or box truncation) makes
 the verdict Unknown; Infeasible is only reported when every scheduled
 subproblem ran and certified exhaustion.
@@ -102,8 +100,7 @@ from .solve import (
     Outcome,
     UNBOUNDED,
     UNKNOWN,
-    _Reading,
-    _symmetry_check,
+    _symmetry_misses,
     export_subproblem,
     lp_relax,
     solve_subproblem,
@@ -146,6 +143,10 @@ class EngineOptions:
             raise InputError("box must be >= 0")
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise InputError("eps must be finite and > 0")
+        if not isinstance(self.dry_run, bool):
+            raise InputError(f"dry run must be a bool, not {self.dry_run!r}")
+        if self.export_dir is not None and not isinstance(self.export_dir, (str, os.PathLike)):
+            raise InputError(f"export dir must be a path, not {self.export_dir!r}")
 
 
 @dataclass(frozen=True)
@@ -243,25 +244,23 @@ def _residue_sets(
     return probes, (row, smoothness(cycle, opts.eps)) + cuts
 
 
-def plan_algorithm1(
-    inst: Instance, opts: EngineOptions, *, _reading: Optional[_Reading] = None
-) -> Schedule:
+def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     """Algorithm 1's layer walk; refuses an instance its declared group,
-    or its cycle alone, does not fix.  ``_reading`` is the run's reading
-    of inst (``solve._Reading``, made by ``_run``), which the planning
-    LPs start from; by default inst is read here."""
-    _check_symmetric(inst, inst.group.selected_cycles if inst.group else ())
-    return _plan_algorithm1(inst, opts, _reading or _Reading(inst))
+    or its cycle alone, does not fix."""
+    cycles = inst.group.selected_cycles if inst.group else ()
+    _check_disjoint(inst, cycles)
+    _check_symmetric(inst, cycles)
+    return _plan_algorithm1(inst, opts)
 
 
-def _plan_algorithm1(inst: Instance, opts: EngineOptions, reading: _Reading) -> Schedule:
+def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     """The layer walk of an instance its group and cycle fix.  One
     ``Tableau`` serves the relaxation and the layer-range LP; it starts
-    from the merged rows of ``reading``, the run's reading of inst."""
+    from the instance's merged rows."""
     cycle = _single_full_cycle(inst)
     n = inst.n
     notes: list[str] = []
-    tableau = Tableau(n, reading.merged, inst.bounds)
+    tableau = Tableau(n, inst._merged, inst.bounds)
     lp = lp_relax(inst, tableau)
     if lp.status in (INFEASIBLE, UNBOUNDED):
         return Schedule(1, (), lp=lp, notes=(f"LP relaxation {lp.status}",))
@@ -330,7 +329,6 @@ def _plan_cycles(
     """The residue schedule of Algorithms 2 and 3: one S2 per cycle, the
     anchor probes of every cycle and residue, then one cut subproblem per
     residue tuple in [1..k_1-1] x ... x [1..k_d-1]."""
-    _check_disjoint(inst, cycles)
     subs = [
         Subproblem(
             f"A{c.support[0]}.S2",
@@ -385,23 +383,20 @@ def plan_algorithm3(
     return _plan_cycles(inst, cycles, opts, 3)
 
 
-def plan(
-    inst: Instance, opts: Optional[EngineOptions] = None, *, _reading: Optional[_Reading] = None
-) -> Schedule:
+def plan(inst: Instance, opts: Optional[EngineOptions] = None) -> Schedule:
     """Choose the algorithm from the instance's analyzed group and build
     its full schedule; an instance without usable cycles, or whose
     declared group does not fix it, gets the no-symmetry schedule (one
     plain bounded enumeration).  Only the selected cycles that fix the
     instance by themselves are planned, each with a note when it does
     not: a cycle of a product generator may not.  With none left, the
-    schedule is plain.  ``_reading`` is the run's reading of inst, which
-    Algorithm 1's planning LPs start from (see ``plan_algorithm1``)."""
+    schedule is plain."""
     opts = opts or EngineOptions()
     group = inst.group
     if group is None:
         return _plain_schedule(inst, opts)
-    check = _symmetry_check(inst)
-    warnings = tuple(symmetry_warnings(inst, _check=check))
+    _check_disjoint(inst, group.selected_cycles)
+    warnings = tuple(symmetry_warnings(inst))
     if warnings:
         note = "declared group does not fix the instance; plain enumeration"
         return replace(_plain_schedule(inst, opts), notes=(note,), warnings=warnings)
@@ -409,7 +404,7 @@ def plan(
         return _plain_schedule(inst, opts)
     cycles, notes = [], []
     for c in group.selected_cycles:
-        misses = _cycle_misses(inst, c, check)
+        misses = _cycle_misses(inst, c)
         if misses:
             notes.append(f"cycle {c} alone {', '.join(misses)}; not planned")
         else:
@@ -420,7 +415,7 @@ def plan(
     # the group and the cycles were checked above, so the planner bodies
     # run unchecked
     if len(cycles) == 1 and cycles[0].k == inst.n:
-        schedule = _plan_algorithm1(inst, opts, _reading or _Reading(inst))
+        schedule = _plan_algorithm1(inst, opts)
     else:
         schedule = _plan_cycles(inst, tuple(cycles), opts, 2 if len(cycles) == 1 else 3)
     return replace(schedule, notes=(*notes, *schedule.notes)) if notes else schedule
@@ -441,11 +436,10 @@ def _objective_of(inst: Instance, point: Sequence[Fraction]) -> Fraction:
     return sum((c * x for c, x in zip(inst.objective, point)), Fraction(0))
 
 
-def _direct_fixed_probe(inst: Instance, layer: int, reading: _Reading) -> Outcome:
+def _direct_fixed_probe(inst: Instance, layer: int) -> Outcome:
     """Evaluate the fixed-space candidate (layer/n) * 1 directly against
-    the instance's bounds and its merged rows (``reading``, the run's
-    reading of inst) — exact, by integer cross-multiplication, no
-    enumeration."""
+    the instance's bounds and its merged rows — exact, by integer
+    cross-multiplication, no enumeration."""
     n = inst.n
     if layer % n:
         raise InputError("direct probe needs a layer divisible by n")
@@ -454,7 +448,7 @@ def _direct_fixed_probe(inst: Instance, layer: int, reading: _Reading) -> Outcom
     for (lo, hi) in inst.bounds:
         if (lo is not None and value < lo) or (hi is not None and value > hi):
             return Outcome(INFEASIBLE)
-    merged, nonempty = reading.merged
+    merged, nonempty = inst._merged
     if not nonempty:
         return Outcome(INFEASIBLE)
     for key, (lo, hi) in merged.items():
@@ -524,11 +518,7 @@ def _aggregate(
 
 
 def _run(
-    inst: Instance,
-    opts: Optional[EngineOptions],
-    planner: Callable[..., Schedule],
-    *args,
-    plans_lp: bool = False,
+    inst: Instance, opts: Optional[EngineOptions], planner: Callable[..., Schedule], *args
 ) -> Report:
     """Plan with ``planner(inst, *args, opts)``, then export and solve the
     subproblems stage by stage in schedule order.  The run stops at the
@@ -538,23 +528,14 @@ def _run(
     stop layer ends with the direct fixed-space probe.  A dry run solves
     nothing and reports every subproblem Unknown.
 
-    Every run makes one reading of the instance (``solve._Reading``)
-    before planning and hands it to Algorithm 1's planning LPs, to every
-    subproblem it exports or solves and to the direct probe; a planner
-    that may plan by LP (``plans_lp``) gets it as its private
-    ``_reading`` argument.  Each part of the reading is made on first
-    use: the merged rows, each added set's rows, the export rows and the
-    encoded JSON texts.  So the run reads each instance row once for the
-    LP and the enumerator, lowers each added set once and encodes each
-    exported piece once, and a dry run reads only what its planning LP
-    and its export need."""
+    An exporting run encodes each piece of its files once, into one dict
+    of JSON texts (``export_subproblem``'s ``_texts``).  Its constraints
+    are keyed by identity, which is safe only while the schedule holds
+    them, so the dict lives as long as the run."""
     opts = opts or EngineOptions()
     t0 = time.perf_counter()
-    reading = _Reading(inst)
-    if plans_lp:
-        schedule = planner(inst, *args, opts, _reading=reading)
-    else:
-        schedule = planner(inst, *args, opts)
+    schedule = planner(inst, *args, opts)
+    texts: dict = {}
     if opts.export_dir:
         os.makedirs(opts.export_dir, exist_ok=True)
     results: list[SubResult] = []
@@ -564,12 +545,12 @@ def _run(
         for sp in stage:
             if opts.export_dir:
                 path = os.path.join(opts.export_dir, f"{sp.id}.json")
-                export_subproblem(sp, path, _reading=reading)
+                export_subproblem(sp, path, _texts=texts)
             t1 = time.perf_counter()
             if opts.dry_run:
                 out = Outcome(UNKNOWN)
             else:
-                out = solve_subproblem(sp, box=opts.box, budget=opts.budget, _reading=reading)
+                out = solve_subproblem(sp, box=opts.box, budget=opts.budget)
             results.append(SubResult(sp.id, sp.tag, sp.provenance, out, time.perf_counter() - t1))
             found = found or out.status == FEASIBLE
             if found and inst.sense == FEASIBILITY:
@@ -582,7 +563,7 @@ def _run(
 
     if not stopped and schedule.stop_layer is not None and not opts.dry_run:
         t1 = time.perf_counter()
-        out = _direct_fixed_probe(inst, schedule.stop_layer, reading)
+        out = _direct_fixed_probe(inst, schedule.stop_layer)
         results.append(
             SubResult(
                 f"L{schedule.stop_layer}.fix",
@@ -600,7 +581,7 @@ def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Repo
     surviving layer anchor probes and one cut subproblem, stopping at
     the first feasible layer or at the first layer divisible by n, where
     the fixed-space point is evaluated directly."""
-    return _run(inst, opts, plan_algorithm1, plans_lp=True)
+    return _run(inst, opts, plan_algorithm1)
 
 
 def run_algorithm2(
@@ -627,7 +608,7 @@ def run_plain(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:
 
 def run_auto(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:
     """plan() then run the chosen algorithm."""
-    return _run(inst, opts, plan, plans_lp=True)
+    return _run(inst, opts, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -694,33 +675,35 @@ def _single_full_cycle(inst: Instance) -> Cycle:
     return cycle
 
 
-def _cycle_misses(inst: Instance, cycle: Cycle, check) -> list[str]:
-    """What the cycle's permutation alone does not fix of inst (``check``
-    is ``solve._symmetry_check(inst)``).  A cycle that is a declared
-    generator was checked with the group, so it is not checked again."""
+def _cycle_misses(inst: Instance, cycle: Cycle) -> list[str]:
+    """What the cycle's permutation alone does not fix of inst.  A cycle
+    that is a declared generator was checked with the group, so it is
+    not checked again."""
     p = cycle.as_permutation(inst.n)
     if inst.group is not None and p in inst.group.generators:
         return []
-    return check(p)
+    return _symmetry_misses(inst, p)
 
 
 def _check_symmetric(inst: Instance, cycles: Sequence[Cycle]) -> None:
     """Refuse inst when its declared group, or one of the cycles to be
     planned on its own, does not fix it."""
-    check = _symmetry_check(inst)
-    warnings = symmetry_warnings(inst, _check=check)
+    warnings = symmetry_warnings(inst)
     if warnings:
         raise InputError("declared group does not fix the instance: " + "; ".join(warnings))
     for c in cycles:
-        misses = _cycle_misses(inst, c, check)
+        misses = _cycle_misses(inst, c)
         if misses:
             raise InputError(f"cycle {c} alone does not fix the instance: {', '.join(misses)}")
 
 
 def _check_disjoint(inst: Instance, cycles: Sequence[Cycle]) -> None:
+    """Refuse cycles that leave 1..n or overlap; every planner checks
+    this before the symmetry check, which reads each cycle as a
+    permutation of 1..n."""
     seen: set[int] = set()
     for c in cycles:
-        if max(c.support) > inst.n:
+        if min(c.support) < 1 or max(c.support) > inst.n:
             raise InputError("cycle support escapes the variable range")
         overlap = seen & set(c.support)
         if overlap:

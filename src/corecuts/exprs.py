@@ -7,6 +7,12 @@ evaluator (n-ary operations fold left, Dot accumulates in index order,
 constants convert via float()); evalcore only binds trees to value
 vectors for it.  Serialization must stay bit-exact across emit -> parse
 -> evaluate, so nothing in this module may reorder operands.
+
+``linear_form`` reads an affine tree as exact rational coefficients,
+and ``_interval_of`` turns a constraint into the interval row the
+enumerator propagates.  A ``ConstraintSet`` keeps that reading of its
+constraints (``_intervals``), made on first use, so a set that several
+subproblems hold is read once.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import InputError
@@ -80,6 +87,10 @@ EQ_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Constraint:
+    """``expr sense 0``; an int or Fraction ``eps`` is kept as the float
+    the export format states, so an exported constraint parses back
+    equal to it."""
+
     expr: Expr
     sense: str
     eps: float = DEFAULT_EPS
@@ -87,6 +98,10 @@ class Constraint:
     def __post_init__(self) -> None:
         if self.sense not in SENSES:
             raise InputError(f"bad sense {self.sense!r}")
+        if type(self.eps) is not float:
+            if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float, Fraction)):
+                raise InputError(f"eps must be a number, not {self.eps!r}")
+            object.__setattr__(self, "eps", float(self.eps))
         if self.sense in (STRICT_NEG, NON_NEG) and not (
             self.eps > 0 and math.isfinite(self.eps)
         ):
@@ -117,6 +132,13 @@ class ConstraintSet:
     def __post_init__(self) -> None:
         if self.tag not in (S1, S2, S3, SUBLAYER, SMOOTH):
             raise InputError(f"bad tag {self.tag!r}")
+
+    @cached_property
+    def _intervals(self) -> tuple[tuple[Constraint, Optional[tuple]], ...]:
+        """Each constraint with its exact interval row (``_interval_of``),
+        read once per set: one set is shared by every subproblem that
+        holds it."""
+        return tuple((con, _interval_of(con)) for con in self.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +312,28 @@ def linear_form(expr: Expr) -> Optional[tuple[dict[str, Fraction], Fraction]]:
     if type(const) is not int and const.denominator == 1:
         const = const.numerator
     return coeffs, const
+
+
+def _interval_of(con: Constraint) -> Optional[
+    tuple[dict[str, Fraction], Optional[Fraction], Optional[Fraction]]
+]:
+    """Lower a constraint to an exact interval row ``(coeffs, lo, hi)``
+    when its expression is affine with rational coefficients (ints where
+    integral, see ``linear_form``); strict senses get their eps folded
+    into the bound so propagation and leaf checking agree."""
+    lf = linear_form(con.expr)
+    if lf is None:
+        return None
+    coeffs, const = lf
+    if con.sense == LE_ZERO:
+        return coeffs, None, -const
+    if con.sense == EQ:
+        return coeffs, -const, -const
+    if con.sense == STRICT_NEG:
+        return coeffs, None, -const - Fraction(con.eps)
+    if con.sense == NON_NEG:
+        return coeffs, -const + Fraction(con.eps), None
+    raise InputError(f"unknown constraint sense {con.sense!r}")
 
 
 def check_value(value: float, sense: str, eps: float) -> bool:

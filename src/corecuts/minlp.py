@@ -29,11 +29,12 @@ joins a list's items, so the document is the same text that one
 ``repr``: the shortest text that reads back as the same double, so
 every finite double survives the round trip bit for bit.  Non-finite
 doubles are rejected.  Rationals stay exact by construction.  A run
-that exports many subproblems of one instance hands the writer the
-dict of texts of its reading of the instance (``_texts``, the
-``texts`` of ``solve._Reading``), so each piece is encoded once per
-run: constraints are keyed by identity (the run holds every one of
-them until it ends), variables and the objective by value.
+that exports many subproblems of one instance hands the writer one
+dict of texts (``_texts``, made by ``engine._run``), so each piece is
+encoded once per run: constraints are keyed by identity (the run holds
+every one of them until it ends), variables and the objective by
+value.  A constraint's ``eps`` is a float (``exprs.Constraint`` keeps
+it so), so it reads back equal.
 
 The parser is plain ``json.load`` plus a typed decode: JSON numbers
 become finite Python floats, ``{"num","den"}`` objects with exact
@@ -129,12 +130,11 @@ def _constraint_text(con: Constraint) -> str:
 
 def dumps_problem(flat: FlatProblem, *, _texts: Optional[dict] = None) -> str:
     """The document of flat.  ``_texts`` is one run's encoded pieces
-    (the ``texts`` of ``solve._Reading``): constraints keyed by
-    identity, variables and the objective by value; by default every
-    piece is encoded here.  A value key does not tell ``0`` from
-    ``Fraction(0)``, which encode differently, but one run exports one
-    instance, whose bounds stay the same objects and whose weights are
-    Fractions."""
+    (made by ``engine._run``): constraints keyed by identity, variables
+    and the objective by value; by default every piece is encoded here.
+    A value key does not tell ``0`` from ``Fraction(0)``, which encode
+    differently, but one run exports one instance, whose bounds stay the
+    same objects and whose weights are Fractions."""
     texts = {} if _texts is None else _texts
 
     def text(key, encode, piece) -> str:
@@ -282,7 +282,7 @@ def _decode_problem(doc: dict) -> ParsedProblem:
             raise InputError(f"unknown constraint sense {c.get('sense')!r}")
         eps = _decode_number(c.get("eps", 0.0), rationals)
         constraints.append(
-            Constraint(_decode_expr(c["expr"], rationals, declared), c["sense"], float(eps))
+            Constraint(_decode_expr(c["expr"], rationals, declared), c["sense"], eps)
         )
     return ParsedProblem(
         variables=tuple(variables),

@@ -23,9 +23,9 @@ one-shot wrappers over the same code.
   is rounded.  A ranged row has one logical variable in ``[0, hi -
   lo]``; an equality row has none.  ``_merge_rows`` is the one place
   that merges a system's rows, for the LP and for the integer
-  enumerator: a run merges its instance's rows once
-  (``solve._Reading.merged``), and Algorithm 1's planning ``Tableau``,
-  every subproblem and the direct fixed-space probe start from that.
+  enumerator: an instance merges its rows once (``solve.Instance._merged``),
+  and ``lp_relax``, Algorithm 1's planning ``Tableau``, every subproblem
+  and the direct fixed-space probe start from that.
   The enumerator (``solve._lower``) merges its added sets into a copy
   with the same ``_merge_row`` and rounds each bound inward.
 * Artificials only where needed.  With every structural variable at 0,

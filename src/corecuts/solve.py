@@ -25,47 +25,45 @@ instances a few variables wide, and every verdict they return is
 certified (a satisfying point, or full exhaustion of the box).  When the
 node budget runs out first the verdict is Unknown, never a guess.
 
-One run reads its instance once, into one ``_Reading``: ``engine._run``
-makes it before planning and hands it to Algorithm 1's planning
-``Tableau``, to every ``solve_subproblem`` and ``export_subproblem``
-call and to the direct fixed-space probe; a standalone call makes its
-own.  Each part of the reading is made on first use, so a run reads
-only what it needs:
+The data keeps its own reading, made on first use and kept as long as
+the object lives; nothing writes into it:
 
-* ``merged``: the instance rows read by position
+* an ``Instance`` keeps its rows read by position
   (``simplex._row_interval``: coefficients and an interval) and merged
-  once (``simplex._merge_rows``).  The planning ``Tableau`` and the
-  direct probe start from it; each subproblem copies it and merges its
-  added sets in order (``_lower``).
-* ``set_rows``: each added set lowered once, from its expression trees
-  (``_interval_of``, through the one-pass integer reader
-  ``exprs.linear_form``), by name, keeping the non-affine constraints
-  for the leaves.
-* ``export_rows``: the instance rows as expression trees
-  (``_row_to_constraint``, from the same ``_row_interval``), which
-  ``flatten_subproblem`` puts before the added constraints of the
-  export document.
-* ``texts``: the JSON text of each variable entry, objective and
-  constraint the writer has encoded (``minlp.dumps_problem``'s
-  ``_texts``), shared by every file of the run.
+  once (``simplex._merge_rows``, ``Instance._merged``), which
+  ``lp_relax``, Algorithm 1's planning ``Tableau`` and the direct
+  fixed-space probe read and each subproblem copies before it merges
+  its added sets (``_lower``); the same rows as export constraints
+  (``_row_to_constraint``, ``Instance._export_rows``), which
+  ``flatten_subproblem`` puts before the added constraints; and the
+  integer row keys of its symmetry check (``Instance._row_keys``);
+* a ``ConstraintSet`` keeps each constraint with its interval row
+  (``exprs._interval_of``, through the one-pass integer reader
+  ``exprs.linear_form``), by name; the non-affine ones stay for the
+  leaves.
+
+So every run on one ``Instance`` merges its rows once, and every
+subproblem that holds a set reads it once.  The one per-run state is
+the export's dict of JSON texts (``minlp.dumps_problem``'s
+``_texts``), which ``engine._run`` makes for a run that exports.
 
 The enumerator and the export take their variable order (instance
 variables, then auxiliaries in first-appearance order) from
 ``_variables``.  No construction ties their two row readers together;
 ``test_export_states_the_enumerated_problem`` in ``tests/test_solve.py``
 does: it lowers the export documents of planned subproblems through
-``_interval_of`` and checks that they give the enumerator's integer
-rows and nonlinear constraints.
+``exprs._interval_of`` and checks that they give the enumerator's
+integer rows and nonlinear constraints.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 from .evalcore import Program, compile_expr
@@ -76,10 +74,7 @@ from .exprs import (
     Dot,
     EQ,
     LE_ZERO,
-    NON_NEG,
-    STRICT_NEG,
     check_value,
-    linear_form,
 )
 from .perms import GroupSpec, Permutation, apply
 from .simplex import EQ as ROW_EQ, GE, LE, LPRow, Tableau, _merge_row, _merge_rows, _row_interval
@@ -176,6 +171,30 @@ class Instance:
     def var_names(self) -> tuple[str, ...]:
         return tuple(f"x{i}" for i in range(1, self.n + 1))
 
+    @cached_property
+    def _merged(self) -> tuple[dict, bool]:
+        """The rows merged by ``simplex._merge_rows``: the ranged rows,
+        and False when some row admits no point.  Its readers copy what
+        they change."""
+        return _merge_rows(self.n, self.rows)
+
+    @cached_property
+    def _export_rows(self) -> tuple[Constraint, ...]:
+        """The rows as export constraints."""
+        names = self.var_names
+        return tuple(_row_to_constraint(r, names) for r in self.rows)
+
+    @cached_property
+    def _row_keys(self) -> tuple[list, Counter]:
+        """Each row as an exact integer key (the ``as_integer_ratio`` of
+        each coefficient, the sense and the ratio of the rhs), and their
+        multiset, which a symmetry permutes onto itself."""
+        keys = [
+            (tuple(a.as_integer_ratio() for a in r.coeffs), r.sense, r.rhs.as_integer_ratio())
+            for r in self.rows
+        ]
+        return keys, Counter(keys)
+
 
 def make_instance(
     n: int,
@@ -199,14 +218,12 @@ class Outcome:
     objective: Optional[Fraction] = None
 
 
-def symmetry_warnings(inst: Instance, *, _check=None) -> list[str]:
+def symmetry_warnings(inst: Instance) -> list[str]:
     """Check the declared generators really fix the instance: each one
     must permute the row multiset onto itself, fix the objective vector
     and permute the bound declarations onto themselves.
     Returns human-readable warnings; an empty list means the declaration
-    is consistent.  ``_check`` is ``_symmetry_check(inst)``, when the
-    caller checks further permutations with the same keys; by default it
-    is made here.
+    is consistent.
 
     Rows are compared as written: a row that a generator maps onto a
     rescaled copy of another row (``2*x1 <= 2`` for ``x2 <= 1``) counts
@@ -214,33 +231,26 @@ def symmetry_warnings(inst: Instance, *, _check=None) -> list[str]:
     sound but slower."""
     if inst.group is None:
         return []
-    check = _check or _symmetry_check(inst)
-    return [f"generator {g.images} {miss}" for g in inst.group.generators for miss in check(g)]
-
-
-def _symmetry_check(inst: Instance) -> Callable[[Permutation], list[str]]:
-    """A check of permutations against inst: what a permutation does not
-    fix, as phrases such as "does not fix the objective" (none: it fixes
-    inst).  Each row is read once, into an exact integer key: the
-    ``as_integer_ratio`` of each coefficient, the sense and the ratio of
-    the rhs; a permutation permutes those keys."""
-    keys = [
-        (tuple(a.as_integer_ratio() for a in r.coeffs), r.sense, r.rhs.as_integer_ratio())
-        for r in inst.rows
+    return [
+        f"generator {g.images} {miss}"
+        for g in inst.group.generators
+        for miss in _symmetry_misses(inst, g)
     ]
-    rows = Counter(keys)
 
-    def check(p: Permutation) -> list[str]:
-        misses = []
-        if apply(p, inst.objective) != inst.objective:
-            misses.append("does not fix the objective")
-        if Counter((apply(p, coeffs), sense, rhs) for coeffs, sense, rhs in keys) != rows:
-            misses.append("does not permute the constraint rows")
-        if apply(p, inst.bounds) != inst.bounds:
-            misses.append("does not preserve bounds")
-        return misses
 
-    return check
+def _symmetry_misses(inst: Instance, p: Permutation) -> list[str]:
+    """What p does not fix of inst, as phrases such as "does not fix the
+    objective" (none: it fixes inst).  p permutes the integer row keys
+    of ``Instance._row_keys``."""
+    keys, rows = inst._row_keys
+    misses = []
+    if apply(p, inst.objective) != inst.objective:
+        misses.append("does not fix the objective")
+    if Counter((apply(p, coeffs), sense, rhs) for coeffs, sense, rhs in keys) != rows:
+        misses.append("does not permute the constraint rows")
+    if apply(p, inst.bounds) != inst.bounds:
+        misses.append("does not preserve bounds")
+    return misses
 
 
 def lp_relax(inst: Instance, tableau: Optional[Tableau] = None) -> Outcome:
@@ -255,7 +265,7 @@ def lp_relax(inst: Instance, tableau: Optional[Tableau] = None) -> Outcome:
     and bounds that the caller keeps, to reoptimise it for further
     objectives without another phase 1; by default one is built."""
     if tableau is None:
-        tableau = Tableau(inst.n, _merge_rows(inst.n, inst.rows), inst.bounds)
+        tableau = Tableau(inst.n, inst._merged, inst.bounds)
     if inst.sense == FEASIBILITY:
         res = tableau.optimize((1,) * inst.n, maximize=True)
         if res.status == "unbounded":
@@ -293,31 +303,11 @@ class FlatProblem:
 
 
 def _row_to_constraint(row: LPRow, names: Sequence[str]) -> Constraint:
+    """An ``Instance`` row, whose entries are Fractions, as an export
+    constraint that shares them."""
     coeffs, lo, hi = _row_interval(row)
-    expr = Add((Dot(tuple(Fraction(a) for a in coeffs), tuple(names)), Const(-Fraction(hi))))
+    expr = Add((Dot(coeffs, tuple(names)), Const(-hi)))
     return Constraint(expr, LE_ZERO if lo is None else EQ)
-
-
-def _interval_of(con: Constraint) -> Optional[
-    tuple[dict[str, Fraction], Optional[Fraction], Optional[Fraction]]
-]:
-    """Lower a constraint to an exact interval row when its expression
-    is affine with rational coefficients (ints where integral, see
-    ``linear_form``); strict senses get their eps folded into the bound
-    so propagation and leaf checking agree."""
-    lf = linear_form(con.expr)
-    if lf is None:
-        return None
-    coeffs, const = lf
-    if con.sense == LE_ZERO:
-        return coeffs, None, -const
-    if con.sense == EQ:
-        return coeffs, -const, -const
-    if con.sense == STRICT_NEG:
-        return coeffs, None, -const - Fraction(con.eps)
-    if con.sense == NON_NEG:
-        return coeffs, -const + Fraction(con.eps), None
-    raise InputError(f"unknown constraint sense {con.sense!r}")
 
 
 def _variables(sub) -> tuple[FlatVar, ...]:
@@ -341,55 +331,13 @@ def _variables(sub) -> tuple[FlatVar, ...]:
     return tuple(variables)
 
 
-@dataclass(frozen=True, eq=False)
-class _Reading:
-    """One run's reading of an instance and of the sets its schedule
-    adds; each part is made on first use and kept until the run ends.
-    Its users copy what they change: ``merged`` stays as it was made.
-    The schedule holds every added set and constraint until the run
-    ends, so an identity is not reused within it; hashing a frozen set
-    instead would walk its whole tree."""
-
-    inst: Instance
-    #: each added set's constraints with their rows (``_interval_of``),
-    #: keyed by the set's identity
-    sets: dict[int, list[tuple[Constraint, Optional[tuple]]]] = field(
-        default_factory=dict, init=False
-    )
-    #: the JSON text of each piece the writer has encoded
-    #: (``minlp.dumps_problem``'s ``_texts``)
-    texts: dict = field(default_factory=dict, init=False)
-
-    @cached_property
-    def merged(self) -> tuple[dict, bool]:
-        """The instance rows merged by ``simplex._merge_rows``: the
-        ranged rows, and False when some row admits no point."""
-        return _merge_rows(self.inst.n, self.inst.rows)
-
-    @cached_property
-    def export_rows(self) -> tuple[Constraint, ...]:
-        """The instance rows as export constraints."""
-        names = self.inst.var_names
-        return tuple(_row_to_constraint(r, names) for r in self.inst.rows)
-
-    def set_rows(self, cs) -> list[tuple[Constraint, Optional[tuple]]]:
-        rows = self.sets.get(id(cs))
-        if rows is None:
-            rows = self.sets[id(cs)] = [(con, _interval_of(con)) for con in cs.constraints]
-        return rows
-
-
-def flatten_subproblem(sub, *, _reading: Optional[_Reading] = None) -> FlatProblem:
+def flatten_subproblem(sub) -> FlatProblem:
     """The export document of sub = sub.base (an Instance) plus sub.added
     (ConstraintSets): the variables of ``_variables``, the base rows as
-    expression trees, then the added constraints as they are.
-    ``_reading`` is the run's reading of sub.base, whose export rows
-    every subproblem of the run shares; by default sub.base is read
-    here."""
+    expression trees (``Instance._export_rows``), then the added
+    constraints as they are."""
     base: Instance = sub.base
-    if _reading is None:
-        _reading = _Reading(base)
-    constraints = list(_reading.export_rows)
+    constraints = list(base._export_rows)
     for cs in sub.added:
         constraints.extend(cs.constraints)
     names = base.var_names
@@ -519,7 +467,7 @@ def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, i
 
 
 def _lower(
-    sub, var_index: dict[str, int], reading: _Reading
+    sub, var_index: dict[str, int]
 ) -> tuple[
     Optional[list[tuple[list[tuple[int, int]], Optional[int], Optional[int]]]],
     list[Constraint],
@@ -528,17 +476,17 @@ def _lower(
     integer coefficients (``simplex._merge_row``, shared with the LP) and
     each merged bound rounded inward to an integer, or None when some row
     admits no integer point; and the added constraints that stay
-    nonlinear.  ``reading`` is the run's reading of sub.base and of the
-    sets.  sub starts from a copy of its merged instance rows and merges
-    its added sets in order; their rows are keyed by name and get their
-    positions from ``var_index``, since an auxiliary's position differs
-    between subproblems."""
-    merged, nonempty = reading.merged
+    nonlinear.  sub starts from a copy of its base's merged rows
+    (``Instance._merged``) and merges its added sets' rows
+    (``ConstraintSet._intervals``) in order; those are keyed by name and
+    get their positions from ``var_index``, since an auxiliary's position
+    differs between subproblems."""
+    merged, nonempty = sub.base._merged
     # merging updates the [lo, hi] entries in place
     merged = {key: list(entry) for key, entry in merged.items()}
     nonlinear: list[Constraint] = []
     for cs in sub.added:
-        for con, row in reading.set_rows(cs):
+        for con, row in cs._intervals:
             if row is None:
                 nonlinear.append(con)
                 continue
@@ -561,22 +509,14 @@ def _lower(
     return rows, nonlinear
 
 
-def solve_subproblem(
-    sub,
-    box: int = DEFAULT_BOX,
-    budget: int = DEFAULT_NODE_BUDGET,
-    *,
-    _reading: Optional[_Reading] = None,
-) -> Outcome:
+def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
     """Depth-first integer enumeration of sub = base instance + added
     constraint sets, over the declared bounds intersected with
     [-box, box].
 
     The instance rows are read by position and only the added sets are
     lowered from their trees (``_lower``); the export document is not
-    built.  ``_reading`` is the run's reading of sub.base and of the
-    sets its schedule adds; without it, sub is read here, and the search
-    is the same.  Linear rows are integer-scaled, divided by their gcd,
+    built.  Linear rows are integer-scaled, divided by their gcd,
     merged by coefficient vector (``simplex._merge_row``) and rounded
     inward, then prune through exact interval propagation at every
     node: the root starts from all rows, a node from the rows that watch
@@ -616,7 +556,7 @@ def solve_subproblem(
     variables = _variables(sub)
     var_index = {v.name: i for i, v in enumerate(variables)}
     nvars = len(variables)
-    rows, nonlinear = _lower(sub, var_index, _reading or _Reading(sub.base))
+    rows, nonlinear = _lower(sub, var_index)
     if rows is None:
         return Outcome(INFEASIBLE)
 
@@ -688,15 +628,12 @@ def solve_subproblem(
     return best or Outcome(INFEASIBLE)
 
 
-def export_subproblem(sub, path, *, _reading: Optional[_Reading] = None) -> None:
+def export_subproblem(sub, path, *, _texts: Optional[dict] = None) -> None:
     """Write sub as a MINLP-JSON file (see the serialization module for
-    the schema and the bit-exactness contract).  ``_reading`` is the
-    run's reading of sub.base: the run's subproblems share its export
-    rows and its encoded texts, so each piece is encoded once per run;
-    by default sub.base is read here, and the file is the same."""
+    the schema and the bit-exactness contract).  ``_texts`` is one run's
+    encoded pieces (``minlp.dumps_problem``), which every file of the
+    run shares; by default each piece is encoded here, and the file is
+    the same."""
     from . import minlp
 
-    if _reading is None:
-        _reading = _Reading(sub.base)
-    flat = flatten_subproblem(sub, _reading=_reading)
-    minlp.write_problem(flat, path, _texts=_reading.texts)
+    minlp.write_problem(flatten_subproblem(sub), path, _texts=_texts)

@@ -1,6 +1,7 @@
 """Schedules and dispatch for the three layer-search strategies."""
 
 import dataclasses
+import inspect
 import os
 import random
 from collections import Counter
@@ -31,7 +32,9 @@ from corecuts import (
     run_plain,
     s2_singular,
 )
-from corecuts import engine, simplex, solve
+import corecuts
+from corecuts import engine, exprs, simplex, solve
+from corecuts.perms import Cycle, parse_generators
 from corecuts.simplex import GE, LE, Tableau, lp_feasible, make_row
 
 
@@ -107,11 +110,29 @@ def test_options_validate():
         {"essential_budget": True},
         {"eps": "x"},
         {"eps": True},
+        # a truthy string must not turn a run dry, and a directory is a path
+        {"dry_run": "no"},
+        {"export_dir": 3},
     ):
         with pytest.raises(InputError):
             EngineOptions(**bad)
     opts = EngineOptions(budget=3, box=0, essential_budget=2, eps=1e-6)
     assert (opts.budget, opts.box, opts.essential_budget) == (3, 0, 2)
+
+
+def test_public_callables_take_no_private_keywords():
+    """Private per-call state stays off the public API; the one exception
+    is the dict of encoded texts an exporting run shares."""
+    allowed = {(name, "_texts") for name in ("export_subproblem", "write_problem", "dumps_problem")}
+    private = set()
+    for name in corecuts.__all__:
+        obj = getattr(corecuts, name)
+        if not callable(obj) or (inspect.isclass(obj) and issubclass(obj, BaseException)):
+            continue
+        for param in inspect.signature(obj).parameters:
+            if param.startswith("_"):
+                private.add((name, param))
+    assert private <= allowed, private - allowed
 
 
 @pytest.mark.parametrize("eps", [float("inf"), float("-inf"), float("nan"), 0.0])
@@ -296,7 +317,7 @@ def test_feasibility_instance_without_layer_bounds_probes_layer_zero():
     rep, ref = run_auto(inst), run_plain(inst)
     assert rep.status == ref.status == "Feasible"
     assert all(sum(a * v for a, v in zip(row.coeffs, rep.point)) <= 1 for row in rows)
-    assert engine._direct_fixed_probe(inst, 0, solve._Reading(inst)).point == (0, 0, 0)
+    assert engine._direct_fixed_probe(inst, 0).point == (0, 0, 0)
 
 
 def test_direct_fixed_probe_checks_every_row_sense():
@@ -309,7 +330,7 @@ def test_direct_fixed_probe_checks_every_row_sense():
         ("==", 2, "Feasible"), ("==", 1, "Infeasible"), ("==", 3, "Infeasible"),
     ):
         inst = make_instance(3, rows=(make_row([1, 2, -1], rel, rhs),), group=_full_cycle_group(3))
-        out = engine._direct_fixed_probe(inst, 3, solve._Reading(inst))
+        out = engine._direct_fixed_probe(inst, 3)
         assert out.status == status, (rel, rhs)
         assert out.point == ((1, 1, 1) if status == "Feasible" else None)
     # fractional coefficients and right-hand sides, pairs of rows that
@@ -342,7 +363,7 @@ def test_direct_fixed_probe_checks_every_row_sense():
                 met = {LE: act <= row.rhs, GE: act >= row.rhs, "==": act == row.rhs}
                 holds.append(met[row.sense])
             status = "Feasible" if all(holds) else "Infeasible"
-            out = engine._direct_fixed_probe(inst, layer, solve._Reading(inst))
+            out = engine._direct_fixed_probe(inst, layer)
             assert out.status == status, (rows, layer)
             assert out.point == ((value,) * 3 if all(holds) else None)
             seen[status] += 1
@@ -358,6 +379,27 @@ def test_plan_selects_algorithm_by_group():
     assert plan(double).algorithm == 3
     plain = make_instance(3)
     assert plan(plain).algorithm == 0
+
+
+def test_planners_refuse_a_cycle_that_leaves_the_variables():
+    """A hand-built group whose selected cycle names x5 of a 3-variable
+    instance is refused with InputError by every planner and run, before
+    the symmetry check reads the cycle as a permutation of x1..x3."""
+    group = parse_generators(["(1,2,3)"], n=3)
+    group.selected_cycles = [Cycle((1, 2, 5))]
+    inst = make_instance(3, rows=(make_row([1, 1, 1], "==", 3),), bounds=_box(3, 0, 2), group=group)
+    cycle = group.selected_cycles[0]
+    calls = (
+        lambda: plan(inst),
+        lambda: run_auto(inst),
+        lambda: plan_algorithm1(inst, EngineOptions()),
+        lambda: run_algorithm1(inst),
+        lambda: plan_algorithm2(inst, cycle, EngineOptions()),
+        lambda: plan_algorithm3(inst, (cycle, Cycle((4, 6))), EngineOptions()),
+    )
+    for call in calls:
+        with pytest.raises(InputError, match="escapes the variable range"):
+            call()
 
 
 def test_algorithm1_requires_full_cycle():
@@ -821,10 +863,11 @@ def test_dry_run_dispatches_nothing():
 
 def _spy_on_reads(monkeypatch):
     """Count the instance-row reads of simplex._row_interval, the one
-    reader that merging uses, and the _interval_of calls per constraint,
-    and record each subproblem the run dispatches, with its keyword
-    arguments and outcome."""
-    reads, lowered, dispatched = Counter(), Counter(), []
+    reader that merging uses, and the solve._merge_rows calls, keyed by
+    the identity of the rows they merge; list each constraint that
+    exprs._interval_of lowers, and each subproblem the run dispatches,
+    with its keyword arguments and outcome."""
+    reads, merges, lowered, dispatched = Counter(), Counter(), [], []
     row_interval = simplex._row_interval
 
     def read(row):
@@ -832,13 +875,20 @@ def _spy_on_reads(monkeypatch):
         return row_interval(row)
 
     monkeypatch.setattr(simplex, "_row_interval", read)
-    interval_of = solve._interval_of
+    merge_rows = solve._merge_rows
+
+    def merge(n, rows):
+        merges[id(rows)] += 1
+        return merge_rows(n, rows)
+
+    monkeypatch.setattr(solve, "_merge_rows", merge)
+    interval_of = exprs._interval_of
 
     def lower(con):
-        lowered[id(con)] += 1
+        lowered.append(con)
         return interval_of(con)
 
-    monkeypatch.setattr(solve, "_interval_of", lower)
+    monkeypatch.setattr(exprs, "_interval_of", lower)
     solve_subproblem = engine.solve_subproblem
 
     def dispatch(sp, **kwargs):
@@ -847,19 +897,26 @@ def _spy_on_reads(monkeypatch):
         return out
 
     monkeypatch.setattr(engine, "solve_subproblem", dispatch)
-    return reads, lowered, dispatched
+    return reads, merges, lowered, dispatched
 
 
-def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch):
-    """run_auto reads the instance rows once for its planning LP and all
-    its subproblems (Algorithm 1's Tableau starts from the run's merged
-    rows) and lowers each distinct constraint once, and every
-    dispatched subproblem answers as a
-    standalone solve_subproblem call does; the direct probe answers as
-    it does reading the instance on its own.  A dry run of Algorithm 1
-    reads the rows once too, for its planning LP; a dry run of
-    Algorithm 3, or of a plain instance, reads none."""
-    reads, lowered, dispatched = _spy_on_reads(monkeypatch)
+def _fresh(sp):
+    """sp over fresh copies of its instance and sets, which hold no
+    reading yet."""
+    added = tuple(dataclasses.replace(cs) for cs in sp.added)
+    return dataclasses.replace(sp, base=dataclasses.replace(sp.base), added=added)
+
+
+def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
+    """An Instance merges its rows once for every run on it: run_auto
+    (whose Algorithm 1 planning LPs start from the merged rows),
+    run_plain and a dry exporting run_auto together merge each row once,
+    and lower each distinct constraint once.  Every dispatched subproblem answers as a standalone
+    solve_subproblem call on fresh copies of its instance and sets does;
+    the direct probe answers as it does on a fresh instance.  A dry run
+    of Algorithm 1 merges the rows too, for its planning LP; a dry run
+    of Algorithm 3, or of a plain instance, reads none."""
+    reads, merges, lowered, dispatched = _spy_on_reads(monkeypatch)
     rng = random.Random(31)
     seen, statuses = Counter(), set()
     for i in range(120):
@@ -874,22 +931,25 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch):
         else:
             inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
         opts = EngineOptions(budget=rng.choice((40, solve.DEFAULT_NODE_BUDGET)))
-        for spy in (reads, lowered, dispatched):
+        for spy in (reads, merges, lowered, dispatched):
             spy.clear()
         rep = run_auto(inst, opts)
-        if not dispatched:
-            continue
+        run_plain(inst, opts)
+        run_auto(inst, EngineOptions(dry_run=True, export_dir=str(tmp_path / str(i))))
+        assert merges == {id(inst.rows): 1}
         assert reads["rows"] == len(inst.rows)
+        # the list holds every lowered constraint, so no identity is reused
+        assert len({id(c) for c in lowered}) == len(lowered)
         constraints = {id(c) for sp, _, _ in dispatched for cs in sp.added for c in cs.constraints}
-        assert set(lowered) == constraints and set(lowered.values()) == {1}
+        assert {id(c) for c in lowered} == constraints
         for sp, kwargs, out in dispatched:
-            assert solve.solve_subproblem(sp, kwargs["box"], kwargs["budget"]) == out, sp.id
+            assert solve.solve_subproblem(_fresh(sp), kwargs["box"], kwargs["budget"]) == out, sp.id
         for r in rep.results:
             if r.tag == "FIX":
-                probe = engine._direct_fixed_probe(inst, r.provenance[1], solve._Reading(inst))
+                probe = engine._direct_fixed_probe(dataclasses.replace(inst), r.provenance[1])
                 assert probe == r.outcome
                 seen["probes"] += 1
-        seen[f"algorithm {rep.algorithm}"] += len(dispatched) > 1
+        seen[f"algorithm {rep.algorithm}"] += len(dispatched) > 2
         statuses.update(out.status for _, _, out in dispatched)
     assert seen["algorithm 1"] > 10 and seen["algorithm 3"] > 40 and seen["probes"] > 10, seen
     assert statuses == {"Feasible", "Infeasible", "Unknown"}
@@ -905,42 +965,48 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch):
         assert reads["rows"] == 0, run
 
 
-def test_every_run_makes_one_reading(monkeypatch, tmp_path):
-    """Every run, dry or not, exporting or not, reads its instance into
-    one solve._Reading and hands it to its planner, its subproblems and
-    its direct probe: neither the run nor anything it calls makes a
-    second one."""
-    made = []
-    reading = solve._Reading
+def _timeless(report):
+    """report_to_dict without its wall times."""
+    out = report_to_dict(report)
+    del out["wall_time"]
+    for r in out["results"]:
+        del r["seconds"]
+    return out
 
-    def spy(inst):
-        made.append(inst)
-        return reading(inst)
 
-    monkeypatch.setattr(engine, "_Reading", spy)
-    monkeypatch.setattr(solve, "_Reading", spy)
-    full = generate((1, 1, 0)).instance
-    group = analyze_group(["(1,2,3)"], 4)
-    one = make_instance(
-        4, rows=(make_row([1, 1, 1, 1], "==", 4),), bounds=_box(4, 0, 2), group=group
-    )
-    group = _two_cycles_group(2)
-    two = make_instance(4, rows=(make_row([1] * 4, "==", 3),), bounds=_box(4, 0, 2), group=group)
-    runs = (
-        (run_auto, full),
-        (run_auto, two),
-        (run_plain, full),
-        (run_algorithm1, full),
-        (lambda inst, opts: run_algorithm2(inst, inst.group.selected_cycles[0], opts), one),
-        (lambda inst, opts: run_algorithm3(inst, inst.group.selected_cycles, opts), two),
-    )
-    for i, (run, inst) in enumerate(runs):
-        for dry_run, export in product((False, True), repeat=2):
-            export_dir = str(tmp_path / f"{i}-{dry_run}") if export else None
-            made.clear()
-            run(inst, EngineOptions(dry_run=dry_run, export_dir=export_dir))
-            assert made == [inst], (i, dry_run, export)
-            assert not export or os.listdir(export_dir)
+def test_runs_on_one_instance_answer_as_on_a_fresh_copy(tmp_path):
+    """An Instance keeps its readings from run to run, and no run changes
+    them: on one instance, run_auto, run_plain, a dry exporting run_auto
+    and run_auto again each give the report and the files that the same
+    call gives on a fresh copy of the instance."""
+    rng = random.Random(43)
+    seen = Counter()
+    for i in range(24):
+        sense = ("feasibility", "max", "min")[i % 3]
+        if i % 2:
+            n = rng.choice((3, 4))
+            inst = _random_full_cycle_instance(rng, n, sense)
+            # a row on sum(x) merges with every layer row
+            band = make_row([1] * n, LE, rng.randint(n, 3 * n))
+            inst = dataclasses.replace(inst, rows=inst.rows + (band,))
+        else:
+            inst = _random_cycles_instance(rng, rng.choice(((2, 3), (3,))), sense)
+        calls = (run_auto, run_plain, "export", run_auto)
+        for j, call in enumerate(calls):
+            got = []
+            for target in (inst, dataclasses.replace(inst)):
+                folder = tmp_path / f"{i}-{j}-{len(got)}"
+                if call == "export":
+                    rep = run_auto(target, EngineOptions(dry_run=True, export_dir=str(folder)))
+                    files = {f: (folder / f).read_bytes() for f in sorted(os.listdir(folder))}
+                else:
+                    rep, files = call(target), None
+                got.append((_timeless(rep), files))
+            assert got[0] == got[1], (i, j)
+            seen[got[0][0]["status"]] += 1
+            seen[f"algorithm {got[0][0]['algorithm']}"] += 1
+    assert seen["Feasible"] > 10 and seen["Infeasible"] > 10, seen
+    assert seen["algorithm 1"] > 10 and seen["algorithm 2"] + seen["algorithm 3"] > 10, seen
 
 
 def test_plain_dry_run_exports_its_subproblem(tmp_path):

@@ -26,6 +26,7 @@ from corecuts import (
     eval_float,
     export_subproblem,
     flatten_subproblem,
+    generate,
     make_instance,
     parse_problem,
     plan,
@@ -321,7 +322,8 @@ def test_a_run_exports_the_reference_bytes(tmp_path):
     written with non-unit denominators, and with float eps: every file a
     dry run writes equals the one-json.dumps reference and the file of a
     one-shot export_subproblem, and parses back to flatten_subproblem's
-    variables and constraints."""
+    variables and constraints.  So does a cut made with a Fraction eps,
+    which its constraints keep as the float the format states."""
     rng = random.Random(41)
     seen = Counter()
     for i in range(24):
@@ -349,6 +351,15 @@ def test_a_run_exports_the_reference_bytes(tmp_path):
             seen.update(v.kind for v in flat.variables[inst.n :])
             seen[sp.tag] += 1
     assert seen["binary"] and seen["integer"] and seen["S1"] > 10 and seen["denominators"] == 12
+    inst = generate((1, 1, 0)).instance
+    folder = tmp_path / "fraction"
+    opts = EngineOptions(eps=Fraction(1, 10**6), export_dir=str(folder), dry_run=True)
+    run_auto(inst, opts)
+    (cut,) = [sp for sp in plan(inst, opts).subproblems if sp.id == "L2.S1"]
+    flat = flatten_subproblem(cut)
+    parsed = parse_problem(folder / "L2.S1.json")
+    assert parsed.variables == flat.variables and parsed.constraints == flat.constraints
+    assert {con.eps for con in flat.constraints} == {1e-06}
 
 
 def test_a_run_encodes_each_piece_once(monkeypatch, tmp_path):

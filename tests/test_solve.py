@@ -33,10 +33,10 @@ from corecuts import (
     solve_subproblem,
     symmetry_warnings,
 )
-from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG
+from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG, _interval_of
 from corecuts.instancefile import analyze_group
 from corecuts.perms import apply
-from corecuts import simplex, solve
+from corecuts import exprs, simplex
 from corecuts.simplex import GE, LE, LPRow, _merge_row, make_row
 from corecuts.solve import (
     DEFAULT_BOX,
@@ -45,8 +45,6 @@ from corecuts.solve import (
     INFEASIBLE,
     UNBOUNDED,
     UNKNOWN,
-    _Reading,
-    _interval_of,
     _lower,
     _propagate,
 )
@@ -429,7 +427,7 @@ def test_export_states_the_enumerated_problem():
             inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
         for sub in plan(inst).subproblems:
             index = {v.name: j for j, v in enumerate(flatten_subproblem(sub).variables)}
-            rows, nonlinear = _lower(sub, index, _Reading(sub.base))
+            rows, nonlinear = _lower(sub, index)
             assert (rows, nonlinear) == _lower_export(sub), (sub.id, inst.rows)
             subs += 1
             nonlinear_subs += bool(nonlinear)
@@ -440,7 +438,8 @@ def test_lower_gives_the_recursive_readers_rows(monkeypatch):
     """On every planned subproblem of seeded Algorithm 1, 2 and 3
     instances, the integer rows and the nonlinear constraints of _lower
     are those it gives with the recursive affine reader that
-    linear_form replaced."""
+    linear_form replaced.  A set keeps its first reading, so the second
+    _lower reads fresh copies of the sets."""
     rng = random.Random(29)
     algorithms = Counter()
     planned = []
@@ -457,12 +456,21 @@ def test_lower_gives_the_recursive_readers_rows(monkeypatch):
         schedule = plan(inst)
         algorithms[schedule.algorithm] += 1
         planned += schedule.subproblems
+    referred = Counter()
+
+    def reference(expr):
+        referred["calls"] += 1
+        return reference_linear_form(expr)
+
     for sub in planned:
         index = {v.name: j for j, v in enumerate(flatten_subproblem(sub).variables)}
-        lowered = _lower(sub, index, _Reading(sub.base))
+        lowered = _lower(sub, index)
+        fresh = replace(sub, added=tuple(replace(cs) for cs in sub.added))
+        before = referred["calls"]
         with monkeypatch.context() as patch:
-            patch.setattr(solve, "linear_form", reference_linear_form)
-            assert lowered == _lower(sub, index, _Reading(sub.base)), sub.id
+            patch.setattr(exprs, "linear_form", reference)
+            assert lowered == _lower(fresh, index), sub.id
+        assert referred["calls"] - before == sum(len(cs.constraints) for cs in sub.added)
     assert min(algorithms[a] for a in (1, 2, 3)) >= 10 and len(planned) > 300, algorithms
 
 
@@ -849,9 +857,9 @@ def test_enumerator_rows_are_the_tableau_rows_rounded_inward(monkeypatch):
         rows += [_restated(rng, *rng.choice(rows)) for _ in range(rng.randint(0, 3))]
         inst = make_instance(n, rows=[make_row(*row) for row in rows], bounds=_box(n, -2, 2))
         built.clear()
-        simplex.Tableau(n, simplex._merge_rows(n, inst.rows), inst.bounds)
+        simplex.Tableau(n, inst._merged, inst.bounds)
         index = {name: j for j, name in enumerate(inst.var_names)}
-        lowered, _ = _lower(_sub(inst), index, _Reading(inst))
+        lowered, _ = _lower(_sub(inst), index)
         assert lowered == (_rounded(built["ranged"]) if built["nonempty"] else None), rows
         empty += lowered is None
     assert 20 < empty < 200
