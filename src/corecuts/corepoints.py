@@ -32,14 +32,15 @@ from typing import Optional, Sequence
 
 from . import simplex
 from .errors import InputError, LayerMismatch, NonActiveMismatch, SingularCirculant
-from .perms import Cycle, GroupSpec, orbit, DEFAULT_ORBIT_CAP
+from .perms import Cycle, GroupSpec, orbit
 from .spectral import scaled_inverse, solve_circulant_exact
 
 
-#: most {0,1}-vectors ``projected_essential_set`` enumerates, C(k, t) for
-#: a cycle of length k and residue t: C(16, 8) = 12,870 is allowed,
-#: C(18, 9) = 48,620 is refused
-MAX_ESSENTIAL_COMBINATIONS = 20_000
+#: most work ``projected_essential_set`` does, k * k * C(k, t) for a cycle
+#: of length k and residue t (each of the C(k, t) {0,1}-vectors is keyed
+#: through its k rotations of length k): (16, 8) at 3,294,720 and
+#: (2000, 0) are allowed, (18, 9) and (200, 1) are refused
+MAX_ESSENTIAL_WORK = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +181,9 @@ def _simplex_test(verts: list[tuple]):
     return lambda x: all(sum(map(operator.mul, row, x)) >= 0 for row in rows)
 
 
-def is_lattice_free(
-    gs: GroupSpec, z: Sequence[int], box_margin: int = 0, cap: int = DEFAULT_ORBIT_CAP
-) -> CoreCertificate:
-    """Exact core certificate: search the orbit's bounding box, widened
-    by ``box_margin``, for a non-vertex integer point of the hull.
+def is_lattice_free(gs: GroupSpec, z: Sequence[int]) -> CoreCertificate:
+    """Exact core certificate: search the orbit's bounding box, which
+    holds the whole hull, for a non-vertex integer point of it.
 
     Only the box points on the orbit's layer sum(x) = sum(z) are tested,
     in lexicographic order, so the witness is the lexicographically
@@ -193,11 +192,10 @@ def is_lattice_free(
     tested by the signs of its barycentric coordinates through one exact
     inverse; otherwise by an exact LP (``_in_hull_exact``)."""
     zt = tuple(int(x) for x in z)
-    verts = orbit(gs, zt, cap=cap)
+    verts = orbit(gs, zt)
     vert_set = set(verts)
-    n = gs.n
-    lo = [min(v[j] for v in verts) - box_margin for j in range(n)]
-    hi = [max(v[j] for v in verts) + box_margin for j in range(n)]
+    lo = [min(v[j] for v in verts) for j in range(gs.n)]
+    hi = [max(v[j] for v in verts) for j in range(gs.n)]
     inside = _simplex_test(verts) or (lambda x: _in_hull_exact(x, verts))
     for candidate in _layer_points(lo, hi, sum(zt)):
         if candidate in vert_set:
@@ -230,18 +228,22 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
     the first universal point in (i, j) order; binary atoms are skipped
     because they fall back into a universal class.  At most ``budget``
     points total.  Every {0,1}-vector of the residue's popcount is
-    enumerated before the budget applies, so a sub-layer with more than
-    ``MAX_ESSENTIAL_COMBINATIONS`` of them is refused with ``InputError``.
+    enumerated and keyed before the budget applies, so a sub-layer whose
+    work k * k * C(k, t) exceeds ``MAX_ESSENTIAL_WORK`` is refused with
+    ``InputError``.
     """
     if k_len < 1:
         raise InputError("cycle length must be >= 1")
     if budget < 1:
         raise InputError("budget must be >= 1")
     popcount = residue % k_len
-    if math.comb(k_len, popcount) > MAX_ESSENTIAL_COMBINATIONS:
+    # k * k alone bounds k before C(k, t) is computed
+    if k_len * k_len > MAX_ESSENTIAL_WORK or (
+        k_len * k_len * math.comb(k_len, popcount) > MAX_ESSENTIAL_WORK
+    ):
         raise InputError(
-            f"sub-layer too large: C({k_len}, {popcount}) = {math.comb(k_len, popcount)} "
-            f"vectors to enumerate exceed {MAX_ESSENTIAL_COMBINATIONS}"
+            f"sub-layer too large: k * k * C(k, t) for k = {k_len}, t = {popcount} "
+            f"exceeds {MAX_ESSENTIAL_WORK}"
         )
     merged: dict[tuple, list[tuple]] = {}
     if popcount == 0:

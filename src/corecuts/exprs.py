@@ -8,8 +8,10 @@ constants convert via float()); evalcore only binds trees to value
 vectors for it.  Serialization must stay bit-exact across emit -> parse
 -> evaluate, so nothing in this module may reorder operands.
 
-``linear_form`` reads an affine tree as exact rational coefficients,
-and ``_interval_of`` turns a constraint into the interval row the
+``linear_form`` reads the flat sums that synthesis writes (terms that
+are a Dot, a Var or a Const, each maybe scaled by Const factors) as
+exact rational coefficients; any other tree stays for the leaves.
+``_interval_of`` turns a constraint into the interval row the
 enumerator propagates.  A ``ConstraintSet`` keeps that reading of its
 constraints (``_intervals``), made on first use, so a set that several
 subproblems hold is read once.
@@ -200,112 +202,63 @@ def variables_of(expr: Expr) -> set[str]:
     raise InputError(f"unknown node {expr!r}")
 
 
-class _NotAffine(Exception):
-    """Ends ``linear_form`` at the first node that is not affine."""
-
-
-def _rational(v) -> Union[int, Fraction]:
+def _rational(v) -> Optional[Union[int, Fraction]]:
     """A constant or coefficient exactly: an int when integral, else a
-    Fraction.  A float is not exact, so it is not affine."""
+    Fraction; None for a float, which is not exact."""
     if type(v) is int:
         return v
     if isinstance(v, float):
-        raise _NotAffine
+        return None
     if type(v) is not Fraction:
         v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
 
 
-def _value(expr: Expr) -> Optional[Union[int, Fraction]]:
-    """The exact value of a subtree, or None when it holds a variable
-    (the walk stops there); raises _NotAffine where it is not affine."""
-    t = type(expr)
-    if t is Const:
-        return _rational(expr.value)
-    if t is Var:
-        return None
-    if t is Dot:
-        return None if expr.names else 0
-    if t is Add or t is Mul:
-        acc = 0 if t is Add else 1
-        for a in expr.args:
-            v = _value(a)
-            if v is None:
-                return None
-            acc = acc + v if t is Add else acc * v
-        return acc
-    if t is Div:
-        den = _value(expr.den)
-        if not den:  # a variable or a zero denominator
-            raise _NotAffine
-        num = _value(expr.num)
-        return None if num is None else _rational(Fraction(num, den))
-    if t is Square:
-        v = _value(expr.arg)
-        if v is None:
-            raise _NotAffine
-        return v * v
-    raise InputError(f"unknown node {expr!r}")
-
-
-def _add_scaled(expr: Expr, scale, coeffs: dict) -> Union[int, Fraction]:
-    """Add scale times the variable part of expr into coeffs and return
-    scale times its constant part."""
-    t = type(expr)
-    if t is Add:
-        const = 0
-        for a in expr.args:
-            const += _add_scaled(a, scale, coeffs)
-        return const
-    if t is Dot:
-        for c, name in zip(expr.coeffs, expr.names):
-            coeffs[name] = coeffs.get(name, 0) + scale * _rational(c)
-        return 0
-    if t is Const:
-        return scale * _rational(expr.value)
-    if t is Var:
-        coeffs[expr.name] = coeffs.get(expr.name, 0) + scale
-        return 0
-    if t is Mul:
-        # at most one factor may hold variables; the rest fold into scale
-        linear = None
-        for a in expr.args:
-            v = _value(a)
-            if v is None:
-                if linear is not None:
-                    raise _NotAffine  # a product of two variable factors
-                linear = a
-            else:
-                scale = scale * v
-        return scale if linear is None else _add_scaled(linear, scale, coeffs)
-    if t is Div:
-        den = _value(expr.den)
-        if not den:  # a variable or a zero denominator
-            raise _NotAffine
-        return _add_scaled(expr.num, _rational(Fraction(scale, den)), coeffs)
-    if t is Square:
-        return scale * _value(expr)  # never None: a variable argument raises
-    raise InputError(f"unknown node {expr!r}")
-
-
 def linear_form(expr: Expr) -> Optional[tuple[dict[str, Fraction], Fraction]]:
     """Affine decomposition (coeffs, constant) with exact rational
-    coefficients, or None when the tree is nonlinear or carries float
-    constants.  Lets the solver lower synthesized equalities and linear
-    inequalities to exact rows for propagation.
+    coefficients of the flat sums that synthesis writes, or None.  Lets
+    the solver lower synthesized equalities and linear inequalities to
+    exact rows for propagation.
 
-    One walk adds each node, scaled by the constant factors above it,
-    into one dict; integral values are ints, and a Fraction appears only
-    where a denominator does.  The walk stops at the first node that is
-    not affine: a product of two factors that hold variables, a square
-    of one or a division by one (or by zero), or a float constant or
-    coefficient.  A variable keeps its key when its coefficients sum
-    to 0."""
+    The tree is an ``Add`` of terms, or one term.  A term is a ``Dot``,
+    a ``Var`` or a ``Const``, or a ``Mul`` whose factors are all
+    ``Const`` but the last, which is one of those three.  Any other
+    shape (a nested sum, a division, a square, a product with a variable
+    factor before the last), or any float, gives None, and the
+    constraint is checked at the leaves.  So a nested affine tree built
+    through the API is not propagated: its verdict is the same up to the
+    leaves' float tolerance (``EQ_TOL``).  Integral values are ints, a
+    Fraction appears only where a denominator does, and a variable keeps
+    its key when its coefficients sum to 0."""
     coeffs: dict = {}
-    try:
-        const = _add_scaled(expr, 1, coeffs)
-    except _NotAffine:
-        return None
+    const = 0
+    for term in expr.args if type(expr) is Add else (expr,):
+        scale = 1
+        if type(term) is Mul and term.args:
+            *factors, term = term.args
+            for f in factors:
+                v = _rational(f.value) if type(f) is Const else None
+                if v is None:
+                    return None
+                scale = scale * v
+        t = type(term)
+        if t is Dot:
+            for c, name in zip(term.coeffs, term.names):
+                v = _rational(c)
+                if v is None:
+                    return None
+                coeffs[name] = coeffs.get(name, 0) + scale * v
+        elif t is Var:
+            coeffs[term.name] = coeffs.get(term.name, 0) + scale
+        elif t is Const:
+            v = _rational(term.value)
+            if v is None:
+                return None
+            const += scale * v
+        elif t in (Add, Mul, Div, Square):
+            return None
+        else:
+            raise InputError(f"unknown node {term!r}")
     for name, v in coeffs.items():
         if type(v) is not int and v.denominator == 1:
             coeffs[name] = v.numerator
@@ -318,9 +271,9 @@ def _interval_of(con: Constraint) -> Optional[
     tuple[dict[str, Fraction], Optional[Fraction], Optional[Fraction]]
 ]:
     """Lower a constraint to an exact interval row ``(coeffs, lo, hi)``
-    when its expression is affine with rational coefficients (ints where
-    integral, see ``linear_form``); strict senses get their eps folded
-    into the bound so propagation and leaf checking agree."""
+    when ``linear_form`` reads its expression (ints where integral);
+    strict senses get their eps folded into the bound so propagation and
+    leaf checking agree."""
     lf = linear_form(con.expr)
     if lf is None:
         return None

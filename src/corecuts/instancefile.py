@@ -106,6 +106,15 @@ def write_instance(inst: Instance, path) -> None:
         fh.write("\n")
 
 
+def _typed(v, kind: type, what: str):
+    """v when it is a JSON array (kind list) or object (kind dict): a
+    string where an array belongs would be read character by character."""
+    if not isinstance(v, kind):
+        noun = "array" if kind is list else "object"
+        raise InputError(f"{what} must be a JSON {noun}, got {v!r}")
+    return v
+
+
 def instance_from_dict(doc: dict) -> Instance:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
         raise InputError("unsupported or missing instance format version")
@@ -113,14 +122,17 @@ def instance_from_dict(doc: dict) -> Instance:
         n = doc["n"]
         if isinstance(n, bool) or not isinstance(n, int):
             raise InputError(f"n must be a JSON integer, got {n!r}")
-        sense = doc["objective"]["sense"]
-        objective = [_parse_frac(c) for c in doc["objective"]["coeffs"]]
-        rows = [
-            make_row([_parse_frac(c) for c in r["coeffs"]], r["sense"], _parse_frac(r["rhs"]))
-            for r in doc["rows"]
-        ]
-        bounds = [(_parse_bound(b["lo"]), _parse_bound(b["hi"])) for b in doc["bounds"]]
-        integer = [b.get("integer", True) for b in doc["bounds"]]
+        obj = doc["objective"]
+        sense = obj["sense"]
+        objective = [_parse_frac(c) for c in _typed(obj["coeffs"], list, "objective coeffs")]
+        rows = []
+        for r in _typed(doc["rows"], list, "rows"):
+            r = _typed(r, dict, "each row")
+            coeffs = [_parse_frac(c) for c in _typed(r["coeffs"], list, "row coeffs")]
+            rows.append(make_row(coeffs, r["sense"], _parse_frac(r["rhs"])))
+        bounds = [_typed(b, dict, "each bound") for b in _typed(doc["bounds"], list, "bounds")]
+        integer = [b.get("integer", True) for b in bounds]
+        bounds = [(_parse_bound(b["lo"]), _parse_bound(b["hi"])) for b in bounds]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed instance file: {exc}") from exc
     if len(objective) != n or len(bounds) != n:
@@ -140,9 +152,11 @@ def instance_from_dict(doc: dict) -> Instance:
 
 
 def read_instance(path) -> Instance:
+    """Read an instance file; bytes that are not ASCII, text that is not
+    JSON and JSON nested too deeply to decode raise InputError."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: bad bytes or JSON
             raise InputError(f"not valid JSON: {exc}") from exc
     return instance_from_dict(doc)

@@ -241,7 +241,7 @@ def parse_problem(path) -> ParsedProblem:
     """Read a problem file; a malformed document (bad JSON, a format
     that is not the integer 1, a missing key, an entry of the wrong type,
     an undeclared variable, a zero denominator, a non-finite or
-    out-of-range number) raises InputError."""
+    out-of-range number, nesting too deep to decode) raises InputError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
@@ -253,6 +253,7 @@ def parse_problem(path) -> ParsedProblem:
         AttributeError,
         KeyError,
         OverflowError,
+        RecursionError,
         TypeError,
         ValueError,
         ZeroDivisionError,

@@ -38,9 +38,9 @@ the object lives; nothing writes into it:
   ``flatten_subproblem`` puts before the added constraints; and the
   integer row keys of its symmetry check (``Instance._row_keys``);
 * a ``ConstraintSet`` keeps each constraint with its interval row
-  (``exprs._interval_of``, through the one-pass integer reader
-  ``exprs.linear_form``), by name; the non-affine ones stay for the
-  leaves.
+  (``exprs._interval_of``, through ``exprs.linear_form``, which reads
+  the flat sums that synthesis, the engine and ``_row_to_constraint``
+  write), by name; every other constraint stays for the leaves.
 
 So every run on one ``Instance`` merges its rows once, and every
 subproblem that holds a set reads it once.  The one per-run state is

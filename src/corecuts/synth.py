@@ -24,7 +24,7 @@ the instance, so sets compose freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .corepoints import display_form, all_rotations
 from .errors import InputError
@@ -226,21 +226,16 @@ def default_base_index(z: Sequence[int]) -> int:
     return z.index(_most_frequent(z)) + 1
 
 
-def s3_anchor(
-    z: Sequence[int], cycle: Cycle, base_index: Optional[int] = None
-) -> ConstraintSet:
+def s3_anchor(z: Sequence[int], cycle: Cycle) -> ConstraintSet:
     """Linear equalities anchoring the cycle block to the translate
     family {z + t*1}: x_j - x_base = z_j - z_base for every support
-    position j.  base_index is 1-based within the cycle support."""
+    position j.  Every base gives the same family; the base is
+    ``default_base_index(z)``, so the rows a point gets never change."""
     k = cycle.k
     if len(z) != k:
         raise InputError(f"point length {len(z)} != cycle length {k}")
-    if base_index is None:
-        base_index = default_base_index(z)
-    if not 1 <= base_index <= k:
-        raise InputError(f"base index {base_index} outside 1..{k}")
     names = cycle_var_names(cycle)
-    base = base_index - 1
+    base = default_base_index(z) - 1
     cons = []
     for j in range(k):
         if j == base:

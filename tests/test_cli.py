@@ -258,6 +258,60 @@ def test_essential_oversized_sub_layer_exits_64_at_once(capsys):
     assert time.perf_counter() - t0 < 5
 
 
+@pytest.mark.parametrize("k, residue", [("400", "1"), ("30000", "0")])
+def test_essential_long_cycle_exits_64_at_once(capsys, k, residue):
+    """Keying every vector takes time cubic in k for residue 1 and
+    quadratic for residue 0: both are refused before any is built."""
+    t0 = time.perf_counter()
+    code = main(["essential", k, residue])
+    assert code == 64
+    assert "sub-layer too large" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"format": 1, "warnings": ["caf\u00e9"]}'.encode("utf-8"),
+        b"\xff\xfe{}",
+        b"[" * 100_000,
+    ],
+    ids=["utf-8-text", "utf-16-mark", "deep-nesting"],
+)
+def test_undecodable_instance_file_exits_64(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == 64
+    assert "not valid JSON" in _one_line_error(capsys)
+
+
+def test_string_where_an_array_belongs_exits_64(tmp_path, capsys):
+    """A string is not read digit by digit as a list of coefficients."""
+    doc = {
+        "format": 1,
+        "n": 2,
+        "objective": {"sense": "max", "coeffs": "11"},
+        "rows": [{"coeffs": "12", "sense": "<=", "rhs": "3"}],
+        "bounds": [{"lo": "0", "hi": "3"}, {"lo": "0", "hi": "3"}],
+    }
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 64
+    assert "must be a JSON array" in _one_line_error(capsys)
+    doc["objective"]["coeffs"] = doc["rows"][0]["coeffs"] = ["1", "1"]
+    for broken in ("rows", "bounds"):
+        path.write_text(json.dumps({**doc, broken: [doc[broken][0], "x"]}))
+        assert main(["solve", str(path)]) == 64
+        assert "must be a JSON object" in _one_line_error(capsys)
+
+
 def test_solve_infinite_eps_exits_64(tmp_path, capsys):
     out = tmp_path / "c3.json"
     main(["gen", "(1,2,3)", "1,1,0", "-o", str(out)])

@@ -25,6 +25,19 @@ from corecuts import (
     variables_of,
 )
 from corecuts import evalcore
+from corecuts.corepoints import projected_essential_set
+from corecuts.engine import _layer_row
+from corecuts.perms import Cycle
+from corecuts.simplex import make_row
+from corecuts.solve import make_instance
+from corecuts.synth import (
+    fixed_space_anchor,
+    s1_for_point,
+    s2_singular,
+    s3_anchor,
+    smoothness,
+    sublayer,
+)
 
 
 def test_eval_float_basics():
@@ -59,30 +72,16 @@ def test_linear_form_affine():
     assert const == 5
 
 
-def test_linear_form_scalar_times_linear():
-    e = Mul((Const(3), Add((Var("x"), Const(1)))))
-    coeffs, const = linear_form(e)
-    assert coeffs == {"x": Fraction(3)}
-    assert const == 3
-
-
 def test_linear_form_rejects_products_of_variables():
     assert linear_form(Mul((Var("x"), Var("y")))) is None
     assert linear_form(Square(Var("x"))) is None
     assert linear_form(Div(Var("x"), Var("y"))) is None
 
 
-def test_linear_form_division_by_constant():
-    e = Div(Var("x"), Const(4))
-    out = linear_form(e)
-    assert out is not None
-    coeffs, const = out
-    assert coeffs == {"x": Fraction(1, 4)} and const == 0
-
-
 def reference_linear_form(expr):
-    """The recursive affine reader that ``linear_form`` replaced: one
-    Fraction dict per subtree.  Kept as the reference of its results."""
+    """A recursive reader of every affine tree: one Fraction dict per
+    subtree.  ``linear_form`` reads only flat sums, and on those it must
+    give this reader's result."""
     if isinstance(expr, Const):
         if isinstance(expr.value, float):
             return None
@@ -190,26 +189,103 @@ def _random_tree(rng, depth):
     return Square(_random_tree(rng, depth - 1))
 
 
+def _check_ints(got, expr):
+    """Every integral value of a reading is an int; whether it has a
+    fractional one."""
+    values = [*got[0].values(), got[1]]
+    assert all(type(v) is int for v in values if Fraction(v).denominator == 1), expr
+    return any(type(v) is Fraction for v in values)
+
+
 def test_linear_form_matches_the_recursive_reader():
-    """On seeded random trees the one-pass reader gives the recursive
-    reader's result: both None, or equal coefficients (a variable whose
-    coefficients cancel keeps its key) and constant.  Every integral
-    value it returns is an int."""
+    """On seeded random trees the flat-sum reader gives None or the
+    recursive reader's result (a variable whose coefficients cancel
+    keeps its key); it never reads a tree the recursive reader refuses."""
     rng = random.Random(2024)
-    seen = {"affine": 0, "not affine": 0, "fractional": 0}
+    seen = {"read": 0, "left for the leaves": 0, "not affine": 0}
     for _ in range(4000):
         expr = _random_tree(rng, rng.randint(0, 4))
         expected = reference_linear_form(expr)
         got = linear_form(expr)
+        if got is None:
+            seen["not affine" if expected is None else "left for the leaves"] += 1
+            continue
+        assert got == expected, expr
+        _check_ints(got, expr)
+        seen["read"] += 1
+    assert min(seen.values()) > 300, seen
+
+
+def _flat_term(rng):
+    names = ("x", "y", "z")
+    kind = rng.choice(("const", "var", "dot"))
+    if kind == "const":
+        term = Const(_number(rng))
+    elif kind == "var":
+        term = Var(rng.choice(names))
+    else:
+        picked = tuple(rng.choice(names) for _ in range(rng.randint(0, 3)))
+        term = Dot(tuple(_number(rng) for _ in picked), picked)
+    if rng.random() < 0.4:
+        scales = tuple(Const(_number(rng)) for _ in range(rng.randint(0, 2)))
+        term = Mul(scales + (term,))
+    return term
+
+
+def test_linear_form_reads_every_flat_sum():
+    """On seeded random flat sums (terms that are a Dot, a Var or a
+    Const, maybe scaled by Const factors) the reader always gives the
+    recursive reader's result, None only where a float appears."""
+    rng = random.Random(2025)
+    seen = {"affine": 0, "float": 0, "fractional": 0}
+    for _ in range(4000):
+        terms = tuple(_flat_term(rng) for _ in range(rng.randint(0, 4)))
+        expr = Add(terms) if len(terms) != 1 or rng.random() < 0.5 else terms[0]
+        expected = reference_linear_form(expr)
+        got = linear_form(expr)
         assert got == expected, expr
         if got is None:
-            seen["not affine"] += 1
+            seen["float"] += 1
             continue
         seen["affine"] += 1
-        values = [*got[0].values(), got[1]]
-        assert all(type(v) is int for v in values if Fraction(v).denominator == 1), expr
-        seen["fractional"] += any(type(v) is Fraction for v in values)
+        seen["fractional"] += _check_ints(got, expr)
     assert min(seen.values()) > 300, seen
+
+
+def test_linear_form_reads_every_synthesized_row():
+    """Every constraint that synthesis and the engine write is read as
+    the recursive reader reads it: the S2 rows for k = 2..7, the S3
+    anchors of each essential point, the sub-layer and Algorithm 1 layer
+    rows, the fixed-space anchor, the instance rows as exported, and
+    (not affine, so None from both) the S1 cuts and smoothness guards."""
+    sets, exported = [], []
+    for k in range(2, 8):
+        cycle = Cycle(tuple(range(1, k + 1)))
+        sets += [s2_singular(cycle), smoothness(cycle), fixed_space_anchor(cycle)]
+        for residue in range(1, k + 1):
+            sets.append(sublayer(cycle, residue))
+            for z in projected_essential_set(k, residue).points:
+                sets += [s3_anchor(z, cycle), s1_for_point(z, cycle)]
+        inst = make_instance(
+            k,
+            rows=[
+                make_row([Fraction(j + 1, 2) for j in range(k)], "<=", 7),
+                make_row([1] * k, ">=", Fraction(-3, 4)),
+                make_row([(-1) ** j for j in range(k)], "==", 0),
+            ],
+            bounds=[(0, 3)] * k,
+        )
+        sets += [_layer_row(inst, layer) for layer in (0, 1, k + 1)]
+        exported += inst._export_rows
+    read = 0
+    for con in [con for cs in sets for con in cs.constraints] + exported:
+        expected = reference_linear_form(con.expr)
+        got = linear_form(con.expr)
+        assert got == expected, con
+        if got is not None:
+            _check_ints(got, con.expr)
+            read += 1
+    assert read > 500, read
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,20 @@ def test_parse_rejects_invalid_json(tmp_path):
         parse_problem(path)
 
 
+def test_parse_wraps_expressions_nested_too_deeply(tmp_path):
+    """A 5,000-deep chain of squares is refused with InputError, not
+    with the RecursionError of the decoder."""
+    depth = 5000
+    expr = '{"kind":"square","arg":' * depth + _ZERO + "}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"format":1,"vars":[],"objective":{"sense":"feasibility","expr":%s},'
+        '"constraints":[]}' % expr
+    )
+    with pytest.raises(InputError, match="RecursionError"):
+        parse_problem(path)
+
+
 def test_feasibility_objective_is_zero_const():
     flat = _flat(sense="feasibility")
     doc = json.loads(dumps_problem(flat))
