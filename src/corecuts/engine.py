@@ -53,6 +53,30 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   fixes the instance, by the check ``symmetry_warnings`` makes of a
   generator.
 
+  One point per orbit (Liberti, "Reformulations in mathematical
+  programming: automatic symmetry detection and exploitation", Math.
+  Program. 2012).  Every S2 and S1 subproblem carries the cycles whose
+  rotations it allows (``Subproblem.cycles``): Algorithm 1's global S2
+  and each layer cut its one cycle, and Algorithms 2 and 3's every
+  per-cycle S2 and every tuple cut all planned cycles.  The enumerator
+  then searches only max-first points, those with ``x_c1 >= x_cj`` on
+  every block, and rotates each block at the leaf until the block's S1
+  cuts hold.  This is sound because every orbit has a max-first member,
+  and every row but the S1 cuts is invariant under rotating a block:
+  the instance rows (each cycle fixes the instance by itself), layer
+  and sub-layer rows (sums over the block), smoothness guards and the
+  quadratic S2 factors (DFT moduli), and the linear S2 factors (the
+  sum, and the alternating sum, which only changes sign inside its
+  symmetric big-M rows ``-M r <= P <= M r``).  Each S1 cut reads only
+  its own block (synthesis records it, ``ConstraintSet.cycle``), so
+  the blocks rotate independently.  So a subproblem holds a point if
+  and only if it holds a max-first point whose blocks some rotation
+  makes pass their cuts.  S3 probes pin a rotation and carry no
+  cycles, and plain enumeration (``run_plain``, and the plain fallback
+  of ``plan()``) searches every point.  The reported point may differ
+  from a full search's by a rotation of its blocks; statuses and optima
+  do not.  The exported documents hold no orbital rows.
+
 Without usable symmetry the schedule is one plain enumeration of the
 instance.  ``plan()`` also plans an instance plain when its declared group
 does not fix it (``symmetry_warnings``), or when no selected cycle fixes
@@ -156,12 +180,33 @@ class Subproblem:
     added: tuple[ConstraintSet, ...]
     tag: str  # S1 | S2 | S3 | FIX
     provenance: tuple
+    #: the selected cycles whose rotations the subproblem allows: the
+    #: enumerator searches one max-first point per orbit of them and
+    #: retries each S1 cut over its block's rotations.  Whoever sets
+    #: them vouches that each fixes the instance and every added row
+    #: but the S1 cuts, as the planners' sets do.
+    cycles: tuple[Cycle, ...] = ()
 
     def __post_init__(self) -> None:
         tags = {cs.tag for cs in self.added}
         primary = {S1, S2, S3} & tags
         if self.tag in (S1, S2, S3) and self.tag not in primary:
             raise InputError(f"subproblem {self.id} tagged {self.tag} without a {self.tag} set")
+        if not self.cycles:
+            return
+        if type(self.cycles) is not tuple:
+            object.__setattr__(self, "cycles", tuple(self.cycles))
+        if S3 in primary:
+            raise InputError(f"subproblem {self.id}: an S3 anchor pins a rotation, so no cycles")
+        selected = self.base.group.selected_cycles if self.base.group else ()
+        for i, c in enumerate(self.cycles):
+            if c not in selected:
+                raise InputError(f"subproblem {self.id}: cycle {c} is not a selected cycle")
+            if c in self.cycles[:i]:
+                raise InputError(f"subproblem {self.id}: cycle {c} is given twice")
+        for cs in self.added:
+            if cs.tag == S1 and cs.cycle not in self.cycles:
+                raise InputError(f"subproblem {self.id}: an S1 cut reads no block of its cycles")
 
 
 @dataclass(frozen=True)
@@ -302,7 +347,7 @@ def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     step = 1 if up else -1
 
     stages: list[tuple[Subproblem, ...]] = [
-        (Subproblem("S2", inst, (s2_singular(cycle, opts.box),), S2, ("global",)),)
+        (Subproblem("S2", inst, (s2_singular(cycle, opts.box),), S2, ("global",), (cycle,)),)
     ]
     while layer % n:
         if end is not None and (layer > end if up else layer < end):
@@ -317,7 +362,8 @@ def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
                 for j, sets in enumerate(probes)
             )
         )
-        stages.append((Subproblem(f"L{layer}.S1", inst, cut, S1, ("layer", layer, "S1")),))
+        cut_sp = Subproblem(f"L{layer}.S1", inst, cut, S1, ("layer", layer, "S1"), (cycle,))
+        stages.append((cut_sp,))
         layer += step
     notes.append(f"{walk} stops at layer {layer} (divisible by {n})")
     return Schedule(1, tuple(stages), lp=lp, stop_layer=layer, notes=tuple(notes))
@@ -336,6 +382,7 @@ def _plan_cycles(
             (s2_singular(c, opts.box),),
             S2,
             ("singular", c.support[0]),
+            cycles,
         )
         for c in cycles
     ]
@@ -357,7 +404,7 @@ def _plan_cycles(
     for combo in product(*[range(1, c.k) for c in cycles]):
         sets = tuple(cs for c, t in zip(cycles, combo) for cs in cuts[c.support[0], t])
         label = "T" + "_".join(str(t) for t in combo)
-        subs.append(Subproblem(f"{label}.S1", inst, sets, S1, ("tuple",) + combo))
+        subs.append(Subproblem(f"{label}.S1", inst, sets, S1, ("tuple",) + combo, cycles))
     return Schedule(algorithm, (tuple(subs),))
 
 

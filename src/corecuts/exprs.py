@@ -13,8 +13,9 @@ are a Dot, a Var or a Const, each maybe scaled by Const factors) as
 exact rational coefficients; any other tree stays for the leaves.
 ``_interval_of`` turns a constraint into the interval row the
 enumerator propagates.  A ``ConstraintSet`` keeps that reading of its
-constraints (``_intervals``), made on first use, so a set that several
-subproblems hold is read once.
+constraints (``_intervals``), and those rows in primitive integer form
+over set-local positions (``_rows``), made on first use, so a set that
+several subproblems hold is read and normalised once.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 from .errors import InputError
+from .perms import Cycle
+from .simplex import _primitive_row
 
 Number = Union[Fraction, float]
 
@@ -130,6 +133,9 @@ class ConstraintSet:
     tag: str
     constraints: tuple[Constraint, ...]
     aux_vars: tuple[AuxVar, ...] = ()
+    #: the cycle block that an S1 cut reads, set by synthesis; the
+    #: enumerator retries such a cut over the block's rotations
+    cycle: Optional[Cycle] = None
 
     def __post_init__(self) -> None:
         if self.tag not in (S1, S2, S3, SUBLAYER, SMOOTH):
@@ -141,6 +147,60 @@ class ConstraintSet:
         read once per set: one set is shared by every subproblem that
         holds it."""
         return tuple((con, _interval_of(con)) for con in self.constraints)
+
+    @cached_property
+    def _rows(self) -> tuple[int, Optional[list], list[Constraint]]:
+        """The enumerator's reading of the set, made once:
+        ``(width, rows, nonlinear)``.
+
+        ``rows`` holds each interval row in primitive integer form
+        (``simplex._primitive_row``: a ``(key, lo, hi)``, or a bool for
+        an all-zero row) over set-local positions: the instance variable
+        ``x<i>`` at i - 1 and the set's j-th auxiliary at ``width + j``,
+        where ``width`` is one past the highest instance position that a
+        row reads.  A subproblem puts the set's auxiliaries after the
+        instance variables and the earlier sets' auxiliaries, so it
+        shifts only their positions, and the key keeps its order and its
+        sign (``solve._lower``).  ``rows`` is None when a row reads some
+        other name; the subproblem then looks every name up.
+        ``nonlinear`` lists the constraints with no interval row."""
+        own = {av.name: j for j, av in enumerate(self.aux_vars)}
+        nonlinear = [con for con, row in self._intervals if row is None]
+        # each coefficient as (instance position, None, a) or (None, j, a)
+        named = []
+        width = 0
+        for _, row in self._intervals:
+            if row is None:
+                continue
+            coeffs, lo, hi = row
+            terms = []
+            for name, a in coeffs.items():
+                if name in own:
+                    terms.append((None, own[name], a))
+                else:
+                    j = _instance_position(name)
+                    if j is None:
+                        return 0, None, nonlinear
+                    if j >= width:
+                        width = j + 1
+                    terms.append((j, None, a))
+            named.append((terms, lo, hi))
+        rows = [
+            _primitive_row([(width + k if j is None else j, a) for j, k, a in terms], lo, hi)
+            for terms, lo, hi in named
+        ]
+        return width, rows, nonlinear
+
+
+@lru_cache(maxsize=1024)
+def _instance_position(name: str) -> Optional[int]:
+    """i - 1 for an instance variable name ``x<i>`` (i >= 1, written
+    without leading zeros, as ``solve.Instance.var_names`` writes it);
+    None for any other name."""
+    digits = name[1:]
+    if name[:1] == "x" and digits.isascii() and digits.isdigit() and digits[0] != "0":
+        return int(digits) - 1
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,17 @@ one-shot wrappers over the same code.
 * Ranged rows.  Each row is scaled to integers once, divided by the
   gcd of its coefficients and given a positive leading coefficient;
   rows with the same coefficient vector merge into one ranged row
-  ``lo <= a.x <= hi`` (``_merge_row``).  The bounds stay exact, nothing
-  is rounded.  A ranged row has one logical variable in ``[0, hi -
-  lo]``; an equality row has none.  ``_merge_rows`` is the one place
+  ``lo <= a.x <= hi`` (``_primitive_row``, ``_merge_row``).  The bounds
+  stay exact, nothing is rounded.  A ranged row has one logical
+  variable in ``[0, hi - lo]``; an equality row has none.  ``_merge_rows`` is the one place
   that merges a system's rows, for the LP and for the integer
   enumerator: an instance merges its rows once (``solve.Instance._merged``),
   and ``lp_relax``, Algorithm 1's planning ``Tableau``, every subproblem
   and the direct fixed-space probe start from that.
-  The enumerator (``solve._lower``) merges its added sets into a copy
-  with the same ``_merge_row`` and rounds each bound inward.
+  The enumerator (``solve._lower``) merges its added sets' rows, each
+  put in primitive form once per set (``exprs.ConstraintSet._rows``),
+  into a copy with the same ``_merge_primitive`` and rounds each bound
+  inward.
 * Artificials only where needed.  With every structural variable at 0,
   a logical that lies within its bounds starts basic; only the other
   rows, and the equality rows, get an artificial.
@@ -99,17 +101,16 @@ def _row_interval(
     raise InputError(f"unknown row sense {row.sense!r}")
 
 
-def _merge_row(merged: dict, coeffs, lo: Bound, hi: Bound) -> bool:
-    """Merge the row ``lo <= sum(a * x[j] for j, a in coeffs) <= hi``
-    into ``merged``, keyed by its primitive integer coefficients.
+def _primitive_row(coeffs, lo: Bound, hi: Bound):
+    """The row ``lo <= sum(a * x[j] for j, a in coeffs) <= hi`` in
+    primitive integer form ``(key, lo, hi)``.
 
     The row is scaled to integers by the lcm of its denominators,
     divided by the gcd of its coefficients and signed so that its
-    lowest-indexed coefficient is positive.  ``merged`` maps the sparse
-    key ``((j, a), ...)`` to ``[lo, hi]`` in first-appearance order; a
-    bound is an exact ratio ``(num, den)`` with ``den > 0``, or None for
-    no bound.  Returns False when the row is all zero and excludes 0, or
-    when the merged range is empty."""
+    lowest-indexed coefficient is positive.  The key is the sparse
+    ``((j, a), ...)`` in increasing j; a bound is an exact ratio
+    ``(num, den)`` with ``den > 0``, or None for no bound.  An all-zero
+    row has no key: it gives a bool, whether it admits 0."""
     coeffs = sorted(coeffs)
     scale = math.lcm(
         *(a.denominator for _, a in coeffs), *(b.denominator for b in (lo, hi) if b is not None)
@@ -123,15 +124,40 @@ def _merge_row(merged: dict, coeffs, lo: Bound, hi: Bound) -> bool:
     if ints[0][1] < 0:
         g, lo, hi = -g, (None if hi is None else -hi), (None if lo is None else -lo)
     # divided by g, the scaled row bounds its key by lo / |g| and hi / |g|
-    entry = merged.setdefault(tuple((j, v // g) for j, v in ints), [None, None])
-    lo = None if lo is None else (lo, abs(g))
-    hi = None if hi is None else (hi, abs(g))
-    if lo is not None and (entry[0] is None or lo[0] * entry[0][1] > entry[0][0] * lo[1]):
-        entry[0] = lo
-    if hi is not None and (entry[1] is None or hi[0] * entry[1][1] < entry[1][0] * hi[1]):
-        entry[1] = hi
-    lo, hi = entry
+    return (
+        tuple((j, v // g) for j, v in ints),
+        None if lo is None else (lo, abs(g)),
+        None if hi is None else (hi, abs(g)),
+    )
+
+
+def _merge_primitive(merged: dict, key: tuple, lo, hi) -> bool:
+    """Merge a primitive row (``_primitive_row``) into ``merged``, which
+    maps each key to its ``(lo, hi)`` in first-appearance order.  An
+    entry is replaced, never changed in place, so a shallow copy of a
+    merged dict can take further rows.  Returns False when the merged
+    range is empty."""
+    entry = merged.get(key)
+    if entry is not None:
+        old_lo, old_hi = entry
+        if lo is None or (old_lo is not None and lo[0] * old_lo[1] <= old_lo[0] * lo[1]):
+            lo = old_lo
+        if hi is None or (old_hi is not None and hi[0] * old_hi[1] >= old_hi[0] * hi[1]):
+            hi = old_hi
+    merged[key] = (lo, hi)
     return lo is None or hi is None or lo[0] * hi[1] <= hi[0] * lo[1]
+
+
+def _merge_row(merged: dict, coeffs, lo: Bound, hi: Bound) -> bool:
+    """Merge the row ``lo <= sum(a * x[j] for j, a in coeffs) <= hi``
+    into ``merged``, keyed by its primitive integer coefficients
+    (``_primitive_row``, ``_merge_primitive``).  Returns False when the
+    row is all zero and excludes 0, or when the merged range is
+    empty."""
+    row = _primitive_row(coeffs, lo, hi)
+    if type(row) is bool:
+        return row
+    return _merge_primitive(merged, *row)
 
 
 def _merge_rows(n: int, rows: Sequence[LPRow]) -> tuple[dict, bool]:

@@ -18,7 +18,11 @@ Two engines live here:
   points are returned as ``Fraction`` tuples.  A node propagates only
   from the rows that contain the variable it fixes, and a max/min search
   carries its incumbent as one more row, which cuts off every subtree
-  that cannot beat it.
+  that cannot beat it.  A subproblem with cycles (``engine.Subproblem``)
+  searches one point per orbit of their rotations: the orbital rows
+  ``x_c1 - x_cj >= 0`` of each cycle admit exactly the max-first
+  points, the leaf checks the rotation-invariant constraints once and
+  then rotates each block until the S1 cuts on it hold.
 
 Both are deliberately small: they replace an external MINLP solver for
 instances a few variables wide, and every verdict they return is
@@ -40,7 +44,12 @@ the object lives; nothing writes into it:
 * a ``ConstraintSet`` keeps each constraint with its interval row
   (``exprs._interval_of``, through ``exprs.linear_form``, which reads
   the flat sums that synthesis, the engine and ``_row_to_constraint``
-  write), by name; every other constraint stays for the leaves.
+  write), by name, and those rows in primitive integer form over
+  set-local positions (``ConstraintSet._rows``); every other constraint
+  stays for the leaves;
+* an ``Instance`` also keeps its merged rows with the orbital rows of
+  each cycle tuple a subproblem searches by (``_merged_with``) and its
+  integer variable ranges per box half-width (``_boxed``).
 
 So every run on one ``Instance`` merges its rows once, and every
 subproblem that holds a set reads it once.  The one per-run state is
@@ -52,8 +61,11 @@ variables, then auxiliaries in first-appearance order) from
 ``_variables``.  No construction ties their two row readers together;
 ``test_export_states_the_enumerated_problem`` in ``tests/test_solve.py``
 does: it lowers the export documents of planned subproblems through
-``exprs._interval_of`` and checks that they give the enumerator's
-integer rows and nonlinear constraints.
+``exprs._interval_of``, adds the orbital rows of each subproblem's
+cycles, and checks that they give the enumerator's integer rows and
+nonlinear constraints.  The export holds no orbital rows: the
+enumerator decides the exported problem up to a rotation of each
+block.
 """
 
 from __future__ import annotations
@@ -76,8 +88,18 @@ from .exprs import (
     LE_ZERO,
     check_value,
 )
-from .perms import GroupSpec, Permutation, apply
-from .simplex import EQ as ROW_EQ, GE, LE, LPRow, Tableau, _merge_row, _merge_rows, _row_interval
+from .perms import Cycle, GroupSpec, Permutation, apply
+from .simplex import (
+    EQ as ROW_EQ,
+    GE,
+    LE,
+    LPRow,
+    Tableau,
+    _merge_primitive,
+    _merge_row,
+    _merge_rows,
+    _row_interval,
+)
 
 #: half-width of the fallback enumeration box for variables whose
 #: declared bounds are missing or wider
@@ -177,6 +199,48 @@ class Instance:
         and False when some row admits no point.  Its readers copy what
         they change."""
         return _merge_rows(self.n, self.rows)
+
+    @cached_property
+    def _orbital(self) -> dict:
+        """``_merged_with``'s merged rows by cycle tuple."""
+        return {(): self._merged}
+
+    def _merged_with(self, cycles: tuple[Cycle, ...]) -> tuple[dict, bool]:
+        """The merged rows (``_merged``) with the orbital rows
+        ``x_c1 - x_cj >= 0`` (j = 2..k) of each cycle c merged after
+        them, once per cycle tuple.  Its readers copy what they
+        change."""
+        out = self._orbital.get(cycles)
+        if out is None:
+            merged, nonempty = self._merged
+            merged = dict(merged)
+            zero = (0, 1)
+            for c in cycles:
+                first = c.support[0] - 1
+                for i in c.support[1:]:
+                    # already primitive: x_c1 - x_cj >= 0, signed by its
+                    # lower index
+                    if first < i - 1:
+                        row = ((first, 1), (i - 1, -1)), zero, None
+                    else:
+                        row = ((i - 1, 1), (first, -1)), None, zero
+                    nonempty = _merge_primitive(merged, *row) and nonempty
+            out = self._orbital[cycles] = (merged, nonempty)
+        return out
+
+    @cached_property
+    def _flat_vars(self) -> tuple["FlatVar", ...]:
+        """The instance variables as the first variables of every
+        subproblem (``_variables``)."""
+        return tuple(
+            FlatVar(name, lo, hi, "integer") for name, (lo, hi) in zip(self.var_names, self.bounds)
+        )
+
+    @cached_property
+    def _boxed(self) -> dict:
+        """The integer range of each variable (``_initial_bounds``) by box
+        half-width, made once per box."""
+        return {}
 
     @cached_property
     def _export_rows(self) -> tuple[Constraint, ...]:
@@ -315,10 +379,8 @@ def _variables(sub) -> tuple[FlatVar, ...]:
     first-appearance order.  Export and enumeration both take their
     variable order from here."""
     base: Instance = sub.base
-    variables = [
-        FlatVar(name, lo, hi, "integer") for name, (lo, hi) in zip(base.var_names, base.bounds)
-    ]
-    seen = set(base.var_names)
+    variables = list(base._flat_vars)
+    seen = {v.name for v in variables}
     for cs in sub.added:
         for av in cs.aux_vars:
             if av.name in seen:
@@ -458,6 +520,8 @@ def _watch_lists(
 
 
 def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, int]]:
+    """Each variable's integer range: its declared bounds within
+    [-box, box]."""
     out = []
     for v in variables:
         lo = -box if v.lo is None else max(v.lo, -box)
@@ -473,29 +537,49 @@ def _lower(
     list[Constraint],
 ]:
     """The enumerator's view of sub: its linear rows merged by primitive
-    integer coefficients (``simplex._merge_row``, shared with the LP) and
-    each merged bound rounded inward to an integer, or None when some row
-    admits no integer point; and the added constraints that stay
-    nonlinear.  sub starts from a copy of its base's merged rows
-    (``Instance._merged``) and merges its added sets' rows
-    (``ConstraintSet._intervals``) in order; those are keyed by name and
-    get their positions from ``var_index``, since an auxiliary's position
-    differs between subproblems."""
-    merged, nonempty = sub.base._merged
-    # merging updates the [lo, hi] entries in place
-    merged = {key: list(entry) for key, entry in merged.items()}
+    integer coefficients (``simplex._merge_primitive``, shared with the
+    LP) and each merged bound rounded inward to an integer, or None when
+    some row admits no integer point; and the added constraints that
+    stay nonlinear.
+
+    sub starts from a copy of its base's merged rows with the orbital
+    rows of ``sub.cycles`` (``Instance._merged_with``) and merges its
+    added sets' rows in order.  Each set's rows are in primitive form
+    over set-local positions (``ConstraintSet._rows``); a set's
+    auxiliaries follow the instance variables and the earlier sets'
+    auxiliaries (``_variables``), so only their positions shift.  A set
+    that reads some other name is lowered by name through
+    ``var_index``."""
+    base: Instance = sub.base
+    merged, nonempty = base._merged_with(sub.cycles)
+    # merging replaces entries, so a shallow copy keeps the base's intact
+    merged = dict(merged)
     nonlinear: list[Constraint] = []
+    offset = base.n
     for cs in sub.added:
-        for con, row in cs._intervals:
-            if row is None:
-                nonlinear.append(con)
-                continue
-            coeffs, lo, hi = row
-            try:
-                positional = [(var_index[name], a) for name, a in coeffs.items() if a != 0]
-            except KeyError as exc:
-                raise InputError(f"constraint references unknown variable {exc}") from exc
-            nonempty = nonempty and _merge_row(merged, positional, lo, hi)
+        width, local, rest = cs._rows
+        nonlinear.extend(rest)
+        if local is not None and width <= base.n:
+            shift = offset - width
+            for row in local:
+                if type(row) is bool:
+                    nonempty = nonempty and row
+                    continue
+                key, lo, hi = row
+                if key[-1][0] >= width:
+                    key = tuple((j if j < width else j + shift, a) for j, a in key)
+                nonempty = nonempty and _merge_primitive(merged, key, lo, hi)
+        else:
+            for _, row in cs._intervals:
+                if row is None:
+                    continue
+                coeffs, lo, hi = row
+                try:
+                    positional = [(var_index[name], a) for name, a in coeffs.items() if a != 0]
+                except KeyError as exc:
+                    raise InputError(f"constraint references unknown variable {exc}") from exc
+                nonempty = nonempty and _merge_row(merged, positional, lo, hi)
+        offset += len(cs.aux_vars)
     if not nonempty:
         return None, nonlinear
     rows = []
@@ -547,8 +631,19 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     lower bound becomes ``sign * D * f + 1`` when a point of value f is
     recorded.  Every variable is an integer, so the cutoff removes only
     points that are no better than the incumbent, and the search records
-    the same points, in the same order, as a search without it: the
-    answer is the lexicographically first optimum.  Budget exhaustion
+    the same points, in the same order, as a search without it.
+
+    With ``sub.cycles``, the rows also hold the orbital rows of each
+    cycle (``_lower``), so only max-first points are searched.  At a
+    leaf, the nonlinear constraints that hold on a whole orbit (every
+    one but the S1 cuts on a block of those cycles: instance rows,
+    layer and sub-layer rows, smoothness guards, S2 rows) are checked
+    once; then each block is rotated (``_rotate_to_pass``), from the
+    max-first point on, until its own S1 cuts hold, and the first
+    passing rotation is written into the point.  So the answer is the
+    first optimum (first feasible point) among the max-first points, in
+    lexicographic order, with each block rotated; without cycles it is
+    the lexicographically first optimum.  Budget exhaustion
     yields Unknown: a Feasible that was already found cannot be
     certified optimal, and an Infeasible cannot be certified at all."""
     if budget <= 0:
@@ -560,9 +655,19 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     if rows is None:
         return Outcome(INFEASIBLE)
 
-    programs: list[tuple[Program, str, float]] = [
-        (compile_expr(c.expr, var_index), c.sense, c.eps) for c in nonlinear
-    ]
+    # each S1 cut on a block of sub.cycles is retried over the block's
+    # rotations; every other nonlinear constraint holds on a whole orbit
+    cut_blocks = {
+        id(c): cs.cycle for cs in sub.added if cs.cycle in sub.cycles for c in cs.constraints
+    }
+    programs: list[tuple[Program, str, float]] = []
+    block_programs: dict[Cycle, list[tuple[Program, str, float]]] = {}
+    for c in nonlinear:
+        cycle = cut_blocks.get(id(c))
+        target = programs if cycle is None else block_programs.setdefault(cycle, [])
+        target.append((compile_expr(c.expr, var_index), c.sense, c.eps))
+    # the instance variable x<i> sits at i - 1
+    blocks = [([i - 1 for i in c.support], progs) for c, progs in block_programs.items()]
 
     base: Instance = sub.base
     obj_items = [(j, c) for j, c in enumerate(base.objective) if c != 0]
@@ -579,7 +684,10 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     # the cutoff's bound changes at leaves, so every node queues it
     starts = [w if not want_best or cut in w else w + [cut] for w in watch]
 
-    bounds0 = _initial_bounds(variables, box)
+    boxed = base._boxed.get(box)
+    if boxed is None:
+        boxed = base._boxed[box] = _initial_bounds(variables[: base.n], box)
+    bounds0 = boxed + _initial_bounds(variables[base.n :], box)
     # an empty integer range admits no point; propagation visits only rows,
     # so it would miss one on a variable that no row holds
     if any(lo > hi for lo, hi in bounds0):
@@ -595,23 +703,24 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
         depth, v, bounds = stack.pop()
         if depth == nvars:
             # a leaf: every variable is fixed, so its bounds are its point
-            values = [float(lo) for lo, _ in bounds] if programs else None
-            for prog, sense, ceps in programs:
-                ok, val = prog.run(values)
-                if not ok or not check_value(val, sense, ceps):
-                    break
-            else:  # every nonlinear constraint holds
-                point = tuple(Fraction(lo) for lo, _ in bounds[: base.n])
-                if not want_best:
-                    return Outcome(FEASIBLE, point=point)
-                objv = sum((c * bounds[j][0] for j, c in obj_items), Fraction(0))
-                key = sign * objv
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = Outcome(FEASIBLE, point=point, objective=objv)
-                    # every variable is an integer, so a strictly better
-                    # point scores at least 1 more on the scaled row
-                    rows[cut] = (cut_coeffs, int(key * scale) + 1, None)
+            ints = [lo for lo, _ in bounds]
+            if programs or blocks:
+                values = [float(v) for v in ints]
+                if not _holds(programs, values) or not all(
+                    _rotate_to_pass(ints, values, places, progs) for places, progs in blocks
+                ):
+                    continue
+            point = tuple(Fraction(v) for v in ints[: base.n])
+            if not want_best:
+                return Outcome(FEASIBLE, point=point)
+            objv = sum((c * ints[j] for j, c in obj_items), Fraction(0))
+            key = sign * objv
+            if best_key is None or key > best_key:
+                best_key = key
+                best = Outcome(FEASIBLE, point=point, objective=objv)
+                # every variable is an integer, so a strictly better
+                # point scores at least 1 more on the scaled row
+                rows[cut] = (cut_coeffs, int(key * scale) + 1, None)
             continue
         lo, hi = bounds[depth]
         if v is None:
@@ -626,6 +735,32 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
         if _propagate(child, rows, watch, starts[depth]) is not None:
             stack.append((depth + 1, None, child))
     return best or Outcome(INFEASIBLE)
+
+
+def _holds(programs: Sequence[tuple[Program, str, float]], values) -> bool:
+    """Whether every program's constraint holds at values."""
+    for prog, sense, ceps in programs:
+        ok, val = prog.run(values)
+        if not ok or not check_value(val, sense, ceps):
+            return False
+    return True
+
+
+def _rotate_to_pass(ints: list[int], values: list[float], places: Sequence[int], programs) -> bool:
+    """Rotate the block at ``places`` (a cycle's support, in order) of a
+    leaf point, in its ints and its float values alike, through the
+    cycle's rotations, from the point as it is, until every program
+    holds; rotation s moves the value at place i to place i + s.
+    Returns False when no rotation passes."""
+    block = [ints[j] for j in places]
+    for s in range(len(places)):
+        if s:
+            for i, j in enumerate(places):
+                ints[j] = block[i - s]
+                values[j] = float(block[i - s])
+        if _holds(programs, values):
+            return True
+    return False
 
 
 def export_subproblem(sub, path, *, _texts: Optional[dict] = None) -> None:

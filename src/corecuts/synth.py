@@ -129,7 +129,7 @@ def s1_for_point(
                 Div(Const(Fraction(numerator)), Dot(_alternating_coeffs(k), names))
             )
     expr: Expr = Add(tuple(terms)) if len(terms) > 1 else terms[0]
-    return ConstraintSet(tag=S1, constraints=(Constraint(expr, STRICT_NEG, eps),))
+    return ConstraintSet(tag=S1, constraints=(Constraint(expr, STRICT_NEG, eps),), cycle=cycle)
 
 
 def smoothness(cycle: Cycle, eps: float = DEFAULT_EPS) -> ConstraintSet:

@@ -393,11 +393,12 @@ def _int_rows(rows):
     return _rounded(merged)
 
 
-def _lower_export(sub):
+def _lower_export(sub, orbital=()):
     """The export document of sub lowered by name, constraint by
-    constraint through _interval_of: (integer rows merged, or None when
-    some row admits no integer point; the constraints that stay
-    nonlinear)."""
+    constraint through _interval_of, with the rows of ``orbital`` (each
+    a sparse ``(coeffs, lo, hi)``) after the instance rows: (integer rows
+    merged, or None when some row admits no integer point; the
+    constraints that stay nonlinear)."""
     flat = flatten_subproblem(sub)
     index = {v.name: i for i, v in enumerate(flat.variables)}
     linear, nonlinear = [], []
@@ -408,17 +409,32 @@ def _lower_export(sub):
             continue
         coeffs, lo, hi = row
         linear.append(([(index[name], a) for name, a in coeffs.items()], lo, hi))
-    return _int_rows(linear), nonlinear
+    # the export states the instance rows first, all of them linear
+    rows = len(sub.base.rows)
+    return _int_rows(linear[:rows] + list(orbital) + linear[rows:]), nonlinear
+
+
+def _orbital_rows(cycles):
+    """The orbital rows x_c1 - x_cj >= 0 (j = 2..k) of each cycle."""
+    return [
+        ([(c.support[0] - 1, Fraction(1)), (i - 1, Fraction(-1))], Fraction(0), None)
+        for c in cycles
+        for i in c.support[1:]
+    ]
 
 
 def test_export_states_the_enumerated_problem():
     """The enumerator reads instance rows by position; the export states
     them as expression trees.  On every planned subproblem of random
     symmetric instances in all three senses, lowering the export
-    document by name gives the enumerator's integer rows and nonlinear
-    constraints."""
+    document by name and adding exactly the orbital rows of the
+    subproblem's cycles gives the enumerator's integer rows and
+    nonlinear constraints.  The export holds no orbital rows, so the
+    enumerator decides the exported problem up to a rotation of each
+    block of those cycles: the leaf rotates each block until its S1 cuts
+    hold."""
     rng = random.Random(13)
-    subs = nonlinear_subs = 0
+    subs = nonlinear_subs = rotating = 0
     for i in range(36):
         sense = ("feasibility", "max", "min")[i % 3]
         if i % 2:
@@ -428,10 +444,14 @@ def test_export_states_the_enumerated_problem():
         for sub in plan(inst).subproblems:
             index = {v.name: j for j, v in enumerate(flatten_subproblem(sub).variables)}
             rows, nonlinear = _lower(sub, index)
-            assert (rows, nonlinear) == _lower_export(sub), (sub.id, inst.rows)
+            expected = _lower_export(sub, _orbital_rows(sub.cycles))
+            assert (rows, nonlinear) == expected, (sub.id, inst.rows)
+            if sub.cycles:
+                assert rows is None or rows != _lower_export(sub)[0], sub.id
             subs += 1
             nonlinear_subs += bool(nonlinear)
-    assert subs > 150 and nonlinear_subs > 50
+            rotating += bool(sub.cycles)
+    assert subs > 150 and nonlinear_subs > 50 and rotating > 50
 
 
 def test_lower_gives_the_recursive_readers_rows(monkeypatch):
