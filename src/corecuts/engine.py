@@ -63,11 +63,12 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   every block, and rotates each block at the leaf until the block's S1
   cuts hold.  This is sound because every orbit has a max-first member,
   and every row but the S1 cuts is invariant under rotating a block:
-  the instance rows (each cycle fixes the instance by itself), layer
-  and sub-layer rows (sums over the block), smoothness guards and the
-  quadratic S2 factors (DFT moduli), and the linear S2 factors (the
-  sum, and the alternating sum, which only changes sign inside its
-  symmetric big-M rows ``-M r <= P <= M r``).  Each S1 cut reads only
+  the instance rows (each cycle fixes the instance by itself, which
+  ``Subproblem`` checks), layer and sub-layer rows (sums over the
+  block), smoothness guards and the quadratic S2 factors (DFT
+  moduli), and the linear S2 factors (the sum, and the alternating
+  sum, which only changes sign inside its symmetric big-M rows
+  ``-M r <= P <= M r``).  Each S1 cut reads only
   its own block (synthesis records it, ``ConstraintSet.cycle``), so
   the blocks rotate independently.  So a subproblem holds a point if
   and only if it holds a max-first point whose blocks some rotation
@@ -124,6 +125,8 @@ from .solve import (
     Outcome,
     UNBOUNDED,
     UNKNOWN,
+    _check_disjoint,
+    _check_orbits,
     _symmetry_misses,
     export_subproblem,
     lp_relax,
@@ -180,11 +183,13 @@ class Subproblem:
     added: tuple[ConstraintSet, ...]
     tag: str  # S1 | S2 | S3 | FIX
     provenance: tuple
-    #: the selected cycles whose rotations the subproblem allows: the
+    #: the disjoint cycles whose rotations the subproblem allows: the
     #: enumerator searches one max-first point per orbit of them and
-    #: retries each S1 cut over its block's rotations.  Whoever sets
-    #: them vouches that each fixes the instance and every added row
-    #: but the S1 cuts, as the planners' sets do.
+    #: retries each S1 cut over its block's rotations.  Each must fix
+    #: the instance by itself, which is checked here
+    #: (``solve._check_orbits``); whoever sets them vouches that every
+    #: added row but the S1 cuts holds on a whole orbit, as the
+    #: planners' sets do.
     cycles: tuple[Cycle, ...] = ()
 
     def __post_init__(self) -> None:
@@ -198,12 +203,7 @@ class Subproblem:
             object.__setattr__(self, "cycles", tuple(self.cycles))
         if S3 in primary:
             raise InputError(f"subproblem {self.id}: an S3 anchor pins a rotation, so no cycles")
-        selected = self.base.group.selected_cycles if self.base.group else ()
-        for i, c in enumerate(self.cycles):
-            if c not in selected:
-                raise InputError(f"subproblem {self.id}: cycle {c} is not a selected cycle")
-            if c in self.cycles[:i]:
-                raise InputError(f"subproblem {self.id}: cycle {c} is given twice")
+        _check_orbits(self.base, self.cycles)
         for cs in self.added:
             if cs.tag == S1 and cs.cycle not in self.cycles:
                 raise InputError(f"subproblem {self.id}: an S1 cut reads no block of its cycles")
@@ -293,7 +293,6 @@ def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     """Algorithm 1's layer walk; refuses an instance its declared group,
     or its cycle alone, does not fix."""
     cycles = inst.group.selected_cycles if inst.group else ()
-    _check_disjoint(inst, cycles)
     _check_symmetric(inst, cycles)
     return _plan_algorithm1(inst, opts)
 
@@ -411,7 +410,6 @@ def _plan_cycles(
 def plan_algorithm2(inst: Instance, cycle: Cycle, opts: EngineOptions) -> Schedule:
     """Algorithm 2's residue schedule along one cycle; refuses an
     instance its declared group, or the cycle alone, does not fix."""
-    _check_disjoint(inst, (cycle,))
     _check_symmetric(inst, (cycle,))
     return _plan_cycles(inst, (cycle,), opts, 2)
 
@@ -425,7 +423,6 @@ def plan_algorithm3(
     cycles = tuple(cycles)
     if len(cycles) < 2:
         raise InputError("need at least two disjoint cycles")
-    _check_disjoint(inst, cycles)
     _check_symmetric(inst, cycles)
     return _plan_cycles(inst, cycles, opts, 3)
 
@@ -722,37 +719,16 @@ def _single_full_cycle(inst: Instance) -> Cycle:
     return cycle
 
 
-def _cycle_misses(inst: Instance, cycle: Cycle) -> list[str]:
-    """What the cycle's permutation alone does not fix of inst.  A cycle
-    that is a declared generator was checked with the group, so it is
-    not checked again."""
-    p = cycle.as_permutation(inst.n)
-    if inst.group is not None and p in inst.group.generators:
-        return []
-    return _symmetry_misses(inst, p)
+def _cycle_misses(inst: Instance, cycle: Cycle) -> tuple[str, ...]:
+    """What the cycle's permutation alone does not fix of inst."""
+    return _symmetry_misses(inst, cycle.as_permutation(inst.n))
 
 
 def _check_symmetric(inst: Instance, cycles: Sequence[Cycle]) -> None:
     """Refuse inst when its declared group, or one of the cycles to be
-    planned on its own, does not fix it."""
+    planned on its own, does not fix it, and refuse cycles that overlap
+    or leave 1..n (``_check_orbits``)."""
     warnings = symmetry_warnings(inst)
     if warnings:
         raise InputError("declared group does not fix the instance: " + "; ".join(warnings))
-    for c in cycles:
-        misses = _cycle_misses(inst, c)
-        if misses:
-            raise InputError(f"cycle {c} alone does not fix the instance: {', '.join(misses)}")
-
-
-def _check_disjoint(inst: Instance, cycles: Sequence[Cycle]) -> None:
-    """Refuse cycles that leave 1..n or overlap; every planner checks
-    this before the symmetry check, which reads each cycle as a
-    permutation of 1..n."""
-    seen: set[int] = set()
-    for c in cycles:
-        if min(c.support) < 1 or max(c.support) > inst.n:
-            raise InputError("cycle support escapes the variable range")
-        overlap = seen & set(c.support)
-        if overlap:
-            raise InputError(f"cycles overlap on coordinates {sorted(overlap)}")
-        seen |= set(c.support)
+    _check_orbits(inst, tuple(cycles))

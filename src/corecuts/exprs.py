@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import InputError
@@ -149,7 +149,7 @@ class ConstraintSet:
         return tuple((con, _interval_of(con)) for con in self.constraints)
 
     @cached_property
-    def _rows(self) -> tuple[int, Optional[list], list[Constraint]]:
+    def _rows(self) -> tuple[int, list, list[Constraint]]:
         """The enumerator's reading of the set, made once:
         ``(width, rows, nonlinear)``.
 
@@ -161,8 +161,8 @@ class ConstraintSet:
         row reads.  A subproblem puts the set's auxiliaries after the
         instance variables and the earlier sets' auxiliaries, so it
         shifts only their positions, and the key keeps its order and its
-        sign (``solve._lower``).  ``rows`` is None when a row reads some
-        other name; the subproblem then looks every name up.
+        sign (``solve._lower``).  A set reads only instance variables and
+        its own auxiliaries: any other name is an ``InputError``.
         ``nonlinear`` lists the constraints with no interval row."""
         own = {av.name: j for j, av in enumerate(self.aux_vars)}
         nonlinear = [con for con, row in self._intervals if row is None]
@@ -175,15 +175,17 @@ class ConstraintSet:
             coeffs, lo, hi = row
             terms = []
             for name, a in coeffs.items():
+                if a == 0:
+                    continue
                 if name in own:
                     terms.append((None, own[name], a))
-                else:
-                    j = _instance_position(name)
-                    if j is None:
-                        return 0, None, nonlinear
-                    if j >= width:
-                        width = j + 1
-                    terms.append((j, None, a))
+                    continue
+                j = _instance_position(name)
+                if j is None:
+                    raise InputError(f"constraint references unknown variable {name!r}")
+                if j >= width:
+                    width = j + 1
+                terms.append((j, None, a))
             named.append((terms, lo, hi))
         rows = [
             _primitive_row([(width + k if j is None else j, a) for j, k, a in terms], lo, hi)
@@ -192,7 +194,6 @@ class ConstraintSet:
         return width, rows, nonlinear
 
 
-@lru_cache(maxsize=1024)
 def _instance_position(name: str) -> Optional[int]:
     """i - 1 for an instance variable name ``x<i>`` (i >= 1, written
     without leading zeros, as ``solve.Instance.var_names`` writes it);

@@ -48,8 +48,10 @@ the object lives; nothing writes into it:
   set-local positions (``ConstraintSet._rows``); every other constraint
   stays for the leaves;
 * an ``Instance`` also keeps its merged rows with the orbital rows of
-  each cycle tuple a subproblem searches by (``_merged_with``) and its
-  integer variable ranges per box half-width (``_boxed``).
+  each cycle tuple a subproblem searches by (``_merged_with``), what
+  each permutation checked against it does not fix
+  (``_symmetry_misses``), and the cycle tuples that pass
+  ``_check_orbits``.
 
 So every run on one ``Instance`` merges its rows once, and every
 subproblem that holds a set reads it once.  The one per-run state is
@@ -96,7 +98,6 @@ from .simplex import (
     LPRow,
     Tableau,
     _merge_primitive,
-    _merge_row,
     _merge_rows,
     _row_interval,
 )
@@ -208,10 +209,11 @@ class Instance:
     def _merged_with(self, cycles: tuple[Cycle, ...]) -> tuple[dict, bool]:
         """The merged rows (``_merged``) with the orbital rows
         ``x_c1 - x_cj >= 0`` (j = 2..k) of each cycle c merged after
-        them, once per cycle tuple.  Its readers copy what they
-        change."""
+        them, once per cycle tuple that ``_check_orbits`` passes.  Its
+        readers copy what they change."""
         out = self._orbital.get(cycles)
         if out is None:
+            _check_orbits(self, cycles)
             merged, nonempty = self._merged
             merged = dict(merged)
             zero = (0, 1)
@@ -229,18 +231,14 @@ class Instance:
         return out
 
     @cached_property
-    def _flat_vars(self) -> tuple["FlatVar", ...]:
-        """The instance variables as the first variables of every
-        subproblem (``_variables``)."""
-        return tuple(
-            FlatVar(name, lo, hi, "integer") for name, (lo, hi) in zip(self.var_names, self.bounds)
-        )
+    def _misses(self) -> dict:
+        """``_symmetry_misses``'s answers by permutation."""
+        return {}
 
     @cached_property
-    def _boxed(self) -> dict:
-        """The integer range of each variable (``_initial_bounds``) by box
-        half-width, made once per box."""
-        return {}
+    def _orbits(self) -> set:
+        """The cycle tuples ``_check_orbits`` has passed."""
+        return set()
 
     @cached_property
     def _export_rows(self) -> tuple[Constraint, ...]:
@@ -302,19 +300,56 @@ def symmetry_warnings(inst: Instance) -> list[str]:
     ]
 
 
-def _symmetry_misses(inst: Instance, p: Permutation) -> list[str]:
+def _symmetry_misses(inst: Instance, p: Permutation) -> tuple[str, ...]:
     """What p does not fix of inst, as phrases such as "does not fix the
-    objective" (none: it fixes inst).  p permutes the integer row keys
-    of ``Instance._row_keys``."""
-    keys, rows = inst._row_keys
-    misses = []
-    if apply(p, inst.objective) != inst.objective:
-        misses.append("does not fix the objective")
-    if Counter((apply(p, coeffs), sense, rhs) for coeffs, sense, rhs in keys) != rows:
-        misses.append("does not permute the constraint rows")
-    if apply(p, inst.bounds) != inst.bounds:
-        misses.append("does not preserve bounds")
-    return misses
+    objective" (none: it fixes inst), checked once per instance and
+    permutation (``Instance._misses``): ``symmetry_warnings`` checks each
+    generator, and the planners and every ``engine.Subproblem``
+    (``_check_orbits``) check the cycles, which are often those
+    generators.  p permutes the integer row keys of
+    ``Instance._row_keys``."""
+    out = inst._misses.get(p)
+    if out is None:
+        keys, rows = inst._row_keys
+        misses = []
+        if apply(p, inst.objective) != inst.objective:
+            misses.append("does not fix the objective")
+        if Counter((apply(p, coeffs), sense, rhs) for coeffs, sense, rhs in keys) != rows:
+            misses.append("does not permute the constraint rows")
+        if apply(p, inst.bounds) != inst.bounds:
+            misses.append("does not preserve bounds")
+        out = inst._misses[p] = tuple(misses)
+    return out
+
+
+def _check_disjoint(inst: Instance, cycles: Sequence[Cycle]) -> None:
+    """Refuse cycles that leave 1..n or overlap; ``_check_orbits`` and
+    ``engine.plan`` check this before the symmetry check, which reads
+    each cycle as a permutation of 1..n."""
+    seen: set[int] = set()
+    for c in cycles:
+        if min(c.support) < 1 or max(c.support) > inst.n:
+            raise InputError("cycle support escapes the variable range")
+        overlap = seen & set(c.support)
+        if overlap:
+            raise InputError(f"cycles overlap on coordinates {sorted(overlap)}")
+        seen |= set(c.support)
+
+
+def _check_orbits(inst: Instance, cycles: tuple[Cycle, ...]) -> None:
+    """Refuse cycles that overlap, leave 1..n, or do not each fix inst by
+    itself: their orbital rows (``Instance._merged_with``) could cut off
+    a point that no rotation of the blocks restores.  Checked once per
+    instance and cycle tuple (``Instance._orbits``): every subproblem
+    of a schedule checks the same tuple."""
+    if cycles in inst._orbits:
+        return
+    _check_disjoint(inst, cycles)
+    for c in cycles:
+        misses = _symmetry_misses(inst, c.as_permutation(inst.n))
+        if misses:
+            raise InputError(f"cycle {c} alone does not fix the instance: {', '.join(misses)}")
+    inst._orbits.add(cycles)
 
 
 def lp_relax(inst: Instance, tableau: Optional[Tableau] = None) -> Outcome:
@@ -379,8 +414,10 @@ def _variables(sub) -> tuple[FlatVar, ...]:
     first-appearance order.  Export and enumeration both take their
     variable order from here."""
     base: Instance = sub.base
-    variables = list(base._flat_vars)
-    seen = {v.name for v in variables}
+    variables = [
+        FlatVar(name, lo, hi, "integer") for name, (lo, hi) in zip(base.var_names, base.bounds)
+    ]
+    seen = set(base.var_names)
     for cs in sub.added:
         for av in cs.aux_vars:
             if av.name in seen:
@@ -530,9 +567,7 @@ def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, i
     return out
 
 
-def _lower(
-    sub, var_index: dict[str, int]
-) -> tuple[
+def _lower(sub) -> tuple[
     Optional[list[tuple[list[tuple[int, int]], Optional[int], Optional[int]]]],
     list[Constraint],
 ]:
@@ -548,8 +583,7 @@ def _lower(
     over set-local positions (``ConstraintSet._rows``); a set's
     auxiliaries follow the instance variables and the earlier sets'
     auxiliaries (``_variables``), so only their positions shift.  A set
-    that reads some other name is lowered by name through
-    ``var_index``."""
+    that reads an instance variable beyond n is an ``InputError``."""
     base: Instance = sub.base
     merged, nonempty = base._merged_with(sub.cycles)
     # merging replaces entries, so a shallow copy keeps the base's intact
@@ -558,27 +592,18 @@ def _lower(
     offset = base.n
     for cs in sub.added:
         width, local, rest = cs._rows
+        if width > base.n:
+            raise InputError(f"constraint references unknown variable 'x{width}'")
         nonlinear.extend(rest)
-        if local is not None and width <= base.n:
-            shift = offset - width
-            for row in local:
-                if type(row) is bool:
-                    nonempty = nonempty and row
-                    continue
-                key, lo, hi = row
-                if key[-1][0] >= width:
-                    key = tuple((j if j < width else j + shift, a) for j, a in key)
-                nonempty = nonempty and _merge_primitive(merged, key, lo, hi)
-        else:
-            for _, row in cs._intervals:
-                if row is None:
-                    continue
-                coeffs, lo, hi = row
-                try:
-                    positional = [(var_index[name], a) for name, a in coeffs.items() if a != 0]
-                except KeyError as exc:
-                    raise InputError(f"constraint references unknown variable {exc}") from exc
-                nonempty = nonempty and _merge_row(merged, positional, lo, hi)
+        shift = offset - width
+        for row in local:
+            if type(row) is bool:
+                nonempty = nonempty and row
+                continue
+            key, lo, hi = row
+            if key[-1][0] >= width:
+                key = tuple((j if j < width else j + shift, a) for j, a in key)
+            nonempty = nonempty and _merge_primitive(merged, key, lo, hi)
         offset += len(cs.aux_vars)
     if not nonempty:
         return None, nonlinear
@@ -651,7 +676,7 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     variables = _variables(sub)
     var_index = {v.name: i for i, v in enumerate(variables)}
     nvars = len(variables)
-    rows, nonlinear = _lower(sub, var_index)
+    rows, nonlinear = _lower(sub)
     if rows is None:
         return Outcome(INFEASIBLE)
 
@@ -684,10 +709,7 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     # the cutoff's bound changes at leaves, so every node queues it
     starts = [w if not want_best or cut in w else w + [cut] for w in watch]
 
-    boxed = base._boxed.get(box)
-    if boxed is None:
-        boxed = base._boxed[box] = _initial_bounds(variables[: base.n], box)
-    bounds0 = boxed + _initial_bounds(variables[base.n :], box)
+    bounds0 = _initial_bounds(variables, box)
     # an empty integer range admits no point; propagation visits only rows,
     # so it would miss one on a variable that no row holds
     if any(lo > hi for lo, hi in bounds0):

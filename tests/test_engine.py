@@ -162,9 +162,11 @@ def test_subproblem_tag_must_match_sets():
 
 
 def test_subproblem_refuses_cycles_that_do_not_rotate_it():
-    """An S3 anchor pins a rotation, so an S3 probe takes no cycles; a
-    cycle must be one of the instance's selected cycles, and an S1 cut
-    must read a block of the subproblem's cycles."""
+    """An S3 anchor pins a rotation, so an S3 probe takes no cycles; the
+    cycles must be disjoint and within 1..n, each must fix the instance
+    by itself, and an S1 cut must read a block of the subproblem's
+    cycles.  A cycle that fixes the instance needs no group to declare
+    it, in any order of its support."""
     group = _two_cycles_group(3)
     first, second = group.selected_cycles
     inst = make_instance(6, rows=(make_row([1] * 6, "==", 5),), bounds=_box(6, 0, 2), group=group)
@@ -173,15 +175,50 @@ def test_subproblem_refuses_cycles_that_do_not_rotate_it():
         Subproblem("p", inst, probe, "S3", (), (first,))
     assert Subproblem("p", inst, probe, "S3", ()).cycles == ()
     s2 = (s2_singular(first),)
-    for cycles in ((Cycle((1, 2, 4)),), (Cycle((1, 3, 2)),), (first, first)):
+    for cycles in ((first, first), (first, Cycle((3, 4))), (Cycle((1, 7)),)):
         with pytest.raises(InputError):
             Subproblem("s", inst, s2, "S2", (), cycles)
-    with pytest.raises(InputError):
-        Subproblem("s", make_instance(6), s2, "S2", (), (first,))
+    for cycles in ((Cycle((1, 2, 4)),), (Cycle((2, 3, 1)),), (Cycle((1, 3, 2)), second)):
+        assert Subproblem("s", inst, s2, "S2", (), cycles).cycles == cycles
+    assert Subproblem("s", make_instance(6), s2, "S2", (), (first,)).cycles == (first,)
+    # a factor of a product generator that does not fix the instance alone
+    linked = _repro_d()
+    for c in linked.group.selected_cycles:
+        with pytest.raises(InputError, match="alone does not fix"):
+            Subproblem("s", linked, (s2_singular(c),), "S2", (), (c,))
     cut = (sublayer(first, 1), s1_for_point((0, 0, 1), first))
     with pytest.raises(InputError, match="S1"):
         Subproblem("c", inst, cut, "S1", (), (second,))
     assert Subproblem("c", inst, cut, "S1", (), [first, second]).cycles == (first, second)
+
+
+def test_planners_take_any_cycle_that_fixes_the_instance():
+    """plan_algorithm2 and 3 take a cycle that fixes the instance even
+    when no group selects it, or when its support starts elsewhere than
+    the selected cycle's; their S1 and S2 subproblems search by it, and
+    the verdict is plain enumeration's."""
+    rows = (make_row([1] * 6, "==", 5), make_row([1, 1, 1, 0, 0, 0], "<=", 2))
+    inst = make_instance(
+        6, sense="max", objective=[1, 1, 1, 2, 2, 2], rows=rows, bounds=_box(6, 0, 2)
+    )
+    ungrouped = dataclasses.replace(inst, group=None)
+    grouped = dataclasses.replace(inst, group=_two_cycles_group(3))
+    ref = run_plain(inst)
+    assert ref.status == "Feasible"
+    for base, cycles in (
+        (ungrouped, (Cycle((1, 2, 3)),)),
+        (grouped, (Cycle((2, 3, 1)),)),
+        (ungrouped, (Cycle((3, 1, 2)), Cycle((4, 5, 6)))),
+    ):
+        if len(cycles) == 1:
+            schedule = plan_algorithm2(base, cycles[0], EngineOptions())
+            rep = run_algorithm2(base, cycles[0])
+        else:
+            schedule = plan_algorithm3(base, cycles, EngineOptions())
+            rep = run_algorithm3(base, cycles)
+        searched = [sp for sp in schedule.subproblems if sp.tag in ("S1", "S2")]
+        assert searched and all(sp.cycles == cycles for sp in searched)
+        assert (rep.status, rep.f_star) == (ref.status, ref.f_star), cycles
 
 
 def _orbit_instances(rng):

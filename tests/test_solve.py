@@ -442,8 +442,7 @@ def test_export_states_the_enumerated_problem():
         else:
             inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
         for sub in plan(inst).subproblems:
-            index = {v.name: j for j, v in enumerate(flatten_subproblem(sub).variables)}
-            rows, nonlinear = _lower(sub, index)
+            rows, nonlinear = _lower(sub)
             expected = _lower_export(sub, _orbital_rows(sub.cycles))
             assert (rows, nonlinear) == expected, (sub.id, inst.rows)
             if sub.cycles:
@@ -483,15 +482,35 @@ def test_lower_gives_the_recursive_readers_rows(monkeypatch):
         return reference_linear_form(expr)
 
     for sub in planned:
-        index = {v.name: j for j, v in enumerate(flatten_subproblem(sub).variables)}
-        lowered = _lower(sub, index)
+        lowered = _lower(sub)
         fresh = replace(sub, added=tuple(replace(cs) for cs in sub.added))
         before = referred["calls"]
         with monkeypatch.context() as patch:
             patch.setattr(exprs, "linear_form", reference)
-            assert lowered == _lower(fresh, index), sub.id
+            assert lowered == _lower(fresh), sub.id
         assert referred["calls"] - before == sum(len(cs.constraints) for cs in sub.added)
     assert min(algorithms[a] for a in (1, 2, 3)) >= 10 and len(planned) > 300, algorithms
+
+
+def test_enumerator_refuses_unknown_variables():
+    """A set's linear rows read the instance variables and the set's own
+    auxiliaries: a name past x<n>, one not written as an instance
+    variable, and another set's auxiliary are each an InputError."""
+    base = make_instance(2, bounds=_box(2, 0, 1))
+    z = AuxVar("z", "integer")
+
+    def equal(names, aux=()):
+        return ConstraintSet("Sublayer", (Constraint(Dot((1, -1), names), EQ),), tuple(aux))
+
+    assert solve_subproblem(_sub(base, [equal(("x1", "z"), [z])])).status == FEASIBLE
+    for added in (
+        [equal(("x1", "x3"))],
+        [equal(("x1", "y"))],
+        [equal(("x1", "x02"))],
+        [equal(("x1", "z"), [z]), equal(("x2", "z"))],
+    ):
+        with pytest.raises(InputError, match="unknown variable"):
+            solve_subproblem(_sub(base, added))
 
 
 # ---------------------------------------------------------------------------
@@ -878,8 +897,7 @@ def test_enumerator_rows_are_the_tableau_rows_rounded_inward(monkeypatch):
         inst = make_instance(n, rows=[make_row(*row) for row in rows], bounds=_box(n, -2, 2))
         built.clear()
         simplex.Tableau(n, inst._merged, inst.bounds)
-        index = {name: j for j, name in enumerate(inst.var_names)}
-        lowered, _ = _lower(_sub(inst), index)
+        lowered, _ = _lower(_sub(inst))
         assert lowered == (_rounded(built["ranged"]) if built["nonempty"] else None), rows
         empty += lowered is None
     assert 20 < empty < 200
