@@ -233,7 +233,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--eps", type=float, default=DEFAULT_EPS,
                     help="strict-inequality margin")
     ps.add_argument("--box", type=int, default=DEFAULT_BOX,
-                    help="fallback half-width of the enumeration box")
+                    help="fallback half-width of the enumeration box for missing bounds")
     ps.add_argument("--export-dir", default=None,
                     help="write each dispatched subproblem as MINLP-JSON here")
     ps.add_argument("--essential-budget", type=int, default=1,

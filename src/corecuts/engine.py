@@ -127,9 +127,11 @@ from .solve import (
     UNKNOWN,
     _check_disjoint,
     _check_orbits,
-    _symmetry_misses,
+    _cycle_misses,
+    _integer,
     export_subproblem,
     lp_relax,
+    search_box,
     solve_subproblem,
     symmetry_warnings,
 )
@@ -157,9 +159,7 @@ class EngineOptions:
 
     def __post_init__(self) -> None:
         for name in ("budget", "box", "essential_budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{name.replace('_', ' ')} must be an integer, not {value!r}")
+            _integer(getattr(self, name), name.replace("_", " "))
         if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float, Fraction)):
             raise InputError(f"eps must be a number, not {self.eps!r}")
         if self.budget < 1:
@@ -193,14 +193,14 @@ class Subproblem:
     cycles: tuple[Cycle, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.cycles) is not tuple:
+            object.__setattr__(self, "cycles", tuple(self.cycles))
         tags = {cs.tag for cs in self.added}
         primary = {S1, S2, S3} & tags
         if self.tag in (S1, S2, S3) and self.tag not in primary:
             raise InputError(f"subproblem {self.id} tagged {self.tag} without a {self.tag} set")
         if not self.cycles:
             return
-        if type(self.cycles) is not tuple:
-            object.__setattr__(self, "cycles", tuple(self.cycles))
         if S3 in primary:
             raise InputError(f"subproblem {self.id}: an S3 anchor pins a rotation, so no cycles")
         _check_orbits(self.base, self.cycles)
@@ -345,8 +345,9 @@ def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
             notes.append("LP layer range has no top or bottom; ascent starts at 0")
     step = 1 if up else -1
 
+    s2 = s2_singular(cycle, search_box(inst, opts.box))
     stages: list[tuple[Subproblem, ...]] = [
-        (Subproblem("S2", inst, (s2_singular(cycle, opts.box),), S2, ("global",), (cycle,)),)
+        (Subproblem("S2", inst, (s2,), S2, ("global",), (cycle,)),)
     ]
     while layer % n:
         if end is not None and (layer > end if up else layer < end):
@@ -374,11 +375,12 @@ def _plan_cycles(
     """The residue schedule of Algorithms 2 and 3: one S2 per cycle, the
     anchor probes of every cycle and residue, then one cut subproblem per
     residue tuple in [1..k_1-1] x ... x [1..k_d-1]."""
+    box = search_box(inst, opts.box)
     subs = [
         Subproblem(
             f"A{c.support[0]}.S2",
             inst,
-            (s2_singular(c, opts.box),),
+            (s2_singular(c, box),),
             S2,
             ("singular", c.support[0]),
             cycles,
@@ -717,11 +719,6 @@ def _single_full_cycle(inst: Instance) -> Cycle:
             f"Algorithm 1 needs a full-support cycle (k={cycle.k}, n={inst.n})"
         )
     return cycle
-
-
-def _cycle_misses(inst: Instance, cycle: Cycle) -> tuple[str, ...]:
-    """What the cycle's permutation alone does not fix of inst."""
-    return _symmetry_misses(inst, cycle.as_permutation(inst.n))
 
 
 def _check_symmetric(inst: Instance, cycles: Sequence[Cycle]) -> None:

@@ -12,10 +12,10 @@ vectors for it.  Serialization must stay bit-exact across emit -> parse
 are a Dot, a Var or a Const, each maybe scaled by Const factors) as
 exact rational coefficients; any other tree stays for the leaves.
 ``_interval_of`` turns a constraint into the interval row the
-enumerator propagates.  A ``ConstraintSet`` keeps that reading of its
-constraints (``_intervals``), and those rows in primitive integer form
-over set-local positions (``_rows``), made on first use, so a set that
-several subproblems hold is read and normalised once.
+enumerator propagates.  A ``ConstraintSet`` keeps those rows of its
+constraints in primitive integer form over set-local positions
+(``_rows``), made on first use, so a set that several subproblems hold
+is read and normalised once.
 """
 
 from __future__ import annotations
@@ -142,18 +142,13 @@ class ConstraintSet:
             raise InputError(f"bad tag {self.tag!r}")
 
     @cached_property
-    def _intervals(self) -> tuple[tuple[Constraint, Optional[tuple]], ...]:
-        """Each constraint with its exact interval row (``_interval_of``),
-        read once per set: one set is shared by every subproblem that
-        holds it."""
-        return tuple((con, _interval_of(con)) for con in self.constraints)
-
-    @cached_property
     def _rows(self) -> tuple[int, list, list[Constraint]]:
-        """The enumerator's reading of the set, made once:
-        ``(width, rows, nonlinear)``.
+        """The enumerator's reading of the set, ``(width, rows,
+        nonlinear)``, made once: one set is shared by every subproblem
+        that holds it.
 
-        ``rows`` holds each interval row in primitive integer form
+        ``rows`` holds the exact interval row (``_interval_of``) of each
+        constraint that has one, in primitive integer form
         (``simplex._primitive_row``: a ``(key, lo, hi)``, or a bool for
         an all-zero row) over set-local positions: the instance variable
         ``x<i>`` at i - 1 and the set's j-th auxiliary at ``width + j``,
@@ -165,12 +160,14 @@ class ConstraintSet:
         its own auxiliaries: any other name is an ``InputError``.
         ``nonlinear`` lists the constraints with no interval row."""
         own = {av.name: j for j, av in enumerate(self.aux_vars)}
-        nonlinear = [con for con, row in self._intervals if row is None]
+        nonlinear = []
         # each coefficient as (instance position, None, a) or (None, j, a)
         named = []
         width = 0
-        for _, row in self._intervals:
+        for con in self.constraints:
+            row = _interval_of(con)
             if row is None:
+                nonlinear.append(con)
                 continue
             coeffs, lo, hi = row
             terms = []

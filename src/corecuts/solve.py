@@ -41,21 +41,21 @@ the object lives; nothing writes into it:
   (``_row_to_constraint``, ``Instance._export_rows``), which
   ``flatten_subproblem`` puts before the added constraints; and the
   integer row keys of its symmetry check (``Instance._row_keys``);
-* a ``ConstraintSet`` keeps each constraint with its interval row
+* a ``ConstraintSet`` keeps the interval rows of its constraints
   (``exprs._interval_of``, through ``exprs.linear_form``, which reads
   the flat sums that synthesis, the engine and ``_row_to_constraint``
-  write), by name, and those rows in primitive integer form over
-  set-local positions (``ConstraintSet._rows``); every other constraint
-  stays for the leaves;
-* an ``Instance`` also keeps its merged rows with the orbital rows of
-  each cycle tuple a subproblem searches by (``_merged_with``), what
-  each permutation checked against it does not fix
-  (``_symmetry_misses``), and the cycle tuples that pass
+  write) in primitive integer form over set-local positions, and the
+  constraints with no such row, which stay for the leaves
+  (``ConstraintSet._rows``);
+* an ``Instance`` also keeps what each permutation checked against it
+  does not fix (``_symmetry_misses``), and the cycle tuples that pass
   ``_check_orbits``.
 
 So every run on one ``Instance`` merges its rows once, and every
-subproblem that holds a set reads it once.  The one per-run state is
-the export's dict of JSON texts (``minlp.dumps_problem``'s
+subproblem that holds a set reads it once.  Each subproblem merges the
+orbital rows of its cycles, k - 1 primitive rows per cycle, into its
+own copy of the instance's merged rows (``_lower``).  The one per-run
+state is the export's dict of JSON texts (``minlp.dumps_problem``'s
 ``_texts``), which ``engine._run`` makes for a run that exports.
 
 The enumerator and the export take their variable order (instance
@@ -102,8 +102,8 @@ from .simplex import (
     _row_interval,
 )
 
-#: half-width of the fallback enumeration box for variables whose
-#: declared bounds are missing or wider
+#: half-width of the fallback enumeration box for the missing bounds
+#: (``search_box`` widens it to the widest declared bound)
 DEFAULT_BOX = 50
 
 #: assignment-node budget for one subproblem enumeration
@@ -127,6 +127,13 @@ def _number(v, what: str):
         raise InputError(f"{what} {v!r} is not a number")
     if isinstance(v, float) and not math.isfinite(v):
         raise InputError(f"{what} {v!r} is not finite")
+    return v
+
+
+def _integer(v, what: str) -> int:
+    """v when it is an int; InputError naming it as ``what`` otherwise."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InputError(f"{what} must be an integer, not {v!r}")
     return v
 
 
@@ -200,35 +207,6 @@ class Instance:
         and False when some row admits no point.  Its readers copy what
         they change."""
         return _merge_rows(self.n, self.rows)
-
-    @cached_property
-    def _orbital(self) -> dict:
-        """``_merged_with``'s merged rows by cycle tuple."""
-        return {(): self._merged}
-
-    def _merged_with(self, cycles: tuple[Cycle, ...]) -> tuple[dict, bool]:
-        """The merged rows (``_merged``) with the orbital rows
-        ``x_c1 - x_cj >= 0`` (j = 2..k) of each cycle c merged after
-        them, once per cycle tuple that ``_check_orbits`` passes.  Its
-        readers copy what they change."""
-        out = self._orbital.get(cycles)
-        if out is None:
-            _check_orbits(self, cycles)
-            merged, nonempty = self._merged
-            merged = dict(merged)
-            zero = (0, 1)
-            for c in cycles:
-                first = c.support[0] - 1
-                for i in c.support[1:]:
-                    # already primitive: x_c1 - x_cj >= 0, signed by its
-                    # lower index
-                    if first < i - 1:
-                        row = ((first, 1), (i - 1, -1)), zero, None
-                    else:
-                        row = ((i - 1, 1), (first, -1)), None, zero
-                    nonempty = _merge_primitive(merged, *row) and nonempty
-            out = self._orbital[cycles] = (merged, nonempty)
-        return out
 
     @cached_property
     def _misses(self) -> dict:
@@ -336,17 +314,22 @@ def _check_disjoint(inst: Instance, cycles: Sequence[Cycle]) -> None:
         seen |= set(c.support)
 
 
+def _cycle_misses(inst: Instance, cycle: Cycle) -> tuple[str, ...]:
+    """What the cycle's permutation alone does not fix of inst."""
+    return _symmetry_misses(inst, cycle.as_permutation(inst.n))
+
+
 def _check_orbits(inst: Instance, cycles: tuple[Cycle, ...]) -> None:
     """Refuse cycles that overlap, leave 1..n, or do not each fix inst by
-    itself: their orbital rows (``Instance._merged_with``) could cut off
-    a point that no rotation of the blocks restores.  Checked once per
-    instance and cycle tuple (``Instance._orbits``): every subproblem
-    of a schedule checks the same tuple."""
+    itself: their orbital rows (``_lower``) could cut off a point that no
+    rotation of the blocks restores.  Checked once per instance and
+    cycle tuple (``Instance._orbits``): every subproblem of a schedule
+    checks the same tuple."""
     if cycles in inst._orbits:
         return
     _check_disjoint(inst, cycles)
     for c in cycles:
-        misses = _symmetry_misses(inst, c.as_permutation(inst.n))
+        misses = _cycle_misses(inst, c)
         if misses:
             raise InputError(f"cycle {c} alone does not fix the instance: {', '.join(misses)}")
     inst._orbits.add(cycles)
@@ -556,15 +539,19 @@ def _watch_lists(
     return watch
 
 
+def search_box(inst: Instance, box: int) -> int:
+    """The half-width that clips a missing bound of inst: ``box``, or the
+    widest declared bound when that is wider, so that it holds them all."""
+    return max([box, *(math.ceil(abs(b)) for pair in inst.bounds for b in pair if b is not None)])
+
+
 def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, int]]:
-    """Each variable's integer range: its declared bounds within
-    [-box, box]."""
-    out = []
-    for v in variables:
-        lo = -box if v.lo is None else max(v.lo, -box)
-        hi = box if v.hi is None else min(v.hi, box)
-        out.append((math.ceil(lo), math.floor(hi)))
-    return out
+    """Each variable's integer range: its declared bounds, with a
+    missing side at -box or box."""
+    return [
+        (-box if v.lo is None else math.ceil(v.lo), box if v.hi is None else math.floor(v.hi))
+        for v in variables
+    ]
 
 
 def _lower(sub) -> tuple[
@@ -577,17 +564,29 @@ def _lower(sub) -> tuple[
     some row admits no integer point; and the added constraints that
     stay nonlinear.
 
-    sub starts from a copy of its base's merged rows with the orbital
-    rows of ``sub.cycles`` (``Instance._merged_with``) and merges its
-    added sets' rows in order.  Each set's rows are in primitive form
+    sub starts from a copy of its base's merged rows, merges the orbital
+    rows ``x_c1 - x_cj >= 0`` (j = 2..k) of each cycle c of
+    ``sub.cycles`` (``_check_orbits``), then its added sets' rows in
+    order.  Each set's rows are in primitive form
     over set-local positions (``ConstraintSet._rows``); a set's
     auxiliaries follow the instance variables and the earlier sets'
     auxiliaries (``_variables``), so only their positions shift.  A set
     that reads an instance variable beyond n is an ``InputError``."""
     base: Instance = sub.base
-    merged, nonempty = base._merged_with(sub.cycles)
+    _check_orbits(base, sub.cycles)
+    merged, nonempty = base._merged
     # merging replaces entries, so a shallow copy keeps the base's intact
     merged = dict(merged)
+    zero = (0, 1)
+    for c in sub.cycles:
+        first = c.support[0] - 1
+        for i in c.support[1:]:
+            # already primitive, signed by its lower index
+            if first < i - 1:
+                row = ((first, 1), (i - 1, -1)), zero, None
+            else:
+                row = ((i - 1, 1), (first, -1)), None, zero
+            nonempty = nonempty and _merge_primitive(merged, *row)
     nonlinear: list[Constraint] = []
     offset = base.n
     for cs in sub.added:
@@ -620,8 +619,11 @@ def _lower(sub) -> tuple[
 
 def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
     """Depth-first integer enumeration of sub = base instance + added
-    constraint sets, over the declared bounds intersected with
-    [-box, box].
+    constraint sets, over the declared bounds.  A missing side, and
+    every side of an integer auxiliary, is clipped to the half-width
+    ``search_box(sub.base, box)``, which holds every declared bound.
+    ``box`` must be an integer >= 0 and ``budget`` an integer; a
+    ``budget`` of 0 or less yields Unknown.
 
     The instance rows are read by position and only the added sets are
     lowered from their trees (``_lower``); the export document is not
@@ -656,7 +658,9 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     lower bound becomes ``sign * D * f + 1`` when a point of value f is
     recorded.  Every variable is an integer, so the cutoff removes only
     points that are no better than the incumbent, and the search records
-    the same points, in the same order, as a search without it.
+    the same points, in the same order, as a search without it.  Every
+    leaf it reaches meets that row, so beats the incumbent, whose value
+    is read off the row in integers.
 
     With ``sub.cycles``, the rows also hold the orbital rows of each
     cycle (``_lower``), so only max-first points are searched.  At a
@@ -671,7 +675,9 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     the lexicographically first optimum.  Budget exhaustion
     yields Unknown: a Feasible that was already found cannot be
     certified optimal, and an Infeasible cannot be certified at all."""
-    if budget <= 0:
+    if _integer(box, "box") < 0:
+        raise InputError("box must be >= 0")
+    if _integer(budget, "budget") <= 0:
         return Outcome(UNKNOWN)
     variables = _variables(sub)
     var_index = {v.name: i for i, v in enumerate(variables)}
@@ -699,8 +705,8 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     want_best = base.sense in (MAX, MIN)
     sign = -1 if base.sense == MIN else 1
     if want_best:
-        # incumbent cutoff: sign * D * objective >= (best key) * D + 1,
-        # unbounded until the first incumbent
+        # incumbent cutoff: sign * D * objective >= (its value at the
+        # incumbent) + 1, unbounded until the first incumbent
         scale = math.lcm(*(c.denominator for _, c in obj_items))
         cut_coeffs = [(j, int(sign * c * scale)) for j, c in obj_items]
         cut = len(rows)
@@ -709,7 +715,7 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     # the cutoff's bound changes at leaves, so every node queues it
     starts = [w if not want_best or cut in w else w + [cut] for w in watch]
 
-    bounds0 = _initial_bounds(variables, box)
+    bounds0 = _initial_bounds(variables, search_box(base, box))
     # an empty integer range admits no point; propagation visits only rows,
     # so it would miss one on a variable that no row holds
     if any(lo > hi for lo, hi in bounds0):
@@ -719,7 +725,6 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
         return Outcome(INFEASIBLE)
 
     best: Optional[Outcome] = None
-    best_key: Optional[Fraction] = None
     stack: list[tuple[int, Optional[int], list[tuple[int, int]]]] = [(0, None, bounds0)]
     while stack:
         depth, v, bounds = stack.pop()
@@ -735,14 +740,12 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
             point = tuple(Fraction(v) for v in ints[: base.n])
             if not want_best:
                 return Outcome(FEASIBLE, point=point)
-            objv = sum((c * ints[j] for j, c in obj_items), Fraction(0))
-            key = sign * objv
-            if best_key is None or key > best_key:
-                best_key = key
-                best = Outcome(FEASIBLE, point=point, objective=objv)
-                # every variable is an integer, so a strictly better
-                # point scores at least 1 more on the scaled row
-                rows[cut] = (cut_coeffs, int(key * scale) + 1, None)
+            # the leaf was pushed, with the cutoff row met, just before it
+            # was popped; every variable is an integer, so a strictly
+            # better point scores at least 1 more on the row
+            key = sum(a * ints[j] for j, a in cut_coeffs)
+            best = Outcome(FEASIBLE, point=point, objective=Fraction(sign * key, scale))
+            rows[cut] = (cut_coeffs, key + 1, None)
             continue
         lo, hi = bounds[depth]
         if v is None:

@@ -159,8 +159,9 @@ def s2_singular(cycle: Cycle, box_hint: int = DEFAULT_BOX) -> ConstraintSet:
     two possibly-negative linear factors get symmetric box bounds
     -2 B r <= P <= 2 B r instead, with B = k * box_hint, preserving the
     "r = 0 pins P to zero" semantics for factors of arbitrary sign.
-    This big-M holds only inside the enumeration box, so box_hint
-    defaults to the solver's box half-width.
+    This big-M holds only inside the enumeration box, so the planners
+    pass the enumerator's half-width (``solve.search_box``), and
+    box_hint defaults to the solver's fallback half-width.
     """
     k = cycle.k
     names = cycle_var_names(cycle)

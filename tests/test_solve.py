@@ -30,6 +30,7 @@ from corecuts import (
     report_to_dict,
     run_auto,
     run_plain,
+    s2_singular,
     solve_subproblem,
     symmetry_warnings,
 )
@@ -47,6 +48,7 @@ from corecuts.solve import (
     UNKNOWN,
     _lower,
     _propagate,
+    search_box,
 )
 from test_engine import _random_cycles_instance, _random_full_cycle_instance
 from test_exprs import reference_linear_form
@@ -552,6 +554,24 @@ def test_solve_budget_zero_is_unknown():
     assert solve_subproblem(_sub(inst), budget=0).status == UNKNOWN
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"box": -1}, "box must be >= 0"),
+        ({"box": True}, "box must be an integer, not True"),
+        ({"box": 2.0}, "box must be an integer, not 2.0"),
+        ({"budget": 1.5}, "budget must be an integer, not 1.5"),
+        ({"budget": True}, "budget must be an integer, not True"),
+    ],
+)
+def test_solve_refuses_a_box_or_budget_that_is_no_count(kwargs, message):
+    """sum x == 3 over [0, 3] is feasible; a negative box once made its
+    range empty and certified it Infeasible."""
+    inst = make_instance(3, rows=(make_row([1, 1, 1], "==", 3),), bounds=_box(3, 0, 3))
+    with pytest.raises(InputError, match=message):
+        solve_subproblem(_sub(inst), **kwargs)
+
+
 def test_solve_empty_bounds_are_infeasible_before_the_search():
     """[1/3, 2/3] holds no integer, and no row holds that variable: the
     answer is Infeasible without a single attempt, however wide the rest
@@ -925,6 +945,32 @@ def test_solve_unbounded_integers_get_default_box():
     # clipped by the default +/-50 window rather than running forever
     assert out.status == FEASIBLE
     assert out.objective == 50
+
+
+def test_declared_bounds_wider_than_the_box_are_searched_in_full():
+    """Declared bounds are never clipped: the search, and S2's big-M,
+    use ``search_box``, here the declared 100.  Each instance is
+    feasible; clipped to the fallback [-50, 50], each was answered
+    Infeasible."""
+    hundred = _box(1, 0, 100)
+    pair = make_instance(2, rows=(make_row([1, 1], "==", 120),), bounds=hundred * 2)
+    cycle = make_instance(
+        3, rows=(make_row([1, 1, 1], "==", 181),), bounds=hundred * 3,
+        group=analyze_group(["(1,2,3)"], 3),
+    )
+    rows = (make_row([1, 1, 1, 0, 0], "==", 181), make_row([0, 0, 0, 1, 1], "==", 150))
+    blocks = make_instance(
+        5, rows=rows, bounds=hundred * 5, group=analyze_group(["(1,2,3)", "(4,5)"], 5)
+    )
+    assert search_box(pair, DEFAULT_BOX) == 100
+    assert [sp.added for sp in plan(cycle).subproblems if sp.tag == "S2"] == [
+        (s2_singular(cycle.group.selected_cycles[0], 100),)
+    ]
+    for run, inst, algorithm in ((run_plain, pair, 0), (run_auto, cycle, 1), (run_auto, blocks, 3)):
+        rep = run(inst)
+        assert (rep.algorithm, rep.status) == (algorithm, FEASIBLE)
+        assert all(0 <= x <= 100 for x in rep.point)
+        assert all(sum(a * x for a, x in zip(r.coeffs, rep.point)) == r.rhs for r in inst.rows)
 
 
 def test_export_subproblem_round_trips(tmp_path):
