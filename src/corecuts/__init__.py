@@ -50,7 +50,6 @@ from .corepoints import (
     EssentialSet,
     Outside,
     all_rotations,
-    bracelet_class_key,
     display_form,
     is_lattice_free,
     membership,

@@ -33,13 +33,15 @@ from typing import Optional, Sequence
 from . import simplex
 from .errors import InputError, LayerMismatch, NonActiveMismatch, SingularCirculant
 from .perms import Cycle, GroupSpec, orbit
+from .solve import _integer
 from .spectral import scaled_inverse, solve_circulant_exact
 
 
-#: most work ``projected_essential_set`` does, k * k * C(k, t) for a cycle
-#: of length k and residue t (each of the C(k, t) {0,1}-vectors is keyed
-#: through its k rotations of length k): (16, 8) at 3,294,720 and
-#: (2000, 0) are allowed, (18, 9) and (200, 1) are refused
+#: bound on the worst-case scan of ``projected_essential_set``, k * k * C(k, t)
+#: for a cycle of length k and residue t (a budget that reaches every class
+#: tests each of the C(k, t) {0,1}-vectors against its rotations of length
+#: k): (16, 8) at 3,294,720 and (2000, 0) are allowed, (18, 9) and (200, 1)
+#: are refused
 MAX_ESSENTIAL_WORK = 4_000_000
 
 
@@ -54,11 +56,6 @@ def all_rotations(v: Sequence) -> list[tuple]:
 def rotation_class_key(v: Sequence) -> tuple:
     """Lexicographically minimal rotation — the dedup key for cyclic classes."""
     return min(all_rotations(v))
-
-
-def bracelet_class_key(v: Sequence) -> tuple:
-    """Dedup key for classes closed under rotation and reflection."""
-    return min(rotation_class_key(v), rotation_class_key(tuple(reversed(v))))
 
 
 def _trailing_zeros(v: tuple) -> int:
@@ -227,14 +224,16 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
     reflection, canonical display form, largest-first), then atoms of
     the first universal point in (i, j) order; binary atoms are skipped
     because they fall back into a universal class.  At most ``budget``
-    points total.  Every {0,1}-vector of the residue's popcount is
-    enumerated and keyed before the budget applies, so a sub-layer whose
-    work k * k * C(k, t) exceeds ``MAX_ESSENTIAL_WORK`` is refused with
-    ``InputError``.
+    points total, ``budget`` an int >= 1.  The {0,1}-vectors of the
+    residue's popcount are scanned in decreasing order, and a vector is
+    kept when it is its class's display form; the scan stops at
+    ``budget`` classes.  A sub-layer whose worst-case scan
+    k * k * C(k, t) exceeds ``MAX_ESSENTIAL_WORK`` is refused with
+    ``InputError``, whatever the budget.
     """
     if k_len < 1:
         raise InputError("cycle length must be >= 1")
-    if budget < 1:
+    if _integer(budget, "budget") < 1:
         raise InputError("budget must be >= 1")
     popcount = residue % k_len
     # k * k alone bounds k before C(k, t) is computed
@@ -245,24 +244,20 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
             f"sub-layer too large: k * k * C(k, t) for k = {k_len}, t = {popcount} "
             f"exceeds {MAX_ESSENTIAL_WORK}"
         )
-    merged: dict[tuple, list[tuple]] = {}
     if popcount == 0:
-        merged[(1,) * k_len] = [(1,) * k_len]
+        points = [(1,) * k_len]
     else:
+        # combinations() walks the {0,1}-vectors in decreasing order, and
+        # each class has one display form, so its forms come out sorted
+        points = []
         for ones in itertools.combinations(range(k_len), popcount):
             v = tuple(1 if j in ones else 0 for j in range(k_len))
-            merged.setdefault(bracelet_class_key(v), []).append(v)
-    universals = sorted(
-        (
-            display_form([rot for member in members for rot in all_rotations(member)])
-            for members in merged.values()
-        ),
-        reverse=True,
-    )[:budget]
-
-    points = list(universals)
+            if v == display_form(all_rotations(v) + all_rotations(v[::-1])):
+                points.append(v)
+                if len(points) == budget:
+                    break
     kinds = [UNIVERSAL] * len(points)
-    if points and len(points) < budget:
+    if len(points) < budget:
         u = points[0]
         seen_atoms: set[tuple] = set()
         for i in range(k_len):

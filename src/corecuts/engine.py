@@ -387,17 +387,13 @@ def _plan_cycles(
         )
         for c in cycles
     ]
-    ess = {
-        (c.k, t): projected_essential_set(c.k, t, opts.essential_budget).points
-        for c in cycles
-        for t in range(1, c.k)
-    }
     # each (cycle, residue) is synthesized once; every tuple shares its cut
     cuts: dict[tuple[int, int], tuple[ConstraintSet, ...]] = {}
     for c in cycles:
         s = c.support[0]
         for t in range(1, c.k):
-            probes, cuts[s, t] = _residue_sets(sublayer(c, t), c, ess[c.k, t], opts)
+            ess = projected_essential_set(c.k, t, opts.essential_budget)
+            probes, cuts[s, t] = _residue_sets(sublayer(c, t), c, ess.points, opts)
             subs.extend(
                 Subproblem(f"A{s}.R{t}.S3.{j}", inst, sets, S3, ("anchor", s, t, j))
                 for j, sets in enumerate(probes)

@@ -84,6 +84,8 @@ class Cycle:
     support: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if len(self.support) < 2:
+            raise InputError(f"cycle needs at least two indices: {self.support}")
         if len(set(self.support)) != len(self.support):
             raise InputError(f"cycle indices not distinct: {self.support}")
 

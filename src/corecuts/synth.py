@@ -52,7 +52,7 @@ from .exprs import (
     Var,
 )
 from .perms import Cycle
-from .solve import DEFAULT_BOX
+from .solve import DEFAULT_BOX, _integer
 from .spectral import _mode_pairs, fourier_pair
 
 
@@ -161,8 +161,11 @@ def s2_singular(cycle: Cycle, box_hint: int = DEFAULT_BOX) -> ConstraintSet:
     "r = 0 pins P to zero" semantics for factors of arbitrary sign.
     This big-M holds only inside the enumeration box, so the planners
     pass the enumerator's half-width (``solve.search_box``), and
-    box_hint defaults to the solver's fallback half-width.
+    box_hint defaults to the solver's fallback half-width; it must be an
+    int >= 0.
     """
+    if _integer(box_hint, "box hint") < 0:
+        raise InputError("box hint must be >= 0")
     k = cycle.k
     names = cycle_var_names(cycle)
     pairs, has_alternating = _mode_pairs(k)

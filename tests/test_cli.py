@@ -260,8 +260,9 @@ def test_essential_oversized_sub_layer_exits_64_at_once(capsys):
 
 @pytest.mark.parametrize("k, residue", [("400", "1"), ("30000", "0")])
 def test_essential_long_cycle_exits_64_at_once(capsys, k, residue):
-    """Keying every vector takes time cubic in k for residue 1 and
-    quadratic for residue 0: both are refused before any is built."""
+    """A scan that reaches every class takes time cubic in k for
+    residue 1 and quadratic for residue 0: both are refused before any
+    vector is built."""
     t0 = time.perf_counter()
     code = main(["essential", k, residue])
     assert code == 64

@@ -4,6 +4,7 @@ The (2,1,0) witness and its barycentric coordinates were pinned with
 tests/oracles.py (hull check by exhaustive enumeration + exact solve).
 """
 
+import functools
 import itertools
 import math
 import random
@@ -253,7 +254,7 @@ def test_essential_set_budget_one_keeps_first_universal():
 
 
 def test_essential_set_refuses_oversized_sub_layers():
-    """18 * 18 * C(18, 9), the work of keying C(18, 9) = 48,620 vectors,
+    """18 * 18 * C(18, 9), the worst-case scan of C(18, 9) = 48,620 vectors,
     exceeds the limit, and 16 * 16 * C(16, 8) does not; the all-ones
     residue of the 18-cycle has one vector and is answered."""
     assert 18 * 18 * math.comb(18, 9) > MAX_ESSENTIAL_WORK >= 16 * 16 * math.comb(16, 8)
@@ -262,6 +263,88 @@ def test_essential_set_refuses_oversized_sub_layers():
     with pytest.raises(InputError, match="sub-layer too large"):
         projected_essential_set(30, 15, 1)
     assert projected_essential_set(18, 18, 1).points == ((1,) * 18,)
+    # the guard bounds the worst case, so a sub-layer under it is answered
+    # at any budget, and an early stop does not lift the refusal
+    assert projected_essential_set(16, 8, 1).points == ((1,) * 8 + (0,) * 8,)
+    with pytest.raises(InputError, match="sub-layer too large"):
+        projected_essential_set(200, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [(1.5, "an integer"), (True, "an integer"), ("2", "an integer"), (0, ">= 1"), (-3, ">= 1")],
+)
+def test_essential_set_refuses_a_bad_budget(budget, message):
+    with pytest.raises(InputError, match=f"budget must be {message}"):
+        projected_essential_set(3, 1, budget)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_universals(k_len, popcount):
+    """Every universal class's display form, largest first, found the way
+    ``projected_essential_set`` used to find them: each {0,1}-vector of
+    the sub-layer keyed by its class under rotation and reflection, then
+    all classes sorted.  The budget only cuts this list, so it is built
+    once per sub-layer."""
+
+    def bracelet_class_key(v):
+        return min(rotation_class_key(v), rotation_class_key(tuple(reversed(v))))
+
+    merged = {}
+    if popcount == 0:
+        merged[(1,) * k_len] = [(1,) * k_len]
+    else:
+        for ones in itertools.combinations(range(k_len), popcount):
+            v = tuple(1 if j in ones else 0 for j in range(k_len))
+            merged.setdefault(bracelet_class_key(v), []).append(v)
+    return tuple(
+        sorted(
+            (
+                display_form([rot for member in members for rot in all_rotations(member)])
+                for members in merged.values()
+            ),
+            reverse=True,
+        )
+    )
+
+
+def _reference_essential_set(k_len, residue, budget):
+    """The enumerated classes cut to the budget, then atoms of the first
+    universal point."""
+    points = list(_reference_universals(k_len, residue % k_len)[:budget])
+    kinds = ["Universal"] * len(points)
+    if points and len(points) < budget:
+        u = points[0]
+        seen_atoms = set()
+        for i in range(k_len):
+            for j in range(k_len):
+                if i == j or len(points) >= budget:
+                    continue
+                w = list(u)
+                w[i] += 1
+                w[j] -= 1
+                wt = tuple(w)
+                if all(x in (0, 1) for x in wt):
+                    continue
+                key = rotation_class_key(wt)
+                if key in seen_atoms:
+                    continue
+                seen_atoms.add(key)
+                points.append(wt)
+                kinds.append("Atom")
+    return residue, tuple(points), tuple(kinds)
+
+
+def test_essential_set_matches_the_enumerated_reference():
+    """The ordered scan keeps the classes' display forms in the order the
+    reference sorts them, at every budget."""
+    for k in range(1, 13):
+        for residue in range(-1, k + 2):
+            for budget in range(1, 7):
+                ess = projected_essential_set(k, residue, budget)
+                assert (ess.residue, ess.points, ess.kinds) == _reference_essential_set(
+                    k, residue, budget
+                ), (k, residue, budget)
 
 
 @settings(max_examples=60, deadline=None)

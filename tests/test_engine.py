@@ -100,6 +100,19 @@ def _random_cycles_instance(rng, shape, sense):
 # options and subproblem validation
 
 
+def test_a_one_index_cycle_is_refused():
+    """A 1x1 circulant is singular only at 0, so the residue schedule's
+    argument (a block whose sum its length divides is singular) fails
+    for one index: Algorithm 2 along (1) answered Infeasible here,
+    although (1, 1) is feasible."""
+    inst = make_instance(2, rows=(make_row([1, 1], LE, 4),), bounds=[(1, 2), (1, 2)])
+    for support in ((1,), ()):
+        with pytest.raises(InputError, match="at least two indices"):
+            run_algorithm2(inst, Cycle(support))
+    rep = run_plain(inst)
+    assert rep.status == "Feasible" and rep.point == (1, 1)
+
+
 def test_options_validate():
     for bad in (
         {"essential_budget": 0},

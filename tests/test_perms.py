@@ -54,6 +54,12 @@ def test_cycle_rejects_repeats():
         Cycle((1, 2, 1))
 
 
+@pytest.mark.parametrize("support", [(), (1,), (4,)])
+def test_cycle_needs_two_indices(support):
+    with pytest.raises(InputError, match="at least two indices"):
+        Cycle(support)
+
+
 def test_parse_generators_single_full_cycle():
     gs = parse_generators(["(1,2,3,4,5)"])
     assert gs.n == 5

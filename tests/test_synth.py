@@ -207,6 +207,15 @@ def test_s2_accepts_singular_rejects_regular():
     assert not _s2_feasible(cs4, (2, 1, 0, 0))
 
 
+@pytest.mark.parametrize("box_hint", [-1, True, 2.5, "3", None])
+def test_s2_refuses_a_box_hint_that_is_not_a_count(box_hint):
+    """A negative half-width would give big-M rows no singular point
+    meets; the hint is an int >= 0, as ``EngineOptions.box`` is."""
+    with pytest.raises(InputError, match="box hint"):
+        s2_singular(_cyc(3), box_hint)
+    assert len(s2_singular(_cyc(3), 0).constraints) == 5
+
+
 def test_s2_requires_at_least_one_zero_factor():
     """The cardinality row forbids switching every factor off."""
     cs = s2_singular(_cyc(3))
