@@ -28,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import simplex
@@ -43,6 +44,11 @@ from .spectral import scaled_inverse, solve_circulant_exact
 #: k): (16, 8) at 3,294,720 and (2000, 0) are allowed, (18, 9) and (200, 1)
 #: are refused
 MAX_ESSENTIAL_WORK = 4_000_000
+
+#: entries each cache of a set builder keeps (``projected_essential_set``,
+#: the synth builders, ``engine._layer_row``), least recently used
+#: dropped first
+_SETS_KEPT = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +230,19 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
     reflection, canonical display form, largest-first), then atoms of
     the first universal point in (i, j) order; binary atoms are skipped
     because they fall back into a universal class.  At most ``budget``
-    points total, ``budget`` an int >= 1.  The {0,1}-vectors of the
-    residue's popcount are scanned in decreasing order, and a vector is
-    kept when it is its class's display form; the scan stops at
-    ``budget`` classes.  A sub-layer whose worst-case scan
-    k * k * C(k, t) exceeds ``MAX_ESSENTIAL_WORK`` is refused with
-    ``InputError``, whatever the budget.
+    points total; ``k_len``, ``residue`` and ``budget`` are ints, and
+    ``budget`` is >= 1.  The {0,1}-vectors of the residue's popcount
+    are scanned in decreasing order, and a vector is kept when it is its
+    class's display form; the scan stops at ``budget`` classes.  A
+    sub-layer whose worst-case scan k * k * C(k, t) exceeds
+    ``MAX_ESSENTIAL_WORK`` is refused with ``InputError``, whatever the
+    budget.  The set depends only on the arguments, so it is built once
+    per process: the arguments are checked, then looked up in a private
+    ``functools.lru_cache``.
     """
-    if k_len < 1:
+    if _integer(k_len, "cycle length") < 1:
         raise InputError("cycle length must be >= 1")
+    _integer(residue, "residue")
     if _integer(budget, "budget") < 1:
         raise InputError("budget must be >= 1")
     popcount = residue % k_len
@@ -244,6 +254,12 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
             f"sub-layer too large: k * k * C(k, t) for k = {k_len}, t = {popcount} "
             f"exceeds {MAX_ESSENTIAL_WORK}"
         )
+    return _essential_set(k_len, residue, budget)
+
+
+@lru_cache(maxsize=_SETS_KEPT)
+def _essential_set(k_len: int, residue: int, budget: int) -> EssentialSet:
+    popcount = residue % k_len
     if popcount == 0:
         points = [(1,) * k_len]
     else:

@@ -29,9 +29,11 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   singularity subproblem (S2) per cycle, the anchor probes (S3) of every
   cycle for each sub-layer residue t in 1..k-1, and one cut subproblem
   (S1) per residue tuple in [1..k_1-1] x ... x [1..k_d-1]: every
-  cycle's sub-layer row, smoothness guards and cuts.  Each cycle-residue's
-  sets are built once and shared: its probes and every tuple's cut hold
-  the same set objects.
+  cycle's sub-layer row, smoothness guards and cuts.  Each set is built
+  once per process and shared (the synthesizer's caches, and those of
+  ``projected_essential_set`` and ``_layer_row``): a cycle-residue's
+  probes and every tuple's cut hold the same set objects, and so do the
+  later runs, on any instance, that plan the same cycle.
 
   Why it is sound (a core-point argument: Herr, Rehn and Schürmann,
   "Exploiting symmetry in integer convex optimization using core
@@ -104,10 +106,11 @@ import os
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .corepoints import projected_essential_set
+from .corepoints import _SETS_KEPT, projected_essential_set
 from .errors import InputError
 from .exprs import Add, Const, Constraint, ConstraintSet, DEFAULT_EPS, Dot, EQ
 from .exprs import S1, S2, S3, SUBLAYER
@@ -267,8 +270,10 @@ class Report:
 # schedule construction helpers
 
 
-def _layer_row(inst: Instance, layer: int) -> ConstraintSet:
-    names = inst.var_names
+@lru_cache(maxsize=_SETS_KEPT)
+def _layer_row(n: int, layer: int) -> ConstraintSet:
+    """sum(x) = layer over x1..xn, built once per process."""
+    names = tuple(f"x{i}" for i in range(1, n + 1))
     expr = Add(
         (
             Dot(tuple(Fraction(1) for _ in names), names),
@@ -355,7 +360,7 @@ def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
             layer += step
             continue
         ess = projected_essential_set(n, layer % n, opts.essential_budget)
-        probes, cut = _residue_sets(_layer_row(inst, layer), cycle, ess.points, opts)
+        probes, cut = _residue_sets(_layer_row(n, layer), cycle, ess.points, opts)
         stages.append(
             tuple(
                 Subproblem(f"L{layer}.S3.{j}", inst, sets, S3, ("layer", layer, "S3", j))

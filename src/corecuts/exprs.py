@@ -90,6 +90,16 @@ DEFAULT_EPS = 1e-6
 EQ_TOL = 1e-9
 
 
+def _float_eps(eps) -> float:
+    """eps as the float a ``Constraint`` keeps: an int or Fraction
+    converts, a bool or a non-number is an ``InputError``."""
+    if type(eps) is not float:
+        if isinstance(eps, bool) or not isinstance(eps, (int, float, Fraction)):
+            raise InputError(f"eps must be a number, not {eps!r}")
+        eps = float(eps)
+    return eps
+
+
 @dataclass(frozen=True)
 class Constraint:
     """``expr sense 0``; an int or Fraction ``eps`` is kept as the float
@@ -104,9 +114,7 @@ class Constraint:
         if self.sense not in SENSES:
             raise InputError(f"bad sense {self.sense!r}")
         if type(self.eps) is not float:
-            if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float, Fraction)):
-                raise InputError(f"eps must be a number, not {self.eps!r}")
-            object.__setattr__(self, "eps", float(self.eps))
+            object.__setattr__(self, "eps", _float_eps(self.eps))
         if self.sense in (STRICT_NEG, NON_NEG) and not (
             self.eps > 0 and math.isfinite(self.eps)
         ):

@@ -39,8 +39,10 @@ the object lives; nothing writes into it:
   fixed-space probe read and each subproblem copies before it merges
   its added sets (``_lower``); the same rows as export constraints
   (``_row_to_constraint``, ``Instance._export_rows``), which
-  ``flatten_subproblem`` puts before the added constraints; and the
-  integer row keys of its symmetry check (``Instance._row_keys``);
+  ``flatten_subproblem`` puts before the added constraints; the
+  integer row keys of its symmetry check (``Instance._row_keys``); and
+  its widest declared bound (``Instance._widest_bound``), which
+  ``search_box`` reads for every subproblem and planner;
 * a ``ConstraintSet`` keeps the interval rows of its constraints
   (``exprs._interval_of``, through ``exprs.linear_form``, which reads
   the flat sums that synthesis, the engine and ``_row_to_constraint``
@@ -51,12 +53,14 @@ the object lives; nothing writes into it:
   does not fix (``_symmetry_misses``), and the cycle tuples that pass
   ``_check_orbits``.
 
-So every run on one ``Instance`` merges its rows once, and every
-subproblem that holds a set reads it once.  Each subproblem merges the
-orbital rows of its cycles, k - 1 primitive rows per cycle, into its
-own copy of the instance's merged rows (``_lower``).  The one per-run
-state is the export's dict of JSON texts (``minlp.dumps_problem``'s
-``_texts``), which ``engine._run`` makes for a run that exports.
+So every run on one ``Instance`` merges its rows once, and a set is
+read once per process: synthesis builds each set once per process and
+hands the same object to every run (``synth``).  Each subproblem
+merges the orbital rows of its cycles, k - 1 primitive rows per cycle,
+into its own copy of the instance's merged rows (``_lower``).  The one
+per-run state is the export's dict of JSON texts
+(``minlp.dumps_problem``'s ``_texts``), which ``engine._run`` makes for
+a run that exports.
 
 The enumerator and the export take their variable order (instance
 variables, then auxiliaries in first-appearance order) from
@@ -207,6 +211,12 @@ class Instance:
         and False when some row admits no point.  Its readers copy what
         they change."""
         return _merge_rows(self.n, self.rows)
+
+    @cached_property
+    def _widest_bound(self) -> int:
+        """The ceiling of the largest declared bound in absolute value, 0
+        when none is declared (``search_box``)."""
+        return max([0, *(math.ceil(abs(b)) for pair in self.bounds for b in pair if b is not None)])
 
     @cached_property
     def _misses(self) -> dict:
@@ -542,7 +552,7 @@ def _watch_lists(
 def search_box(inst: Instance, box: int) -> int:
     """The half-width that clips a missing bound of inst: ``box``, or the
     widest declared bound when that is wider, so that it holds them all."""
-    return max([box, *(math.ceil(abs(b)) for pair in inst.bounds for b in pair if b is not None)])
+    return max(box, inst._widest_bound)
 
 
 def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, int]]:

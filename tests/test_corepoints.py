@@ -279,6 +279,26 @@ def test_essential_set_refuses_a_bad_budget(budget, message):
         projected_essential_set(3, 1, budget)
 
 
+@pytest.mark.parametrize(
+    "k_len, residue, what",
+    [(3.0, 1, "cycle length"), (True, 1, "cycle length"), ("3", 1, "cycle length"),
+     (3, 1.0, "residue"), (3, True, "residue"), (3, None, "residue")],
+)
+def test_essential_set_refuses_a_length_or_residue_that_is_not_an_int(k_len, residue, what):
+    with pytest.raises(InputError, match=f"{what} must be an integer"):
+        projected_essential_set(k_len, residue, 1)
+
+
+def test_essential_sets_are_built_once_and_checked_before_the_cache():
+    """An essential set is built once per process; the arguments are
+    checked first, because True hashes as 1."""
+    assert projected_essential_set(1, 1, 1) is projected_essential_set(1, 1, 1)
+    assert projected_essential_set(1, 1, 1).points == ((1,),)
+    for args in ((True, 1, 1), (1, True, 1), (1, 1, True)):
+        with pytest.raises(InputError, match="must be an integer"):
+            projected_essential_set(*args)
+
+
 @functools.lru_cache(maxsize=None)
 def _reference_universals(k_len, popcount):
     """Every universal class's display form, largest first, found the way

@@ -1,9 +1,11 @@
 """Schedules and dispatch for the three layer-search strategies."""
 
+import copy
 import dataclasses
 import inspect
 import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -36,7 +38,7 @@ from corecuts import (
     sublayer,
 )
 import corecuts
-from corecuts import engine, exprs, simplex, solve
+from corecuts import engine, exprs, simplex, solve, synth
 from corecuts.perms import Cycle, parse_generators
 from corecuts.simplex import GE, LE, Tableau, lp_feasible, make_row
 
@@ -1102,15 +1104,35 @@ def _fresh(sp):
     return dataclasses.replace(sp, base=dataclasses.replace(sp.base), added=added)
 
 
+def _clear_caches():
+    """Empty the package's lru_caches: the synthesized sets, the
+    essential sets, the layer rows and the Fourier tables."""
+    caches = [
+        fn
+        for name, mod in list(sys.modules.items())
+        if name.startswith("corecuts.")
+        for fn in vars(mod).values()
+        if hasattr(fn, "cache_clear")
+    ]
+    # five synth builders, the essential sets, the layer rows, the tables
+    assert len(caches) == 8, caches
+    for fn in caches:
+        fn.cache_clear()
+
+
 def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
     """An Instance merges its rows once for every run on it: run_auto
     (whose Algorithm 1 planning LPs start from the merged rows),
-    run_plain and a dry exporting run_auto together merge each row once,
-    and lower each distinct constraint once.  Every dispatched subproblem answers as a standalone
+    run_plain and a dry exporting run_auto together merge each row once.
+    Synthesized sets and layer rows are built once per process, so from
+    cold caches no constraint is lowered twice across all the runs, and
+    every dispatched constraint has been lowered, in its run or an
+    earlier one.  Every dispatched subproblem answers as a standalone
     solve_subproblem call on fresh copies of its instance and sets does;
     the direct probe answers as it does on a fresh instance.  A dry run
     of Algorithm 1 merges the rows too, for its planning LP; a dry run
     of Algorithm 3, or of a plain instance, reads none."""
+    _clear_caches()
     reads, merges, lowered, dispatched = _spy_on_reads(monkeypatch)
     rng = random.Random(31)
     seen, statuses = Counter(), set()
@@ -1126,7 +1148,7 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
         else:
             inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
         opts = EngineOptions(budget=rng.choice((40, solve.DEFAULT_NODE_BUDGET)))
-        for spy in (reads, merges, lowered, dispatched):
+        for spy in (reads, merges, dispatched):
             spy.clear()
         rep = run_auto(inst, opts)
         run_plain(inst, opts)
@@ -1136,9 +1158,12 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
         # the list holds every lowered constraint, so no identity is reused
         assert len({id(c) for c in lowered}) == len(lowered)
         constraints = {id(c) for sp, _, _ in dispatched for cs in sp.added for c in cs.constraints}
-        assert {id(c) for c in lowered} == constraints
+        assert constraints <= {id(c) for c in lowered}
+        # fresh copies of the sets are lowered again, outside the count
+        mark = len(lowered)
         for sp, kwargs, out in dispatched:
             assert solve.solve_subproblem(_fresh(sp), kwargs["box"], kwargs["budget"]) == out, sp.id
+        del lowered[mark:]
         for r in rep.results:
             if r.tag == "FIX":
                 probe = engine._direct_fixed_probe(dataclasses.replace(inst), r.provenance[1])
@@ -1202,6 +1227,75 @@ def test_runs_on_one_instance_answer_as_on_a_fresh_copy(tmp_path):
             seen[f"algorithm {got[0][0]['algorithm']}"] += 1
     assert seen["Feasible"] > 10 and seen["Infeasible"] > 10, seen
     assert seen["algorithm 1"] > 10 and seen["algorithm 2"] + seen["algorithm 3"] > 10, seen
+
+
+def _caches_hit():
+    return sum(
+        fn.cache_info().hits
+        for fn in (synth._s1_for_point, synth._s3_anchor, synth._s2_singular, engine._layer_row)
+    )
+
+
+def test_cold_and_warm_caches_give_the_same_runs(tmp_path):
+    """Synthesized sets, essential sets and layer rows are built once per
+    process.  On seeded instances of Algorithms 1, 2 and 3, a run with
+    every cache cleared before it and the same run with the caches warm
+    give the same report (times removed) and the same dry-run export
+    files."""
+    rng = random.Random(59)
+    cases = []
+    for i in range(6):
+        sense = ("feasibility", "max", "min")[i % 3]
+        inst = _random_full_cycle_instance(rng, rng.choice((3, 4)), sense)
+        cases.append((run_algorithm1, inst, ()))
+        inst = _random_cycles_instance(rng, (3, 2), sense)
+        cases.append((run_algorithm2, inst, (inst.group.selected_cycles[0],)))
+        inst = _random_cycles_instance(rng, rng.choice(((2, 3), (3, 3))), sense)
+        cases.append((run_algorithm3, inst, (inst.group.selected_cycles,)))
+    seen = Counter()
+    for i, (run, inst, args) in enumerate(cases):
+        got = []
+        for cold in (True, False):
+            hits = _caches_hit()
+            reports = []
+            for dry in (False, True):
+                folder = tmp_path / f"{i}-{cold}-{dry}"
+                if cold:
+                    _clear_caches()
+                opts = EngineOptions(dry_run=dry, export_dir=str(folder) if dry else None)
+                reports.append(_timeless(run(dataclasses.replace(inst), *args, opts)))
+            files = {f: (folder / f).read_bytes() for f in sorted(os.listdir(folder))}
+            got.append((reports, files))
+            if not cold:
+                # the warm runs reuse the sets the cold runs built
+                assert _caches_hit() > hits
+        assert got[0] == got[1], i
+        seen[got[0][0][0]["algorithm"]] += 1
+        seen[got[0][0][0]["status"]] += 1
+    assert seen[1] == seen[2] == seen[3] == 6, seen
+    assert seen["Feasible"] and seen["Infeasible"], seen
+
+
+def test_solving_leaves_the_shared_readings_unchanged():
+    """Sets are shared by every run in the process, so no solve may change
+    their readings: solving each planned subproblem twice gives one
+    outcome and leaves each set's ``_rows`` and the instance's merged
+    rows as they were."""
+    rng = random.Random(67)
+    tags = Counter()
+    for i in range(6):
+        sense = ("feasibility", "max", "min")[i % 3]
+        for inst in (
+            _random_full_cycle_instance(rng, 3, sense),
+            _random_cycles_instance(rng, (2, 3), sense),
+        ):
+            for sp in plan(inst).subproblems:
+                before = copy.deepcopy(([cs._rows for cs in sp.added], inst._merged))
+                first = solve.solve_subproblem(sp)
+                assert solve.solve_subproblem(sp) == first, sp.id
+                assert ([cs._rows for cs in sp.added], inst._merged) == before, sp.id
+                tags[sp.tag] += 1
+    assert tags["S1"] > 10 and tags["S2"] > 10 and tags["S3"] > 10, tags
 
 
 def test_plain_dry_run_exports_its_subproblem(tmp_path):

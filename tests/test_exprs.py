@@ -275,7 +275,7 @@ def test_linear_form_reads_every_synthesized_row():
             ],
             bounds=[(0, 3)] * k,
         )
-        sets += [_layer_row(inst, layer) for layer in (0, 1, k + 1)]
+        sets += [_layer_row(k, layer) for layer in (0, 1, k + 1)]
         exported += inst._export_rows
     read = 0
     for con in [con for cs in sets for con in cs.constraints] + exported:

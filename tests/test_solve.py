@@ -947,6 +947,15 @@ def test_solve_unbounded_integers_get_default_box():
     assert out.objective == 50
 
 
+def test_search_box_holds_the_widest_declared_bound():
+    """An Instance reads its widest declared bound once; ``search_box`` is
+    the larger of it and the box."""
+    inst = make_instance(2, bounds=[(Fraction(-201, 2), None), (None, 3)])
+    assert [search_box(inst, box) for box in (0, 50, 101, 200)] == [101, 101, 101, 200]
+    assert inst._widest_bound == 101
+    assert search_box(make_instance(2), 7) == 7
+
+
 def test_declared_bounds_wider_than_the_box_are_searched_in_full():
     """Declared bounds are never clipped: the search, and S2's big-M,
     use ``search_box``, here the declared 100.  Each instance is

@@ -262,6 +262,38 @@ def test_sublayer_introduces_multiplier_variable():
     assert eval_float(cs.constraints[0].expr, env) == 0.0
 
 
+# ---------------------------------------------------------------------------
+# one set per process
+
+
+def test_builders_share_one_set_per_argument_and_check_before_the_cache():
+    """Each set is built once per process.  A builder checks its
+    arguments before the lookup, because a bool hashes as the int it
+    equals, and normalises them: a list z is read as tuple(z), and eps
+    as the float a Constraint keeps."""
+    c = _cyc(3)
+    assert s2_singular(c, 1) is s2_singular(Cycle((1, 2, 3)), 1)
+    with pytest.raises(InputError, match="box hint"):
+        s2_singular(c, True)
+    assert sublayer(c, 1) is sublayer(c, 1)
+    for residue in (True, 1.0):
+        with pytest.raises(InputError, match="residue must be an integer"):
+            sublayer(c, residue)
+    z = [1, 0, 0]
+    assert s1_for_point(z, c) is s1_for_point(tuple(z), c)
+    assert s1_for_point(z, c, Fraction(1, 10**6)) is s1_for_point(z, c, 1e-6)
+    assert s3_anchor(z, c) is s3_anchor(tuple(z), c)
+    assert smoothness(c, 1) is smoothness(c, 1.0)
+    assert smoothness(c, 1).constraints[0].eps == 1.0
+    for build in (smoothness, lambda cyc, eps: s1_for_point(z, cyc, eps)):
+        with pytest.raises(InputError, match="eps must be a number"):
+            build(c, True)
+    with pytest.raises(InputError, match="point length"):
+        s3_anchor([1, 0], c)
+    with pytest.raises(InputError, match="escape"):
+        s1_for_point([3, 0, 0], c)
+
+
 def test_fixed_space_anchor_equalizes_cycle_coordinates():
     cs = fixed_space_anchor(_cyc(4))
     assert cs.tag == "S3"
