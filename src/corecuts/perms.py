@@ -79,11 +79,18 @@ def apply(p: Permutation, v: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class Cycle:
-    """An ordered cycle of distinct 1-based indices; length >= 2."""
+    """An ordered cycle of distinct 1-based indices; length >= 2.  The
+    support is kept as a tuple of ints: a cycle keys the synthesizer's
+    caches, and True or 1.0 compares and hashes as 1 but names another
+    variable."""
 
     support: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "support", tuple(self.support))
+        for i in self.support:
+            if isinstance(i, bool) or not isinstance(i, int):
+                raise InputError(f"cycle index must be an integer, not {i!r}")
         if len(self.support) < 2:
             raise InputError(f"cycle needs at least two indices: {self.support}")
         if len(set(self.support)) != len(self.support):

@@ -60,6 +60,18 @@ def test_cycle_needs_two_indices(support):
         Cycle(support)
 
 
+@pytest.mark.parametrize("support", [(True, 2), (1.0, 2), (1, "2"), (None, 2)])
+def test_cycle_indices_must_be_ints(support):
+    with pytest.raises(InputError, match="cycle index must be an integer"):
+        Cycle(support)
+
+
+def test_cycle_keeps_its_support_as_a_tuple():
+    cyc = Cycle([3, 1, 2])
+    assert cyc.support == (3, 1, 2) and cyc == Cycle((3, 1, 2))
+    assert hash(cyc) == hash(Cycle((3, 1, 2)))
+
+
 def test_parse_generators_single_full_cycle():
     gs = parse_generators(["(1,2,3,4,5)"])
     assert gs.n == 5

@@ -25,7 +25,7 @@ from corecuts import (
     sublayer,
     t_values,
 )
-from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG, check_value
+from corecuts.exprs import EQ, LE_ZERO, NON_NEG, STRICT_NEG, check_value, variables_of
 from corecuts.synth import cycle_var_names, default_base_index, fixed_space_anchor
 
 
@@ -292,6 +292,18 @@ def test_builders_share_one_set_per_argument_and_check_before_the_cache():
         s3_anchor([1, 0], c)
     with pytest.raises(InputError, match="escape"):
         s1_for_point([3, 0, 0], c)
+
+
+def test_a_cycle_that_is_not_ints_never_reaches_the_caches():
+    """A cycle keys every builder's cache; True and 1.0 equal 1, so a
+    cycle over them would hand its sets, over other names, to (1, 2)."""
+    want = s2_singular(Cycle((1, 2)))
+    for support in ((True, 2), (1.0, 2)):
+        with pytest.raises(InputError, match="cycle index must be an integer"):
+            s2_singular(Cycle(support))
+    assert s2_singular(Cycle((1, 2))) is want
+    assert s2_singular(Cycle([1, 2])) is want
+    assert {v for c in want.constraints for v in variables_of(c.expr)} >= {"x1", "x2"}
 
 
 def test_fixed_space_anchor_equalizes_cycle_coordinates():
