@@ -40,6 +40,7 @@ from .spectral import (
     det_circulant,
     eigenvalues,
     fourier_pair,
+    is_singular,
     solve_circulant_exact,
     t_hat_exact,
     t_values,

@@ -62,15 +62,14 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   and each layer cut its one cycle, and Algorithms 2 and 3's every
   per-cycle S2 and every tuple cut all planned cycles.  The enumerator
   then searches only max-first points, those with ``x_c1 >= x_cj`` on
-  every block, and rotates each block at the leaf until the block's S1
-  cuts hold.  This is sound because every orbit has a max-first member,
-  and every row but the S1 cuts is invariant under rotating a block:
-  the instance rows (each cycle fixes the instance by itself, which
-  ``Subproblem`` checks), layer and sub-layer rows (sums over the
-  block), smoothness guards and the quadratic S2 factors (DFT
-  moduli), and the linear S2 factors (the sum, and the alternating
-  sum, which only changes sign inside its symmetric big-M rows
-  ``-M r <= P <= M r``).  Each S1 cut reads only
+  every block, and passes a block when some rotation of it meets the
+  block's S1 cuts.  This is sound because every orbit has a max-first
+  member, and every row but the S1 cuts is invariant under rotating a
+  block: the instance rows (each cycle fixes the instance by itself,
+  which ``Subproblem`` checks), layer and sub-layer rows (sums over the
+  block), smoothness guards (DFT moduli), and the S2 singularity of a
+  block, which the enumerator decides exactly in place of the exported
+  disjunction (``spectral.is_singular``).  Each S1 cut reads only
   its own block (synthesis records it, ``ConstraintSet.cycle``), so
   the blocks rotate independently.  So a subproblem holds a point if
   and only if it holds a max-first point whose blocks some rotation

@@ -1,9 +1,9 @@
 """Expression programs: a tree bound to positions in a value vector.
 
-The enumerator keeps its leaf assignment in one float vector ordered by
-the flat variable list.  ``compile_expr`` checks that every variable of
-an expression has a position there; ``Program.run`` reads those
-positions into a name map and evaluates the tree with
+The enumerator reads a node's fixed variables as one float vector
+ordered by its flat variable list.  ``compile_expr`` checks that every
+variable of an expression has a position there; ``Program.run`` reads
+those positions into a name map and evaluates the tree with
 ``exprs.eval_float``, the package's one float evaluator.  A zero
 denominator yields ok=False instead of raising.
 """

@@ -10,7 +10,7 @@ vectors for it.  Serialization must stay bit-exact across emit -> parse
 
 ``linear_form`` reads the flat sums that synthesis writes (terms that
 are a Dot, a Var or a Const, each maybe scaled by Const factors) as
-exact rational coefficients; any other tree stays for the leaves.
+exact rational coefficients; any other tree is evaluated instead.
 ``_interval_of`` turns a constraint into the interval row the
 enumerator propagates.  A ``ConstraintSet`` keeps those rows of its
 constraints in primitive integer form over set-local positions
@@ -141,8 +141,10 @@ class ConstraintSet:
     tag: str
     constraints: tuple[Constraint, ...]
     aux_vars: tuple[AuxVar, ...] = ()
-    #: the cycle block that an S1 cut reads, set by synthesis; the
-    #: enumerator retries such a cut over the block's rotations
+    #: the cycle block that an S1 cut or an S2 singularity set reads,
+    #: set by synthesis: the enumerator retries an S1 cut over the
+    #: block's rotations, and decides an S2 set as "Cir(block) is
+    #: singular" in place of its binaries and rows
     cycle: Optional[Cycle] = None
 
     def __post_init__(self) -> None:
@@ -291,11 +293,12 @@ def linear_form(expr: Expr) -> Optional[tuple[dict[str, Fraction], Fraction]]:
     ``Const`` but the last, which is one of those three.  Any other
     shape (a nested sum, a division, a square, a product with a variable
     factor before the last), or any float, gives None, and the
-    constraint is checked at the leaves.  So a nested affine tree built
-    through the API is not propagated: its verdict is the same up to the
-    leaves' float tolerance (``EQ_TOL``).  Integral values are ints, a
-    Fraction appears only where a denominator does, and a variable keeps
-    its key when its coefficients sum to 0."""
+    constraint is evaluated once its variables are fixed.  So a nested
+    affine tree built through the API is not propagated: its verdict is
+    the same up to the evaluator's float tolerance (``EQ_TOL``).
+    Integral values are ints, a Fraction appears only where a
+    denominator does, and a variable keeps its key when its
+    coefficients sum to 0."""
     coeffs: dict = {}
     const = 0
     for term in expr.args if type(expr) is Add else (expr,):
@@ -339,7 +342,7 @@ def _interval_of(con: Constraint) -> Optional[
     """Lower a constraint to an exact interval row ``(coeffs, lo, hi)``
     when ``linear_form`` reads its expression (ints where integral);
     strict senses get their eps folded into the bound so propagation and
-    leaf checking agree."""
+    evaluation agree."""
     lf = linear_form(con.expr)
     if lf is None:
         return None

@@ -5,9 +5,11 @@ Two engines live here:
 * ``lp_relax`` — exact rational simplex over the instance's linear rows
   (synthesized nonlinear sets are never part of the relaxation);
 * ``solve_subproblem`` — bounded depth-first integer enumeration with
-  event-driven exact interval propagation over the linear rows and
-  float evaluation of the nonlinear constraints (``exprs.eval_float``)
-  at fully assigned leaves.  The search is one loop over an explicit
+  event-driven exact interval propagation over the linear rows, float
+  evaluation of the nonlinear constraints (``exprs.eval_float``) and an
+  exact singularity test of each S2 block (``spectral.is_singular``),
+  each decided at the node that fixes the last variable it reads
+  (forward checking).  The search is one loop over an explicit
   stack of ``(depth, value to try, bounds)`` entries, so an instance's
   width is not bounded by Python's recursion limit.  The linear rows go
   through the LP's row normaliser (``simplex._merge_row``: scaled to
@@ -21,8 +23,9 @@ Two engines live here:
   that cannot beat it.  A subproblem with cycles (``engine.Subproblem``)
   searches one point per orbit of their rotations: the orbital rows
   ``x_c1 - x_cj >= 0`` of each cycle admit exactly the max-first
-  points, the leaf checks the rotation-invariant constraints once and
-  then rotates each block until the S1 cuts on it hold.
+  points, the rotation-invariant constraints are checked once on them,
+  a block passes its S1 cuts when some rotation of it does, and the
+  leaf writes each block's first passing rotation into the point.
 
 Both are deliberately small: they replace an external MINLP solver for
 instances a few variables wide, and every verdict they return is
@@ -47,8 +50,9 @@ the object lives; nothing writes into it:
   (``exprs._interval_of``, through ``exprs.linear_form``, which reads
   the flat sums that synthesis, the engine and ``_row_to_constraint``
   write) in primitive integer form over set-local positions, and the
-  constraints with no such row, which stay for the leaves
-  (``ConstraintSet._rows``);
+  constraints with no such row, which are evaluated
+  (``ConstraintSet._rows``); an S2 set is not read, since the
+  enumerator decides it by its block (``_singular_block``);
 * an ``Instance`` also keeps what each permutation checked against it
   does not fix (``_symmetry_misses``), and the cycle tuples that pass
   ``_check_orbits``.
@@ -67,11 +71,12 @@ variables, then auxiliaries in first-appearance order) from
 ``_variables``.  No construction ties their two row readers together;
 ``test_export_states_the_enumerated_problem`` in ``tests/test_solve.py``
 does: it lowers the export documents of planned subproblems through
-``exprs._interval_of``, adds the orbital rows of each subproblem's
-cycles, and checks that they give the enumerator's integer rows and
-nonlinear constraints.  The export holds no orbital rows: the
-enumerator decides the exported problem up to a rotation of each
-block.
+``exprs._interval_of``, leaves out the S2 sets' rows, adds the orbital
+rows of each subproblem's cycles, and checks that they give the
+enumerator's integer rows and nonlinear constraints.  The export holds
+no orbital rows, and keeps each S2 set's binary disjunction, whose
+projection onto the instance variables the enumerator decides: it
+decides the exported problem up to a rotation of each block.
 """
 
 from __future__ import annotations
@@ -92,6 +97,8 @@ from .exprs import (
     Dot,
     EQ,
     LE_ZERO,
+    S1,
+    S2,
     check_value,
 )
 from .perms import Cycle, GroupSpec, Permutation, apply
@@ -105,6 +112,7 @@ from .simplex import (
     _merge_rows,
     _row_interval,
 )
+from .spectral import is_singular
 
 #: half-width of the fallback enumeration box for the missing bounds
 #: (``search_box`` widens it to the widest declared bound)
@@ -402,20 +410,35 @@ def _row_to_constraint(row: LPRow, names: Sequence[str]) -> Constraint:
     return Constraint(expr, LE_ZERO if lo is None else EQ)
 
 
-def _variables(sub) -> tuple[FlatVar, ...]:
+def _singular_block(cs) -> Optional[Cycle]:
+    """The block of an S2 set (synthesis records it,
+    ``ConstraintSet.cycle``), None for any other set.  The enumerator
+    decides such a set as one predicate, "Cir(x|block) is singular"
+    (``spectral.is_singular``), in place of its binaries and rows: that
+    is the projection of the set's disjunction onto the instance
+    variables wherever its big-M holds, which covers the search box."""
+    return cs.cycle if cs.tag == S2 else None
+
+
+def _variables(sub, search: bool = False) -> tuple[FlatVar, ...]:
     """The variables of sub: instance variables, then auxiliaries in
     first-appearance order.  Export and enumeration both take their
-    variable order from here."""
+    variable order from here; the enumerator (``search``) leaves out the
+    auxiliaries of the sets it decides as predicates
+    (``_singular_block``)."""
     base: Instance = sub.base
     variables = [
         FlatVar(name, lo, hi, "integer") for name, (lo, hi) in zip(base.var_names, base.bounds)
     ]
     seen = set(base.var_names)
     for cs in sub.added:
+        skip = search and _singular_block(cs) is not None
         for av in cs.aux_vars:
             if av.name in seen:
                 raise InputError(f"duplicate auxiliary variable {av.name}")
             seen.add(av.name)
+            if skip:
+                continue
             if av.kind == "binary":
                 variables.append(FlatVar(av.name, Fraction(0), Fraction(1), "binary"))
             else:
@@ -580,8 +603,10 @@ def _lower(sub) -> tuple[
     order.  Each set's rows are in primitive form
     over set-local positions (``ConstraintSet._rows``); a set's
     auxiliaries follow the instance variables and the earlier sets'
-    auxiliaries (``_variables``), so only their positions shift.  A set
-    that reads an instance variable beyond n is an ``InputError``."""
+    auxiliaries (``_variables(sub, search=True)``), so only their
+    positions shift.  An S2 set that the enumerator decides as a
+    predicate (``_singular_block``) gives no rows and is not read.  A
+    set that reads an instance variable beyond n is an ``InputError``."""
     base: Instance = sub.base
     _check_orbits(base, sub.cycles)
     merged, nonempty = base._merged
@@ -600,6 +625,11 @@ def _lower(sub) -> tuple[
     nonlinear: list[Constraint] = []
     offset = base.n
     for cs in sub.added:
+        block = _singular_block(cs)
+        if block is not None:
+            if max(block.support) > base.n:
+                raise InputError(f"constraint references unknown variable 'x{max(block.support)}'")
+            continue
         width, local, rest = cs._rows
         if width > base.n:
             raise InputError(f"constraint references unknown variable 'x{width}'")
@@ -645,10 +675,21 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     tightened variable, up to ``_PROPAGATION_ROUNDS`` visits per row
     (``_propagate``).  Every row
     is visited at the node that fixes its last variable, cap or not, so
-    a leaf meets every linear row exactly.  Nonlinear constraints are
-    evaluated (``eval_float``) only at fully assigned leaves, where a
-    division by zero simply rejects the leaf — smoothness guards make
-    such leaves infeasible by definition.
+    a leaf meets every linear row exactly.
+
+    Every other constraint is decided at the node that fixes the last
+    variable it reads, once that node's propagation succeeds, and a
+    node that fails it is dropped with its subtree (forward checking:
+    Haralick and Elliott, Artificial Intelligence 1980): a nonlinear
+    constraint is evaluated (``eval_float``) on the fixed prefix, where
+    a division by zero fails it — smoothness guards make such points
+    infeasible by definition; the S1 cuts on a block are tried over the
+    block's rotations (below); and an S2 set on a block is the exact
+    test that Cir(block) is singular (``spectral.is_singular``), which
+    stands for its binaries and rows (``_singular_block``), so the
+    search holds neither and needs no big-M.  A constraint that reads
+    no variable is decided before the first node.  A depth with nothing
+    to decide costs its nodes nothing more.
 
     The search is one loop over a stack of ``(depth, value, bounds)``
     entries; ``bounds`` has fixed the variables before ``depth``, and
@@ -673,13 +714,15 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     is read off the row in integers.
 
     With ``sub.cycles``, the rows also hold the orbital rows of each
-    cycle (``_lower``), so only max-first points are searched.  At a
-    leaf, the nonlinear constraints that hold on a whole orbit (every
-    one but the S1 cuts on a block of those cycles: instance rows,
-    layer and sub-layer rows, smoothness guards, S2 rows) are checked
-    once; then each block is rotated (``_rotate_to_pass``), from the
-    max-first point on, until its own S1 cuts hold, and the first
-    passing rotation is written into the point.  So the answer is the
+    cycle (``_lower``), so only max-first points are searched.  The
+    constraints that hold on a whole orbit (every one but the S1 cuts
+    on a block of those cycles: instance rows, layer and sub-layer rows,
+    smoothness guards, S2 singularity) are checked once, on the
+    max-first prefix; a block passes its S1 cuts when some rotation of
+    it does (``_rotate_to_pass``, on copies), and the blocks rotate
+    independently, so that is the test of the whole point.  The leaf
+    then rotates each block, from the max-first point on, to its first
+    passing rotation, and writes it into the point.  So the answer is the
     first optimum (first feasible point) among the max-first points, in
     lexicographic order, with each block rotated; without cycles it is
     the lexicographically first optimum.  Budget exhaustion
@@ -689,7 +732,7 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
         raise InputError("box must be >= 0")
     if _integer(budget, "budget") <= 0:
         return Outcome(UNKNOWN)
-    variables = _variables(sub)
+    variables = _variables(sub, search=True)
     var_index = {v.name: i for i, v in enumerate(variables)}
     nvars = len(variables)
     rows, nonlinear = _lower(sub)
@@ -699,16 +742,39 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     # each S1 cut on a block of sub.cycles is retried over the block's
     # rotations; every other nonlinear constraint holds on a whole orbit
     cut_blocks = {
-        id(c): cs.cycle for cs in sub.added if cs.cycle in sub.cycles for c in cs.constraints
+        id(c): cs.cycle
+        for cs in sub.added
+        if cs.tag == S1 and cs.cycle in sub.cycles
+        for c in cs.constraints
     }
-    programs: list[tuple[Program, str, float]] = []
+    # by the position of the last variable each reads: (programs, blocks
+    # with their S1 cuts, singular blocks); x<i> sits at i - 1
+    decided: dict[int, tuple[list, list, list]] = {}
     block_programs: dict[Cycle, list[tuple[Program, str, float]]] = {}
     for c in nonlinear:
+        prog = (compile_expr(c.expr, var_index), c.sense, c.eps)
         cycle = cut_blocks.get(id(c))
-        target = programs if cycle is None else block_programs.setdefault(cycle, [])
-        target.append((compile_expr(c.expr, var_index), c.sense, c.eps))
-    # the instance variable x<i> sits at i - 1
-    blocks = [([i - 1 for i in c.support], progs) for c, progs in block_programs.items()]
+        if cycle is not None:
+            block_programs.setdefault(cycle, []).append(prog)
+        elif prog[0].slots:
+            last = max(pos for _, pos in prog[0].slots)
+            decided.setdefault(last, ([], [], []))[0].append(prog)
+        elif not _holds([prog], []):
+            # it reads no variable, so no point meets it
+            return Outcome(INFEASIBLE)
+    blocks = []
+    for c, progs in block_programs.items():
+        places = [i - 1 for i in c.support]
+        blocks.append((places, progs))
+        last = max(places + [pos for prog, _, _ in progs for _, pos in prog.slots])
+        decided.setdefault(last, ([], [], []))[1].append((places, progs))
+    for cs in sub.added:
+        block = _singular_block(cs)
+        if block is not None:
+            places = [i - 1 for i in block.support]
+            decided.setdefault(max(places), ([], [], []))[2].append(places)
+    # what the node that fixes variable d decides, None for nothing
+    checks = [decided.get(d) for d in range(nvars)]
 
     base: Instance = sub.base
     obj_items = [(j, c) for j, c in enumerate(base.objective) if c != 0]
@@ -741,12 +807,12 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
         if depth == nvars:
             # a leaf: every variable is fixed, so its bounds are its point
             ints = [lo for lo, _ in bounds]
-            if programs or blocks:
+            if blocks:
+                # every check held at its node, so each block has a
+                # passing rotation: write the first into the point
                 values = [float(v) for v in ints]
-                if not _holds(programs, values) or not all(
-                    _rotate_to_pass(ints, values, places, progs) for places, progs in blocks
-                ):
-                    continue
+                for places, progs in blocks:
+                    _rotate_to_pass(ints, values, places, progs)
             point = tuple(Fraction(v) for v in ints[: base.n])
             if not want_best:
                 return Outcome(FEASIBLE, point=point)
@@ -768,8 +834,29 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
         child = list(bounds)
         child[depth] = (v, v)
         if _propagate(child, rows, watch, starts[depth]) is not None:
-            stack.append((depth + 1, None, child))
+            check = checks[depth]
+            if check is None or _node_holds(child, *check):
+                stack.append((depth + 1, None, child))
     return best or Outcome(INFEASIBLE)
+
+
+def _node_holds(bounds: list[tuple[int, int]], programs, blocks, singular) -> bool:
+    """Whether the fixed prefix of a node's bounds meets what its depth
+    decides: each singular block is singular, each program holds, and
+    each block has a rotation that passes its S1 cuts (tried on copies,
+    so the bounds stay max-first)."""
+    ints = [lo for lo, _ in bounds]
+    for places in singular:
+        if not is_singular([ints[j] for j in places]):
+            return False
+    if programs or blocks:
+        values = [float(v) for v in ints]
+        if not _holds(programs, values):
+            return False
+        for places, progs in blocks:
+            if not _rotate_to_pass(ints, values, places, progs):
+                return False
+    return True
 
 
 def _holds(programs: Sequence[tuple[Program, str, float]], values) -> bool:
@@ -783,7 +870,7 @@ def _holds(programs: Sequence[tuple[Program, str, float]], values) -> bool:
 
 def _rotate_to_pass(ints: list[int], values: list[float], places: Sequence[int], programs) -> bool:
     """Rotate the block at ``places`` (a cycle's support, in order) of a
-    leaf point, in its ints and its float values alike, through the
+    point, in its ints and its float values alike, through the
     cycle's rotations, from the point as it is, until every program
     holds; rotation s moves the value at place i to place i + s.
     Returns False when no rotation passes."""

@@ -146,6 +146,58 @@ def t_values(c: Sequence) -> TValues:
     return TValues(t=tuple(t), t_hat=t_hat, t_bar=t_bar, layer_sum=spec.psi_re[0])
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The cyclotomic polynomials Phi_d for every divisor d of n, in
+    increasing d, each as integer coefficients from the constant term up
+    (monic), cached: Phi_d = (t^d - 1) / prod of Phi_e over e | d, e < d,
+    an exact division by monic integer polynomials."""
+    phis: dict[int, list[int]] = {}
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        num = [-1] + [0] * (d - 1) + [1]
+        for e, phi in phis.items():
+            if d % e:
+                continue
+            deg = len(phi) - 1
+            quot = [0] * (len(num) - deg)
+            for top in range(len(num) - 1, deg - 1, -1):
+                q = quot[top - deg] = num[top]
+                if q:
+                    for i in range(deg + 1):
+                        num[top - deg + i] -= q * phi[i]
+            num = quot
+        phis[d] = num
+    return tuple(tuple(phi) for phi in phis.values())
+
+
+def is_singular(c: Sequence[int]) -> bool:
+    """Whether Cir(c) is singular, decided exactly for an integer c.
+
+    The eigenvalues of Cir(c) are c(w) = sum_j c_j w^j over the n-th
+    roots of unity w, and c(w) = 0 for a primitive d-th root w iff
+    Phi_d(t) divides c(t) (Ingleton, "The rank of circulant matrices",
+    J. London Math. Soc. 1956).  So Cir(c) is singular iff the remainder
+    of c(t) by Phi_d is zero for some d | n: integer long division by
+    each monic Phi_d of ``_cyclotomic_table``.  d = 1 and d = 2 test the
+    sum and the alternating sum.  Rotating c multiplies c(t) by a power
+    of t modulo t^n - 1, which every Phi_d divides, so the answer is the
+    same on a whole orbit."""
+    n = len(c)
+    for phi in _cyclotomic_table(n):
+        deg = len(phi) - 1
+        rem = list(c)
+        for top in range(n - 1, deg - 1, -1):
+            q = rem[top]
+            if q:
+                for i in range(deg):
+                    rem[top - deg + i] -= q * phi[i]
+        if not any(rem[:deg]):
+            return True
+    return False
+
+
 def det_circulant(c: Sequence) -> float:
     """det(Cir(c)) via the spectral product formula."""
     n = len(c)

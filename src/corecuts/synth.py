@@ -12,7 +12,8 @@ support), the synthesizer produces:
 * smoothness guards licensing the divisions in S1 (every spectral
   denominator stays bounded away from zero);
 * S2 singularity disjunctions: binaries force at least one spectral
-  factor of det Cir(x|cycle) to vanish;
+  factor of det Cir(x|cycle) to vanish (the export's form; the
+  enumerator decides the same singularity exactly, by its block);
 * S3 anchors: linear equalities pinning x|cycle to the fixed-space
   translate family of a concrete point z;
 * sub-layer rows sum(x|cycle) = q*k + residue with a fresh integer q.
@@ -184,6 +185,13 @@ def s2_singular(cycle: Cycle, box_hint: int = DEFAULT_BOX) -> ConstraintSet:
     pass the enumerator's half-width (``solve.search_box``), and
     box_hint defaults to the solver's fallback half-width; it must be an
     int >= 0.
+
+    The set records its block (``ConstraintSet.cycle``).  The
+    enumerator reads it as the exact predicate "Cir(x|cycle) is
+    singular" (``spectral.is_singular``), the projection of this
+    disjunction onto x inside the box, and holds neither the binaries
+    nor the rows; so the big-M serves only the export, which keeps the
+    disjunction as written here.
     """
     if _integer(box_hint, "box hint") < 0:
         raise InputError("box hint must be >= 0")
@@ -247,7 +255,7 @@ def _s2_singular(cycle: Cycle, box_hint: int) -> ConstraintSet:
             LE_ZERO,
         )
     )
-    return ConstraintSet(tag=S2, constraints=tuple(cons), aux_vars=tuple(aux))
+    return ConstraintSet(tag=S2, constraints=tuple(cons), aux_vars=tuple(aux), cycle=cycle)
 
 
 def default_base_index(z: Sequence[int]) -> int:

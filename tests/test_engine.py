@@ -1114,8 +1114,9 @@ def _clear_caches():
         for fn in vars(mod).values()
         if hasattr(fn, "cache_clear")
     ]
-    # five synth builders, the essential sets, the layer rows, the tables
-    assert len(caches) == 8, caches
+    # five synth builders, the essential sets, the layer rows, the
+    # Fourier and cyclotomic tables
+    assert len(caches) == 9, caches
     for fn in caches:
         fn.cache_clear()
 
@@ -1126,9 +1127,11 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
     run_plain and a dry exporting run_auto together merge each row once.
     Synthesized sets and layer rows are built once per process, so from
     cold caches no constraint is lowered twice across all the runs, and
-    every dispatched constraint has been lowered, in its run or an
-    earlier one.  Every dispatched subproblem answers as a standalone
-    solve_subproblem call on fresh copies of its instance and sets does;
+    every dispatched constraint but an S2 set's has been lowered, in its
+    run or an earlier one; the enumerator decides an S2 set as the
+    singularity of its block, and lowers none of its constraints.  Every
+    dispatched subproblem answers as a standalone solve_subproblem call
+    on fresh copies of its instance and sets does;
     the direct probe answers as it does on a fresh instance.  A dry run
     of Algorithm 1 merges the rows too, for its planning LP; a dry run
     of Algorithm 3, or of a plain instance, reads none."""
@@ -1147,7 +1150,8 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
                 inst = dataclasses.replace(inst, rows=inst.rows + (band,))
         else:
             inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
-        opts = EngineOptions(budget=rng.choice((40, solve.DEFAULT_NODE_BUDGET)))
+        # 25 attempts cut some subproblems short, so all three statuses show
+        opts = EngineOptions(budget=rng.choice((25, solve.DEFAULT_NODE_BUDGET)))
         for spy in (reads, merges, dispatched):
             spy.clear()
         rep = run_auto(inst, opts)
@@ -1157,8 +1161,13 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
         assert reads["rows"] == len(inst.rows)
         # the list holds every lowered constraint, so no identity is reused
         assert len({id(c) for c in lowered}) == len(lowered)
-        constraints = {id(c) for sp, _, _ in dispatched for cs in sp.added for c in cs.constraints}
-        assert constraints <= {id(c) for c in lowered}
+        constraints = {
+            id(c): cs.tag for sp, _, _ in dispatched for cs in sp.added for c in cs.constraints
+        }
+        singular = {c for c, tag in constraints.items() if tag == "S2"}
+        assert constraints.keys() - singular <= {id(c) for c in lowered}
+        assert not singular & {id(c) for c in lowered}
+        seen["S2 constraints"] += len(singular)
         # fresh copies of the sets are lowered again, outside the count
         mark = len(lowered)
         for sp, kwargs, out in dispatched:
@@ -1172,6 +1181,7 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
         seen[f"algorithm {rep.algorithm}"] += len(dispatched) > 2
         statuses.update(out.status for _, _, out in dispatched)
     assert seen["algorithm 1"] > 10 and seen["algorithm 3"] > 40 and seen["probes"] > 10, seen
+    assert seen["S2 constraints"] > 100, seen
     assert statuses == {"Feasible", "Infeasible", "Unknown"}
     dry = EngineOptions(dry_run=True)
     reads.clear()

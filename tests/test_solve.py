@@ -48,6 +48,8 @@ from corecuts.solve import (
     UNKNOWN,
     _lower,
     _propagate,
+    _singular_block,
+    _variables,
     search_box,
 )
 from test_engine import _random_cycles_instance, _random_full_cycle_instance
@@ -395,16 +397,22 @@ def _int_rows(rows):
     return _rounded(merged)
 
 
-def _lower_export(sub, orbital=()):
+def _lower_export(sub, orbital=(), decided=()):
     """The export document of sub lowered by name, constraint by
     constraint through _interval_of, with the rows of ``orbital`` (each
     a sparse ``(coeffs, lo, hi)``) after the instance rows: (integer rows
     merged, or None when some row admits no integer point; the
-    constraints that stay nonlinear)."""
+    constraints that stay nonlinear).  The constraints of the sets in
+    ``decided`` are left out, and so are their auxiliaries from the
+    variable positions."""
     flat = flatten_subproblem(sub)
-    index = {v.name: i for i, v in enumerate(flat.variables)}
+    left_out = {id(c) for cs in decided for c in cs.constraints}
+    aux_out = {av.name for cs in decided for av in cs.aux_vars}
+    index = {v.name: i for i, v in enumerate(v for v in flat.variables if v.name not in aux_out)}
     linear, nonlinear = [], []
     for con in flat.constraints:
+        if id(con) in left_out:
+            continue
         row = _interval_of(con)
         if row is None:
             nonlinear.append(con)
@@ -429,14 +437,16 @@ def test_export_states_the_enumerated_problem():
     """The enumerator reads instance rows by position; the export states
     them as expression trees.  On every planned subproblem of random
     symmetric instances in all three senses, lowering the export
-    document by name and adding exactly the orbital rows of the
-    subproblem's cycles gives the enumerator's integer rows and
-    nonlinear constraints.  The export holds no orbital rows, so the
-    enumerator decides the exported problem up to a rotation of each
-    block of those cycles: the leaf rotates each block until its S1 cuts
-    hold."""
+    document by name, leaving out each S2 set's rows and binaries, and
+    adding exactly the orbital rows of the subproblem's cycles gives the
+    enumerator's integer rows and nonlinear constraints.  The enumerator
+    decides each S2 set as the singularity of its block
+    (``_singular_block``), and the export keeps the set's disjunction.
+    The export holds no orbital rows, so the enumerator decides the
+    exported problem up to a rotation of each block of those cycles: a
+    block passes when some rotation of it meets its S1 cuts."""
     rng = random.Random(13)
-    subs = nonlinear_subs = rotating = 0
+    subs = nonlinear_subs = rotating = singular = 0
     for i in range(36):
         sense = ("feasibility", "max", "min")[i % 3]
         if i % 2:
@@ -444,15 +454,22 @@ def test_export_states_the_enumerated_problem():
         else:
             inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
         for sub in plan(inst).subproblems:
+            decided = [cs for cs in sub.added if _singular_block(cs) is not None]
+            assert decided == [cs for cs in sub.added if cs.tag == "S2"], sub.id
             rows, nonlinear = _lower(sub)
-            expected = _lower_export(sub, _orbital_rows(sub.cycles))
+            expected = _lower_export(sub, _orbital_rows(sub.cycles), decided)
             assert (rows, nonlinear) == expected, (sub.id, inst.rows)
             if sub.cycles:
-                assert rows is None or rows != _lower_export(sub)[0], sub.id
+                assert rows is None or rows != _lower_export(sub, (), decided)[0], sub.id
+            if decided:
+                flat = flatten_subproblem(sub)
+                assert {c for cs in decided for c in cs.constraints} <= set(flat.constraints)
+                assert len(_variables(sub, search=True)) < len(flat.variables)
+                singular += 1
             subs += 1
             nonlinear_subs += bool(nonlinear)
             rotating += bool(sub.cycles)
-    assert subs > 150 and nonlinear_subs > 50 and rotating > 50
+    assert subs > 150 and nonlinear_subs > 50 and rotating > 50 and singular > 30
 
 
 def test_lower_gives_the_recursive_readers_rows(monkeypatch):
@@ -490,7 +507,9 @@ def test_lower_gives_the_recursive_readers_rows(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(exprs, "linear_form", reference)
             assert lowered == _lower(fresh), sub.id
-        assert referred["calls"] - before == sum(len(cs.constraints) for cs in sub.added)
+        # the S2 sets are decided as predicates, not lowered
+        lowered_sets = [cs for cs in sub.added if _singular_block(cs) is None]
+        assert referred["calls"] - before == sum(len(cs.constraints) for cs in lowered_sets)
     assert min(algorithms[a] for a in (1, 2, 3)) >= 10 and len(planned) > 300, algorithms
 
 
@@ -583,16 +602,65 @@ def test_solve_empty_bounds_are_infeasible_before_the_search():
     assert solve_subproblem(_sub(wide), budget=1).status == INFEASIBLE
 
 
+def _never(*names):
+    """A set whose one constraint, 1 / sum(names) <= 0, no point of a
+    nonnegative box meets: the sum is 0 (a zero denominator) or
+    positive."""
+    from corecuts import Div
+
+    return _anchor_set(Constraint(Div(Const(1), Dot((1,) * len(names), names)), LE_ZERO))
+
+
 @pytest.mark.parametrize("budget, status", [(20, INFEASIBLE), (19, UNKNOWN)])
 def test_solve_budget_counts_every_attempt(budget, status):
-    """Box [0,3]^2 and a leaf constraint no leaf meets: the search tries
-    4 values of x1 and 4 of x2 under each, 4 + 16 = 20 attempts, so a
-    budget of exactly 20 searches the box out and 19 does not."""
+    """Box [0,3]^2 and a constraint on x1 and x2 that no point meets:
+    the search tries 4 values of x1 and 4 of x2 under each, 4 + 16 = 20
+    attempts, so a budget of exactly 20 searches the box out and 19 does
+    not."""
+    inst = make_instance(2, bounds=_box(2, 0, 3))
+    never = _never("x1", "x2")
+    assert solve_subproblem(_sub(inst, (never,)), budget=budget).status == status
+
+
+@pytest.mark.parametrize("budget, status", [(4, INFEASIBLE), (3, UNKNOWN)])
+def test_solve_decides_a_constraint_at_the_node_that_fixes_its_last_variable(budget, status):
+    """The same box, and a constraint on x1 alone that no point meets: it
+    refuses each value of x1 at the node that fixes x1, so no x2 is
+    tried, and 4 attempts search the box out."""
+    inst = make_instance(2, bounds=_box(2, 0, 3))
+    never = _never("x1")
+    assert solve_subproblem(_sub(inst, (never,)), budget=budget).status == status
+
+
+def test_solve_decides_a_constraint_that_reads_no_variable_before_the_search():
+    """1/0 <= 0 reads no variable and holds at no point: the answer is
+    Infeasible before the first attempt, so a budget of 1 certifies it.
+    A constant constraint that holds costs no attempt: the first point
+    takes the two that fix x1 and x2."""
     from corecuts import Div
 
     inst = make_instance(2, bounds=_box(2, 0, 3))
-    never = _anchor_set(Constraint(Div(Const(1), Dot((1,), ("x1",))), LE_ZERO))
-    assert solve_subproblem(_sub(inst, (never,)), budget=budget).status == status
+    never = _anchor_set(Constraint(Div(Const(1), Const(0)), LE_ZERO))
+    assert solve_subproblem(_sub(inst, (never,)), budget=1).status == INFEASIBLE
+    always = _anchor_set(Constraint(Div(Const(-1), Const(2)), LE_ZERO))
+    out = solve_subproblem(_sub(inst, (always,)), budget=2)
+    assert (out.status, out.point) == (FEASIBLE, (0, 0))
+
+
+def test_solve_decides_s2_by_singularity_without_its_big_m():
+    """x1 + x2 == 10 over [0, 10]^2: Cir(5, 5) is singular.  The S2 set
+    built for box hint 1 has big-M 4, which its exported rows need to
+    hold |x1 + x2| = 10; the enumerator decides singularity itself and
+    finds (5, 5) after x1 = 0..5 and x2 = 5, 7 attempts."""
+    inst = make_instance(
+        2, rows=(make_row([1, 1], "==", 10),), bounds=_box(2, 0, 10),
+        group=analyze_group(["(1,2)"], 2),
+    )
+    cycle = inst.group.selected_cycles[0]
+    sub = Subproblem("s", inst, (s2_singular(cycle, 1),), "S2", (), (cycle,))
+    out = solve_subproblem(sub, budget=7)
+    assert (out.status, out.point) == (FEASIBLE, (5, 5))
+    assert [v.name for v in _variables(sub, search=True)] == ["x1", "x2"]
 
 
 def test_solve_width_is_not_bounded_by_the_recursion_limit():

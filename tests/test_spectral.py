@@ -17,11 +17,15 @@ from corecuts import (
     det_circulant,
     eigenvalues,
     fourier_pair,
+    is_singular,
+    s2_singular,
     solve_circulant_exact,
     t_hat_exact,
     t_values,
 )
-from corecuts.spectral import scaled_inverse
+from corecuts.exprs import _interval_of, check_value, eval_float
+from corecuts.perms import Cycle
+from corecuts.spectral import _cyclotomic_table, scaled_inverse
 
 # first column of Cir(c)^{-1}, pinned by oracles.t_hat_oracle
 T_HAT_PINNED = {
@@ -178,3 +182,77 @@ def test_scaled_inverse_is_an_integer_multiple_of_the_inverse():
     assert seen_swap and seen_negative
     with pytest.raises(SingularCirculant):
         scaled_inverse([[1, 2], [2, 4]])
+
+
+def test_cyclotomic_table_pinned():
+    """Phi_d for every d | 12, from the constant term up."""
+    assert _cyclotomic_table(12) == (
+        (-1, 1),
+        (1, 1),
+        (1, 1, 1),
+        (1, 0, 1),
+        (1, -1, 1),
+        (1, 0, -1, 0, 1),
+    )
+    assert _cyclotomic_table(7) == ((-1, 1), (1,) * 7)
+
+
+def _meets(con, env):
+    """Whether a constraint holds at env: exactly on its interval row
+    when it has one, by the float evaluator and check_value otherwise
+    (the quadratic factors' coefficients are floats)."""
+    row = _interval_of(con)
+    if row is None:
+        return check_value(eval_float(con.expr, env), con.sense, con.eps)
+    coeffs, lo, hi = row
+    value = sum(Fraction(a) * env[name] for name, a in coeffs.items())
+    return (lo is None or value >= lo) and (hi is None or value <= hi)
+
+
+@pytest.mark.parametrize("k, low, high", [(2, -2, 2), (3, -2, 2), (4, -1, 2), (5, -1, 2), (6, -1, 1)])
+def test_is_singular_is_the_projection_of_the_s2_disjunction(k, low, high):
+    """Over a small box, Cir(x) is singular iff some assignment of the
+    binaries meets every constraint of the exported s2_singular set."""
+    from itertools import product
+
+    cs = s2_singular(Cycle(tuple(range(1, k + 1))))
+    binaries = [av.name for av in cs.aux_vars]
+    seen = set()
+    for x in product(range(low, high + 1), repeat=k):
+        env = {f"x{i + 1}": v for i, v in enumerate(x)}
+        disjunction = any(
+            all(_meets(con, {**env, **dict(zip(binaries, r))}) for con in cs.constraints)
+            for r in product((0, 1), repeat=len(binaries))
+        )
+        assert is_singular(x) == disjunction, x
+        seen.add((disjunction, sum(x) == 0))
+    # singular blocks with a nonzero sum too
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_is_singular_agrees_with_the_exact_inverse():
+    """On random blocks (k = 2..8), Cir(x) is singular iff t_hat_exact
+    raises SingularCirculant."""
+    rng = random.Random(41)
+    singular = 0
+    for _ in range(3000):
+        c = [rng.randint(-3, 3) for _ in range(rng.randint(2, 8))]
+        try:
+            t_hat_exact(c)
+            expected = False
+        except SingularCirculant:
+            expected = True
+        assert is_singular(c) == expected, c
+        singular += expected
+    assert 100 < singular < 2900, singular
+
+
+def test_is_singular_is_rotation_invariant():
+    rng = random.Random(43)
+    answers = set()
+    for _ in range(500):
+        c = [rng.randint(-2, 2) for _ in range(rng.randint(2, 8))]
+        answer = is_singular(c)
+        assert all(is_singular(c[s:] + c[:s]) == answer for s in range(1, len(c))), c
+        answers.add(answer)
+    assert answers == {True, False}

@@ -31,6 +31,9 @@ def _load_spans():
 
 
 def test_tracer_records_leaf_and_subproblem_spans():
+    """Algorithm 2 on the cycle (1,2,3) of four variables: its S1 cut
+    subproblems evaluate the cuts (``Program.run``), and the tracer
+    finds those calls inside the subproblem spans."""
     spans = _load_spans()
     layers = {
         layer: importlib.import_module(f"corecuts.{layer}") for layer in spans.LAYER_MODULES
@@ -38,10 +41,17 @@ def test_tracer_records_leaf_and_subproblem_spans():
     engine, solve, evalcore = layers["engine"], layers["solve"], layers["evalcore"]
     run_auto, solve_subproblem, run = engine.run_auto, engine.solve_subproblem, evalcore.Program.run
     inst = make_instance(
-        3,
-        rows=(make_row([1, 1, 1], "==", 4),),
-        bounds=[(0, 2)] * 3,
-        group=analyze_group(["(1,2,3)"], 3),
+        4,
+        sense="max",
+        objective=[1, 1, 1, 2],
+        rows=(
+            make_row([-1, -1, -1, 1], "==", 1),
+            make_row([0, 0, 1, 1], ">=", 2),
+            make_row([0, 1, 0, 1], ">=", 2),
+            make_row([1, 0, 0, 1], ">=", 2),
+        ),
+        bounds=[(0, 2)] * 4,
+        group=analyze_group(["(1,2,3)"], 4),
     )
     tracer = spans.Tracer()
     tracer.install()
@@ -50,7 +60,8 @@ def test_tracer_records_leaf_and_subproblem_spans():
         report = engine.run_auto(inst, EngineOptions())
     finally:
         tracer.uninstall()
-    assert report.status == "Feasible"
+    assert (report.status, report.algorithm, report.f_star) == ("Feasible", 2, 5)
+    assert "S1" in {r.tag for r in report.results}
     calls = {name: n for name, (n, _) in tracer.self_times().items()}
     assert calls.get("evalcore.Program.run", 0) > 0
     assert calls.get("solve.solve_subproblem", 0) > 0
