@@ -37,6 +37,7 @@ from .perms import (
 from .spectral import (
     Spectrum,
     TValues,
+    cut_rotation,
     det_circulant,
     eigenvalues,
     fourier_pair,

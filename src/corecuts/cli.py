@@ -13,7 +13,8 @@ Subcommands:
   sub-layer;
 * ``tvalues C`` — the inverse-circulant values of an integer vector.
 
-Exit codes: 0 solved/feasible, 2 infeasible, 3 unknown, 64 bad input.
+Exit codes: 0 solved/feasible, 2 infeasible, 3 unknown, 64 bad input
+(a number too large to compute with included).
 """
 
 from __future__ import annotations
@@ -231,7 +232,8 @@ def build_parser() -> _Parser:
     ps.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                     help="assignment-node budget per subproblem")
     ps.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                    help="strict-inequality margin")
+                    help="strict-inequality margin of the exported cuts; the solver "
+                    "decides every cut exactly and does not read it")
     ps.add_argument("--box", type=int, default=DEFAULT_BOX,
                     help="fallback half-width of the enumeration box for missing bounds")
     ps.add_argument("--export-dir", default=None,
@@ -269,6 +271,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:
+        # an entry too large for a float or an index (say 10**400)
+        print(f"error: a number is too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

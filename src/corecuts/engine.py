@@ -68,10 +68,12 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   block: the instance rows (each cycle fixes the instance by itself,
   which ``Subproblem`` checks), layer and sub-layer rows (sums over the
   block), smoothness guards (DFT moduli), and the S2 singularity of a
-  block, which the enumerator decides exactly in place of the exported
-  disjunction (``spectral.is_singular``).  Each S1 cut reads only
-  its own block (synthesis records it, ``ConstraintSet.cycle``), so
-  the blocks rotate independently.  So a subproblem holds a point if
+  block.  The enumerator decides the guards, the cuts and the
+  singularity exactly on the block, in place of the exported
+  expressions and disjunction (``spectral.cut_rotation``,
+  ``spectral.is_singular``).  Each S1 cut reads only its own block
+  (synthesis records it, ``ConstraintSet.cycle``, with the cut's point),
+  so the blocks rotate independently.  So a subproblem holds a point if
   and only if it holds a max-first point whose blocks some rotation
   makes pass their cuts.  S3 probes pin a rotation and carry no
   cycles, and plain enumeration (``run_plain``, and the plain fallback

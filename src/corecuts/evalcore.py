@@ -1,11 +1,11 @@
 """Expression programs: a tree bound to positions in a value vector.
 
-The enumerator reads a node's fixed variables as one float vector
-ordered by its flat variable list.  ``compile_expr`` checks that every
-variable of an expression has a position there; ``Program.run`` reads
+No solver code calls this module (``solve`` decides every nonlinear set
+exactly); the benchmark harness still reports ``backend_name`` and
+traces ``Program.run``.  ``compile_expr`` checks that every variable of
+an expression has a position in a value vector; ``Program.run`` reads
 those positions into a name map and evaluates the tree with
-``exprs.eval_float``, the package's one float evaluator.  A zero
-denominator yields ok=False instead of raising.
+``exprs.eval_float``.  A zero denominator yields ok=False.
 """
 
 from __future__ import annotations

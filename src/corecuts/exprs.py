@@ -4,13 +4,15 @@ Nodes: Const (rational or trigonometric double), Var, n-ary Add/Mul,
 Div, Square, and Dot (a coefficient vector against a variable vector).
 Trees are immutable.  ``eval_float`` is the package's one float
 evaluator (n-ary operations fold left, Dot accumulates in index order,
-constants convert via float()); evalcore only binds trees to value
-vectors for it.  Serialization must stay bit-exact across emit -> parse
--> evaluate, so nothing in this module may reorder operands.
+constants convert via float()); no solver path calls it, since the
+enumerator decides the nonlinear sets exactly (``solve``).
+Serialization must stay bit-exact across emit -> parse -> evaluate, so
+nothing in this module may reorder operands.
 
 ``linear_form`` reads the flat sums that synthesis writes (terms that
 are a Dot, a Var or a Const, each maybe scaled by Const factors) as
-exact rational coefficients; any other tree is evaluated instead.
+exact rational coefficients; the enumerator refuses any other tree
+outside the sets it decides on their blocks.
 ``_interval_of`` turns a constraint into the interval row the
 enumerator propagates.  A ``ConstraintSet`` keeps those rows of its
 constraints in primitive integer form over set-local positions
@@ -141,11 +143,12 @@ class ConstraintSet:
     tag: str
     constraints: tuple[Constraint, ...]
     aux_vars: tuple[AuxVar, ...] = ()
-    #: the cycle block that an S1 cut or an S2 singularity set reads,
-    #: set by synthesis: the enumerator retries an S1 cut over the
-    #: block's rotations, and decides an S2 set as "Cir(block) is
-    #: singular" in place of its binaries and rows
+    #: the cycle block that an S1 cut, a smoothness or an S2 set reads,
+    #: set by synthesis: the enumerator decides such a set exactly on
+    #: the block (``solve._block_of``) in place of its constraints
     cycle: Optional[Cycle] = None
+    #: an S1 cut's canonical projected point, set by synthesis
+    point: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.tag not in (S1, S2, S3, SUBLAYER, SMOOTH):
@@ -292,10 +295,10 @@ def linear_form(expr: Expr) -> Optional[tuple[dict[str, Fraction], Fraction]]:
     a ``Var`` or a ``Const``, or a ``Mul`` whose factors are all
     ``Const`` but the last, which is one of those three.  Any other
     shape (a nested sum, a division, a square, a product with a variable
-    factor before the last), or any float, gives None, and the
-    constraint is evaluated once its variables are fixed.  So a nested
-    affine tree built through the API is not propagated: its verdict is
-    the same up to the evaluator's float tolerance (``EQ_TOL``).
+    factor before the last), or any float, gives None: the enumerator
+    decides such a constraint only in an S1, S2 or smoothness set that
+    synthesis wrote, and refuses it anywhere else, so a nested affine
+    tree built through the API is an ``InputError`` there.
     Integral values are ints, a Fraction appears only where a
     denominator does, and a variable keeps its key when its
     coefficients sum to 0."""

@@ -5,19 +5,19 @@ Two engines live here:
 * ``lp_relax`` — exact rational simplex over the instance's linear rows
   (synthesized nonlinear sets are never part of the relaxation);
 * ``solve_subproblem`` — bounded depth-first integer enumeration with
-  event-driven exact interval propagation over the linear rows, float
-  evaluation of the nonlinear constraints (``exprs.eval_float``) and an
-  exact singularity test of each S2 block (``spectral.is_singular``),
-  each decided at the node that fixes the last variable it reads
-  (forward checking).  The search is one loop over an explicit
-  stack of ``(depth, value to try, bounds)`` entries, so an instance's
-  width is not bounded by Python's recursion limit.  The linear rows go
-  through the LP's row normaliser (``simplex._merge_row``: scaled to
-  integers, divided by the gcd of their coefficients, merged by
-  coefficient vector into ranged rows with exact bounds), and each
+  event-driven exact interval propagation over the linear rows and one
+  exact test per cycle block of the nonlinear sets: S2 singularity
+  (``spectral.is_singular``), and smoothness guards and S1 cuts
+  (``spectral.cut_rotation``), each decided at the node that fixes the
+  block's last variable (forward checking).  It evaluates no float and
+  refuses any other nonlinear constraint.  The search is one loop over
+  an explicit stack of ``(depth, value to try, bounds)`` entries, so an
+  instance's width is not bounded by Python's recursion limit.  The
+  linear rows go through the LP's row normaliser (``simplex._merge_row``:
+  scaled to integers, divided by the gcd of their coefficients, merged
+  by coefficient vector into ranged rows with exact bounds), and each
   merged bound is then rounded inward once, so propagation and
-  enumeration run on plain ``int``;
-  points are returned as ``Fraction`` tuples.  A node propagates only
+  enumeration run on plain ``int``; points are returned as ``Fraction`` tuples.  A node propagates only
   from the rows that contain the variable it fixes, and a max/min search
   carries its incumbent as one more row, which cuts off every subtree
   that cannot beat it.  A subproblem with cycles (``engine.Subproblem``)
@@ -29,8 +29,10 @@ Two engines live here:
 
 Both are deliberately small: they replace an external MINLP solver for
 instances a few variables wide, and every verdict they return is
-certified (a satisfying point, or full exhaustion of the box).  When the
-node budget runs out first the verdict is Unknown, never a guess.
+certified (a satisfying point, or full exhaustion of a domain that holds
+every solution).  When the node budget runs out first, or the search
+clipped a bound that the instance leaves open, the verdict is Unknown,
+never a guess.
 
 The data keeps its own reading, made on first use and kept as long as
 the object lives; nothing writes into it:
@@ -50,9 +52,9 @@ the object lives; nothing writes into it:
   (``exprs._interval_of``, through ``exprs.linear_form``, which reads
   the flat sums that synthesis, the engine and ``_row_to_constraint``
   write) in primitive integer form over set-local positions, and the
-  constraints with no such row, which are evaluated
-  (``ConstraintSet._rows``); an S2 set is not read, since the
-  enumerator decides it by its block (``_singular_block``);
+  constraints with no such row (``ConstraintSet._rows``); an S1, S2 or
+  smoothness set is not read, since the enumerator decides it on its
+  block (``_block_of``);
 * an ``Instance`` also keeps what each permutation checked against it
   does not fix (``_symmetry_misses``), and the cycle tuples that pass
   ``_check_orbits``.
@@ -73,10 +75,13 @@ variables, then auxiliaries in first-appearance order) from
 does: it lowers the export documents of planned subproblems through
 ``exprs._interval_of``, leaves out the S2 sets' rows, adds the orbital
 rows of each subproblem's cycles, and checks that they give the
-enumerator's integer rows and nonlinear constraints.  The export holds
-no orbital rows, and keeps each S2 set's binary disjunction, whose
-projection onto the instance variables the enumerator decides: it
-decides the exported problem up to a rotation of each block.
+enumerator's integer rows, and that the rest are the S1 and smoothness
+sets whose blocks it decides.  The export holds no orbital rows, keeps
+each S2 set's disjunction, whose projection onto the instance
+variables the enumerator decides, and the float S1 and smoothness
+expressions, whose exact values it decides (``tests/test_spectral.py``
+checks the two agree): it decides the exported problem up to a
+rotation of each block.
 """
 
 from __future__ import annotations
@@ -89,7 +94,6 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
-from .evalcore import Program, compile_expr
 from .exprs import (
     Add,
     Const,
@@ -99,7 +103,7 @@ from .exprs import (
     LE_ZERO,
     S1,
     S2,
-    check_value,
+    SMOOTH,
 )
 from .perms import Cycle, GroupSpec, Permutation, apply
 from .simplex import (
@@ -112,7 +116,7 @@ from .simplex import (
     _merge_rows,
     _row_interval,
 )
-from .spectral import is_singular
+from .spectral import cut_rotation, is_singular
 
 #: half-width of the fallback enumeration box for the missing bounds
 #: (``search_box`` widens it to the widest declared bound)
@@ -410,29 +414,31 @@ def _row_to_constraint(row: LPRow, names: Sequence[str]) -> Constraint:
     return Constraint(expr, LE_ZERO if lo is None else EQ)
 
 
-def _singular_block(cs) -> Optional[Cycle]:
-    """The block of an S2 set (synthesis records it,
-    ``ConstraintSet.cycle``), None for any other set.  The enumerator
-    decides such a set as one predicate, "Cir(x|block) is singular"
-    (``spectral.is_singular``), in place of its binaries and rows: that
-    is the projection of the set's disjunction onto the instance
+def _block_of(cs) -> Optional[Cycle]:
+    """The block on which the enumerator decides the set cs, as one exact
+    predicate (``_block_holds``) in place of its constraints and
+    auxiliaries; None when it reads them as rows.  Synthesis records the
+    block (``ConstraintSet.cycle``) of S2 and smoothness sets, and of an
+    S1 cut with its canonical point (``ConstraintSet.point``).  For S2
+    the predicate is the projection of the disjunction onto the instance
     variables wherever its big-M holds, which covers the search box."""
-    return cs.cycle if cs.tag == S2 else None
+    if cs.tag in (S2, SMOOTH) or (cs.tag == S1 and cs.point is not None):
+        return cs.cycle
+    return None
 
 
 def _variables(sub, search: bool = False) -> tuple[FlatVar, ...]:
     """The variables of sub: instance variables, then auxiliaries in
     first-appearance order.  Export and enumeration both take their
     variable order from here; the enumerator (``search``) leaves out the
-    auxiliaries of the sets it decides as predicates
-    (``_singular_block``)."""
+    auxiliaries of the sets it decides on their blocks (``_block_of``)."""
     base: Instance = sub.base
     variables = [
         FlatVar(name, lo, hi, "integer") for name, (lo, hi) in zip(base.var_names, base.bounds)
     ]
     seen = set(base.var_names)
     for cs in sub.added:
-        skip = search and _singular_block(cs) is not None
+        skip = search and _block_of(cs) is not None
         for av in cs.aux_vars:
             if av.name in seen:
                 raise InputError(f"duplicate auxiliary variable {av.name}")
@@ -587,26 +593,32 @@ def _initial_bounds(variables: Sequence[FlatVar], box: int) -> list[tuple[int, i
     ]
 
 
+#: a block the enumerator decides (``_block_of``): its places (x<i> at
+#: i - 1, in cycle order), whether Cir(block) must be singular (S2) and
+#: regular apart from its sum (smoothness), its S1 cuts' points, and how
+#: many rotations may pass them (k when the subproblem rotates it, else 1)
+Block = tuple[list[int], bool, bool, tuple[tuple[int, ...], ...], int]
+
+
 def _lower(sub) -> tuple[
     Optional[list[tuple[list[tuple[int, int]], Optional[int], Optional[int]]]],
-    list[Constraint],
+    list[Block],
 ]:
     """The enumerator's view of sub: its linear rows merged by primitive
     integer coefficients (``simplex._merge_primitive``, shared with the
     LP) and each merged bound rounded inward to an integer, or None when
-    some row admits no integer point; and the added constraints that
-    stay nonlinear.
+    some row admits no integer point; and one entry per block that it
+    decides (``Block``, ``_block_of``), whose sets give no rows.
 
     sub starts from a copy of its base's merged rows, merges the orbital
-    rows ``x_c1 - x_cj >= 0`` (j = 2..k) of each cycle c of
-    ``sub.cycles`` (``_check_orbits``), then its added sets' rows in
-    order.  Each set's rows are in primitive form
-    over set-local positions (``ConstraintSet._rows``); a set's
-    auxiliaries follow the instance variables and the earlier sets'
-    auxiliaries (``_variables(sub, search=True)``), so only their
-    positions shift.  An S2 set that the enumerator decides as a
-    predicate (``_singular_block``) gives no rows and is not read.  A
-    set that reads an instance variable beyond n is an ``InputError``."""
+    rows ``x_c1 - x_cj >= 0`` (j = 2..k) of each cycle of
+    ``sub.cycles`` (``_check_orbits``), then its other sets' rows
+    (``ConstraintSet._rows``: primitive, over set-local positions) in
+    order; a set's auxiliaries follow the instance variables and the
+    earlier sets' (``_variables(sub, search=True)``), so only their
+    positions shift.  A constraint that ``exprs.linear_form`` cannot
+    read, or a set that reads an instance variable beyond n, is an
+    ``InputError``."""
     base: Instance = sub.base
     _check_orbits(base, sub.cycles)
     merged, nonempty = base._merged
@@ -622,18 +634,24 @@ def _lower(sub) -> tuple[
             else:
                 row = ((i - 1, 1), (first, -1)), None, zero
             nonempty = nonempty and _merge_primitive(merged, *row)
-    nonlinear: list[Constraint] = []
+    decided: dict[Cycle, tuple[list[bool], list[tuple[int, ...]]]] = {}
     offset = base.n
     for cs in sub.added:
-        block = _singular_block(cs)
+        block = _block_of(cs)
         if block is not None:
             if max(block.support) > base.n:
                 raise InputError(f"constraint references unknown variable 'x{max(block.support)}'")
+            flags, cuts = decided.setdefault(block, ([False, False], []))
+            if cs.tag == S1:
+                cuts.append(cs.point)
+            else:
+                flags[cs.tag == SMOOTH] = True
             continue
         width, local, rest = cs._rows
         if width > base.n:
             raise InputError(f"constraint references unknown variable 'x{width}'")
-        nonlinear.extend(rest)
+        if rest:
+            raise InputError(f"a {cs.tag} set holds a nonlinear constraint that no block decides")
         shift = offset - width
         for row in local:
             if type(row) is bool:
@@ -644,17 +662,21 @@ def _lower(sub) -> tuple[
                 key = tuple((j if j < width else j + shift, a) for j, a in key)
             nonempty = nonempty and _merge_primitive(merged, key, lo, hi)
         offset += len(cs.aux_vars)
+    blocks = [
+        ([i - 1 for i in c.support], *flags, tuple(cuts), c.k if cuts and c in sub.cycles else 1)
+        for c, (flags, cuts) in decided.items()
+    ]
     if not nonempty:
-        return None, nonlinear
+        return None, blocks
     rows = []
     for key, (lo, hi) in merged.items():
         # every point is integer, so ceil and floor lose none of them
         lo = None if lo is None else -(-lo[0] // lo[1])
         hi = None if hi is None else hi[0] // hi[1]
         if lo is not None and hi is not None and lo > hi:
-            return None, nonlinear
+            return None, blocks
         rows.append((list(key), lo, hi))
-    return rows, nonlinear
+    return rows, blocks
 
 
 def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
@@ -663,33 +685,21 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     every side of an integer auxiliary, is clipped to the half-width
     ``search_box(sub.base, box)``, which holds every declared bound.
     ``box`` must be an integer >= 0 and ``budget`` an integer; a
-    ``budget`` of 0 or less yields Unknown.
+    ``budget`` of 0 or less yields Unknown.  A clipped side of an
+    instance variable may cut off every solution, or the best: where
+    the search would then answer Infeasible (root propagation included)
+    or report a max/min optimum, it answers Unknown.
 
-    The instance rows are read by position and only the added sets are
-    lowered from their trees (``_lower``); the export document is not
-    built.  Linear rows are integer-scaled, divided by their gcd,
-    merged by coefficient vector (``simplex._merge_row``) and rounded
-    inward, then prune through exact interval propagation at every
-    node: the root starts from all rows, a node from the rows that watch
-    the variable it fixes, and each tightening queues the rows of the
-    tightened variable, up to ``_PROPAGATION_ROUNDS`` visits per row
-    (``_propagate``).  Every row
-    is visited at the node that fixes its last variable, cap or not, so
-    a leaf meets every linear row exactly.
-
-    Every other constraint is decided at the node that fixes the last
-    variable it reads, once that node's propagation succeeds, and a
-    node that fails it is dropped with its subtree (forward checking:
-    Haralick and Elliott, Artificial Intelligence 1980): a nonlinear
-    constraint is evaluated (``eval_float``) on the fixed prefix, where
-    a division by zero fails it — smoothness guards make such points
-    infeasible by definition; the S1 cuts on a block are tried over the
-    block's rotations (below); and an S2 set on a block is the exact
-    test that Cir(block) is singular (``spectral.is_singular``), which
-    stands for its binaries and rows (``_singular_block``), so the
-    search holds neither and needs no big-M.  A constraint that reads
-    no variable is decided before the first node.  A depth with nothing
-    to decide costs its nodes nothing more.
+    The rows (``_lower``) prune through exact interval propagation at
+    every node: the root starts from all rows, a node from the rows that
+    watch the variable it fixes, and each tightening queues the rows of
+    the tightened variable, up to ``_PROPAGATION_ROUNDS`` visits per row
+    (``_propagate``).  Every row is visited at the node that fixes its
+    last variable, cap or not, so a leaf meets every linear row exactly.
+    Each block (``Block``) is decided exactly at the node that fixes its
+    last variable, once that node's propagation succeeds, and a node
+    that fails it is dropped with its subtree (forward checking:
+    Haralick and Elliott, Artificial Intelligence 1980; ``_block_holds``).
 
     The search is one loop over a stack of ``(depth, value, bounds)``
     entries; ``bounds`` has fixed the variables before ``depth``, and
@@ -699,8 +709,7 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     the child (the variable fixed to ``value``, then propagated) above
     the sibling when propagation leaves it nonempty, so values are tried
     in increasing order, depth first.  An entry at depth
-    ``len(variables)`` is a leaf: its bounds fix every variable, so they
-    are its point.
+    ``len(variables)`` is a leaf: its bounds are its point.
 
     The budget counts assignment attempts.  First satisfying point wins
     for feasibility-sense instances.  Max/min instances are searched to
@@ -708,73 +717,32 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     by the lcm D of its denominators, is one more propagated row, whose
     lower bound becomes ``sign * D * f + 1`` when a point of value f is
     recorded.  Every variable is an integer, so the cutoff removes only
-    points that are no better than the incumbent, and the search records
-    the same points, in the same order, as a search without it.  Every
-    leaf it reaches meets that row, so beats the incumbent, whose value
-    is read off the row in integers.
+    points that are no better than the incumbent, and every leaf the
+    search reaches beats the incumbent.
 
-    With ``sub.cycles``, the rows also hold the orbital rows of each
-    cycle (``_lower``), so only max-first points are searched.  The
-    constraints that hold on a whole orbit (every one but the S1 cuts
-    on a block of those cycles: instance rows, layer and sub-layer rows,
-    smoothness guards, S2 singularity) are checked once, on the
-    max-first prefix; a block passes its S1 cuts when some rotation of
-    it does (``_rotate_to_pass``, on copies), and the blocks rotate
-    independently, so that is the test of the whole point.  The leaf
-    then rotates each block, from the max-first point on, to its first
-    passing rotation, and writes it into the point.  So the answer is the
-    first optimum (first feasible point) among the max-first points, in
-    lexicographic order, with each block rotated; without cycles it is
-    the lexicographically first optimum.  Budget exhaustion
-    yields Unknown: a Feasible that was already found cannot be
-    certified optimal, and an Infeasible cannot be certified at all."""
+    With ``sub.cycles``, the orbital rows admit only max-first points.
+    Every constraint but the S1 cuts on a block of those cycles holds on
+    a whole orbit, so it is checked once, on the max-first prefix; a
+    block passes its cuts when some rotation of it does, and the blocks
+    rotate independently.  The leaf writes each such block's first
+    passing rotation into the point.  So the answer is the first optimum
+    (first feasible point) among the max-first points, in lexicographic
+    order, with each block rotated; without cycles it is the
+    lexicographically first optimum.  Budget exhaustion yields Unknown:
+    a Feasible that was already found cannot be certified optimal, and
+    an Infeasible cannot be certified at all."""
     if _integer(box, "box") < 0:
         raise InputError("box must be >= 0")
     if _integer(budget, "budget") <= 0:
         return Outcome(UNKNOWN)
     variables = _variables(sub, search=True)
-    var_index = {v.name: i for i, v in enumerate(variables)}
     nvars = len(variables)
-    rows, nonlinear = _lower(sub)
+    rows, blocks = _lower(sub)
     if rows is None:
         return Outcome(INFEASIBLE)
-
-    # each S1 cut on a block of sub.cycles is retried over the block's
-    # rotations; every other nonlinear constraint holds on a whole orbit
-    cut_blocks = {
-        id(c): cs.cycle
-        for cs in sub.added
-        if cs.tag == S1 and cs.cycle in sub.cycles
-        for c in cs.constraints
-    }
-    # by the position of the last variable each reads: (programs, blocks
-    # with their S1 cuts, singular blocks); x<i> sits at i - 1
-    decided: dict[int, tuple[list, list, list]] = {}
-    block_programs: dict[Cycle, list[tuple[Program, str, float]]] = {}
-    for c in nonlinear:
-        prog = (compile_expr(c.expr, var_index), c.sense, c.eps)
-        cycle = cut_blocks.get(id(c))
-        if cycle is not None:
-            block_programs.setdefault(cycle, []).append(prog)
-        elif prog[0].slots:
-            last = max(pos for _, pos in prog[0].slots)
-            decided.setdefault(last, ([], [], []))[0].append(prog)
-        elif not _holds([prog], []):
-            # it reads no variable, so no point meets it
-            return Outcome(INFEASIBLE)
-    blocks = []
-    for c, progs in block_programs.items():
-        places = [i - 1 for i in c.support]
-        blocks.append((places, progs))
-        last = max(places + [pos for prog, _, _ in progs for _, pos in prog.slots])
-        decided.setdefault(last, ([], [], []))[1].append((places, progs))
-    for cs in sub.added:
-        block = _singular_block(cs)
-        if block is not None:
-            places = [i - 1 for i in block.support]
-            decided.setdefault(max(places), ([], [], []))[2].append(places)
-    # what the node that fixes variable d decides, None for nothing
-    checks = [decided.get(d) for d in range(nvars)]
+    # the blocks that the node fixing variable d decides, None for none
+    checks = [[b for b in blocks if max(b[0]) == d] or None for d in range(nvars)]
+    turning = [block for block in blocks if block[4] > 1]
 
     base: Instance = sub.base
     obj_items = [(j, c) for j, c in enumerate(base.objective) if c != 0]
@@ -796,9 +764,15 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     # so it would miss one on a variable that no row holds
     if any(lo > hi for lo, hi in bounds0):
         return Outcome(INFEASIBLE)
+    # a side the instance does not declare is clipped to the box, so
+    # the clipped domain may miss every solution, or the best one
+    clipped = any(lo is None or hi is None for lo, hi in base.bounds)
+    if clipped and want_best:
+        return Outcome(UNKNOWN)
+    exhausted = Outcome(UNKNOWN if clipped else INFEASIBLE)
     bounds0 = _propagate(bounds0, rows, watch)
     if bounds0 is None:
-        return Outcome(INFEASIBLE)
+        return exhausted
 
     best: Optional[Outcome] = None
     stack: list[tuple[int, Optional[int], list[tuple[int, int]]]] = [(0, None, bounds0)]
@@ -807,12 +781,13 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
         if depth == nvars:
             # a leaf: every variable is fixed, so its bounds are its point
             ints = [lo for lo, _ in bounds]
-            if blocks:
-                # every check held at its node, so each block has a
-                # passing rotation: write the first into the point
-                values = [float(v) for v in ints]
-                for places, progs in blocks:
-                    _rotate_to_pass(ints, values, places, progs)
+            for places, _, _, cuts, rotations in turning:
+                # the block passed at its node, so it has a passing
+                # rotation: write the first into the point
+                block = [ints[j] for j in places]
+                s = cut_rotation(block, cuts, rotations)
+                for i, j in enumerate(places):
+                    ints[j] = block[i - s]
             point = tuple(Fraction(v) for v in ints[: base.n])
             if not want_best:
                 return Outcome(FEASIBLE, point=point)
@@ -835,54 +810,24 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
         child[depth] = (v, v)
         if _propagate(child, rows, watch, starts[depth]) is not None:
             check = checks[depth]
-            if check is None or _node_holds(child, *check):
+            if check is None or _block_holds(child, check):
                 stack.append((depth + 1, None, child))
-    return best or Outcome(INFEASIBLE)
+    return best or exhausted
 
 
-def _node_holds(bounds: list[tuple[int, int]], programs, blocks, singular) -> bool:
-    """Whether the fixed prefix of a node's bounds meets what its depth
-    decides: each singular block is singular, each program holds, and
-    each block has a rotation that passes its S1 cuts (tried on copies,
-    so the bounds stay max-first)."""
-    ints = [lo for lo, _ in bounds]
-    for places in singular:
-        if not is_singular([ints[j] for j in places]):
+def _block_holds(bounds: list[tuple[int, int]], blocks: Sequence[Block]) -> bool:
+    """Whether each block, fixed by a node's bounds, meets what the
+    enumerator decides on it: Cir(block) is singular when it must be,
+    and, when it must be regular apart from its sum or has cuts, some
+    allowed rotation of it passes every cut (``spectral.cut_rotation``;
+    the rotations are tried on a copy, so the bounds stay max-first)."""
+    for places, singular, regular, cuts, rotations in blocks:
+        block = [bounds[j][0] for j in places]
+        if singular and not is_singular(block):
             return False
-    if programs or blocks:
-        values = [float(v) for v in ints]
-        if not _holds(programs, values):
-            return False
-        for places, progs in blocks:
-            if not _rotate_to_pass(ints, values, places, progs):
-                return False
-    return True
-
-
-def _holds(programs: Sequence[tuple[Program, str, float]], values) -> bool:
-    """Whether every program's constraint holds at values."""
-    for prog, sense, ceps in programs:
-        ok, val = prog.run(values)
-        if not ok or not check_value(val, sense, ceps):
+        if (regular or cuts) and cut_rotation(block, cuts, rotations) is None:
             return False
     return True
-
-
-def _rotate_to_pass(ints: list[int], values: list[float], places: Sequence[int], programs) -> bool:
-    """Rotate the block at ``places`` (a cycle's support, in order) of a
-    point, in its ints and its float values alike, through the
-    cycle's rotations, from the point as it is, until every program
-    holds; rotation s moves the value at place i to place i + s.
-    Returns False when no rotation passes."""
-    block = [ints[j] for j in places]
-    for s in range(len(places)):
-        if s:
-            for i, j in enumerate(places):
-                ints[j] = block[i - s]
-                values[j] = float(block[i - s])
-        if _holds(programs, values):
-            return True
-    return False
 
 
 def export_subproblem(sub, path, *, _texts: Optional[dict] = None) -> None:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, SingularCirculant
 
@@ -196,6 +196,40 @@ def is_singular(c: Sequence[int]) -> bool:
         if not any(rem[:deg]):
             return True
     return False
+
+
+def cut_rotation(
+    c: Sequence[int], points: Sequence[Sequence[int]], rotations: int = 1
+) -> Optional[int]:
+    """The first rotation s < ``rotations`` of the integer block c (s
+    moves place i to i + s) at which every S1 cut of ``points`` is
+    negative, decided exactly; None when there is none, or when Cir(c)
+    is singular apart from its sum (a smoothness guard fails).
+
+    A cut is H(z) = 1 + sum_j z_j T_{(-j) mod k}(c), and T does not read
+    the sum mode, so c' = c + 1 stands for c when sum(c) = 0, and
+    S' = sum(c') != 0.  One solve (``_solve_integer_system``) gives D > 0
+    and u = D t_hat(c'), or finds a guard failing, and as
+    T_t = k t_hat_t - 1/S', with Z = sum(z),
+    D S' H = D S' + k S' sum_j z_j u_{(s - j) mod k} - Z D, so H < 0 iff
+    that times S' is negative."""
+    n = len(c)
+    shift = 0 if sum(c) else 1
+    layer = sum(c) + n * shift
+    rows = [[c[(i - j) % n] + shift for j in range(n)] for i in range(n)]
+    try:
+        den, col = _solve_integer_system(rows, [[int(i == 0)] for i in range(n)])
+    except SingularCirculant:
+        return None
+    u = [x for (x,) in col]
+    for s in range(rotations):
+        for z in points:
+            h = den * layer + n * layer * sum(zj * u[(s - j) % n] for j, zj in enumerate(z))
+            if (h - sum(z) * den) * layer >= 0:
+                break
+        else:
+            return s
+    return None
 
 
 def det_circulant(c: Sequence) -> float:

@@ -10,7 +10,8 @@ support), the synthesizer produces:
   Fourier form of the inverse circulant, so the cut is a nonlinear
   constraint in x.
 * smoothness guards licensing the divisions in S1 (every spectral
-  denominator stays bounded away from zero);
+  denominator stays bounded away from zero; at an integer block, no
+  cyclotomic Phi_d with d > 1 divides x(t));
 * S2 singularity disjunctions: binaries force at least one spectral
   factor of det Cir(x|cycle) to vanish (the export's form; the
   enumerator decides the same singularity exactly, by its block);
@@ -20,7 +21,10 @@ support), the synthesizer produces:
 
 Everything returns immutable ConstraintSets; synthesis never looks at
 the instance, so sets compose freely, and each set is built once per
-process.  Every public builder checks its arguments, normalises them
+process.  S1, smoothness and S2 sets record their block, and an S1 cut
+its canonical point: the enumerator decides them exactly on the block,
+and the expressions written here, with their eps, are the export's.
+Every public builder checks its arguments, normalises them
 (``tuple(z)``; eps as the float a ``Constraint`` keeps) and returns
 the set from its own private ``functools.lru_cache`` of
 ``_SETS_KEPT`` entries, so every run and every instance that asks for
@@ -146,7 +150,9 @@ def _s1_for_point(z: tuple[int, ...], cycle: Cycle, eps: float) -> ConstraintSet
                 Div(Const(Fraction(numerator)), Dot(_alternating_coeffs(k), names))
             )
     expr: Expr = Add(tuple(terms)) if len(terms) > 1 else terms[0]
-    return ConstraintSet(tag=S1, constraints=(Constraint(expr, STRICT_NEG, eps),), cycle=cycle)
+    return ConstraintSet(
+        tag=S1, constraints=(Constraint(expr, STRICT_NEG, eps),), cycle=cycle, point=zc
+    )
 
 
 def smoothness(cycle: Cycle, eps: float = DEFAULT_EPS) -> ConstraintSet:
@@ -167,7 +173,7 @@ def _smoothness(cycle: Cycle, eps: float) -> ConstraintSet:
         cons.append(
             Constraint(Square(Dot(_alternating_coeffs(k), names)), NON_NEG, eps)
         )
-    return ConstraintSet(tag=SMOOTH, constraints=tuple(cons))
+    return ConstraintSet(tag=SMOOTH, constraints=tuple(cons), cycle=cycle)
 
 
 def s2_singular(cycle: Cycle, box_hint: int = DEFAULT_BOX) -> ConstraintSet:

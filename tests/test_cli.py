@@ -37,6 +37,24 @@ def test_tvalues_malformed_vector(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["tvalues", "check-core", "gen"])
+def test_oversized_entries_exit_64(capsys, tmp_path, command):
+    """An entry of 10**400 fits no float and no index: each command that
+    reads a point exits 64 with a message, not a traceback, and gen
+    writes no file."""
+    point = f"1,{10**400},0"
+    out = tmp_path / "inst.json"
+    argv = {
+        "tvalues": ["tvalues", point],
+        "check-core": ["check-core", "(1,2,3)", point],
+        "gen": ["gen", "(1,2,3)", point, "-o", str(out)],
+    }[command]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: a number is too large") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_check_core_witness(capsys):
     code, doc = _run(capsys, ["check-core", "(1,2,3)", "2,1,0"])
     assert code == 0

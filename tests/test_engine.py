@@ -1127,9 +1127,10 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
     run_plain and a dry exporting run_auto together merge each row once.
     Synthesized sets and layer rows are built once per process, so from
     cold caches no constraint is lowered twice across all the runs, and
-    every dispatched constraint but an S2 set's has been lowered, in its
-    run or an earlier one; the enumerator decides an S2 set as the
-    singularity of its block, and lowers none of its constraints.  Every
+    every dispatched constraint but those of S1, S2 and smoothness sets
+    has been lowered, in its run or an earlier one; the enumerator
+    decides those sets exactly on their blocks, and lowers none of their
+    constraints.  Every
     dispatched subproblem answers as a standalone solve_subproblem call
     on fresh copies of its instance and sets does;
     the direct probe answers as it does on a fresh instance.  A dry run
@@ -1164,10 +1165,10 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
         constraints = {
             id(c): cs.tag for sp, _, _ in dispatched for cs in sp.added for c in cs.constraints
         }
-        singular = {c for c, tag in constraints.items() if tag == "S2"}
-        assert constraints.keys() - singular <= {id(c) for c in lowered}
-        assert not singular & {id(c) for c in lowered}
-        seen["S2 constraints"] += len(singular)
+        decided = {c for c, tag in constraints.items() if tag in ("S1", "S2", "Smooth")}
+        assert constraints.keys() - decided <= {id(c) for c in lowered}
+        assert not decided & {id(c) for c in lowered}
+        seen["decided constraints"] += len(decided)
         # fresh copies of the sets are lowered again, outside the count
         mark = len(lowered)
         for sp, kwargs, out in dispatched:
@@ -1181,7 +1182,7 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
         seen[f"algorithm {rep.algorithm}"] += len(dispatched) > 2
         statuses.update(out.status for _, _, out in dispatched)
     assert seen["algorithm 1"] > 10 and seen["algorithm 3"] > 40 and seen["probes"] > 10, seen
-    assert seen["S2 constraints"] > 100, seen
+    assert seen["decided constraints"] > 100, seen
     assert statuses == {"Feasible", "Infeasible", "Unknown"}
     dry = EngineOptions(dry_run=True)
     reads.clear()

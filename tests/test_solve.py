@@ -14,6 +14,9 @@ import oracles
 
 from corecuts import (
     Constraint,
+    Cycle,
+    Div,
+    EngineOptions,
     ConstraintSet,
     Dot,
     Const,
@@ -30,7 +33,10 @@ from corecuts import (
     report_to_dict,
     run_auto,
     run_plain,
+    run_algorithm1,
+    s1_for_point,
     s2_singular,
+    smoothness,
     solve_subproblem,
     symmetry_warnings,
 )
@@ -48,7 +54,7 @@ from corecuts.solve import (
     UNKNOWN,
     _lower,
     _propagate,
-    _singular_block,
+    _block_of,
     _variables,
     search_box,
 )
@@ -433,20 +439,43 @@ def _orbital_rows(cycles):
     ]
 
 
+def _blocks_of_sets(sub):
+    """The enumerator's block entries read off sub's sets as synthesis
+    records them: per cycle, in first-appearance order, its places,
+    whether an S2 set, a smoothness set are on it, its S1 points, and
+    its allowed rotations."""
+    entries = {}
+    for cs in sub.added:
+        if cs.tag in ("S1", "S2", "Smooth"):
+            entries.setdefault(cs.cycle, []).append(cs)
+    return [
+        (
+            [i - 1 for i in c.support],
+            any(cs.tag == "S2" for cs in sets),
+            any(cs.tag == "Smooth" for cs in sets),
+            tuple(cs.point for cs in sets if cs.tag == "S1"),
+            c.k if c in sub.cycles and any(cs.tag == "S1" for cs in sets) else 1,
+        )
+        for c, sets in entries.items()
+    ]
+
+
 def test_export_states_the_enumerated_problem():
     """The enumerator reads instance rows by position; the export states
     them as expression trees.  On every planned subproblem of random
     symmetric instances in all three senses, lowering the export
     document by name, leaving out each S2 set's rows and binaries, and
     adding exactly the orbital rows of the subproblem's cycles gives the
-    enumerator's integer rows and nonlinear constraints.  The enumerator
-    decides each S2 set as the singularity of its block
-    (``_singular_block``), and the export keeps the set's disjunction.
-    The export holds no orbital rows, so the enumerator decides the
-    exported problem up to a rotation of each block of those cycles: a
-    block passes when some rotation of it meets its S1 cuts."""
+    enumerator's integer rows.  The constraints that stay nonlinear are
+    exactly those of the S1 and smoothness sets, which the enumerator
+    decides on their blocks, as it does each S2 set (``_block_of``): one
+    entry per block, with the canonical points of its cuts.  The export
+    keeps each S2 set's disjunction and holds no orbital rows, so the
+    enumerator decides the exported problem up to a rotation of each
+    block of those cycles: a block passes when some rotation of it meets
+    its S1 cuts."""
     rng = random.Random(13)
-    subs = nonlinear_subs = rotating = singular = 0
+    subs = cut_subs = rotating = singular = 0
     for i in range(36):
         sense = ("feasibility", "max", "min")[i % 3]
         if i % 2:
@@ -454,29 +483,32 @@ def test_export_states_the_enumerated_problem():
         else:
             inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
         for sub in plan(inst).subproblems:
-            decided = [cs for cs in sub.added if _singular_block(cs) is not None]
-            assert decided == [cs for cs in sub.added if cs.tag == "S2"], sub.id
-            rows, nonlinear = _lower(sub)
-            expected = _lower_export(sub, _orbital_rows(sub.cycles), decided)
-            assert (rows, nonlinear) == expected, (sub.id, inst.rows)
+            decided = [cs for cs in sub.added if _block_of(cs) is not None]
+            assert decided == [cs for cs in sub.added if cs.tag in ("S1", "S2", "Smooth")], sub.id
+            s2 = [cs for cs in decided if cs.tag == "S2"]
+            rows, blocks = _lower(sub)
+            expected, nonlinear = _lower_export(sub, _orbital_rows(sub.cycles), s2)
+            assert rows == expected, (sub.id, inst.rows)
+            assert nonlinear == [c for cs in decided if cs.tag != "S2" for c in cs.constraints]
+            assert blocks == _blocks_of_sets(sub), sub.id
             if sub.cycles:
-                assert rows is None or rows != _lower_export(sub, (), decided)[0], sub.id
-            if decided:
+                assert rows is None or rows != _lower_export(sub, (), s2)[0], sub.id
+            if s2:
                 flat = flatten_subproblem(sub)
-                assert {c for cs in decided for c in cs.constraints} <= set(flat.constraints)
+                assert {c for cs in s2 for c in cs.constraints} <= set(flat.constraints)
                 assert len(_variables(sub, search=True)) < len(flat.variables)
                 singular += 1
             subs += 1
-            nonlinear_subs += bool(nonlinear)
+            cut_subs += any(block[3] for block in blocks)
             rotating += bool(sub.cycles)
-    assert subs > 150 and nonlinear_subs > 50 and rotating > 50 and singular > 30
+    assert subs > 150 and cut_subs > 50 and rotating > 50 and singular > 30
 
 
 def test_lower_gives_the_recursive_readers_rows(monkeypatch):
     """On every planned subproblem of seeded Algorithm 1, 2 and 3
-    instances, the integer rows and the nonlinear constraints of _lower
-    are those it gives with the recursive affine reader that
-    linear_form replaced.  A set keeps its first reading, so the second
+    instances, the integer rows and the block entries of _lower are
+    those it gives with the recursive affine reader that linear_form
+    replaced.  A set keeps its first reading, so the second
     _lower reads fresh copies of the sets."""
     rng = random.Random(29)
     algorithms = Counter()
@@ -507,8 +539,8 @@ def test_lower_gives_the_recursive_readers_rows(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(exprs, "linear_form", reference)
             assert lowered == _lower(fresh), sub.id
-        # the S2 sets are decided as predicates, not lowered
-        lowered_sets = [cs for cs in sub.added if _singular_block(cs) is None]
+        # the S1, S2 and smoothness sets are decided on their blocks, not lowered
+        lowered_sets = [cs for cs in sub.added if _block_of(cs) is None]
         assert referred["calls"] - before == sum(len(cs.constraints) for cs in lowered_sets)
     assert min(algorithms[a] for a in (1, 2, 3)) >= 10 and len(planned) > 300, algorithms
 
@@ -602,49 +634,65 @@ def test_solve_empty_bounds_are_infeasible_before_the_search():
     assert solve_subproblem(_sub(wide), budget=1).status == INFEASIBLE
 
 
-def _never(*names):
-    """A set whose one constraint, 1 / sum(names) <= 0, no point of a
-    nonnegative box meets: the sum is 0 (a zero denominator) or
-    positive."""
-    from corecuts import Div
-
-    return _anchor_set(Constraint(Div(Const(1), Dot((1,) * len(names), names)), LE_ZERO))
+def _never(*support):
+    """An S2 set and smoothness guards on the block of the cycle
+    ``support``: Cir(block) singular, yet regular apart from its sum, so
+    the sum is 0 on a block that is not constant, which no point of a
+    nonnegative box is."""
+    cycle = Cycle(support)
+    return s2_singular(cycle), smoothness(cycle)
 
 
 @pytest.mark.parametrize("budget, status", [(20, INFEASIBLE), (19, UNKNOWN)])
 def test_solve_budget_counts_every_attempt(budget, status):
-    """Box [0,3]^2 and a constraint on x1 and x2 that no point meets:
-    the search tries 4 values of x1 and 4 of x2 under each, 4 + 16 = 20
+    """Box [0,3]^2 and a block on x1 and x2 that no point meets: the
+    search tries 4 values of x1 and 4 of x2 under each, 4 + 16 = 20
     attempts, so a budget of exactly 20 searches the box out and 19 does
     not."""
     inst = make_instance(2, bounds=_box(2, 0, 3))
-    never = _never("x1", "x2")
-    assert solve_subproblem(_sub(inst, (never,)), budget=budget).status == status
+    assert solve_subproblem(_sub(inst, _never(1, 2)), budget=budget).status == status
 
 
 @pytest.mark.parametrize("budget, status", [(4, INFEASIBLE), (3, UNKNOWN)])
 def test_solve_decides_a_constraint_at_the_node_that_fixes_its_last_variable(budget, status):
-    """The same box, and a constraint on x1 alone that no point meets: it
-    refuses each value of x1 at the node that fixes x1, so no x2 is
-    tried, and 4 attempts search the box out."""
-    inst = make_instance(2, bounds=_box(2, 0, 3))
-    never = _never("x1")
-    assert solve_subproblem(_sub(inst, (never,)), budget=budget).status == status
+    """x1 in [0, 0], x2 in [0, 2], x3 in [0, 3] and the same block on x1
+    and x2: it refuses each value of x2 at the node that fixes x2, so no
+    x3 is tried, and 1 + 3 = 4 attempts search the box out, not the 16
+    that reach every leaf."""
+    inst = make_instance(3, bounds=_box(1, 0, 0) + _box(1, 0, 2) + _box(1, 0, 3))
+    assert solve_subproblem(_sub(inst, _never(1, 2)), budget=budget).status == status
 
 
 def test_solve_decides_a_constraint_that_reads_no_variable_before_the_search():
-    """1/0 <= 0 reads no variable and holds at no point: the answer is
+    """1 <= 0 reads no variable and holds at no point: the answer is
     Infeasible before the first attempt, so a budget of 1 certifies it.
     A constant constraint that holds costs no attempt: the first point
     takes the two that fix x1 and x2."""
-    from corecuts import Div
-
     inst = make_instance(2, bounds=_box(2, 0, 3))
-    never = _anchor_set(Constraint(Div(Const(1), Const(0)), LE_ZERO))
+    never = _anchor_set(Constraint(Const(1), LE_ZERO))
     assert solve_subproblem(_sub(inst, (never,)), budget=1).status == INFEASIBLE
-    always = _anchor_set(Constraint(Div(Const(-1), Const(2)), LE_ZERO))
+    always = _anchor_set(Constraint(Const(-1), LE_ZERO))
     out = solve_subproblem(_sub(inst, (always,)), budget=2)
     assert (out.status, out.point) == (FEASIBLE, (0, 0))
+
+
+def test_solve_refuses_a_nonlinear_set_it_cannot_decide():
+    """The enumerator decides a nonlinear constraint only as an S1 cut,
+    smoothness guards or an S2 set on the block that synthesis records;
+    any other nonlinear constraint is an InputError, not a float
+    verdict: a division in an anchor set, a constant division, an S1 cut
+    without its point, and S2 or smoothness sets without their block."""
+    inst = make_instance(3, bounds=_box(3, 0, 3))
+    cycle = Cycle((1, 2, 3))
+    for cs in (
+        _anchor_set(Constraint(Div(Const(1), Dot((1,), ("x1",))), LE_ZERO)),
+        _anchor_set(Constraint(Div(Const(1), Const(0)), LE_ZERO)),
+        replace(s1_for_point((1, 0, 0), cycle), point=None),
+        replace(s2_singular(cycle), cycle=None),
+        replace(smoothness(cycle), cycle=None),
+    ):
+        with pytest.raises(InputError, match="nonlinear"):
+            solve_subproblem(_sub(inst, (cs,)))
 
 
 def test_solve_decides_s2_by_singularity_without_its_big_m():
@@ -701,28 +749,31 @@ def test_solve_strict_senses_respect_eps():
 
 
 def test_solve_nonlinear_division_guard():
-    """1/x1 <= 0 can never hold for x1 in 1..3; x1 = 0 must be rejected
-    by the division, not crash the search."""
-    from corecuts import Div
-
-    base = make_instance(1, bounds=_box(1, 0, 3))
-    cs = _anchor_set(Constraint(Div(Const(1), Dot((1,), ("x1",))), LE_ZERO))
-    assert solve_subproblem(_sub(base, (cs,))).status == INFEASIBLE
+    """A constant block makes Cir(x1, x2, x3) singular apart from its
+    sum: the smoothness guards fail there, and so does an S1 cut alone,
+    whose divisions are undefined there; both are decided exactly, with
+    no division.  Without the rows, the guards and the cut each pass
+    some point."""
+    rows = (make_row([1, -1, 0], "==", 0), make_row([0, 1, -1], "==", 0))
+    equal = make_instance(3, rows=rows, bounds=_box(3, 0, 3))
+    free = make_instance(3, bounds=_box(3, 0, 3))
+    cycle = Cycle((1, 2, 3))
+    for cs in (smoothness(cycle), s1_for_point((1, 0, 0), cycle)):
+        assert solve_subproblem(_sub(equal, (cs,))).status == INFEASIBLE
+        assert solve_subproblem(_sub(free, (cs,))).status == FEASIBLE
 
 
 def test_solve_leaves_no_cyclic_garbage():
     """The search state is freed on return: a feasible call, a
     searched-out call and a budget-cut call leave nothing for the cycle
     collector to find."""
-    from corecuts import Div
-
     base = make_instance(3, rows=(make_row([1, 1, 1], "==", 4),), bounds=_box(3, 0, 3))
-    # 1/x1 <= 0 holds nowhere, so every leaf is evaluated and rejected
-    never = _anchor_set(Constraint(Div(Const(1), Dot((1,), ("x1",))), LE_ZERO))
+    # no block (x1, x2) meets both sets, so every such block is rejected
+    never = _never(1, 2)
     calls = [
         (_sub(base), DEFAULT_NODE_BUDGET, FEASIBLE),
-        (_sub(base, (never,)), DEFAULT_NODE_BUDGET, INFEASIBLE),
-        (_sub(base, (never,)), 3, UNKNOWN),
+        (_sub(base, never), DEFAULT_NODE_BUDGET, INFEASIBLE),
+        (_sub(base, never), 3, UNKNOWN),
     ]
     for sub, budget, _ in calls:
         solve_subproblem(sub, budget=budget)
@@ -1008,11 +1059,47 @@ def test_capped_propagation_stays_sound():
 
 
 def test_solve_unbounded_integers_get_default_box():
+    """max x1 with no bounds: the search clips x1 to the default
+    [-50, 50], so its best point 50 certifies nothing, and the answer is
+    Unknown.  A feasibility search still reports a point it finds in
+    the clip."""
     inst = make_instance(1, sense="max", objective=[1])
-    out = solve_subproblem(_sub(inst))
-    # clipped by the default +/-50 window rather than running forever
-    assert out.status == FEASIBLE
-    assert out.objective == 50
+    assert solve_subproblem(_sub(inst)) == Outcome(UNKNOWN)
+    out = solve_subproblem(_sub(make_instance(1, rows=(make_row([1], "==", 7),))))
+    assert (out.status, out.point) == (FEASIBLE, (7,))
+
+
+def test_a_clipped_box_certifies_no_verdict():
+    """Five instances that leave bounds open, each answered wrongly while
+    the search took the clipped box for the whole domain: an exhausted
+    clip as a certificate of infeasibility (A, B, C, each feasible), or
+    the clip's best point as the optimum (D, E, each unbounded).  Each
+    is Unknown now.  Algorithm 1's direct fixed-space probe does not
+    search the box, so run_auto still finds C's point (1, 1, 1)."""
+    g3 = analyze_group(["(1,2,3)"], 3)
+    a = make_instance(2, rows=(make_row([1, 1], "==", 200),))
+    b = make_instance(3, rows=(make_row([1, 1, 1], "==", 301),), group=g3)
+    c = make_instance(3, rows=(make_row([1, 1, 1], "==", 3),), group=g3)
+    d = make_instance(1, sense="max", objective=[1])
+    e = make_instance(
+        3, sense="max", objective=[1, 1, 0],
+        rows=(make_row([0, 0, 1], LE, 3), make_row([0, 0, 1], GE, 0)),
+        group=analyze_group(["(1,2)"], 3),
+    )
+    box0 = EngineOptions(box=0)
+    for run, inst, opts, algorithm in (
+        (run_plain, a, None, 0),
+        (run_auto, b, None, 1),
+        (run_algorithm1, b, None, 1),
+        (run_plain, c, box0, 0),
+        (run_plain, d, None, 0),
+        (run_auto, d, None, 0),
+        (run_auto, e, None, 2),
+    ):
+        rep = run(inst, opts)
+        assert (rep.algorithm, rep.status, rep.point) == (algorithm, UNKNOWN, None)
+    rep = run_auto(c, box0)
+    assert (rep.algorithm, rep.status, rep.point) == (1, FEASIBLE, (1, 1, 1))
 
 
 def test_search_box_holds_the_widest_declared_bound():

@@ -14,16 +14,20 @@ import oracles
 
 from corecuts import (
     SingularCirculant,
+    canonical_projected,
+    cut_rotation,
     det_circulant,
     eigenvalues,
     fourier_pair,
     is_singular,
+    s1_for_point,
     s2_singular,
+    smoothness,
     solve_circulant_exact,
     t_hat_exact,
     t_values,
 )
-from corecuts.exprs import _interval_of, check_value, eval_float
+from corecuts.exprs import EvalDivisionByZero, _interval_of, check_value, eval_float
 from corecuts.perms import Cycle
 from corecuts.spectral import _cyclotomic_table, scaled_inverse
 
@@ -256,3 +260,45 @@ def test_is_singular_is_rotation_invariant():
         assert all(is_singular(c[s:] + c[:s]) == answer for s in range(1, len(c))), c
         answers.add(answer)
     assert answers == {True, False}
+
+
+def _holds_in_floats(sets, x):
+    """Whether block x meets every constraint of the exported sets under
+    eval_float and check_value; a zero denominator fails it."""
+    env = {f"x{i + 1}": float(v) for i, v in enumerate(x)}
+    try:
+        return all(
+            check_value(eval_float(con.expr, env), con.sense, con.eps)
+            for cs in sets
+            for con in cs.constraints
+        )
+    except EvalDivisionByZero:
+        return False
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_cut_rotation_decides_the_exported_cuts_and_guards(k):
+    """On random blocks (entries -3..8) and up to four S1 cuts (points
+    in -2..2), rotation by rotation, a rotation of the block passes
+    cut_rotation with one allowed rotation iff it meets the exported
+    smoothness guards and cuts in floats; cut_rotation over all k
+    rotations returns the first such rotation, or None.  Each S1 set
+    records its canonical point."""
+    rng = random.Random(100 + k)
+    cycle = Cycle(tuple(range(1, k + 1)))
+    guards = smoothness(cycle)
+    outcomes = set()
+    for _ in range(300):
+        points = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(rng.randint(0, 4))]
+        cuts = [s1_for_point(z, cycle) for z in points]
+        assert [cs.point for cs in cuts] == [canonical_projected(z) for z in points]
+        recorded = [cs.point for cs in cuts]
+        x = [rng.randint(-3, 8) for _ in range(k)]
+        rotations = [[x[(i - s) % k] for i in range(k)] for s in range(k)]
+        passing = [_holds_in_floats([guards, *cuts], r) for r in rotations]
+        assert [cut_rotation(r, recorded) == 0 for r in rotations] == passing, (x, points)
+        first = passing.index(True) if any(passing) else None
+        assert cut_rotation(x, recorded, k) == first, (x, points)
+        outcomes.add(first if first is None else bool(first))
+    # blocks that fail, that pass as they are, and that pass only rotated
+    assert outcomes == {None, False, True}, outcomes
