@@ -89,15 +89,23 @@ refuse such an instance.
 
 One runner exports and solves every schedule's subproblems in order and
 stops early by one rule: a feasibility instance stops at its first
-Feasible result, and Algorithm 1 on a max/min instance stops after the
-first layer (probes, then cut) with a Feasible result.  A walk that
-reaches its stop layer ends with the direct fixed-space probe.  The
+Feasible result, Algorithm 1 on a max/min instance stops after the
+first layer (probes, then cut) with a Feasible result, and every run
+stops at a result that proves the instance empty.  A walk that reaches
+its stop layer ends with the direct fixed-space probe, unless such a
+proof ended it.  The proof (``solve_subproblem``) comes from a search
+that adds no row of its own, as a planned S2 does, prunes no node by a
+block check and ends Infeasible: it searched every integer point of the
+instance up to a rotation of each block, so no later subproblem, nor
+the probe, holds a point.  On the hard instances, whose S2 the linear
+rows alone refute, the run so ends after its first subproblem.  The
 instance and each added set keep their own readings (see ``solve``), so
 the runner hands nothing around but one dict of encoded JSON texts per
 exporting run.  Aggregation follows the strictness rule: on a
 max/min instance any Unknown outcome (budget or box truncation) makes
 the verdict Unknown; Infeasible is only reported when every scheduled
-subproblem ran and certified exhaustion.
+subproblem ran and certified exhaustion, or when a result proved the
+instance empty, which a note then names.
 """
 
 from __future__ import annotations
@@ -512,11 +520,18 @@ def _direct_fixed_probe(inst: Instance, layer: int) -> Outcome:
 
 
 def _aggregate(
-    inst: Instance, schedule: Schedule, results: Sequence[SubResult], wall_time: float
+    inst: Instance,
+    schedule: Schedule,
+    results: Sequence[SubResult],
+    wall_time: float,
+    proof: bool,
 ) -> Report:
     """Fold outcomes into a report.  The results are those dispatched
     before the stop rule ended the run, plus Algorithm 1's direct
-    stop-layer probe, which is not a scheduled subproblem."""
+    stop-layer probe, which is not a scheduled subproblem.  ``proof``:
+    the last result proved that the instance has no integer point
+    (``solve_subproblem``), so the verdict is Infeasible whatever ran
+    before it, and a note names that subproblem."""
     feasible = [r for r in results if r.outcome.status == FEASIBLE]
     unknown = [r for r in results if r.outcome.status == UNKNOWN]
 
@@ -540,8 +555,13 @@ def _aggregate(
                     point = r.outcome.point
                     break
 
+    notes = schedule.notes
     if schedule.lp is not None and schedule.lp.status == UNBOUNDED:
         status = UNBOUNDED
+    elif proof:
+        status = INFEASIBLE
+        sid = results[-1].id
+        notes += (f"{sid} proves the instance has no integer point; no later subproblem runs",)
     elif feasible and (inst.sense == FEASIBILITY or not unknown):
         # on a max/min instance any Unknown outcome makes the verdict Unknown
         status = FEASIBLE
@@ -561,7 +581,7 @@ def _aggregate(
         lp=schedule.lp,
         wall_time=wall_time,
         warnings=schedule.warnings,
-        notes=schedule.notes,
+        notes=notes,
     )
 
 
@@ -570,11 +590,14 @@ def _run(
 ) -> Report:
     """Plan with ``planner(inst, *args, opts)``, then export and solve the
     subproblems stage by stage in schedule order.  The run stops at the
-    first Feasible result of a feasibility instance, and after the first
+    first Feasible result of a feasibility instance, after the first
     layer stage with a Feasible result of Algorithm 1 on a max/min
-    instance (layers come best first).  A layer walk that reaches its
-    stop layer ends with the direct fixed-space probe.  A dry run solves
-    nothing and reports every subproblem Unknown.
+    instance (layers come best first), and at the first result that
+    proves the instance has no integer point (``Outcome._proof``, set by
+    ``solve_subproblem``), which makes the verdict Infeasible.  A layer
+    walk that reaches its stop layer with no such proof ends with the
+    direct fixed-space probe.  A dry run solves nothing and reports
+    every subproblem Unknown.
 
     An exporting run encodes each piece of its files once, into one dict
     of JSON texts (``export_subproblem``'s ``_texts``).  Its constraints
@@ -587,7 +610,7 @@ def _run(
     if opts.export_dir:
         os.makedirs(opts.export_dir, exist_ok=True)
     results: list[SubResult] = []
-    stopped = False
+    proof = stopped = False
     for index, stage in enumerate(schedule.stages):
         found = False
         for sp in stage:
@@ -600,12 +623,13 @@ def _run(
             else:
                 out = solve_subproblem(sp, box=opts.box, budget=opts.budget)
             results.append(SubResult(sp.id, sp.tag, sp.provenance, out, time.perf_counter() - t1))
+            proof = out._proof
             found = found or out.status == FEASIBLE
-            if found and inst.sense == FEASIBILITY:
+            if proof or (found and inst.sense == FEASIBILITY):
                 break
         # stage 0 of a layer walk is the global S2, which bounds no layer
         layered = schedule.stop_layer is not None and index > 0
-        if found and (inst.sense == FEASIBILITY or layered):
+        if proof or (found and (inst.sense == FEASIBILITY or layered)):
             stopped = True
             break
 
@@ -621,7 +645,7 @@ def _run(
                 time.perf_counter() - t1,
             )
         )
-    return _aggregate(inst, schedule, results, time.perf_counter() - t0)
+    return _aggregate(inst, schedule, results, time.perf_counter() - t0, proof)
 
 
 def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:

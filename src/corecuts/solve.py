@@ -88,7 +88,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -278,6 +278,10 @@ class Outcome:
     status: str  # Feasible | Infeasible | Unknown | Unbounded
     point: Optional[tuple[Fraction, ...]] = None
     objective: Optional[Fraction] = None
+    #: set by ``solve_subproblem`` alone, for ``engine._run``: this
+    #: Infeasible proves that the instance has no integer point.  Not an
+    #: argument, and outside equality and repr
+    _proof: bool = field(default=False, init=False, repr=False, compare=False)
 
 
 def symmetry_warnings(inst: Instance) -> list[str]:
@@ -730,16 +734,46 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     order, with each block rotated; without cycles it is the
     lexicographically first optimum.  Budget exhaustion yields Unknown:
     a Feasible that was already found cannot be certified optimal, and
-    an Infeasible cannot be certified at all."""
+    an Infeasible cannot be certified at all.
+
+    An Infeasible may also prove the whole instance empty.  When every
+    added set is one that the enumerator decides on its block
+    (``_block_of``: a planned S2 subproblem, or a plain one), sub adds
+    no row of its own; when no block check drops a node either, the
+    search was the plain linear search over the instance rows and the
+    orbital rows of ``sub.cycles``.  Each cycle fixes the instance by
+    itself (``_check_orbits``), so rotating each block of an integer
+    point within the declared bounds to max-first gives a point of that
+    search.  Its Infeasible, from ``_lower``, the root propagation or
+    the main loop, so certifies that the instance has no integer point,
+    and the outcome says so to ``engine._run`` (``Outcome._proof``).
+    A clipped side or a spent budget answers Unknown, so it never
+    certifies; nor does a search that a block check pruned, one with
+    rows of its own (an S1 layer row, an S3 anchor), or one that found
+    an incumbent."""
+    outcome, rejected = _search(sub, box, budget)
+    if (
+        outcome.status == INFEASIBLE
+        and not rejected
+        and all(_block_of(cs) is not None for cs in sub.added)
+    ):
+        # a fresh outcome, frozen from here on
+        object.__setattr__(outcome, "_proof", True)
+    return outcome
+
+
+def _search(sub, box: int, budget: int) -> tuple[Outcome, int]:
+    """``solve_subproblem``'s search: its outcome, and how many nodes a
+    block check dropped (``_block_holds``)."""
     if _integer(box, "box") < 0:
         raise InputError("box must be >= 0")
     if _integer(budget, "budget") <= 0:
-        return Outcome(UNKNOWN)
+        return Outcome(UNKNOWN), 0
     variables = _variables(sub, search=True)
     nvars = len(variables)
     rows, blocks = _lower(sub)
     if rows is None:
-        return Outcome(INFEASIBLE)
+        return Outcome(INFEASIBLE), 0
     # the blocks that the node fixing variable d decides, None for none
     checks = [[b for b in blocks if max(b[0]) == d] or None for d in range(nvars)]
     turning = [block for block in blocks if block[4] > 1]
@@ -763,18 +797,19 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     # an empty integer range admits no point; propagation visits only rows,
     # so it would miss one on a variable that no row holds
     if any(lo > hi for lo, hi in bounds0):
-        return Outcome(INFEASIBLE)
+        return Outcome(INFEASIBLE), 0
     # a side the instance does not declare is clipped to the box, so
     # the clipped domain may miss every solution, or the best one
     clipped = any(lo is None or hi is None for lo, hi in base.bounds)
     if clipped and want_best:
-        return Outcome(UNKNOWN)
+        return Outcome(UNKNOWN), 0
     exhausted = Outcome(UNKNOWN if clipped else INFEASIBLE)
     bounds0 = _propagate(bounds0, rows, watch)
     if bounds0 is None:
-        return exhausted
+        return exhausted, 0
 
     best: Optional[Outcome] = None
+    rejected = 0
     stack: list[tuple[int, Optional[int], list[tuple[int, int]]]] = [(0, None, bounds0)]
     while stack:
         depth, v, bounds = stack.pop()
@@ -790,7 +825,7 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
                     ints[j] = block[i - s]
             point = tuple(Fraction(v) for v in ints[: base.n])
             if not want_best:
-                return Outcome(FEASIBLE, point=point)
+                return Outcome(FEASIBLE, point=point), rejected
             # the leaf was pushed, with the cutoff row met, just before it
             # was popped; every variable is an integer, so a strictly
             # better point scores at least 1 more on the row
@@ -805,14 +840,16 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
             stack.append((depth, v + 1, bounds))
         budget -= 1
         if budget < 0:
-            return Outcome(UNKNOWN)
+            return Outcome(UNKNOWN), rejected
         child = list(bounds)
         child[depth] = (v, v)
         if _propagate(child, rows, watch, starts[depth]) is not None:
             check = checks[depth]
             if check is None or _block_holds(child, check):
                 stack.append((depth + 1, None, child))
-    return best or exhausted
+            else:
+                rejected += 1
+    return best or exhausted, rejected
 
 
 def _block_holds(bounds: list[tuple[int, int]], blocks: Sequence[Block]) -> bool:

@@ -187,8 +187,13 @@ def s2_singular(cycle: Cycle, box_hint: int = DEFAULT_BOX) -> ConstraintSet:
     two possibly-negative linear factors get symmetric box bounds
     -2 B r <= P <= 2 B r instead, with B = k * box_hint, preserving the
     "r = 0 pins P to zero" semantics for factors of arbitrary sign.
-    This big-M holds only inside the enumeration box, so the planners
-    pass the enumerator's half-width (``solve.search_box``), and
+    Precondition: box_hint bounds every block variable in absolute
+    value over the domain searched, so that 2 * B bounds |sum| and
+    |alternating sum| of the block; outside it the disjunction cuts off
+    singular blocks.  The planners pass the enumerator's half-width
+    (``solve.search_box``), which holds every declared bound and the
+    clip of every missing side
+    (``test_planned_s2_big_m_holds_every_block_the_search_reaches``).
     box_hint defaults to the solver's fallback half-width; it must be an
     int >= 0.
 

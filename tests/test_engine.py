@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import inspect
+import math
 import os
 import random
 import sys
@@ -775,15 +776,18 @@ def test_run_auto_agrees_with_run_plain_on_linked_blocks():
 
 
 def test_run_algorithm1_infeasible_generated_instance():
+    """The global S2 of a generated hard instance rejects no block: the
+    instance rows and the orbital rows refute every node.  So its search
+    proves the instance empty, and the run ends there: no probe, cut or
+    direct fixed-space evaluation runs, while the counts still describe
+    the whole plan."""
     inst = generate((1, 1, 0)).instance
     rep = run_algorithm1(inst)
     assert rep.status == "Infeasible"
     assert rep.counts == {"S1": 1, "S2": 1, "S3": 1, "FIX": 0}
-    # the stop layer gets one direct fixed-space evaluation, kept in the
-    # results but outside the subproblem counts
-    fix = [r for r in rep.results if r.tag == "FIX"]
-    assert len(fix) == 1 and fix[0].outcome.status == "Infeasible"
-    assert all(r.outcome.status == "Infeasible" for r in rep.results)
+    assert [(r.id, r.outcome.status) for r in rep.results] == [("S2", "Infeasible")]
+    assert rep.results[0].outcome._proof
+    assert rep.notes[-1] == "S2" + PROOF_NOTE
 
 
 def test_run_algorithm1_max_stops_at_first_feasible_layer():
@@ -1172,16 +1176,26 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
         # fresh copies of the sets are lowered again, outside the count
         mark = len(lowered)
         for sp, kwargs, out in dispatched:
-            assert solve.solve_subproblem(_fresh(sp), kwargs["box"], kwargs["budget"]) == out, sp.id
+            fresh = solve.solve_subproblem(_fresh(sp), kwargs["box"], kwargs["budget"])
+            assert fresh == out and fresh._proof == out._proof, sp.id
         del lowered[mark:]
         for r in rep.results:
             if r.tag == "FIX":
                 probe = engine._direct_fixed_probe(dataclasses.replace(inst), r.provenance[1])
                 assert probe == r.outcome
                 seen["probes"] += 1
-        seen[f"algorithm {rep.algorithm}"] += len(dispatched) > 2
+        # run_plain dispatches the last subproblem.  A proof ends the auto
+        # run, and the plain search then proves the instance empty too
+        *auto, (_, _, plain) = dispatched
+        proved = [out._proof for _, _, out in auto]
+        assert True not in proved[:-1], proved
+        ended = proved[-1:] == [True]
+        assert plain._proof or not ended
+        seen["proofs"] += ended
+        seen[f"algorithm {rep.algorithm}"] += len(dispatched) > 2 or ended
         statuses.update(out.status for _, _, out in dispatched)
     assert seen["algorithm 1"] > 10 and seen["algorithm 3"] > 40 and seen["probes"] > 10, seen
+    assert seen["proofs"] > 10, seen
     assert seen["decided constraints"] > 100, seen
     assert statuses == {"Feasible", "Infeasible", "Unknown"}
     dry = EngineOptions(dry_run=True)
@@ -1322,6 +1336,198 @@ def test_unbounded_lp_short_circuits():
     rep = run_algorithm1(inst)
     assert rep.status == "Unbounded"
     assert rep.results == ()
+
+
+def test_planned_s2_big_m_holds_every_block_the_search_reaches():
+    """Every S2 set a planner builds writes its linear factors with the
+    big-M B = 2 * k * search_box(inst, box), and B bounds the block's
+    |sum| and, for even k, its |alternating sum| over the domain the
+    enumerator searches (the declared bounds, a missing side at the
+    search box).  So the exported disjunction holds exactly the singular
+    blocks there, as the enumerator's predicate does."""
+    rng = random.Random(61)
+    instances = [_random_full_cycle_instance(rng, n, "max") for n in (3, 4, 5, 6)]
+    instances += [_random_cycles_instance(rng, s, "min") for s in ((2, 3), (2, 2), (4,), (3, 3))]
+    wide = [(Fraction(-120), Fraction(80))] * 4
+    instances.append(make_instance(4, bounds=wide, group=_full_cycle_group(4)))
+    instances.append(make_instance(4, bounds=[(None, 7)] * 4, group=_two_cycles_group(2)))
+    instances.append(make_instance(6, group=_two_cycles_group(3)))
+    checked = Counter()
+    for inst, box in product(instances, (0, 3, 50, 200)):
+        width = solve.search_box(inst, box)
+        for sp in plan(inst, EngineOptions(box=box)).subproblems:
+            if sp.tag != "S2":
+                continue
+            (cs,) = sp.added
+            aux = {av.name for av in cs.aux_vars}
+            # the linear factor rows: each reads the block and one binary
+            forms = [exprs.linear_form(con.expr) for con in cs.constraints]
+            forms = [coeffs for coeffs, _ in filter(None, forms) if coeffs.keys() - aux]
+            big_m = {-a for coeffs in forms for name, a in coeffs.items() if name in aux}
+            k = cs.cycle.k
+            assert big_m == {2 * k * width}, (sp.id, box)
+            domain = [
+                (-width if lo is None else lo, width if hi is None else hi)
+                for lo, hi in (inst.bounds[i - 1] for i in cs.cycle.support)
+            ]
+            for coeffs in ([1] * k, [(-1) ** j for j in range(k)])[: 2 - k % 2]:
+                top = sum(max(a * lo, a * hi) for a, (lo, hi) in zip(coeffs, domain))
+                bottom = sum(min(a * lo, a * hi) for a, (lo, hi) in zip(coeffs, domain))
+                assert max(top, -bottom) <= 2 * k * width, (sp.id, box, coeffs)
+                checked[k % 2] += 1
+    assert checked[0] > 20 and checked[1] > 10, checked
+
+
+# ---------------------------------------------------------------------------
+# the emptiness certificate
+
+
+PROOF_NOTE = " proves the instance has no integer point; no later subproblem runs"
+
+
+def _oracle_points(inst, radius=None):
+    """The integer points of inst by box enumeration: over its declared
+    bounds, with a missing side at -radius or radius."""
+    rows = [(r.coeffs, r.sense, r.rhs) for r in inst.rows]
+    box = [
+        (-radius if lo is None else math.ceil(lo), radius if hi is None else math.floor(hi))
+        for lo, hi in inst.bounds
+    ]
+    return oracles.feasible_points(rows, box)
+
+
+def _certificate_instances(rng):
+    """The hard instances of a few core points, then seeded small
+    symmetric instances in [0, 2] or [0, 3]: full cycles (Algorithm 1,
+    whose LP relaxation is mostly empty when they have no point) and
+    blocks of one or two cycles (Algorithms 1 and 3), in every sense."""
+    for c in ((1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1), (1, 0, 0, 1, 0), (2, 2, 2, 2, 1)):
+        yield generate(c).instance
+    for i in range(90):
+        sense = ("feasibility", "max", "min")[i % 3]
+        if i % 2:
+            yield _random_full_cycle_instance(rng, rng.choice((3, 4)), sense)
+        else:
+            yield _random_cycles_instance(rng, rng.choice(((2,), (3,), (2, 2), (2, 3))), sense)
+
+
+def test_a_proof_ends_the_run_only_on_an_empty_instance():
+    """Whenever a subproblem proves the instance empty, box enumeration
+    finds no point, the proof is the run's last result and its note
+    names it, and every subproblem the run skipped, solved on its own,
+    answers Infeasible, as does the direct fixed-space probe of a walk."""
+    rng = random.Random(53)
+    seen = Counter()
+    for inst in _certificate_instances(rng):
+        rep = run_auto(inst)
+        proofs = [r.id for r in rep.results if r.outcome._proof]
+        # an empty LP relaxation plans no subproblem
+        seen["empty, searched"] += bool(rep.results) and not _oracle_points(inst)
+        if not proofs:
+            continue
+        seen[f"proofs, algorithm {rep.algorithm}"] += 1
+        assert proofs == [rep.results[-1].id] and not _oracle_points(inst), inst.rows
+        assert rep.status == "Infeasible"
+        assert rep.notes[-1] == proofs[0] + PROOF_NOTE
+        schedule = plan(inst)
+        ran = {r.id for r in rep.results}
+        for sp in schedule.subproblems:
+            if sp.id not in ran:
+                assert solve.solve_subproblem(sp).status == "Infeasible", sp.id
+                seen["skipped"] += 1
+        if schedule.stop_layer is not None:
+            probe = engine._direct_fixed_probe(inst, schedule.stop_layer)
+            assert probe.status == "Infeasible"
+            seen["probes"] += 1
+    assert seen["proofs, algorithm 1"] > 5 and seen["proofs, algorithm 3"] > 10, seen
+    assert seen["skipped"] > 50 and seen["probes"] > 5, seen
+    # here every empty instance that runs a subproblem ends at its proof
+    assert seen["proofs, algorithm 1"] + seen["proofs, algorithm 3"] == seen["empty, searched"]
+
+
+def test_no_proof_from_a_pruned_cut_or_clipped_search():
+    """A search proves nothing when a block check dropped a node, when
+    its budget ran out, when it clipped a side the instance leaves open,
+    or when it holds rows of its own (an S3 anchor, an S1 layer row);
+    the run then goes on through its schedule."""
+    # (1, 0, 0) meets the rows, but its circulant is regular: S2 drops it
+    inst = make_instance(
+        3, rows=(make_row([1, 1, 1], "==", 1),), bounds=_box(3, 0, 1), group=_full_cycle_group(3)
+    )
+    rep = run_algorithm1(inst)
+    assert rep.status == "Feasible" and len(rep.results) > 1
+    assert rep.results[0].id == "S2" and rep.results[0].outcome.status == "Infeasible"
+    assert not any(r.outcome._proof for r in rep.results)
+    # five attempts do not finish the global S2 of a hard instance
+    hard = generate((1, 1, 0)).instance
+    rep = run_algorithm1(hard, EngineOptions(budget=5))
+    assert [r.id for r in rep.results] == ["S2", "L2.S3.0", "L2.S1", "L0.fix"]
+    assert rep.results[0].outcome.status == rep.status == "Unknown"
+    assert not any(r.outcome._proof for r in rep.results)
+    # sum(x) = 301 has points, none of them in the clipped box [-50, 50]
+    clipped = make_instance(3, rows=(make_row([1, 1, 1], "==", 301),), group=_full_cycle_group(3))
+    rep = run_algorithm1(clipped)
+    assert rep.results[0].outcome.status == rep.status == "Unknown"
+    assert not any(r.outcome._proof for r in rep.results)
+    # the probes and the cut of the hard instance end Infeasible, and
+    # hold their layer row
+    for sp in plan_algorithm1(hard, EngineOptions()).subproblems:
+        out = solve.solve_subproblem(sp)
+        assert out.status == "Infeasible"
+        assert out._proof == (sp.tag == "S2"), sp.id
+
+
+def test_the_proof_stays_out_of_the_outcome_api():
+    """The proof is no argument of Outcome and stays outside its
+    equality and repr: an outcome reads as it did before."""
+    inst = make_instance(1, rows=(make_row([2], "==", 1),), bounds=_box(1, 0, 3))
+    out = solve.solve_subproblem(Subproblem("plain", inst, (), "PLAIN", ("plain",)))
+    assert out._proof and out == solve.Outcome("Infeasible")
+    assert repr(out) == repr(solve.Outcome("Infeasible"))
+    assert "_proof" not in inspect.signature(solve.Outcome).parameters
+    assert not solve.Outcome("Infeasible")._proof
+
+
+def test_open_sides_never_contradict_box_enumeration():
+    """On small symmetric instances whose bounds leave sides open,
+    run_auto and run_plain may answer Unknown, but never against box
+    enumeration: an Infeasible has no point in a wide box, a reported
+    point meets every row exactly and the declared bounds, and a max/min
+    optimum is its point's value and no enumerated point beats it."""
+    rng = random.Random(59)
+    pairs = ((0, None), (None, 2), (None, None), (-1, None), (0, 2))
+    statuses = Counter()
+    for i in range(60):
+        sense = ("feasibility", "max", "min")[i % 3]
+        if i % 2:
+            inst = _random_full_cycle_instance(rng, 3, sense)
+        else:
+            inst = _random_cycles_instance(rng, rng.choice(((2,), (2, 2))), sense)
+        pair = tuple(None if b is None else Fraction(b) for b in rng.choice(pairs))
+        inst = dataclasses.replace(inst, bounds=(pair,) * inst.n)
+        open_sides = None in pair
+        points = _oracle_points(inst, radius=5)
+        rows = [(r.coeffs, r.sense, r.rhs) for r in inst.rows]
+        for run in (run_auto, run_plain):
+            rep = run(inst)
+            statuses[rep.status, open_sides] += 1
+            if rep.status == "Infeasible":
+                assert not points, (run.__name__, rows, pair)
+            if rep.point is not None:
+                point = tuple(int(v) for v in rep.point)
+                assert point == rep.point and oracles.feasible_points(rows, [(v, v) for v in point])
+                assert all(
+                    (lo is None or v >= lo) and (hi is None or v <= hi)
+                    for v, (lo, hi) in zip(point, inst.bounds)
+                )
+            if rep.status == "Feasible" and sense != "feasibility":
+                assert rep.f_star == engine._objective_of(inst, rep.point)
+                values = [engine._objective_of(inst, q) for q in points]
+                assert (max(values) <= rep.f_star) if sense == "max" else (min(values) >= rep.f_star)
+            if rep.status == "Unbounded":
+                assert sense != "feasibility" and open_sides
+    assert statuses["Feasible", True] > 10 and statuses["Unknown", True] > 10, statuses
+    assert statuses["Infeasible", False] > 0, statuses
 
 
 # ---------------------------------------------------------------------------
