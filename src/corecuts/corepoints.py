@@ -28,7 +28,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import simplex
@@ -44,11 +43,6 @@ from .spectral import scaled_inverse, solve_circulant_exact
 #: k): (16, 8) at 3,294,720 and (2000, 0) are allowed, (18, 9) and (200, 1)
 #: are refused
 MAX_ESSENTIAL_WORK = 4_000_000
-
-#: entries each cache of a set builder keeps (``projected_essential_set``,
-#: the synth builders, ``engine._layer_row``), least recently used
-#: dropped first
-_SETS_KEPT = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +230,8 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
     class's display form; the scan stops at ``budget`` classes.  A
     sub-layer whose worst-case scan k * k * C(k, t) exceeds
     ``MAX_ESSENTIAL_WORK`` is refused with ``InputError``, whatever the
-    budget.  The set depends only on the arguments, so it is built once
-    per process: the arguments are checked, then looked up in a private
-    ``functools.lru_cache``.
+    budget.  Each call builds the set anew; the planner keeps the sets
+    it asks for (``engine``).
     """
     if _integer(k_len, "cycle length") < 1:
         raise InputError("cycle length must be >= 1")
@@ -254,12 +247,6 @@ def projected_essential_set(k_len: int, residue: int, budget: int = 4) -> Essent
             f"sub-layer too large: k * k * C(k, t) for k = {k_len}, t = {popcount} "
             f"exceeds {MAX_ESSENTIAL_WORK}"
         )
-    return _essential_set(k_len, residue, budget)
-
-
-@lru_cache(maxsize=_SETS_KEPT)
-def _essential_set(k_len: int, residue: int, budget: int) -> EssentialSet:
-    popcount = residue % k_len
     if popcount == 0:
         points = [(1,) * k_len]
     else:

@@ -30,10 +30,11 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   cycle for each sub-layer residue t in 1..k-1, and one cut subproblem
   (S1) per residue tuple in [1..k_1-1] x ... x [1..k_d-1]: every
   cycle's sub-layer row, smoothness guards and cuts.  Each set is built
-  once per process and shared (the synthesizer's caches, and those of
-  ``projected_essential_set`` and ``_layer_row``): a cycle-residue's
-  probes and every tuple's cut hold the same set objects, and so do the
-  later runs, on any instance, that plan the same cycle.
+  once per process and shared: this module keeps the only set caches
+  (``_s2_set``, ``_residue_pieces`` and ``_layer_row``), so a
+  cycle-residue's probes and every tuple's cut hold the same set
+  objects, and so do the later runs, on any instance, that plan the
+  same cycle.
 
   Why it is sound (a core-point argument: Herr, Rehn and Schürmann,
   "Exploiting symmetry in integer convex optimization using core
@@ -119,7 +120,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .corepoints import _SETS_KEPT, projected_essential_set
+from .corepoints import projected_essential_set
 from .errors import InputError
 from .exprs import Add, Const, Constraint, ConstraintSet, DEFAULT_EPS, Dot, EQ
 from .exprs import S1, S2, S3, SUBLAYER
@@ -184,8 +185,11 @@ class EngineOptions:
             raise InputError("eps must be finite and > 0")
         if not isinstance(self.dry_run, bool):
             raise InputError(f"dry run must be a bool, not {self.dry_run!r}")
-        if self.export_dir is not None and not isinstance(self.export_dir, (str, os.PathLike)):
-            raise InputError(f"export dir must be a path, not {self.export_dir!r}")
+        if self.export_dir is not None:
+            if not isinstance(self.export_dir, (str, os.PathLike)):
+                raise InputError(f"export dir must be a path, not {self.export_dir!r}")
+            if not os.fspath(self.export_dir):
+                raise InputError("export dir must not be empty")
 
 
 @dataclass(frozen=True)
@@ -279,6 +283,16 @@ class Report:
 # schedule construction helpers
 
 
+#: entries each set cache of the planner keeps, least recently used
+#: dropped first
+_SETS_KEPT = 1024
+
+@lru_cache(maxsize=_SETS_KEPT)
+def _s2_set(cycle: Cycle, box: int) -> ConstraintSet:
+    """A cycle's S2 disjunction for a search box, built once per process."""
+    return s2_singular(cycle, box)
+
+
 @lru_cache(maxsize=_SETS_KEPT)
 def _layer_row(n: int, layer: int) -> ConstraintSet:
     """sum(x) = layer over x1..xn, built once per process."""
@@ -292,15 +306,34 @@ def _layer_row(n: int, layer: int) -> ConstraintSet:
     return ConstraintSet(tag=SUBLAYER, constraints=(Constraint(expr, EQ),))
 
 
+@lru_cache(maxsize=_SETS_KEPT)
+def _residue_pieces(
+    cycle: Cycle, residue: int, essential_budget: int, eps: float
+) -> tuple[ConstraintSet, tuple[ConstraintSet, ...], ConstraintSet, tuple[ConstraintSet, ...]]:
+    """One cycle-residue's sets, built once per process: its sub-layer
+    row, the S3 anchor of each essential point, its smoothness guards
+    and the S1 cut of each essential point.  The key is made of values
+    ``Cycle`` and ``EngineOptions`` have checked; an int eps and the
+    float it equals share an entry, and build equal sets."""
+    points = projected_essential_set(cycle.k, residue, essential_budget).points
+    return (
+        sublayer(cycle, residue),
+        tuple(s3_anchor(z, cycle) for z in points),
+        smoothness(cycle, eps),
+        tuple(s1_for_point(z, cycle, eps) for z in points),
+    )
+
+
 def _residue_sets(
-    row: ConstraintSet, cycle: Cycle, points: Sequence[tuple[int, ...]], opts: EngineOptions
+    cycle: Cycle, residue: int, opts: EngineOptions, row: Optional[ConstraintSet] = None
 ) -> tuple[tuple[tuple[ConstraintSet, ...], ...], tuple[ConstraintSet, ...]]:
-    """The sets of one layer or sub-layer row: the probe sets (row,
-    anchor) of each essential point, and the cut (row, smoothness guards,
-    one S1 cut per essential point)."""
-    probes = tuple((row, s3_anchor(z, cycle)) for z in points)
-    cuts = tuple(s1_for_point(z, cycle, opts.eps) for z in points)
-    return probes, (row, smoothness(cycle, opts.eps)) + cuts
+    """The sets of one residue: the probe sets (row, anchor) of each
+    essential point, and the cut (row, smoothness guards, one S1 cut per
+    essential point).  The row is the residue's sub-layer row, or the
+    layer row Algorithm 1 gives."""
+    sub, anchors, guards, cuts = _residue_pieces(cycle, residue, opts.essential_budget, opts.eps)
+    row = sub if row is None else row
+    return tuple((row, a) for a in anchors), (row, guards) + cuts
 
 
 def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
@@ -359,7 +392,7 @@ def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
             notes.append("LP layer range has no top or bottom; ascent starts at 0")
     step = 1 if up else -1
 
-    s2 = s2_singular(cycle, search_box(inst, opts.box))
+    s2 = _s2_set(cycle, search_box(inst, opts.box))
     stages: list[tuple[Subproblem, ...]] = [
         (Subproblem("S2", inst, (s2,), S2, ("global",), (cycle,)),)
     ]
@@ -368,8 +401,7 @@ def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
             notes.append(f"layer {layer} pruned (empty LP relaxation)")
             layer += step
             continue
-        ess = projected_essential_set(n, layer % n, opts.essential_budget)
-        probes, cut = _residue_sets(_layer_row(n, layer), cycle, ess.points, opts)
+        probes, cut = _residue_sets(cycle, layer % n, opts, _layer_row(n, layer))
         stages.append(
             tuple(
                 Subproblem(f"L{layer}.S3.{j}", inst, sets, S3, ("layer", layer, "S3", j))
@@ -394,20 +426,19 @@ def _plan_cycles(
         Subproblem(
             f"A{c.support[0]}.S2",
             inst,
-            (s2_singular(c, box),),
+            (_s2_set(c, box),),
             S2,
             ("singular", c.support[0]),
             cycles,
         )
         for c in cycles
     ]
-    # each (cycle, residue) is synthesized once; every tuple shares its cut
+    # every tuple shares the cut of each of its (cycle, residue)s
     cuts: dict[tuple[int, int], tuple[ConstraintSet, ...]] = {}
     for c in cycles:
         s = c.support[0]
         for t in range(1, c.k):
-            ess = projected_essential_set(c.k, t, opts.essential_budget)
-            probes, cuts[s, t] = _residue_sets(sublayer(c, t), c, ess.points, opts)
+            probes, cuts[s, t] = _residue_sets(c, t, opts)
             subs.extend(
                 Subproblem(f"A{s}.R{t}.S3.{j}", inst, sets, S3, ("anchor", s, t, j))
                 for j, sets in enumerate(probes)
@@ -607,14 +638,14 @@ def _run(
     t0 = time.perf_counter()
     schedule = planner(inst, *args, opts)
     texts: dict = {}
-    if opts.export_dir:
+    if opts.export_dir is not None:
         os.makedirs(opts.export_dir, exist_ok=True)
     results: list[SubResult] = []
     proof = stopped = False
     for index, stage in enumerate(schedule.stages):
         found = False
         for sp in stage:
-            if opts.export_dir:
+            if opts.export_dir is not None:
                 path = os.path.join(opts.export_dir, f"{sp.id}.json")
                 export_subproblem(sp, path, _texts=texts)
             t1 = time.perf_counter()

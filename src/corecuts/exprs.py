@@ -92,21 +92,11 @@ DEFAULT_EPS = 1e-6
 EQ_TOL = 1e-9
 
 
-def _float_eps(eps) -> float:
-    """eps as the float a ``Constraint`` keeps: an int or Fraction
-    converts, a bool or a non-number is an ``InputError``."""
-    if type(eps) is not float:
-        if isinstance(eps, bool) or not isinstance(eps, (int, float, Fraction)):
-            raise InputError(f"eps must be a number, not {eps!r}")
-        eps = float(eps)
-    return eps
-
-
 @dataclass(frozen=True)
 class Constraint:
     """``expr sense 0``; an int or Fraction ``eps`` is kept as the float
     the export format states, so an exported constraint parses back
-    equal to it."""
+    equal to it, and a bool or a non-number is an ``InputError``."""
 
     expr: Expr
     sense: str
@@ -115,8 +105,11 @@ class Constraint:
     def __post_init__(self) -> None:
         if self.sense not in SENSES:
             raise InputError(f"bad sense {self.sense!r}")
-        if type(self.eps) is not float:
-            object.__setattr__(self, "eps", _float_eps(self.eps))
+        eps = self.eps
+        if type(eps) is not float:
+            if isinstance(eps, bool) or not isinstance(eps, (int, float, Fraction)):
+                raise InputError(f"eps must be a number, not {eps!r}")
+            object.__setattr__(self, "eps", float(eps))
         if self.sense in (STRICT_NEG, NON_NEG) and not (
             self.eps > 0 and math.isfinite(self.eps)
         ):

@@ -80,9 +80,9 @@ def apply(p: Permutation, v: Sequence) -> tuple:
 @dataclass(frozen=True)
 class Cycle:
     """An ordered cycle of distinct 1-based indices; length >= 2.  The
-    support is kept as a tuple of ints: a cycle keys the synthesizer's
-    caches, and True or 1.0 compares and hashes as 1 but names another
-    variable."""
+    support is kept as a tuple of ints: a cycle keys the planner's set
+    caches (``engine``), and True or 1.0 compares and hashes as 1 but
+    names another variable."""
 
     support: tuple[int, ...]
 

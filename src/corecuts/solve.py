@@ -60,8 +60,9 @@ the object lives; nothing writes into it:
   ``_check_orbits``.
 
 So every run on one ``Instance`` merges its rows once, and a set is
-read once per process: synthesis builds each set once per process and
-hands the same object to every run (``synth``).  Each subproblem
+read once per process: the planner keeps each set it asks synthesis
+for, once per process, and hands the same object to every run
+(``engine``).  Each subproblem
 merges the orbital rows of its cycles, k - 1 primitive rows per cycle,
 into its own copy of the instance's merged rows (``_lower``).  The one
 per-run state is the export's dict of JSON texts

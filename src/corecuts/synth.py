@@ -20,27 +20,20 @@ support), the synthesizer produces:
 * sub-layer rows sum(x|cycle) = q*k + residue with a fresh integer q.
 
 Everything returns immutable ConstraintSets; synthesis never looks at
-the instance, so sets compose freely, and each set is built once per
-process.  S1, smoothness and S2 sets record their block, and an S1 cut
-its canonical point: the enumerator decides them exactly on the block,
-and the expressions written here, with their eps, are the export's.
-Every public builder checks its arguments, normalises them
-(``tuple(z)``; eps as the float a ``Constraint`` keeps) and returns
-the set from its own private ``functools.lru_cache`` of
-``_SETS_KEPT`` entries, so every run and every instance that asks for
-the same set gets the same object, and the enumerator's reading of it
-(``ConstraintSet._rows``) is made once per process too.  The check
-comes first because a cache key cannot tell ``True`` from ``1``, and a
-list z is unhashable.
+the instance, so sets compose freely.  S1, smoothness and S2 sets record
+their block, and an S1 cut its canonical point: the enumerator decides
+them exactly on the block, and the expressions written here, with their
+eps, are the export's.  Every builder checks its arguments and builds a
+new set; the planner keeps the sets it asks for, once per process
+(``engine``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .corepoints import _SETS_KEPT, display_form, all_rotations
+from .corepoints import display_form, all_rotations
 from .errors import InputError
 from .exprs import (
     Add,
@@ -64,7 +57,6 @@ from .exprs import (
     SUBLAYER,
     Square,
     Var,
-    _float_eps,
 )
 from .perms import Cycle
 from .solve import DEFAULT_BOX, _integer
@@ -95,6 +87,16 @@ def canonical_projected(z: Sequence[int]) -> tuple[int, ...]:
     return display_form(all_rotations(reduce_projected(z)))
 
 
+def _check_point(z: Sequence[int], cycle: Cycle) -> None:
+    """Refuse a point z that is not k ints, as ``Cycle`` refuses its
+    indices: a float or bool entry would reach the cut's exact decision
+    (``spectral.cut_rotation``) as a float."""
+    if len(z) != cycle.k:
+        raise InputError(f"point length {len(z)} != cycle length {cycle.k}")
+    for v in z:
+        _integer(v, "point entry")
+
+
 def _proj_len_sq_expr(k: int, m: int, names: Sequence[str]) -> Expr:
     V, U = fourier_pair(k, m)
     return Add(
@@ -119,16 +121,9 @@ def s1_for_point(
     projection); it is canonicalized before synthesis, so rotations of
     the same point yield identical sets.
     """
-    k = cycle.k
-    if len(z) != k:
-        raise InputError(f"point length {len(z)} != cycle length {k}")
+    _check_point(z, cycle)
     if any(not -2 <= v <= 2 for v in z):
         raise InputError(f"projected entries escape {{-2..2}}: {tuple(z)}")
-    return _s1_for_point(tuple(z), cycle, _float_eps(eps))
-
-
-@lru_cache(maxsize=_SETS_KEPT)
-def _s1_for_point(z: tuple[int, ...], cycle: Cycle, eps: float) -> ConstraintSet:
     k = cycle.k
     zc = canonical_projected(z)
     names = cycle_var_names(cycle)
@@ -158,11 +153,6 @@ def _s1_for_point(z: tuple[int, ...], cycle: Cycle, eps: float) -> ConstraintSet
 def smoothness(cycle: Cycle, eps: float = DEFAULT_EPS) -> ConstraintSet:
     """Spectral non-degeneracy guards: every denominator appearing in an
     S1 cut for this cycle stays at least eps away from zero."""
-    return _smoothness(cycle, _float_eps(eps))
-
-
-@lru_cache(maxsize=_SETS_KEPT)
-def _smoothness(cycle: Cycle, eps: float) -> ConstraintSet:
     k = cycle.k
     names = cycle_var_names(cycle)
     pairs, has_alternating = _mode_pairs(k)
@@ -206,11 +196,6 @@ def s2_singular(cycle: Cycle, box_hint: int = DEFAULT_BOX) -> ConstraintSet:
     """
     if _integer(box_hint, "box hint") < 0:
         raise InputError("box hint must be >= 0")
-    return _s2_singular(cycle, box_hint)
-
-
-@lru_cache(maxsize=_SETS_KEPT)
-def _s2_singular(cycle: Cycle, box_hint: int) -> ConstraintSet:
     k = cycle.k
     names = cycle_var_names(cycle)
     pairs, has_alternating = _mode_pairs(k)
@@ -280,13 +265,7 @@ def s3_anchor(z: Sequence[int], cycle: Cycle) -> ConstraintSet:
     family {z + t*1}: x_j - x_base = z_j - z_base for every support
     position j.  Every base gives the same family; the base is
     ``default_base_index(z)``, so the rows a point gets never change."""
-    if len(z) != cycle.k:
-        raise InputError(f"point length {len(z)} != cycle length {cycle.k}")
-    return _s3_anchor(tuple(z), cycle)
-
-
-@lru_cache(maxsize=_SETS_KEPT)
-def _s3_anchor(z: tuple[int, ...], cycle: Cycle) -> ConstraintSet:
+    _check_point(z, cycle)
     k = cycle.k
     names = cycle_var_names(cycle)
     base = default_base_index(z) - 1
@@ -315,12 +294,6 @@ def sublayer(cycle: Cycle, residue: int) -> ConstraintSet:
     k = cycle.k
     if not 1 <= _integer(residue, "residue") <= k:
         raise InputError(f"need 1 <= residue <= {k}, got {residue}")
-    return _sublayer(cycle, residue)
-
-
-@lru_cache(maxsize=_SETS_KEPT)
-def _sublayer(cycle: Cycle, residue: int) -> ConstraintSet:
-    k = cycle.k
     names = cycle_var_names(cycle)
     q = f"q{cycle.support[0]}_{residue}"
     expr = Add(

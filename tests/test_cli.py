@@ -180,6 +180,23 @@ def test_solve_dry_run_is_unknown(tmp_path, capsys):
     assert all(r["status"] == "Unknown" for r in doc["results"])
 
 
+def test_solve_dry_run_exports_each_scheduled_subproblem(tmp_path, capsys):
+    """A dry run writes one file per scheduled subproblem; an empty
+    export directory is refused, not taken to mean "export nothing"."""
+    out = tmp_path / "c5.json"
+    main(["gen", "(1,2,3,4,5)", "2,2,2,2,1", "-o", str(out)])
+    capsys.readouterr()
+    exp = tmp_path / "exp"
+    argv = ["solve", str(out), "--algorithm", "1", "--dry-run", "--export-dir"]
+    code, doc = _run(capsys, argv + [str(exp)])
+    assert code == 3
+    assert sorted(p.name for p in exp.iterdir()) == sorted(
+        f"{sp['id']}.json" for sp in doc["schedule"]
+    )
+    assert main(argv + [""]) == 64
+    assert "export dir" in capsys.readouterr().err
+
+
 def test_solve_feasible_exit_zero(tmp_path, capsys):
     group = analyze_group(["(1,2,3)"], 3)
     inst = make_instance(

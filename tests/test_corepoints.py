@@ -289,10 +289,10 @@ def test_essential_set_refuses_a_length_or_residue_that_is_not_an_int(k_len, res
         projected_essential_set(k_len, residue, 1)
 
 
-def test_essential_sets_are_built_once_and_checked_before_the_cache():
-    """An essential set is built once per process; the arguments are
-    checked first, because True hashes as 1."""
-    assert projected_essential_set(1, 1, 1) is projected_essential_set(1, 1, 1)
+def test_essential_sets_refuse_bools_and_build_equal_sets():
+    """Each call builds an equal essential set, and every argument
+    refuses a bool, though True equals 1."""
+    assert projected_essential_set(1, 1, 1) == projected_essential_set(1, 1, 1)
     assert projected_essential_set(1, 1, 1).points == ((1,),)
     for args in ((True, 1, 1), (1, True, 1), (1, 1, True)):
         with pytest.raises(InputError, match="must be an integer"):

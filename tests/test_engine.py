@@ -27,6 +27,7 @@ from corecuts import (
     plan_algorithm1,
     plan_algorithm2,
     plan_algorithm3,
+    projected_essential_set,
     report_to_dict,
     run_algorithm1,
     run_algorithm2,
@@ -36,10 +37,11 @@ from corecuts import (
     s1_for_point,
     s2_singular,
     s3_anchor,
+    smoothness,
     sublayer,
 )
 import corecuts
-from corecuts import engine, exprs, simplex, solve, synth
+from corecuts import engine, exprs, simplex, solve
 from corecuts.perms import Cycle, parse_generators
 from corecuts.simplex import GE, LE, Tableau, lp_feasible, make_row
 
@@ -132,6 +134,8 @@ def test_options_validate():
         # a truthy string must not turn a run dry, and a directory is a path
         {"dry_run": "no"},
         {"export_dir": 3},
+        # an empty path would export nothing, and say nothing
+        {"export_dir": ""},
     ):
         with pytest.raises(InputError):
             EngineOptions(**bad)
@@ -1109,8 +1113,8 @@ def _fresh(sp):
 
 
 def _clear_caches():
-    """Empty the package's lru_caches: the synthesized sets, the
-    essential sets, the layer rows and the Fourier tables."""
+    """Empty the package's lru_caches: the planner's set caches and the
+    Fourier tables."""
     caches = [
         fn
         for name, mod in list(sys.modules.items())
@@ -1118,9 +1122,9 @@ def _clear_caches():
         for fn in vars(mod).values()
         if hasattr(fn, "cache_clear")
     ]
-    # five synth builders, the essential sets, the layer rows, the
-    # Fourier and cyclotomic tables
-    assert len(caches) == 9, caches
+    # the planner's S2 sets, residue sets and layer rows, the Fourier
+    # and cyclotomic tables
+    assert len(caches) == 5, caches
     for fn in caches:
         fn.cache_clear()
 
@@ -1257,13 +1261,34 @@ def test_runs_on_one_instance_answer_as_on_a_fresh_copy(tmp_path):
 def _caches_hit():
     return sum(
         fn.cache_info().hits
-        for fn in (synth._s1_for_point, synth._s3_anchor, synth._s2_singular, engine._layer_row)
+        for fn in (engine._s2_set, engine._residue_pieces, engine._layer_row)
     )
 
 
+def test_the_planner_caches_hand_out_what_the_builders_build():
+    """Each set cache of the planner hands out sets equal to fresh calls
+    of the public builders, so the planned sets cannot drift from them;
+    an int eps shares the entry of the float it equals."""
+    for k in range(2, 8):
+        c = Cycle(tuple(range(1, k + 1)))
+        for box in (0, 5):
+            assert engine._s2_set(c, box) == s2_singular(c, box)
+        for t in range(1, k):
+            for budget in (1, 2):
+                points = projected_essential_set(k, t, budget).points
+                for eps in (1e-6, 1):
+                    assert engine._residue_pieces(c, t, budget, eps) == (
+                        sublayer(c, t),
+                        tuple(s3_anchor(z, c) for z in points),
+                        smoothness(c, eps),
+                        tuple(s1_for_point(z, c, eps) for z in points),
+                    )
+    assert engine._residue_pieces(c, 1, 1, 1) is engine._residue_pieces(c, 1, 1, 1.0)
+
+
 def test_cold_and_warm_caches_give_the_same_runs(tmp_path):
-    """Synthesized sets, essential sets and layer rows are built once per
-    process.  On seeded instances of Algorithms 1, 2 and 3, a run with
+    """The planner builds each set once per process (``engine``'s set
+    caches).  On seeded instances of Algorithms 1, 2 and 3, a run with
     every cache cleared before it and the same run with the caches warm
     give the same report (times removed) and the same dry-run export
     files."""

@@ -263,27 +263,26 @@ def test_sublayer_introduces_multiplier_variable():
 
 
 # ---------------------------------------------------------------------------
-# one set per process
+# argument checks
 
 
-def test_builders_share_one_set_per_argument_and_check_before_the_cache():
-    """Each set is built once per process.  A builder checks its
-    arguments before the lookup, because a bool hashes as the int it
-    equals, and normalises them: a list z is read as tuple(z), and eps
-    as the float a Constraint keeps."""
+def test_builders_check_their_arguments_and_build_equal_sets():
+    """Each call builds a new set, equal for equal arguments: a list z
+    reads as tuple(z), and eps as the float a Constraint keeps.  A bool
+    is refused, though it equals an int."""
     c = _cyc(3)
-    assert s2_singular(c, 1) is s2_singular(Cycle((1, 2, 3)), 1)
+    assert s2_singular(c, 1) == s2_singular(Cycle((1, 2, 3)), 1)
     with pytest.raises(InputError, match="box hint"):
         s2_singular(c, True)
-    assert sublayer(c, 1) is sublayer(c, 1)
+    assert sublayer(c, 1) == sublayer(c, 1)
     for residue in (True, 1.0):
         with pytest.raises(InputError, match="residue must be an integer"):
             sublayer(c, residue)
     z = [1, 0, 0]
-    assert s1_for_point(z, c) is s1_for_point(tuple(z), c)
-    assert s1_for_point(z, c, Fraction(1, 10**6)) is s1_for_point(z, c, 1e-6)
-    assert s3_anchor(z, c) is s3_anchor(tuple(z), c)
-    assert smoothness(c, 1) is smoothness(c, 1.0)
+    assert s1_for_point(z, c) == s1_for_point(tuple(z), c)
+    assert s1_for_point(z, c, Fraction(1, 10**6)) == s1_for_point(z, c, 1e-6)
+    assert s3_anchor(z, c) == s3_anchor(tuple(z), c)
+    assert smoothness(c, 1) == smoothness(c, 1.0)
     assert smoothness(c, 1).constraints[0].eps == 1.0
     for build in (smoothness, lambda cyc, eps: s1_for_point(z, cyc, eps)):
         with pytest.raises(InputError, match="eps must be a number"):
@@ -294,15 +293,26 @@ def test_builders_share_one_set_per_argument_and_check_before_the_cache():
         s1_for_point([3, 0, 0], c)
 
 
+@pytest.mark.parametrize("build", [s1_for_point, s3_anchor])
+@pytest.mark.parametrize("entry", [0.5, 1.0, True])
+def test_point_builders_refuse_an_entry_that_is_not_an_int(build, entry):
+    """An S1 cut is decided exactly on its point (spectral.cut_rotation),
+    so a float entry would be decided in float arithmetic; True equals 1
+    but is no int either."""
+    with pytest.raises(InputError, match="point entry must be an integer"):
+        build((entry, 0, 0), _cyc(3))
+
+
 def test_a_cycle_that_is_not_ints_never_reaches_the_caches():
-    """A cycle keys every builder's cache; True and 1.0 equal 1, so a
-    cycle over them would hand its sets, over other names, to (1, 2)."""
+    """A cycle keys the planner's set caches (engine); True and 1.0
+    equal 1, so a cycle over them would share the sets, over other
+    names, of (1, 2).  Cycle refuses them before any builder runs."""
     want = s2_singular(Cycle((1, 2)))
     for support in ((True, 2), (1.0, 2)):
         with pytest.raises(InputError, match="cycle index must be an integer"):
             s2_singular(Cycle(support))
-    assert s2_singular(Cycle((1, 2))) is want
-    assert s2_singular(Cycle([1, 2])) is want
+    assert s2_singular(Cycle((1, 2))) == want
+    assert s2_singular(Cycle([1, 2])) == want
     assert {v for c in want.constraints for v in variables_of(c.expr)} >= {"x1", "x2"}
 
 
