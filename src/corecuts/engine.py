@@ -11,19 +11,21 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   layers walked from the LP optimum layer toward worse objective values
   (down, or up when the objective rewards lower layers); a layer outside
   the LP layer range (the values of sum(x) over the LP relaxation) is
-  pruned, and one LP, min or max of sum(x), gives the range's end the
-  walk heads toward.  Both planning LPs run on one ``simplex.Tableau``
-  of the instance's rows and bounds, which starts from the instance's
-  merged rows (``Instance._merged``): phase 1 runs once, and the range
-  LP is a phase-2 reoptimisation from the relaxation's optimal basis.
-  A feasibility instance walks down from the top of the layer range;
-  when sum(x) has no LP maximum it walks up from the bottom instead,
-  and when it has no LP bound at all the walk is empty and stops at
-  layer 0.  Each surviving layer gets anchor probes for its projected
-  essential set and one cut subproblem; the walk stops at the first
-  layer divisible by n, where the only candidate worth checking is the
-  fixed-space point (layer/n) * 1 and it is evaluated directly against
-  the instance rows.
+  pruned.  No LP is solved: the cycle fixes the objective and the
+  bounds and permutes the rows, so the orbit average of an LP point is
+  an LP point on the fixed line x = t * 1 with the same sum and
+  objective.  The relaxation optimum and the layer range are thus read
+  exactly off one interval of t (``_fixed_line``), which intersects the
+  bounds with each of the instance's merged rows (``Instance._merged``).
+  A feasibility instance, or one whose objective sums to 0, walks down
+  from the top of the layer range; when sum(x) has no LP maximum it
+  walks up from the bottom instead, and when it has no LP bound at all
+  the walk is empty and stops at layer 0.  Each surviving layer gets
+  anchor probes for its projected essential set and one cut
+  subproblem; the walk stops at the first layer divisible by n, where
+  the only candidate worth checking is the fixed-space point
+  (layer/n) * 1, which is feasible iff layer/n lies in the same
+  interval.
 * Algorithms 2 (one k-cycle, k < n) and 3 (d >= 2 disjoint cycles)
   share one residue planner.  Its one stage holds, in order, one
   singularity subproblem (S2) per cycle, the anchor probes (S3) of every
@@ -125,7 +127,6 @@ from .errors import InputError
 from .exprs import Add, Const, Constraint, ConstraintSet, DEFAULT_EPS, Dot, EQ
 from .exprs import S1, S2, S3, SUBLAYER
 from .perms import Cycle
-from .simplex import Tableau
 from .solve import (
     DEFAULT_BOX,
     DEFAULT_NODE_BUDGET,
@@ -143,7 +144,6 @@ from .solve import (
     _cycle_misses,
     _integer,
     export_subproblem,
-    lp_relax,
     search_box,
     solve_subproblem,
     symmetry_warnings,
@@ -344,52 +344,89 @@ def plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     return _plan_algorithm1(inst, opts)
 
 
+def _fixed_line(inst: Instance) -> tuple[Optional[Fraction], Optional[Fraction], bool]:
+    """The instance on its fixed line x = t * 1: the ends t_lo and t_hi
+    of the values of t it admits (None: no such end), and whether there
+    are none.  Each merged row (key, lo, hi) reads lo <= sum(a) * t <= hi
+    there, and a row with sum(a) = 0 holds at every t or at none; the
+    declared bounds intersect."""
+    merged, nonempty = inst._merged
+    lows = [Fraction(lo) for lo, _ in inst.bounds if lo is not None]
+    highs = [Fraction(hi) for _, hi in inst.bounds if hi is not None]
+    for key, (lo, hi) in merged.items():
+        # a bound is a ratio (num, den) with den > 0
+        s = sum(a for _, a in key)
+        if s == 0:
+            nonempty = nonempty and (lo is None or lo[0] <= 0) and (hi is None or hi[0] >= 0)
+            continue
+        low, high = (None if b is None else Fraction(b[0], b[1] * s) for b in (lo, hi))
+        if s < 0:
+            low, high = high, low
+        if low is not None:
+            lows.append(low)
+        if high is not None:
+            highs.append(high)
+    t_lo, t_hi = max(lows, default=None), min(highs, default=None)
+    empty = not nonempty or (t_lo is not None and t_hi is not None and t_lo > t_hi)
+    return t_lo, t_hi, empty
+
+
 def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
-    """The layer walk of an instance its group and cycle fix.  One
-    ``Tableau`` serves the relaxation and the layer-range LP; it starts
-    from the instance's merged rows."""
+    """The layer walk of an instance its group and cycle fix, planned on
+    the fixed line (``_fixed_line``).  The cycle fixes the objective,
+    w * 1, and the bounds, and permutes the rows, so the orbit average
+    (sum(x)/n) * 1 of an LP point is an LP point with the same sum and
+    objective: the relaxation optimum and the layer range {sum(x)} are
+    those of the LP over x = t * 1 (Bödi, Herr and Joswig, "Algorithms
+    for highly symmetric linear and integer programs", Math. Program.
+    2013)."""
     cycle = _single_full_cycle(inst)
     n = inst.n
-    notes: list[str] = []
-    tableau = Tableau(n, inst._merged, inst.bounds)
-    lp = lp_relax(inst, tableau)
-    if lp.status in (INFEASIBLE, UNBOUNDED):
-        return Schedule(1, (), lp=lp, notes=(f"LP relaxation {lp.status}",))
-    ones = (1,) * n
-    # sum(x) maps the LP relaxation onto an interval that holds the start
-    # layer, and the walk moves away from that layer, so a walked layer
-    # is LP-empty iff it lies beyond the end the walk heads toward; one
-    # LP finds that end (None: no such end)
-    end = None
-    if lp.point is not None:
-        layer_value = sum(lp.point, Fraction(0))
-        # the objective is c * layer on a symmetric instance: walk from the
-        # LP optimum layer toward worse values, so the first feasible
-        # layer is best
-        weight = sum(inst.objective, Fraction(0))
-        up = (inst.sense == MIN and weight > 0) or (inst.sense == MAX and weight < 0)
-        layer = math.ceil(layer_value) if up else math.floor(layer_value)
-        walk = "ascent" if up else "descent"
-        notes.append(f"LP optimum layer {layer_value}, {walk} starts at {layer}")
-        if layer % n:
-            res = tableau.optimize(ones, maximize=up)
-            end = res.objective if res.status == "optimal" else None
+    t_lo, t_hi, empty = _fixed_line(inst)
+    if empty:
+        return Schedule(1, (), lp=Outcome(INFEASIBLE), notes=("LP relaxation Infeasible",))
+    weight = sum(inst.objective, Fraction(0))
+    if inst.sense != FEASIBILITY and weight:
+        # the objective is weight * t: walk from the LP optimum layer
+        # toward worse values (down, or up when it rewards lower layers),
+        # so the first feasible layer is best
+        up = (inst.sense == MIN) == (weight > 0)
+        best = t_lo if up else t_hi
+        if best is None:
+            return Schedule(1, (), lp=Outcome(UNBOUNDED), notes=("LP relaxation Unbounded",))
+        lp = Outcome(FEASIBLE, point=(best,) * n, objective=weight * best)
     else:
-        # a feasibility instance whose sum(x) has no LP maximum ascends
-        # from the LP minimum; with no minimum either, every layer holds
-        # LP points, so their orbit averages put (0, ..., 0) in the
-        # relaxation and the walk is empty: the probe runs at layer 0
-        up, walk = True, "ascent"
-        low = tableau.optimize(ones, maximize=False)
-        if low.status == "optimal":
-            layer = math.ceil(low.objective)
-            notes.append(
-                f"LP layer range has no top; LP bottom layer {low.objective}, "
-                f"ascent starts at {layer}"
-            )
+        # a feasibility or zero-objective instance walks down from the top
+        # of the layer range, or up from its bottom when it has no top
+        up, best = t_hi is None, t_hi
+        if inst.sense != FEASIBILITY:
+            # every point of the line is optimal: take the walk's start
+            t = next((t for t in (t_hi, t_lo) if t is not None), Fraction(0))
+            lp = Outcome(FEASIBLE, point=(t,) * n, objective=Fraction(0))
+        elif up:
+            lp = Outcome(FEASIBLE)
         else:
-            layer = 0
-            notes.append("LP layer range has no top or bottom; ascent starts at 0")
+            lp = Outcome(FEASIBLE, point=(t_hi,) * n, objective=n * t_hi)
+    walk = "ascent" if up else "descent"
+    notes: list[str] = []
+    if best is not None:
+        layer = math.ceil(n * best) if up else math.floor(n * best)
+        notes.append(f"LP optimum layer {n * best}, {walk} starts at {layer}")
+    elif t_lo is not None:
+        layer = math.ceil(n * t_lo)
+        notes.append(
+            f"LP layer range has no top; LP bottom layer {n * t_lo}, ascent starts at {layer}"
+        )
+    else:
+        # every layer holds LP points, so their orbit averages put
+        # (0, ..., 0) in the relaxation: the walk is empty and the probe
+        # runs at layer 0
+        layer = 0
+        notes.append("LP layer range has no top or bottom; ascent starts at 0")
+    # the walk moves away from its start, so a walked layer is LP-empty
+    # iff it lies beyond the end of the layer range it heads toward
+    far = t_hi if up else t_lo
+    end = None if far is None else n * far
     step = 1 if up else -1
 
     s2 = _s2_set(cycle, search_box(inst, opts.box))
@@ -524,28 +561,17 @@ def _objective_of(inst: Instance, point: Sequence[Fraction]) -> Fraction:
 
 
 def _direct_fixed_probe(inst: Instance, layer: int) -> Outcome:
-    """Evaluate the fixed-space candidate (layer/n) * 1 directly against
-    the instance's bounds and its merged rows — exact, by integer
-    cross-multiplication, no enumeration."""
+    """Evaluate the fixed-space candidate (layer/n) * 1 directly: it is
+    feasible iff layer/n lies on the instance's fixed line
+    (``_fixed_line``) — exact, no enumeration."""
     n = inst.n
     if layer % n:
         raise InputError("direct probe needs a layer divisible by n")
     value = Fraction(layer, n)
-    point = (value,) * n
-    for (lo, hi) in inst.bounds:
-        if (lo is not None and value < lo) or (hi is not None and value > hi):
-            return Outcome(INFEASIBLE)
-    merged, nonempty = inst._merged
-    if not nonempty:
+    t_lo, t_hi, empty = _fixed_line(inst)
+    if empty or (t_lo is not None and value < t_lo) or (t_hi is not None and value > t_hi):
         return Outcome(INFEASIBLE)
-    for key, (lo, hi) in merged.items():
-        # the row's activity at the point is sum(a) * layer / n; a bound
-        # is a ratio (num, den) with den > 0
-        act = sum(a for _, a in key) * layer
-        if (lo is not None and lo[0] * n > act * lo[1]) or (
-            hi is not None and hi[0] * n < act * hi[1]
-        ):
-            return Outcome(INFEASIBLE)
+    point = (value,) * n
     objective = None if inst.sense == FEASIBILITY else _objective_of(inst, point)
     return Outcome(FEASIBLE, point=point, objective=objective)
 

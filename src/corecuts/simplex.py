@@ -24,8 +24,8 @@ one-shot wrappers over the same code.
   variable in ``[0, hi - lo]``; an equality row has none.  ``_merge_rows`` is the one place
   that merges a system's rows, for the LP and for the integer
   enumerator: an instance merges its rows once (``solve.Instance._merged``),
-  and ``lp_relax``, Algorithm 1's planning ``Tableau``, every subproblem
-  and the direct fixed-space probe start from that.
+  and ``lp_relax``, every subproblem and Algorithm 1's fixed-line
+  reading (``engine._fixed_line``) start from that.
   The enumerator (``solve._lower``) merges its added sets' rows, each
   put in primitive form once per set (``exprs.ConstraintSet._rows``),
   into a copy with the same ``_merge_primitive`` and rounds each bound

@@ -3,7 +3,8 @@
 Two engines live here:
 
 * ``lp_relax`` — exact rational simplex over the instance's linear rows
-  (synthesized nonlinear sets are never part of the relaxation);
+  (synthesized nonlinear sets are never part of the relaxation), for
+  ``corecuts analyze``;
 * ``solve_subproblem`` — bounded depth-first integer enumeration with
   event-driven exact interval propagation over the linear rows and one
   exact test per cycle block of the nonlinear sets: S2 singularity
@@ -40,8 +41,9 @@ the object lives; nothing writes into it:
 * an ``Instance`` keeps its rows read by position
   (``simplex._row_interval``: coefficients and an interval) and merged
   once (``simplex._merge_rows``, ``Instance._merged``), which
-  ``lp_relax``, Algorithm 1's planning ``Tableau`` and the direct
-  fixed-space probe read and each subproblem copies before it merges
+  ``lp_relax`` and Algorithm 1's fixed-line reading
+  (``engine._fixed_line``: its planner and its direct fixed-space
+  probe) read and each subproblem copies before it merges
   its added sets (``_lower``); the same rows as export constraints
   (``_row_to_constraint``, ``Instance._export_rows``), which
   ``flatten_subproblem`` puts before the added constraints; the
@@ -362,19 +364,17 @@ def _check_orbits(inst: Instance, cycles: tuple[Cycle, ...]) -> None:
     inst._orbits.add(cycles)
 
 
-def lp_relax(inst: Instance, tableau: Optional[Tableau] = None) -> Outcome:
-    """Exact LP relaxation over the instance's linear rows and bounds.
+def lp_relax(inst: Instance) -> Outcome:
+    """Exact LP relaxation over the instance's linear rows and bounds
+    (``corecuts analyze``).
 
     A max or min instance optimises its objective.  A feasibility
     instance maximises sum(x), so the returned objective doubles as the
     top layer index.  A feasibility instance is never Unbounded: when
     sum(x) has no maximum over a nonempty relaxation, the outcome is
-    Feasible with no point (Algorithm 1 then ascends from the minimum of
-    sum(x)).  ``tableau`` is a ``simplex.Tableau`` of the instance's rows
-    and bounds that the caller keeps, to reoptimise it for further
-    objectives without another phase 1; by default one is built."""
-    if tableau is None:
-        tableau = Tableau(inst.n, inst._merged, inst.bounds)
+    Feasible with no point.  Algorithm 1 plans without it, on the
+    instance's fixed line (``engine._fixed_line``)."""
+    tableau = Tableau(inst.n, inst._merged, inst.bounds)
     if inst.sense == FEASIBILITY:
         res = tableau.optimize((1,) * inst.n, maximize=True)
         if res.status == "unbounded":

@@ -429,29 +429,25 @@ def test_algorithm1_prunes_exactly_the_lp_empty_layers():
     assert pruned_walks == {"ascent", "descent"} and kept
 
 
-def _count_lp_work(monkeypatch):
-    """Count tableau builds, phase-1 runs and optimised objectives."""
-    counts = {"built": 0, "phase1": 0, "objectives": 0}
+def _count_tableaus(monkeypatch):
+    """Record the arguments of each simplex.Tableau build."""
+    built = []
+    real = Tableau.__init__
 
-    def counting(key, real):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return real(*args, **kwargs)
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
 
-        return wrapper
-
-    for key, attr in (("built", "__init__"), ("phase1", "_phase1"), ("objectives", "optimize")):
-        monkeypatch.setattr(Tableau, attr, counting(key, getattr(Tableau, attr)))
-    return counts
+    monkeypatch.setattr(Tableau, "__init__", counting)
+    return built
 
 
-@pytest.mark.parametrize("top,stop,walked,objectives", [(6, 0, 6, 2), (7, 7, 0, 1)])
-def test_algorithm1_plans_with_at_most_two_lps(monkeypatch, top, stop, walked, objectives):
-    """sum(x) <= 6 on a 7-cycle walks down over the six layers 6..1 and
-    needs the relaxation and one range LP; sum(x) <= 7 starts on its
-    stop layer and needs the relaxation only.  Both objectives run on
-    one tableau, so phase 1 runs once."""
-    counts = _count_lp_work(monkeypatch)
+@pytest.mark.parametrize("top,stop,walked", [(6, 0, 6), (7, 7, 0)])
+def test_algorithm1_plans_without_a_tableau(monkeypatch, top, stop, walked):
+    """sum(x) <= 6 on a 7-cycle walks down over the six layers 6..1, and
+    sum(x) <= 7 starts on its stop layer; both are planned on the fixed
+    line, with no LP."""
+    built = _count_tableaus(monkeypatch)
     inst = make_instance(
         7, rows=(make_row([1] * 7, LE, top),), bounds=_box(7, 0, 3),
         group=_full_cycle_group(7),
@@ -459,7 +455,7 @@ def test_algorithm1_plans_with_at_most_two_lps(monkeypatch, top, stop, walked, o
     sch = plan_algorithm1(inst, EngineOptions())
     assert sch.stop_layer == stop
     assert len(_walked_layers(sch)) == walked
-    assert counts == {"built": 1, "phase1": 1, "objectives": objectives}
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -488,14 +484,14 @@ def test_algorithm1_unbounded_layer_range_prunes_nothing(sense, rel, rhs, bounds
 def test_feasibility_instance_without_a_top_layer_ascends(monkeypatch):
     """sum(x) >= 1 over x >= 0 has no LP maximum: a feasibility instance
     is then not Unbounded, and Algorithm 1 ascends from the LP minimum of
-    sum(x), layer 1, as a second objective on the same tableau."""
+    sum(x), layer 1, read off the fixed line with no LP."""
     inst = make_instance(
         3, rows=(make_row([1, 1, 1], GE, 1),), bounds=[(Fraction(0), None)] * 3,
         group=analyze_group(["(1,2,3)"], 3),
     )
-    counts = _count_lp_work(monkeypatch)
+    built = _count_tableaus(monkeypatch)
     sch = plan_algorithm1(inst, EngineOptions())
-    assert counts == {"built": 1, "phase1": 1, "objectives": 2}
+    assert built == []
     assert (sch.lp.status, sch.lp.point) == ("Feasible", None)
     assert _walked_layers(sch) == [1, 2] and sch.stop_layer == 3
     rep, ref = run_auto(inst), run_plain(inst)
@@ -565,6 +561,146 @@ def test_direct_fixed_probe_checks_every_row_sense():
             assert out.point == ((value,) * 3 if all(holds) else None)
             seen[status] += 1
     assert min(seen.values()) > 15, seen
+
+
+def _holds(inst, point):
+    """Whether point meets inst's bounds and rows, exactly."""
+    if any((lo is not None and v < lo) or (hi is not None and v > hi)
+           for (lo, hi), v in zip(inst.bounds, point)):
+        return False
+    return oracles._satisfies(point, [(r.coeffs, r.sense, r.rhs) for r in inst.rows])
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_zero_objective_walks_from_the_top_of_the_layer_range(sense):
+    """A zero objective rewards no layer, so Algorithm 1 walks it as it
+    walks a feasibility instance, from the top of the layer range: layer
+    2, where (1, 1, 0) lies.  Planned from the LP vertex (1/2, 1/2, 1/2),
+    the descent would start at layer 1, below every integer point, and
+    answer Infeasible."""
+    rows = (
+        make_row([1, 1, 0], GE, 1), make_row([0, 1, 1], GE, 1), make_row([1, 0, 1], GE, 1),
+        make_row([1, 1, 1], LE, 2),
+    )
+    inst = make_instance(
+        3, sense=sense, objective=[0] * 3, rows=rows, bounds=_box(3, 0, 1),
+        group=_full_cycle_group(3),
+    )
+    sch = plan_algorithm1(inst, EngineOptions())
+    assert (sch.lp.status, sch.lp.objective) == ("Feasible", 0)
+    assert sch.notes[0] == "LP optimum layer 2, descent starts at 2"
+    rep, ref = run_auto(inst), run_plain(inst)
+    assert rep.algorithm == 1
+    assert rep.status == ref.status == "Feasible"
+    assert rep.f_star == ref.f_star == 0
+    assert sum(rep.point) == 2 and _holds(inst, rep.point)
+
+
+def _random_line_instance(rng, n, sense):
+    """A small instance the n-cycle fixes: one bound pair for every
+    variable with sides left open, rows with all their rotations, some
+    with coefficients that sum to 0, and one weight in -2..2 for every
+    variable, 0 more often than the others."""
+    lo = rng.choice((None, -1, 0))
+    width = rng.randint(1, 3 if n <= 4 else 2 if n == 5 else 1)
+    hi = rng.choice((None, width + (lo or 0), width + (lo or 0)))
+    # each row passes near t0 * 1, on its side when the slack is >= 0
+    t0 = rng.randint(-1 if lo is None else lo, 2 if hi is None else hi)
+    rows = []
+    for _ in range(rng.randint(1, 2)):
+        a = [rng.randint(-2, 3) for _ in range(n)]
+        if rng.random() < 0.25:
+            a[0] -= sum(a)
+        rel = rng.choice((LE, GE, LE, GE, "=="))
+        slack = Fraction(rng.randint(-1, 3), 2)
+        rhs = sum(a) * t0 + {LE: slack, GE: -slack, "==": 0}[rel]
+        rows.extend(make_row(a[r:] + a[:r], rel, rhs) for r in range(n))
+    if rng.random() < 0.5:
+        # a band on sum(x) with half-integer ends prunes walked layers
+        low = n * t0 + Fraction(rng.randint(-1, 2 * n), 2)
+        rows += [make_row([1] * n, GE, low), make_row([1] * n, LE, low + rng.randint(0, n))]
+    objective = None if sense == "feasibility" else [rng.choice((-2, -1, 0, 0, 1, 2))] * n
+    return make_instance(
+        n, sense=sense, objective=objective, rows=rows, bounds=[(lo, hi)] * n,
+        group=_full_cycle_group(n),
+    )
+
+
+def test_fixed_line_plans_as_the_lp_does():
+    """The fixed-line argument, against the simplex: on seeded instances
+    an n-cycle fixes (n = 2..7, every sense), the planned LP status and
+    objective are the Tableau's for the objective (sum(x) for a
+    feasibility instance), the planned point is an LP point of that
+    objective, the layer range is the Tableau's min and max of sum(x)
+    and exactly the walked layers outside it are pruned, the direct
+    probe agrees with a row check at every multiple of n from -3n to 3n,
+    and run_auto agrees with box enumeration wherever the box is
+    declared."""
+    rng = random.Random(61)
+    seen = Counter()
+    for i in range(240):
+        n = 2 + i % 6
+        sense = ("feasibility", "max", "min")[i // 6 % 3]
+        inst = _random_line_instance(rng, n, sense)
+        sch = plan_algorithm1(inst, EngineOptions())
+        ones = (1,) * n
+        tableau = Tableau(n, inst._merged, inst.bounds)
+        if sense == "feasibility":
+            res = tableau.optimize(ones, maximize=True)
+            unbounded = ("Feasible", None)
+        else:
+            res = tableau.optimize(inst.objective, maximize=sense == "max")
+            unbounded = ("Unbounded", None)
+        want = {
+            "optimal": ("Feasible", res.objective),
+            "infeasible": ("Infeasible", None),
+            "unbounded": unbounded,
+        }[res.status]
+        assert (sch.lp.status, sch.lp.objective) == want, inst
+        seen[f"lp {sch.lp.status}"] += 1
+        seen["zero weight"] += sense != "feasibility" and not inst.objective[0]
+        if sch.lp.point is not None:
+            assert _holds(inst, sch.lp.point)
+            value = sum(sch.lp.point) if sense == "feasibility" else engine._objective_of(
+                inst, sch.lp.point
+            )
+            assert value == sch.lp.objective
+        t_lo, t_hi, empty = engine._fixed_line(inst)
+        assert empty == (res.status == "infeasible")
+        if not empty:
+            ends = []
+            for t, maximize in ((t_lo, False), (t_hi, True)):
+                end = tableau.optimize(ones, maximize=maximize)
+                ends.append(end.objective if end.status == "optimal" else None)
+                assert ends[-1] == (None if t is None else n * t), inst
+            low, high = ends
+            for layer in _walked_layers(sch) if sch.stop_layer is not None else ():
+                outside = (low is not None and layer < low) or (high is not None and layer > high)
+                assert (f"layer {layer} pruned (empty LP relaxation)" in sch.notes) == outside
+                seen["pruned"] += outside
+        for v in range(-3, 4):
+            point = (Fraction(v),) * n
+            probe = engine._direct_fixed_probe(inst, n * v)
+            assert (probe.status == "Feasible") == _holds(inst, point), (inst, v)
+            assert probe.point == (point if probe.status == "Feasible" else None)
+            seen[f"probe {probe.status}"] += 1
+        lo, hi = inst.bounds[0]
+        if lo is None or hi is None:
+            continue
+        rep = run_auto(inst)
+        assert rep.algorithm == 1
+        points = _oracle_points(inst)
+        assert rep.status == ("Feasible" if points else "Infeasible"), inst
+        seen[f"run {rep.status}"] += 1
+        if points:
+            assert tuple(rep.point) in set(points)
+            if sense != "feasibility":
+                values = [engine._objective_of(inst, p) for p in points]
+                assert rep.f_star == (max if sense == "max" else min)(values), inst
+                seen["zero weight, solved"] += not inst.objective[0]
+    assert min(seen[f"lp {s}"] for s in ("Feasible", "Infeasible", "Unbounded")) > 2, seen
+    assert min(seen[k] for k in ("pruned", "probe Feasible", "probe Infeasible")) > 10, seen
+    assert min(seen["run Feasible"], seen["run Infeasible"], seen["zero weight, solved"]) > 5, seen
 
 
 def test_plan_selects_algorithm_by_group():
@@ -1131,7 +1267,7 @@ def _clear_caches():
 
 def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
     """An Instance merges its rows once for every run on it: run_auto
-    (whose Algorithm 1 planning LPs start from the merged rows),
+    (whose Algorithm 1 planner reads the merged rows on its fixed line),
     run_plain and a dry exporting run_auto together merge each row once.
     Synthesized sets and layer rows are built once per process, so from
     cold caches no constraint is lowered twice across all the runs, and
@@ -1142,7 +1278,7 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
     dispatched subproblem answers as a standalone solve_subproblem call
     on fresh copies of its instance and sets does;
     the direct probe answers as it does on a fresh instance.  A dry run
-    of Algorithm 1 merges the rows too, for its planning LP; a dry run
+    of Algorithm 1 merges the rows too, for its fixed line; a dry run
     of Algorithm 3, or of a plain instance, reads none."""
     _clear_caches()
     reads, merges, lowered, dispatched = _spy_on_reads(monkeypatch)
