@@ -1,38 +1,38 @@
-"""Exact rational LP solver: a bounded-variable primal simplex, built once
-per constraint system and reoptimised from its last basis.
+"""Exact rational LP solver: a two-phase primal simplex in standard
+form, built once per constraint system.
 
 A ``Tableau`` is built from ``(n, merged, bounds)``, where ``merged`` is
 the rows as ``_merge_rows`` merges them, and runs phase 1 once.  Each
 ``optimize(objective, maximize)`` then runs phase 2 from the current
-basis, so further objectives over the same rows and bounds cost no
-second phase 1 (a warm start).  ``solve_lp`` and ``lp_feasible`` are
-one-shot wrappers over the same code.
+basis, so a min and a max over the same rows and bounds share one
+phase 1.  ``solve_lp`` and ``lp_feasible`` are one-shot wrappers over
+the same code.
 
-* Bounded variables (the upper-bounding technique of Chvátal, *Linear
-  Programming*, 1983, ch. 8).  Each variable is shifted to a lower
-  bound of 0: a variable with only an upper bound is negated, a free
-  one is split in two, and a fixed one is a constant with no column.
-  A finite upper bound never becomes a row.  The ratio test stops a
-  basic variable at it, an entering variable that reaches its own
-  bound first flips to it, and a variable at its upper bound is kept
-  complemented (its column negated), so every nonbasic variable is 0.
+* Standard form ``A v = b``, ``v >= 0``.  Each variable is shifted to a
+  lower bound of 0: a variable with only an upper bound is negated and
+  a free one is split in two.  A variable with both bounds keeps its
+  width as one row ``v <= hi - lo``, scaled to integers (a fixed
+  variable's row is ``v <= 0``).
 * Ranged rows.  Each row is scaled to integers once, divided by the
   gcd of its coefficients and given a positive leading coefficient;
   rows with the same coefficient vector merge into one ranged row
   ``lo <= a.x <= hi`` (``_primitive_row``, ``_merge_row``).  The bounds
-  stay exact, nothing is rounded.  A ranged row has one logical
-  variable in ``[0, hi - lo]``; an equality row has none.  ``_merge_rows`` is the one place
-  that merges a system's rows, for the LP and for the integer
-  enumerator: an instance merges its rows once (``solve.Instance._merged``),
-  and ``lp_relax``, every subproblem and Algorithm 1's fixed-line
-  reading (``engine._fixed_line``) start from that.
+  stay exact, nothing is rounded.  The tableau states a ranged row as
+  one equality row when ``lo == hi``, and otherwise as ``a.x <= hi``
+  and ``-a.x <= -lo`` for each finite side, each with a slack.
+  ``_merge_rows`` is the one place that merges a system's rows, for
+  the LP and for the integer enumerator: an instance merges its rows
+  once (``solve.Instance._merged``), and ``lp_relax``, every subproblem
+  and Algorithm 1's fixed-line reading (``engine._fixed_line``) start
+  from that.
   The enumerator (``solve._lower``) merges its added sets' rows, each
   put in primitive form once per set (``exprs.ConstraintSet._rows``),
   into a copy with the same ``_merge_primitive`` and rounds each bound
   inward.
 * Artificials only where needed.  With every structural variable at 0,
-  a logical that lies within its bounds starts basic; only the other
-  rows, and the equality rows, get an artificial.
+  the slack of an inequality row with a nonnegative right-hand side
+  starts basic; only the other rows, and the equality rows, get an
+  artificial.
 * Fraction-free pivots (Edmonds' integer-preserving pivot, the LP form
   of Bareiss elimination).  Entries are plain ``int`` over one common
   denominator, which each pivot divides out exactly.
@@ -176,20 +176,18 @@ def _merge_rows(n: int, rows: Sequence[LPRow]) -> tuple[dict, bool]:
 
 
 class Tableau:
-    """The LP ``{x : rows, bounds}`` in bounded standard form, with a
-    feasible basis once phase 1 has run (when it is built).
+    """The LP ``{x : rows, bounds}`` in standard form, ``A v = b`` with
+    ``v >= 0``, with a feasible basis once phase 1 has run (when it is
+    built).
 
-    Each column holds a variable ``v`` in ``[0, upper[col]]`` (``None``:
-    no upper bound), or its complement ``upper[col] - v`` when
-    ``flipped[col]``; a nonbasic column's variable is 0.  Structural
-    columns come first: variable j is ``shift[j] + sum(sign * v[col] /
-    scale[col])`` over its columns ``subst[j]``.  Then one logical per
-    ranged row, then, during phase 1 only, the artificials.  Entry
+    Structural columns come first: variable j is ``shift[j] + sum(sign
+    * v[col])`` over its columns ``subst[j]``.  Then one slack per
+    inequality row, then, during phase 1 only, the artificials.  Entry
     (i, col) is ``rows[i][col] / den``, the basic value of row i is
-    ``rhs[i] / den`` and the reduced cost of column col is
-    ``cost[col] / den``, with integer numerators and ``den > 0``; a
-    basic column holds ``den`` in its row and 0 in every other row and
-    in the cost row."""
+    ``rhs[i] / den`` and the reduced cost of column col is ``cost[col]
+    / den``, with integer numerators and ``den > 0``; a basic column
+    holds ``den`` in its row and 0 in every other row and in the cost
+    row."""
 
     def __init__(
         self, n: int, merged: tuple[dict, bool], bounds: Sequence[tuple[Bound, Bound]]
@@ -199,98 +197,81 @@ class Tableau:
         if len(bounds) != n:
             raise InputError("objective/bounds length mismatch")
         self.n = n
+        self.ncols = 0
         self.shift: list[Fraction] = []
         self.subst: list[tuple[tuple[int, int], ...]] = []
-        self.scale: list[int] = []
-        self.upper: list[Optional[int]] = []
         self.rows: list[list[int]] = []
         self.rhs: list[int] = []
         self.cost: list[int] = []
         self.basis: list[int] = []
-        self.flipped: list[bool] = []
         self.den = 1
         ranged, nonempty = merged
-        self.feasible = nonempty and self._add_variables(bounds)
-        if self.feasible:
-            self.feasible = self._phase1(self._add_rows(ranged))
+        widths = self._add_variables(bounds) if nonempty else None
+        self.feasible = widths is not None and self._phase1(self._add_rows(ranged, widths))
 
-    def _add_variables(self, bounds) -> bool:
-        """Shift every variable to lower bound 0; False when a variable's
-        bounds cross."""
+    def _add_variables(self, bounds) -> Optional[list[tuple[int, Fraction]]]:
+        """Shift every variable to lower bound 0; returns the column and
+        width ``hi - lo`` of each variable with both bounds, or None when
+        a variable's bounds cross."""
+        widths = []
         for lo, hi in bounds:
             lo = None if lo is None else _frac(lo)
             hi = None if hi is None else _frac(hi)
-            col = len(self.upper)
+            col = self.ncols
             if lo is not None and hi is not None:
-                width = hi - lo
-                if width < 0:
-                    return False
-                self.shift.append(lo)
-                if width == 0:
-                    self.subst.append(())
-                    continue
-                # v = width.denominator * (x - lo) keeps the bound integral
-                self.subst.append(((col, 1),))
-                self.scale.append(width.denominator)
-                self.upper.append(width.numerator)
-            elif lo is not None or hi is not None:
+                if hi < lo:
+                    return None
+                widths.append((col, hi - lo))
+            if lo is not None or hi is not None:
                 self.shift.append(lo if lo is not None else hi)
                 self.subst.append(((col, 1 if lo is not None else -1),))
-                self.scale.append(1)
-                self.upper.append(None)
+                self.ncols += 1
             else:
                 self.shift.append(Fraction(0))
                 self.subst.append(((col, 1), (col + 1, -1)))
-                self.scale += [1, 1]
-                self.upper += [None, None]
-        return True
+                self.ncols += 2
+        return widths
 
-    def _add_rows(self, ranged: dict) -> list[int]:
-        """State the ranged rows over the shifted columns, each scaled to
-        integers, with their logicals; returns the rows that need an
-        artificial (their logical cannot start basic)."""
-        nstruct = len(self.upper)
+    def _add_rows(self, ranged: dict, widths: list[tuple[int, Fraction]]) -> list[int]:
+        """State the ranged rows, then the widths, over the shifted
+        columns as rows ``a.v = b`` or ``a.v <= b``, each scaled to
+        integers, and give each inequality a slack; returns the rows that
+        need an artificial (their slack cannot start basic)."""
+        nstruct = self.ncols
         shift_den = math.lcm(*(s.denominator for s in self.shift))
         shift_num = [s.numerator * (shift_den // s.denominator) for s in self.shift]
-        col_scaled = any(d != 1 for d in self.scale)
-        work = []
+        work = []  # (coefficients, right-hand side, has a slack)
         for coeffs, (lo, hi) in ranged.items():
-            # the bounds num / den become num / den - moved / shift_den
-            moved = sum(a * shift_num[j] for j, a in coeffs)
-            dens = []
-            if lo is not None:
-                lo = (lo[0] * shift_den - moved * lo[1], lo[1] * shift_den)
-                dens.append(lo[1] // math.gcd(*lo))
-            if hi is not None:
-                hi = (hi[0] * shift_den - moved * hi[1], hi[1] * shift_den)
-                dens.append(hi[1] // math.gcd(*hi))
-            if col_scaled:
-                dens += [self.scale[col] for j, _ in coeffs for col, _ in self.subst[j]]
-            scale = math.lcm(*dens)
             ints = [0] * nstruct
             for j, a in coeffs:
                 for col, sign in self.subst[j]:
-                    ints[col] = sign * a * (scale // self.scale[col])
-            if hi is None:  # a.x >= lo, stated as -a.x + s = -lo
-                work.append(([-a for a in ints], -lo[0] * scale // lo[1], None))
-            else:
-                hi = hi[0] * scale // hi[1]
-                work.append((ints, hi, None if lo is None else hi - lo[0] * scale // lo[1]))
+                    ints[col] = sign * a
+            # the bound num / den becomes num / den - moved / shift_den
+            moved = sum(a * shift_num[j] for j, a in coeffs)
+            eq = lo is not None and hi is not None and lo[0] * hi[1] == hi[0] * lo[1]
+            # a.x <= hi, and a.x >= lo stated as -a.x <= -lo
+            for side, bound in ((1, hi), (-1, None if eq else lo)):
+                if bound is not None:
+                    num, den = bound[0] * shift_den - moved * bound[1], bound[1] * shift_den
+                    g = math.gcd(num, den)
+                    work.append(([side * (den // g) * a for a in ints], side * num // g, not eq))
+        for col, width in widths:
+            ints = [0] * nstruct
+            ints[col] = width.denominator
+            work.append((ints, width.numerator, True))
 
-        # every row but an equality row gets a logical; it starts basic
-        # when its value with all structurals at 0 lies within its bounds
-        self.upper += [width for _, _, width in work if width != 0]
-        nreal = len(self.upper)
-        self.flipped = [False] * nreal
-        logical = nstruct
+        # a slack starts basic when its row holds with all structurals at 0
+        self.ncols += sum(slack for _, _, slack in work)
+        nreal = self.ncols
+        slack = nstruct
         artificial = []
-        for ints, b, width in work:
+        for ints, b, has_slack in work:
             row = ints + [0] * (nreal - nstruct)
-            if width != 0:
-                row[logical] = 1
-                logical += 1
-                if b >= 0 and (width is None or b <= width):
-                    self.basis.append(logical - 1)
+            if has_slack:
+                row[slack] = 1
+                slack += 1
+                if b >= 0:
+                    self.basis.append(slack - 1)
                     self.rows.append(row)
                     self.rhs.append(b)
                     continue
@@ -308,14 +289,12 @@ class Tableau:
         drop them; False when the LP is infeasible."""
         if not artificial:
             return True
-        nreal = len(self.upper)
+        nreal = self.ncols
         nart = len(artificial)
         for row in self.rows:
             row += [0] * nart
         for k, r in enumerate(artificial):
             self.rows[r][nreal + k] = 1
-        self.upper += [None] * nart
-        self.flipped += [False] * nart
         # phase 1: minimise the sum of the artificials
         cost = [0] * nreal + [1] * nart
         for r in artificial:
@@ -335,7 +314,6 @@ class Tableau:
         self.rows = [self.rows[r][:nreal] for r in keep]
         self.rhs = [self.rhs[r] for r in keep]
         self.basis = [self.basis[r] for r in keep]
-        del self.upper[nreal:], self.flipped[nreal:]
         return True
 
     def _pivot(self, r: int, col: int) -> None:
@@ -367,55 +345,28 @@ class Tableau:
         self.den = piv
         self.basis[r] = col
 
-    def _flip(self, col: int) -> None:
-        """Move nonbasic column col to its other bound: complement it."""
-        u = self.upper[col]
-        for i, row in enumerate(self.rows):
-            a = row[col]
-            if a:
-                self.rhs[i] -= a * u
-                row[col] = -a
-        self.cost[col] = -self.cost[col]
-        self.flipped[col] = not self.flipped[col]
-
     def _minimize(self) -> bool:
         """Simplex iterations on the current cost row with Bland's rule;
         False when the objective is unbounded below."""
-        basis, upper = self.basis, self.upper
+        basis = self.basis
         while True:
             entering = next((j for j, d in enumerate(self.cost) if d < 0), -1)
             if entering < 0:
                 return True
             # ratio test by cross-multiplying: row i stops the step at
-            # num / dnm; ties go to the smallest basic column
-            den = self.den
+            # rhs[i] / a; ties go to the smallest basic column
             leave, best_num, best_dnm = -1, 0, 1
             for i, row in enumerate(self.rows):
                 a = row[entering]
-                if a > 0:
-                    num, dnm = self.rhs[i], a
-                elif a < 0 and upper[basis[i]] is not None:
-                    num, dnm = upper[basis[i]] * den - self.rhs[i], -a
-                else:
+                if a <= 0:
                     continue
                 if leave >= 0:
-                    lhs, rhs = num * best_dnm, best_num * dnm
+                    lhs, rhs = self.rhs[i] * best_dnm, best_num * a
                     if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
                         continue
-                leave, best_num, best_dnm = i, num, dnm
-            u = upper[entering]
-            if u is not None and (leave < 0 or u * best_dnm < best_num):
-                self._flip(entering)
-                continue
+                leave, best_num, best_dnm = i, self.rhs[i], a
             if leave < 0:
                 return False
-            if self.rows[leave][entering] < 0:
-                # the basic variable leaves at its upper bound: complement it
-                row = [-a for a in self.rows[leave]]
-                row[basis[leave]] = den
-                self.rows[leave] = row
-                self.rhs[leave] = upper[basis[leave]] * den - self.rhs[leave]
-                self.flipped[basis[leave]] = not self.flipped[basis[leave]]
             self._pivot(leave, entering)
 
     def optimize(self, objective: Sequence, maximize: bool = True) -> LPResult:
@@ -426,14 +377,11 @@ class Tableau:
         if not self.feasible:
             return LPResult(status="infeasible")
         obj_den = math.lcm(*(c.denominator for c in obj))
-        col_den = math.lcm(*self.scale)
-        cost = [0] * len(self.flipped)
+        cost = [0] * self.ncols
         for c, sub in zip(obj, self.subst):
             k = c.numerator * (obj_den // c.denominator) * (-1 if maximize else 1)
             for col, sign in sub:
-                cost[col] = sign * k * (col_den // self.scale[col])
-                if self.flipped[col]:
-                    cost[col] = -cost[col]
+                cost[col] = sign * k
         den = self.den
         priced = [den * c for c in cost]
         for row, b in zip(self.rows, self.basis):
@@ -448,18 +396,11 @@ class Tableau:
 
     def _point(self) -> tuple[Fraction, ...]:
         """The original variables at the current basic solution."""
-        den = self.den
-        value = [0] * len(self.flipped)  # times den
+        value = [0] * self.ncols  # times den
         for r, b in enumerate(self.basis):
             value[b] = self.rhs[r]
-        for col, flipped in enumerate(self.flipped):
-            if flipped:
-                value[col] = self.upper[col] * den - value[col]
-        # the columns of one variable share its scale (a split one has 1)
         return tuple(
-            s + Fraction(sum(sign * value[col] for col, sign in sub), den * self.scale[sub[0][0]])
-            if sub
-            else s
+            s + Fraction(sum(sign * value[col] for col, sign in sub), self.den)
             for s, sub in zip(self.shift, self.subst)
         )
 

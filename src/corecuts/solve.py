@@ -368,24 +368,28 @@ def lp_relax(inst: Instance) -> Outcome:
     """Exact LP relaxation over the instance's linear rows and bounds
     (``corecuts analyze``).
 
-    A max or min instance optimises its objective.  A feasibility
-    instance maximises sum(x), so the returned objective doubles as the
-    top layer index.  A feasibility instance is never Unbounded: when
-    sum(x) has no maximum over a nonempty relaxation, the outcome is
-    Feasible with no point.  Algorithm 1 plans without it, on the
-    instance's fixed line (``engine._fixed_line``)."""
+    A max or min instance with a nonzero weight optimises its objective.
+    A feasibility instance, and a max or min instance whose weights are
+    all 0, maximises sum(x), so the point's sum is the top layer, where
+    Algorithm 1 starts its walk.  Such an instance is never Unbounded:
+    when sum(x) has no maximum over a nonempty relaxation, the outcome
+    is Feasible with no point.  Its objective is sum(x) for a
+    feasibility instance and 0 for a zero objective.  Algorithm 1 plans
+    without it, on the instance's fixed line (``engine._fixed_line``)."""
     tableau = Tableau(inst.n, inst._merged, inst.bounds)
-    if inst.sense == FEASIBILITY:
-        res = tableau.optimize((1,) * inst.n, maximize=True)
-        if res.status == "unbounded":
-            return Outcome(FEASIBLE)
-    else:
+    if inst.sense != FEASIBILITY and any(inst.objective):
         res = tableau.optimize(inst.objective, maximize=inst.sense == MAX)
+        objective = res.objective
+    else:
+        res = tableau.optimize((1,) * inst.n, maximize=True)
+        objective = res.objective if inst.sense == FEASIBILITY else Fraction(0)
+        if res.status == "unbounded":
+            return Outcome(FEASIBLE, objective=objective)
     if res.status == "infeasible":
         return Outcome(INFEASIBLE)
     if res.status == "unbounded":
         return Outcome(UNBOUNDED)
-    return Outcome(FEASIBLE, point=res.x, objective=res.objective)
+    return Outcome(FEASIBLE, point=res.x, objective=objective)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,29 @@ def test_analyze_generated_file(tmp_path, capsys):
     assert doc["lp_layer"] == "2"
 
 
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_analyze_zero_objective_reports_the_top_layer(tmp_path, capsys, sense):
+    """A zero objective rewards no layer, so the relaxation reports the
+    top of the layer range, layer 2, where solve starts its walk; the
+    simplex's own optimal vertex (1/2, 1/2, 1/2) lies on layer 3/2."""
+    doc = {
+        "format": 1, "n": 3, "objective": {"sense": sense, "coeffs": [0, 0, 0]},
+        "rows": [
+            {"coeffs": [1, 1, 0], "sense": ">=", "rhs": 1},
+            {"coeffs": [0, 1, 1], "sense": ">=", "rhs": 1},
+            {"coeffs": [1, 0, 1], "sense": ">=", "rhs": 1},
+            {"coeffs": [1, 1, 1], "sense": "<=", "rhs": 2},
+        ],
+        "bounds": [{"lo": 0, "hi": 1}] * 3,
+        "group": {"generators": ["(1,2,3)"]},
+    }
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(doc), encoding="ascii")
+    code, out = _run(capsys, ["analyze", str(path)])
+    assert code == 0
+    assert (out["lp_status"], out["lp_layer"]) == ("Feasible", "2")
+
+
 def test_solve_generated_file_infeasible(tmp_path, capsys):
     out = tmp_path / "c3.json"
     main(["gen", "(1,2,3)", "1,1,0", "-o", str(out)])

@@ -231,11 +231,13 @@ def test_cross_check_against_scipy():
 def test_warm_starts_match_cold_solves():
     """Several objectives and senses optimised in turn on one tableau
     give the status and exact optimum of a cold solve each, at a point
-    that meets every row and bound."""
+    that meets every row and bound.  The LPs are general ones and boxed
+    ones, whose fixed variables, rational widths and merged ranged rows
+    the tableau states as rows."""
     rng = random.Random(11)
     statuses = set()
-    for _ in range(200):
-        n, objective, rows, bounds, maximize = _random_general_lp(rng)
+    for draw in [_random_general_lp] * 200 + [_random_boxed_lp] * 200:
+        n, objective, rows, bounds, maximize = draw(rng)
         tableau = Tableau(n, _merge_rows(n, rows), bounds)
         for _ in range(4):
             warm = tableau.optimize(objective, maximize)

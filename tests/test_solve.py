@@ -338,6 +338,19 @@ def test_lp_relax_feasibility_sense_is_never_unbounded():
     assert lp_relax(inst) == Outcome(FEASIBLE)
 
 
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_lp_relax_zero_objective_is_never_unbounded(sense):
+    """A zero objective maximises sum(x) as a feasibility instance does,
+    and scores 0: with a top layer the point lies on it, and when sum(x)
+    has no maximum the outcome is Feasible with no point."""
+    rows = (make_row([1, 1], LE, 3),)
+    inst = make_instance(2, sense=sense, objective=[0, 0], rows=rows, bounds=_box(2, 0, 5))
+    out = lp_relax(inst)
+    assert (out.status, out.objective, sum(out.point)) == (FEASIBLE, 0, 3)
+    inst = make_instance(2, sense=sense, objective=[0, 0], rows=(make_row([1, -1], LE, 0),))
+    assert lp_relax(inst) == Outcome(FEASIBLE, objective=Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # flattening
 
