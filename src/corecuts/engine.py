@@ -93,22 +93,36 @@ refuse such an instance.
 One runner exports and solves every schedule's subproblems in order and
 stops early by one rule: a feasibility instance stops at its first
 Feasible result, Algorithm 1 on a max/min instance stops after the
-first layer (probes, then cut) with a Feasible result, and every run
-stops at a result that proves the instance empty.  A walk that reaches
-its stop layer ends with the direct fixed-space probe, unless such a
-proof ended it.  The proof (``solve_subproblem``) comes from a search
-that adds no row of its own, as a planned S2 does, prunes no node by a
-block check and ends Infeasible: it searched every integer point of the
+first layer (probes, then cut) with a Feasible result, Algorithms 2 and
+3 on a max/min instance stop at a result that reaches the LP bound
+(below), and every run stops at a result that proves the instance
+empty.  A walk that reaches its stop layer ends with the direct
+fixed-space probe, unless such a proof ended it.  The proof
+(``solve_subproblem``) comes from a search that adds no row of its own,
+as a planned S2 does, prunes no node by a block check, starts from no
+incumbent and ends Infeasible: it searched every integer point of the
 instance up to a rotation of each block, so no later subproblem, nor
 the probe, holds a point.  On the hard instances, whose S2 the linear
-rows alone refute, the run so ends after its first subproblem.  The
-instance and each added set keep their own readings (see ``solve``), so
-the runner hands nothing around but one dict of encoded JSON texts per
-exporting run.  Aggregation follows the strictness rule: on a
-max/min instance any Unknown outcome (budget or box truncation) makes
-the verdict Unknown; Infeasible is only reported when every scheduled
-subproblem ran and certified exhaustion, or when a result proved the
-instance empty, which a note then names.
+rows alone refute, the run so ends after its first subproblem.
+
+Algorithms 2 and 3 keep one incumbent per max/min run, the best value
+found so far: each later search starts its cutoff row from it (the
+incumbent bound of branch and bound: Land and Doig, Econometrica 1960),
+so it reports only strictly better points.  At the first incumbent the
+runner reads the LP bound off the LP over the fixed space of the
+planned cycles, one column per orbit (``solve._orbit_bound``).  No
+integer point scores above it (below, for min), so an incumbent that
+equals it is optimal, and the run stops there.  Algorithm 1 and plain
+runs search without a cutoff.
+
+The instance and each added set keep their own readings (see
+``solve``), so the runner hands nothing around but one dict of encoded
+JSON texts per exporting run.  Aggregation follows the strictness rule:
+on a max/min instance any Unknown outcome (budget or box truncation)
+makes the verdict Unknown; Infeasible is only reported when every
+scheduled subproblem ran and certified exhaustion, or when a result
+proved the instance empty.  A note names the result that proved the
+instance empty, or that reached the LP bound.
 """
 
 from __future__ import annotations
@@ -143,6 +157,7 @@ from .solve import (
     _check_orbits,
     _cycle_misses,
     _integer,
+    _orbit_bound,
     export_subproblem,
     search_box,
     solve_subproblem,
@@ -259,10 +274,25 @@ class SubResult:
     provenance: tuple
     outcome: Outcome
     seconds: float
+    #: the run's incumbent the search started from (``solve_subproblem``'s
+    #: ``cutoff``), None for none
+    cutoff: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
 class Report:
+    """One run's verdict.  ``results`` lists the subproblems that ran, in
+    schedule order (a prefix of ``schedule``), plus Algorithm 1's direct
+    probe; ``schedule`` and ``counts`` describe the whole plan.
+
+    On a max/min run of Algorithms 2 and 3 each result ran under the
+    run's incumbent (``SubResult.cutoff``), so its Feasible beats every
+    earlier one and its Infeasible means only that it holds no better
+    point.  ``f_star_e`` and ``f_star_l`` (the best S3/FIX and S1
+    values) can therefore lose a value that an earlier result
+    dominates.  ``f_star``, the point and the status are those the run
+    gives without the cutoff, whenever no search runs out of budget."""
+
     algorithm: int
     status: str
     counts: dict[str, int]
@@ -582,13 +612,16 @@ def _aggregate(
     results: Sequence[SubResult],
     wall_time: float,
     proof: bool,
+    bound: Optional[Fraction] = None,
 ) -> Report:
     """Fold outcomes into a report.  The results are those dispatched
     before the stop rule ended the run, plus Algorithm 1's direct
     stop-layer probe, which is not a scheduled subproblem.  ``proof``:
     the last result proved that the instance has no integer point
     (``solve_subproblem``), so the verdict is Infeasible whatever ran
-    before it, and a note names that subproblem."""
+    before it, and a note names that subproblem.  ``bound``: the last
+    result reached this LP bound, which no integer point beats, and
+    ended the run; a note names both."""
     feasible = [r for r in results if r.outcome.status == FEASIBLE]
     unknown = [r for r in results if r.outcome.status == UNKNOWN]
 
@@ -613,6 +646,8 @@ def _aggregate(
                     break
 
     notes = schedule.notes
+    if bound is not None:
+        notes += (f"{results[-1].id} reaches the LP bound {bound}; no later subproblem runs",)
     if schedule.lp is not None and schedule.lp.status == UNBOUNDED:
         status = UNBOUNDED
     elif proof:
@@ -656,6 +691,17 @@ def _run(
     direct fixed-space probe.  A dry run solves nothing and reports
     every subproblem Unknown.
 
+    A max/min run of Algorithms 2 and 3 keeps one incumbent, the
+    objective of its last Feasible result, and passes it to each later
+    search as ``solve_subproblem``'s ``cutoff``; a search under a cutoff
+    reports only strictly better points, and its Infeasible never
+    proves the instance empty.  At the first incumbent, unless it came
+    from the last subproblem, the run reads the LP bound over the fixed
+    space of the planned cycles (``_orbit_bound``; the first S2 carries
+    them all), and it stops at the result whose incumbent equals that
+    bound, whatever subproblems remain.  An LP with no optimum sets no
+    bound.
+
     An exporting run encodes each piece of its files once, into one dict
     of JSON texts (``export_subproblem``'s ``_texts``).  Its constraints
     are keyed by identity, which is safe only while the schedule holds
@@ -668,9 +714,14 @@ def _run(
         os.makedirs(opts.export_dir, exist_ok=True)
     results: list[SubResult] = []
     proof = stopped = False
+    # Algorithms 2 and 3 on a max/min instance keep one incumbent: it cuts
+    # off every later search, and the run ends when it reaches the LP bound
+    bounded = inst.sense != FEASIBILITY and schedule.algorithm in (2, 3)
+    incumbent = bound = None
+    reached = False
     for index, stage in enumerate(schedule.stages):
         found = False
-        for sp in stage:
+        for j, sp in enumerate(stage):
             if opts.export_dir is not None:
                 path = os.path.join(opts.export_dir, f"{sp.id}.json")
                 export_subproblem(sp, path, _texts=texts)
@@ -678,15 +729,22 @@ def _run(
             if opts.dry_run:
                 out = Outcome(UNKNOWN)
             else:
-                out = solve_subproblem(sp, box=opts.box, budget=opts.budget)
-            results.append(SubResult(sp.id, sp.tag, sp.provenance, out, time.perf_counter() - t1))
+                out = solve_subproblem(sp, box=opts.box, budget=opts.budget, cutoff=incumbent)
+            seconds = time.perf_counter() - t1
+            results.append(SubResult(sp.id, sp.tag, sp.provenance, out, seconds, incumbent))
             proof = out._proof
             found = found or out.status == FEASIBLE
-            if proof or (found and inst.sense == FEASIBILITY):
+            if bounded and out.status == FEASIBLE:
+                if incumbent is None and j + 1 < len(stage):
+                    bound = _orbit_bound(inst, stage[0].cycles)
+                # a Feasible under the cutoff beats the incumbent
+                incumbent = out.objective
+                reached = incumbent == bound
+            if proof or reached or (found and inst.sense == FEASIBILITY):
                 break
         # stage 0 of a layer walk is the global S2, which bounds no layer
         layered = schedule.stop_layer is not None and index > 0
-        if proof or (found and (inst.sense == FEASIBILITY or layered)):
+        if proof or reached or (found and (inst.sense == FEASIBILITY or layered)):
             stopped = True
             break
 
@@ -702,7 +760,9 @@ def _run(
                 time.perf_counter() - t1,
             )
         )
-    return _aggregate(inst, schedule, results, time.perf_counter() - t0, proof)
+    return _aggregate(
+        inst, schedule, results, time.perf_counter() - t0, proof, bound if reached else None
+    )
 
 
 def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:
@@ -779,6 +839,7 @@ def report_to_dict(report: Report) -> dict:
                 "provenance": list(r.provenance),
                 "seconds": r.seconds,
                 **_outcome_dict(r.outcome),
+                "cutoff": _frac_json(r.cutoff),
             }
             for r in report.results
         ],

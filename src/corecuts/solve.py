@@ -4,7 +4,9 @@ Two engines live here:
 
 * ``lp_relax`` — exact rational simplex over the instance's linear rows
   (synthesized nonlinear sets are never part of the relaxation), for
-  ``corecuts analyze``;
+  ``corecuts analyze``, and ``_orbit_bound``, the same LP over the
+  fixed space of a run's planned cycles, whose optimum bounds every
+  integer point of a max/min instance;
 * ``solve_subproblem`` — bounded depth-first integer enumeration with
   event-driven exact interval propagation over the linear rows and one
   exact test per cycle block of the nonlinear sets: S2 singularity
@@ -41,7 +43,8 @@ the object lives; nothing writes into it:
 * an ``Instance`` keeps its rows read by position
   (``simplex._row_interval``: coefficients and an interval) and merged
   once (``simplex._merge_rows``, ``Instance._merged``), which
-  ``lp_relax`` and Algorithm 1's fixed-line reading
+  ``lp_relax``, the LP bound of a max/min run of Algorithms 2 and 3
+  (``_orbit_bound``) and Algorithm 1's fixed-line reading
   (``engine._fixed_line``: its planner and its direct fixed-space
   probe) read and each subproblem copies before it merges
   its added sets (``_lower``); the same rows as export constraints
@@ -116,6 +119,7 @@ from .simplex import (
     LPRow,
     Tableau,
     _merge_primitive,
+    _merge_row,
     _merge_rows,
     _row_interval,
 )
@@ -390,6 +394,58 @@ def lp_relax(inst: Instance) -> Outcome:
     if res.status == "unbounded":
         return Outcome(UNBOUNDED)
     return Outcome(FEASIBLE, point=res.x, objective=objective)
+
+
+def _orbit_lp(inst: Instance, cycles: tuple[Cycle, ...]) -> tuple[Tableau, list[Fraction]]:
+    """The LP relaxation of inst over the fixed space of disjoint cycles
+    that each fix inst by themselves (``_check_orbits``), and its
+    objective: one column per orbit, a cycle's or an unmoved variable's.
+    The cycles generate a group that fixes the objective and the bounds
+    and permutes the rows, so the average of an LP point over the group
+    is an LP point with the same objective, constant on each orbit: the
+    two LPs have the same optimum (Bödi, Herr and Joswig, "Algorithms for
+    highly symmetric linear and integer programs", Math. Program. 2013).
+    A column's weight and its row coefficients are the sums over its
+    orbit, and its bounds are those its orbit shares.  The rows are the
+    instance's merged rows (``Instance._merged``) summed onto the
+    columns and merged again (``simplex._merge_row``), so no instance
+    row is read again."""
+    column = list(range(inst.n))
+    for c in cycles:
+        for i in c.support:
+            column[i - 1] = c.support[0] - 1
+    firsts = sorted(set(column))
+    index = {j: k for k, j in enumerate(firsts)}
+    column = [index[j] for j in column]
+    objective = [Fraction(0)] * len(firsts)
+    for j, w in zip(column, inst.objective):
+        objective[j] += w
+    merged, nonempty = inst._merged
+    rows: dict = {}
+    for key, (lo, hi) in merged.items():
+        coeffs: Counter = Counter()
+        for j, a in key:
+            coeffs[column[j]] += a
+        lo, hi = (None if b is None else Fraction(*b) for b in (lo, hi))
+        nonempty = nonempty and _merge_row(rows, coeffs.items(), lo, hi)
+    bounds = [inst.bounds[j] for j in firsts]
+    return Tableau(len(firsts), (rows, nonempty), bounds), objective
+
+
+def _orbit_bound(inst: Instance, cycles: tuple[Cycle, ...]) -> Optional[Fraction]:
+    """The best objective an integer point of a max or min instance can
+    reach, by the LP over the fixed space of the cycles (``_orbit_lp``):
+    ``floor(D * LP) / D`` for max and ``ceil(D * LP) / D`` for min, where
+    D is the lcm of the weights' denominators, so D times the objective
+    of an integer point is an integer.  None when that LP has no
+    optimum."""
+    tableau, objective = _orbit_lp(inst, cycles)
+    res = tableau.optimize(objective, maximize=inst.sense == MAX)
+    if res.status != "optimal":
+        return None
+    scale = math.lcm(*(w.denominator for w in inst.objective))
+    value = res.objective * scale
+    return Fraction(math.floor(value) if inst.sense == MAX else math.ceil(value), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +744,12 @@ def _lower(sub) -> tuple[
     return rows, blocks
 
 
-def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUDGET) -> Outcome:
+def solve_subproblem(
+    sub,
+    box: int = DEFAULT_BOX,
+    budget: int = DEFAULT_NODE_BUDGET,
+    cutoff: Optional[Fraction] = None,
+) -> Outcome:
     """Depth-first integer enumeration of sub = base instance + added
     constraint sets, over the declared bounds.  A missing side, and
     every side of an integer auxiliary, is clipped to the half-width
@@ -727,7 +788,12 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     lower bound becomes ``sign * D * f + 1`` when a point of value f is
     recorded.  Every variable is an integer, so the cutoff removes only
     points that are no better than the incumbent, and every leaf the
-    search reaches beats the incumbent.
+    search reaches beats the incumbent.  ``cutoff`` (a number, max/min
+    instances only) is an incumbent from outside, such as the best value
+    of the run's earlier subproblems (``engine._run``): the row then
+    starts at ``floor(sign * D * cutoff) + 1``, so the search reports
+    only points strictly better than it, and Infeasible means that sub
+    holds none.
 
     With ``sub.cycles``, the orbital rows admit only max-first points.
     Every constraint but the S1 cuts on a block of those cycles holds on
@@ -755,10 +821,12 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     A clipped side or a spent budget answers Unknown, so it never
     certifies; nor does a search that a block check pruned, one with
     rows of its own (an S1 layer row, an S3 anchor), or one that found
-    an incumbent."""
-    outcome, rejected = _search(sub, box, budget)
+    an incumbent.  Nor does a search under a ``cutoff``: its Infeasible
+    says only that sub holds no point better than the cutoff."""
+    outcome, rejected = _search(sub, box, budget, cutoff)
     if (
         outcome.status == INFEASIBLE
+        and cutoff is None
         and not rejected
         and all(_block_of(cs) is not None for cs in sub.added)
     ):
@@ -767,11 +835,15 @@ def solve_subproblem(sub, box: int = DEFAULT_BOX, budget: int = DEFAULT_NODE_BUD
     return outcome
 
 
-def _search(sub, box: int, budget: int) -> tuple[Outcome, int]:
+def _search(sub, box: int, budget: int, cutoff: Optional[Fraction] = None) -> tuple[Outcome, int]:
     """``solve_subproblem``'s search: its outcome, and how many nodes a
     block check dropped (``_block_holds``)."""
     if _integer(box, "box") < 0:
         raise InputError("box must be >= 0")
+    if cutoff is not None:
+        _number(cutoff, "cutoff")
+        if sub.base.sense not in (MAX, MIN):
+            raise InputError("a cutoff needs a max or min instance")
     if _integer(budget, "budget") <= 0:
         return Outcome(UNKNOWN), 0
     variables = _variables(sub, search=True)
@@ -789,11 +861,13 @@ def _search(sub, box: int, budget: int) -> tuple[Outcome, int]:
     sign = -1 if base.sense == MIN else 1
     if want_best:
         # incumbent cutoff: sign * D * objective >= (its value at the
-        # incumbent) + 1, unbounded until the first incumbent
+        # incumbent) + 1, unbounded until the first incumbent unless the
+        # caller gives one
         scale = math.lcm(*(c.denominator for _, c in obj_items))
         cut_coeffs = [(j, int(sign * c * scale)) for j, c in obj_items]
         cut = len(rows)
-        rows.append((cut_coeffs, None, None))
+        lowest = None if cutoff is None else math.floor(sign * scale * Fraction(cutoff)) + 1
+        rows.append((cut_coeffs, lowest, None))
     watch = _watch_lists(rows, nvars)
     # the cutoff's bound changes at leaves, so every node queues it
     starts = [w if not want_best or cut in w else w + [cut] for w in watch]

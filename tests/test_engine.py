@@ -76,12 +76,14 @@ def _random_full_cycle_instance(rng, n, sense):
     )
 
 
-def _random_cycles_instance(rng, shape, sense):
+def _random_cycles_instance(rng, shape, sense, unmoved=0):
     """A small instance invariant under one cycle per entry of shape (the
-    cycles cover x1..xn in order): an equality row family and an
-    inequality row family, each closed under every rotation of every
-    block, and an objective constant on each block; box [0, 2]."""
-    n = sum(shape)
+    cycles cover x1..xm in order, and ``unmoved`` variables follow): an
+    equality row family and an inequality row family, each closed under
+    every rotation of every block, and an objective constant on each
+    block; box [0, 2]."""
+    m = sum(shape)
+    n = m + unmoved
     starts = [sum(shape[:i]) for i in range(len(shape))]
     gens = ["(" + ",".join(str(s + j + 1) for j in range(k)) + ")" for s, k in zip(starts, shape)]
     rows = {}
@@ -92,9 +94,13 @@ def _random_cycles_instance(rng, shape, sense):
             b = []
             for s, k, r in zip(starts, shape, shifts):
                 b.extend(a[s + r : s + k] + a[s : s + r])
+            b.extend(a[m:])
             rows[tuple(b), rel] = make_row(b, rel, rhs)
     weights = [rng.choice((-2, -1, 1, 2)) for _ in shape]
-    objective = None if sense == "feasibility" else [w for w, k in zip(weights, shape) for _ in range(k)]
+    weights += [rng.choice((-2, -1, 1, 2)) for _ in range(unmoved)]
+    objective = None if sense == "feasibility" else [
+        w for w, k in zip(weights, (*shape, *[1] * unmoved)) for _ in range(k)
+    ]
     return make_instance(
         n, sense=sense, objective=objective, rows=list(rows.values()), bounds=_box(n, 0, 2),
         group=analyze_group(gens, n),
@@ -1276,7 +1282,8 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
     decides those sets exactly on their blocks, and lowers none of their
     constraints.  Every
     dispatched subproblem answers as a standalone solve_subproblem call
-    on fresh copies of its instance and sets does;
+    on fresh copies of its instance and sets does, under the same box,
+    budget and cutoff (the run's incumbent);
     the direct probe answers as it does on a fresh instance.  A dry run
     of Algorithm 1 merges the rows too, for its fixed line; a dry run
     of Algorithm 3, or of a plain instance, reads none."""
@@ -1316,7 +1323,7 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
         # fresh copies of the sets are lowered again, outside the count
         mark = len(lowered)
         for sp, kwargs, out in dispatched:
-            fresh = solve.solve_subproblem(_fresh(sp), kwargs["box"], kwargs["budget"])
+            fresh = solve.solve_subproblem(_fresh(sp), **kwargs)
             assert fresh == out and fresh._proof == out._proof, sp.id
         del lowered[mark:]
         for r in rep.results:
@@ -1647,6 +1654,172 @@ def test_the_proof_stays_out_of_the_outcome_api():
     assert repr(out) == repr(solve.Outcome("Infeasible"))
     assert "_proof" not in inspect.signature(solve.Outcome).parameters
     assert not solve.Outcome("Infeasible")._proof
+
+
+def _two_pair_instance(sense, weight=1):
+    """max weight * sum(x), or min -weight * sum(x), subject to 3x1 + 3x2
+    + 7x3 + 7x4 == 13 over [0, 2]^4, under the cycles (1,2) and (3,4).
+    Every point has x1 + x2 = 2 and x3 + x4 = 1, so the optimum is 3 *
+    weight (its negative, for min), and (1, 1, 1, 0), whose first block
+    is singular, lies in A1.S2.  The LP over the orbits peaks at y = (2,
+    1/7), where sum(x) = 29/7, so for weight 1 the LP bound is 4 (-4):
+    no point reaches it."""
+    sign = 1 if sense == "max" else -1
+    return make_instance(
+        4, sense=sense, objective=[sign * weight] * 4, rows=(make_row([3, 3, 7, 7], "==", 13),),
+        bounds=_box(4, 0, 2), group=analyze_group(["(1,2)", "(3,4)"], 4),
+    )
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_a_search_under_a_cutoff_proves_nothing(sense):
+    """A plain subproblem and an S2 subproblem of a feasible instance
+    both reach its optimum f.  From a cutoff at f, or past it, each
+    ends Infeasible with no block rejection, which without a cutoff
+    would prove the instance empty; under the cutoff it proves nothing.
+    With no cutoff, or one worse than f, each answers as before.  An
+    instance with no point proves itself empty only without a cutoff,
+    and a cutoff needs a max or min instance and a number."""
+    sign = 1 if sense == "max" else -1
+    inst, f = _two_pair_instance(sense), 3 * sign
+    s2 = plan(inst).subproblems[0]
+    assert (s2.id, s2.tag, len(s2.cycles)) == ("A1.S2", "S2", 2)
+    for sp in (Subproblem("plain", inst, (), "PLAIN", ("plain",)), s2):
+        out = solve.solve_subproblem(sp)
+        assert (out.status, out.objective) == ("Feasible", f), sp.id
+        for worse in (None, f - sign, f - sign * Fraction(1, 2)):
+            assert solve.solve_subproblem(sp, cutoff=worse) == out, (sp.id, worse)
+        for cutoff in (f, f + sign * Fraction(1, 2), f + sign):
+            cut, rejected = solve._search(sp, solve.DEFAULT_BOX, solve.DEFAULT_NODE_BUDGET, cutoff)
+            assert (cut, rejected) == (solve.Outcome("Infeasible"), 0), (sp.id, cutoff)
+            cut = solve.solve_subproblem(sp, cutoff=cutoff)
+            assert cut.status == "Infeasible" and not cut._proof, (sp.id, cutoff)
+    empty = make_instance(1, sense=sense, objective=[1], rows=(make_row([2], "==", 1),),
+                          bounds=_box(1, 0, 3))
+    plain = Subproblem("plain", empty, (), "PLAIN", ("plain",))
+    assert solve.solve_subproblem(plain)._proof
+    out = solve.solve_subproblem(plain, cutoff=0)
+    assert out.status == "Infeasible" and not out._proof
+    for bad in (True, "3", float("inf")):
+        with pytest.raises(InputError, match="cutoff"):
+            solve.solve_subproblem(plain, cutoff=bad)
+    feasibility = dataclasses.replace(empty, sense="feasibility")
+    with pytest.raises(InputError, match="a cutoff needs a max or min instance"):
+        solve.solve_subproblem(Subproblem("plain", feasibility, (), "PLAIN", ("plain",)), cutoff=0)
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_a_run_whose_first_s2_finds_the_optimum_stays_feasible(sense):
+    """Algorithm 3's first S2 finds the optimum, below the LP bound, so
+    every later subproblem runs from that cutoff and ends Infeasible:
+    the second S2 with no block rejection.  None of them proves the
+    instance empty, and the run answers Feasible with the optimum, as
+    run_plain does."""
+    sign = 1 if sense == "max" else -1
+    inst, f = _two_pair_instance(sense), 3 * sign
+    rep = run_auto(inst)
+    assert (rep.algorithm, rep.status, rep.f_star) == (3, "Feasible", f)
+    assert rep.point == (1, 1, 1, 0) and _holds(inst, rep.point)
+    assert (rep.f_star, rep.status) == (run_plain(inst).f_star, run_plain(inst).status)
+    assert solve._orbit_bound(inst, plan(inst).subproblems[0].cycles) == 4 * sign
+    # the bound is out of reach, so the whole schedule runs
+    assert [r.id for r in rep.results] == [sid for sid, _, _ in rep.schedule]
+    first, second, *rest = rep.results
+    assert (first.id, first.outcome.objective, first.cutoff) == ("A1.S2", f, None)
+    assert (second.id, second.outcome.status, second.cutoff) == ("A3.S2", "Infeasible", f)
+    assert all(r.outcome.status == "Infeasible" and r.cutoff == f for r in rest)
+    assert not any(r.outcome._proof for r in rep.results)
+    assert [r["cutoff"] for r in report_to_dict(rep)["results"]] == [None] + [str(f)] * 4
+
+
+def _bound_note(sid, bound):
+    return f"{sid} reaches the LP bound {bound}; no later subproblem runs"
+
+
+def _max_min_cycle_instances(rng, count):
+    """Seeded max and min instances of Algorithms 2 and 3: blocks of
+    shapes (2, 2), (2, 3) and (3, 3), and a 3-cycle with one unmoved
+    variable."""
+    for i in range(count):
+        shape, unmoved = rng.choice((((2, 2), 0), ((2, 3), 0), ((3, 3), 0), ((3,), 1)))
+        yield _random_cycles_instance(rng, shape, ("max", "min")[i % 2], unmoved)
+
+
+def test_the_incumbent_and_the_lp_bound_keep_every_verdict():
+    """On max/min instances of Algorithms 2 and 3, run_auto keeps
+    run_plain's status and optimum, and reports a point that meets the
+    instance and scores the optimum.  Its results are a prefix of its
+    schedule, whose counts are the plan's.  Each result ran from the
+    best value before it (``cutoff``, also in the report's dict), and
+    each Feasible beats that value.  A run that ends early either proves
+    the instance empty or reaches the LP bound, which is then its
+    optimum and the last note."""
+    rng = random.Random(43)
+    seen = Counter()
+    for inst in _max_min_cycle_instances(rng, 160):
+        rep, ref = run_auto(inst), run_plain(inst)
+        better = (lambda a, b: a > b) if inst.sense == "max" else (lambda a, b: a < b)
+        assert rep.algorithm == (2 if len(inst.group.selected_cycles) == 1 else 3)
+        assert (rep.status, rep.f_star) == (ref.status, ref.f_star), inst.rows
+        if rep.point is not None:
+            assert _holds(inst, rep.point)
+            assert engine._objective_of(inst, rep.point) == rep.f_star
+        ids = [r.id for r in rep.results]
+        assert ids == [sid for sid, _, _ in rep.schedule][: len(ids)]
+        assert rep.counts == plan(inst).counts()
+        best = None
+        for r, doc in zip(rep.results, report_to_dict(rep)["results"]):
+            assert r.cutoff == best and doc["cutoff"] == (None if best is None else str(best))
+            if r.outcome.status == "Feasible":
+                assert best is None or better(r.outcome.objective, best)
+                best = r.outcome.objective
+        stopped = len(ids) < len(rep.schedule)
+        bound = solve._orbit_bound(inst, plan(inst).subproblems[0].cycles)
+        if stopped and rep.results[-1].outcome._proof:
+            assert rep.status == "Infeasible"
+            seen["proofs"] += 1
+        elif stopped:
+            assert rep.status == "Feasible" and rep.f_star == bound
+            assert rep.notes[-1] == _bound_note(ids[-1], bound)
+            seen[f"bound at result {len(ids)}"] += 1
+        else:
+            assert not any("LP bound" in note for note in rep.notes)
+            seen["whole schedule"] += 1
+        if rep.f_star is not None:
+            assert not better(rep.f_star, bound)
+    assert seen["proofs"] > 20 and seen["whole schedule"] > 5, seen
+    assert sum(v for k, v in seen.items() if k.startswith("bound at result")) > 30, seen
+
+
+def test_the_orbit_lp_has_the_relaxation_optimum_with_one_column_per_orbit():
+    """The LP over the fixed space of the planned cycles has one column
+    per orbit, a cycle's or an unmoved variable's, and the optimum of
+    lp_relax; the LP bound is that optimum rounded down (up, for min)
+    on the grid of the objective's values."""
+    rng = random.Random(47)
+    seen = Counter()
+    for inst in _max_min_cycle_instances(rng, 80):
+        cycles = plan(inst).subproblems[0].cycles
+        tableau, objective = solve._orbit_lp(inst, cycles)
+        assert tableau.n == len(objective) == inst.n - sum(c.k - 1 for c in cycles)
+        assert sum(objective) == sum(inst.objective)
+        res = tableau.optimize(objective, maximize=inst.sense == "max")
+        lp = solve.lp_relax(inst)
+        assert {"optimal": "Feasible", "infeasible": "Infeasible"}[res.status] == lp.status
+        bound = solve._orbit_bound(inst, cycles)
+        if lp.status == "Feasible":
+            assert res.objective == lp.objective
+            rounded = math.floor if inst.sense == "max" else math.ceil
+            assert bound == rounded(lp.objective)
+        else:
+            assert bound is None
+        seen[lp.status, len(cycles)] += 1
+    assert seen["Feasible", 1] > 5 and seen["Feasible", 2] > 20 and seen["Infeasible", 2] > 5, seen
+    # half weights: the objective's values are multiples of 1/2, and the
+    # LP reaches 29/14
+    half = _two_pair_instance("max", Fraction(1, 2))
+    assert solve._orbit_bound(half, plan(half).subproblems[0].cycles) == 2
+    assert run_auto(half).f_star == Fraction(3, 2)
 
 
 def test_open_sides_never_contradict_box_enumeration():

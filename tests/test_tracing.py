@@ -31,29 +31,30 @@ def _load_spans():
 
 
 def test_tracer_records_leaf_and_subproblem_spans():
-    """Algorithm 2 on the cycle (1,2,3) of four variables: its S1 cut
+    """Algorithm 2 on the cycle (1,2,3,4,5) of six variables: its S1 cut
     subproblems decide the cuts exactly (``spectral.cut_rotation``), and
-    the tracer finds those calls inside the subproblem spans.  No solver
-    code evaluates a float program, so no ``evalcore`` span shows, and
-    the method the tracer wraps there is restored."""
+    the tracer finds those calls inside the subproblem spans.  No two
+    cyclic neighbours may both be 1, so no translate of residue 2's
+    anchor (1,1,0,0,0) is feasible, and the best block, a rotation of
+    (1,0,1,0,0), lies in the cut T2.S1 alone.  The earlier results reach
+    only 2, below the LP bound 3, so the run's incumbent does not end the
+    run before that cut.
+    No solver code evaluates a float program, so no ``evalcore`` span
+    shows, and the method the tracer wraps there is restored."""
     spans = _load_spans()
     layers = {
         layer: importlib.import_module(f"corecuts.{layer}") for layer in spans.LAYER_MODULES
     }
     engine, solve, evalcore = layers["engine"], layers["solve"], layers["evalcore"]
     run_auto, solve_subproblem, run = engine.run_auto, engine.solve_subproblem, evalcore.Program.run
+    neighbours = [[1 if j in (i, (i + 1) % 5) else 0 for j in range(6)] for i in range(5)]
     inst = make_instance(
-        4,
+        6,
         sense="max",
-        objective=[1, 1, 1, 2],
-        rows=(
-            make_row([-1, -1, -1, 1], "==", 1),
-            make_row([0, 0, 1, 1], ">=", 2),
-            make_row([0, 1, 0, 1], ">=", 2),
-            make_row([1, 0, 0, 1], ">=", 2),
-        ),
-        bounds=[(0, 2)] * 4,
-        group=analyze_group(["(1,2,3)"], 4),
+        objective=[1] * 6,
+        rows=tuple(make_row(coeffs, "<=", 1) for coeffs in neighbours),
+        bounds=[(0, 2)] * 5 + [(0, 1)],
+        group=analyze_group(["(1,2,3,4,5)"], 6),
     )
     tracer = spans.Tracer()
     tracer.install()
@@ -62,7 +63,7 @@ def test_tracer_records_leaf_and_subproblem_spans():
         report = engine.run_auto(inst, EngineOptions())
     finally:
         tracer.uninstall()
-    assert (report.status, report.algorithm, report.f_star) == ("Feasible", 2, 5)
+    assert (report.status, report.algorithm, report.f_star) == ("Feasible", 2, 3)
     assert "S1" in {r.tag for r in report.results}
     calls = {name: n for name, (n, _) in tracer.self_times().items()}
     assert calls.get("spectral.cut_rotation", 0) > 0
