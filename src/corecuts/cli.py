@@ -13,6 +13,9 @@ Subcommands:
   sub-layer;
 * ``tvalues C`` — the inverse-circulant values of an integer vector.
 
+Each subcommand imports the layers it runs, so that only ``solve``
+loads the engine.
+
 Exit codes: 0 solved/feasible, 2 infeasible, 3 unknown, 64 bad input
 (a number too large to compute with included).
 """
@@ -24,29 +27,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .corepoints import is_lattice_free, projected_essential_set
-from .engine import (
-    EngineOptions,
-    report_to_dict,
-    run_algorithm1,
-    run_algorithm2,
-    run_algorithm3,
-    run_auto,
-)
 from .errors import CorecutsError, InputError
-from .gen import generate
-from .instancefile import analyze_group, instance_to_dict, read_instance
-from .perms import fixed_space_basis
-from .solve import (
-    DEFAULT_BOX,
-    DEFAULT_NODE_BUDGET,
-    FEASIBLE,
-    INFEASIBLE,
-    UNBOUNDED,
-    lp_relax,
-)
 from .exprs import DEFAULT_EPS
-from .spectral import t_hat_exact, t_values
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -79,6 +61,10 @@ def _parse_point(text: str) -> tuple[int, ...]:
 
 
 def cmd_analyze(args) -> int:
+    from .instancefile import read_instance
+    from .perms import fixed_space_basis
+    from .solve import lp_relax
+
     inst = read_instance(args.file)
     doc = {"format": 1, "n": inst.n}
     if inst.group is None:
@@ -101,6 +87,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .gen import generate
+    from .instancefile import instance_to_dict
+
     point = _parse_point(args.point)
     result = generate(point, certify=not args.skip_certify, cycle=args.group)
     if result.certified is False:
@@ -128,14 +117,27 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .engine import (
+        EngineOptions,
+        report_to_dict,
+        run_algorithm1,
+        run_algorithm2,
+        run_algorithm3,
+        run_auto,
+    )
+    from .instancefile import read_instance
+    from .solve import FEASIBLE, INFEASIBLE, UNBOUNDED
+
     inst = read_instance(args.file)
+    # --budget and --box left out keep EngineOptions' defaults; the parser
+    # does not read them from solve, which tvalues and essential never load
+    given = {"budget": args.budget, "box": args.box}
     opts = EngineOptions(
-        budget=args.budget,
         eps=args.eps,
-        box=args.box,
         essential_budget=args.essential_budget,
         export_dir=args.export_dir,
         dry_run=args.dry_run,
+        **{name: v for name, v in given.items() if v is not None},
     )
     if args.algorithm == "auto":
         report = run_auto(inst, opts)
@@ -158,6 +160,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check_core(args) -> int:
+    from .corepoints import is_lattice_free
+    from .instancefile import analyze_group
+
     point = _parse_point(args.point)
     group = analyze_group([args.group], len(point))
     cert = is_lattice_free(group, point)
@@ -173,6 +178,8 @@ def cmd_check_core(args) -> int:
 
 
 def cmd_essential(args) -> int:
+    from .corepoints import projected_essential_set
+
     ess = projected_essential_set(args.k, args.residue, args.budget)
     _emit(
         {
@@ -187,6 +194,8 @@ def cmd_essential(args) -> int:
 
 
 def cmd_tvalues(args) -> int:
+    from .spectral import t_hat_exact, t_values
+
     c = _parse_point(args.c)
     tv = t_values(c)
     exact = t_hat_exact(c)
@@ -229,12 +238,12 @@ def build_parser() -> _Parser:
     ps = sub.add_parser("solve", help="run the layer-search engine")
     ps.add_argument("file")
     ps.add_argument("--algorithm", choices=("auto", "1", "2", "3"), default="auto")
-    ps.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+    ps.add_argument("--budget", type=int, default=None,
                     help="assignment-node budget per subproblem")
     ps.add_argument("--eps", type=float, default=DEFAULT_EPS,
                     help="strict-inequality margin of the exported cuts; the solver "
                     "decides every cut exactly and does not read it")
-    ps.add_argument("--box", type=int, default=DEFAULT_BOX,
+    ps.add_argument("--box", type=int, default=None,
                     help="fallback half-width of the enumeration box for missing bounds")
     ps.add_argument("--export-dir", default=None,
                     help="write each dispatched subproblem as MINLP-JSON here")

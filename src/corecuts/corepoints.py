@@ -31,9 +31,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
-from .errors import InputError, LayerMismatch, NonActiveMismatch, SingularCirculant
+from .errors import InputError, LayerMismatch, NonActiveMismatch, SingularCirculant, _integer
 from .perms import Cycle, GroupSpec, orbit
-from .solve import _integer
 from .spectral import scaled_inverse, solve_circulant_exact
 
 

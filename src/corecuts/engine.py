@@ -137,7 +137,7 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .corepoints import projected_essential_set
-from .errors import InputError
+from .errors import InputError, _integer
 from .exprs import Add, Const, Constraint, ConstraintSet, DEFAULT_EPS, Dot, EQ
 from .exprs import S1, S2, S3, SUBLAYER
 from .perms import Cycle
@@ -156,7 +156,6 @@ from .solve import (
     _check_disjoint,
     _check_orbits,
     _cycle_misses,
-    _integer,
     _orbit_bound,
     export_subproblem,
     search_box,
@@ -621,7 +620,8 @@ def _aggregate(
     (``solve_subproblem``), so the verdict is Infeasible whatever ran
     before it, and a note names that subproblem.  ``bound``: the last
     result reached this LP bound, which no integer point beats, and
-    ended the run; a note names both."""
+    ended the run; a note names both, and the verdict is Feasible even
+    when an earlier result ran out of budget."""
     feasible = [r for r in results if r.outcome.status == FEASIBLE]
     unknown = [r for r in results if r.outcome.status == UNKNOWN]
 
@@ -654,8 +654,9 @@ def _aggregate(
         status = INFEASIBLE
         sid = results[-1].id
         notes += (f"{sid} proves the instance has no integer point; no later subproblem runs",)
-    elif feasible and (inst.sense == FEASIBILITY or not unknown):
-        # on a max/min instance any Unknown outcome makes the verdict Unknown
+    elif feasible and (inst.sense == FEASIBILITY or bound is not None or not unknown):
+        # on a max/min instance an Unknown outcome makes the verdict Unknown,
+        # unless the incumbent reached the LP bound, which proves it optimal
         status = FEASIBLE
     else:
         status = UNKNOWN if unknown else INFEASIBLE

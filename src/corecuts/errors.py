@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
 
 
 class CorecutsError(Exception):
@@ -27,3 +27,10 @@ class NotCore(CorecutsError):
 
 class InputError(CorecutsError):
     """Malformed user input (files, CLI arguments, cycle strings)."""
+
+
+def _integer(v, what: str) -> int:
+    """v when it is an int; InputError naming it as ``what`` otherwise."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InputError(f"{what} must be an integer, not {v!r}")
+    return v

@@ -99,7 +99,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, _integer
 from .exprs import (
     Add,
     Const,
@@ -150,13 +150,6 @@ def _number(v, what: str):
         raise InputError(f"{what} {v!r} is not a number")
     if isinstance(v, float) and not math.isfinite(v):
         raise InputError(f"{what} {v!r} is not finite")
-    return v
-
-
-def _integer(v, what: str) -> int:
-    """v when it is an int; InputError naming it as ``what`` otherwise."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InputError(f"{what} must be an integer, not {v!r}")
     return v
 
 

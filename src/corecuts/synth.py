@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .corepoints import display_form, all_rotations
-from .errors import InputError
+from .errors import InputError, _integer
 from .exprs import (
     Add,
     AuxVar,
@@ -59,7 +59,7 @@ from .exprs import (
     Var,
 )
 from .perms import Cycle
-from .solve import DEFAULT_BOX, _integer
+from .solve import DEFAULT_BOX
 from .spectral import _mode_pairs, fourier_pair
 
 

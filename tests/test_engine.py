@@ -1791,6 +1791,37 @@ def test_the_incumbent_and_the_lp_bound_keep_every_verdict():
     assert sum(v for k, v in seen.items() if k.startswith("bound at result")) > 30, seen
 
 
+def test_reaching_the_lp_bound_proves_the_incumbent_optimal_after_an_unknown():
+    """A max/min run that stops at the orbit-LP bound answers Feasible,
+    with the bound as its optimum, even when earlier subproblems ran out
+    of budget: the bound proves that no integer point beats the
+    incumbent.  A run with an Unknown result that never reaches the bound
+    stays Unknown."""
+    opts = EngineOptions(budget=8)
+    stopped = unproved = None
+    for inst in _max_min_cycle_instances(random.Random(5), 80):
+        rep = run_auto(inst, opts)
+        if not any(r.outcome.status == "Unknown" for r in rep.results):
+            continue
+        if any("LP bound" in note for note in rep.notes):
+            stopped = stopped or (inst, rep)
+        elif rep.f_star is not None:
+            unproved = unproved or rep
+    inst, rep = stopped
+    assert [(r.id, r.outcome.status) for r in rep.results] == [
+        ("A1.S2", "Unknown"),
+        ("A4.S2", "Unknown"),
+        ("A1.R1.S3.0", "Unknown"),
+        ("A1.R2.S3.0", "Feasible"),
+    ]
+    assert (rep.status, rep.f_star) == ("Feasible", 5)
+    assert rep.notes[-1] == _bound_note("A1.R2.S3.0", 5)
+    assert run_plain(inst).f_star == 5
+    assert _holds(inst, rep.point) and engine._objective_of(inst, rep.point) == 5
+    assert unproved.status == "Unknown" and unproved.f_star == 3
+    assert not any("LP bound" in note for note in unproved.notes)
+
+
 def test_the_orbit_lp_has_the_relaxation_optimum_with_one_column_per_orbit():
     """The LP over the fixed space of the planned cycles has one column
     per orbit, a cycle's or an unmoved variable's, and the optimum of
