@@ -92,12 +92,12 @@ refuse such an instance.
 
 One runner exports and solves every schedule's subproblems in order and
 stops early by one rule: a feasibility instance stops at its first
-Feasible result, Algorithm 1 on a max/min instance stops after the
-first layer (probes, then cut) with a Feasible result, Algorithms 2 and
-3 on a max/min instance stop at a result that reaches the LP bound
-(below), and every run stops at a result that proves the instance
-empty.  A walk that reaches its stop layer ends with the direct
-fixed-space probe, unless such a proof ended it.  The proof
+Feasible result, Algorithm 1 on a max/min instance stops at the first
+layer that cannot beat its incumbent (below), Algorithms 2 and 3 on a
+max/min instance stop at a result that reaches the LP bound (below),
+and every run stops at a result that proves the instance empty.  A walk
+that reaches its stop layer ends with the direct fixed-space probe,
+unless such a proof, or the incumbent, ended it.  The proof
 (``solve_subproblem``) comes from a search that adds no row of its own,
 as a planned S2 does, prunes no node by a block check, starts from no
 incumbent and ends Infeasible: it searched every integer point of the
@@ -105,15 +105,19 @@ instance up to a rotation of each block, so no later subproblem, nor
 the probe, holds a point.  On the hard instances, whose S2 the linear
 rows alone refute, the run so ends after its first subproblem.
 
-Algorithms 2 and 3 keep one incumbent per max/min run, the best value
-found so far: each later search starts its cutoff row from it (the
+Every max/min run keeps one incumbent, the best value found so far.  In
+Algorithms 2 and 3 each later search starts its cutoff row from it (the
 incumbent bound of branch and bound: Land and Doig, Econometrica 1960),
 so it reports only strictly better points.  At the first incumbent the
 runner reads the LP bound off the LP over the fixed space of the
 planned cycles, one column per orbit (``solve._orbit_bound``).  No
 integer point scores above it (below, for min), so an incumbent that
 equals it is optimal, and the run stops there.  Algorithm 1 and plain
-runs search without a cutoff.
+runs search without a cutoff.  Algorithm 1's cycle makes every weight
+equal to some w, so every point of layer L scores w * L, and the walk
+visits its layers best first: a layer stage, and the direct probe, runs
+only while its w * L beats the incumbent (``_beats``).  So after the
+global S2's optimum, or a layer's, no layer runs that cannot beat it.
 
 The instance and each added set keep their own readings (see
 ``solve``), so the runner hands nothing around but one dict of encoded
@@ -158,7 +162,6 @@ from .solve import (
     _cycle_misses,
     _orbit_bound,
     export_subproblem,
-    search_box,
     solve_subproblem,
     symmetry_warnings,
 )
@@ -177,6 +180,8 @@ FIX = "FIX"
 class EngineOptions:
     budget: int = DEFAULT_NODE_BUDGET
     eps: float = DEFAULT_EPS
+    #: the enumerator's half-width for a missing bound
+    #: (``solve.search_box``); no plan or export reads it
     box: int = DEFAULT_BOX
     #: essential points kept per residue when building probes and cuts
     essential_budget: int = 1
@@ -317,9 +322,9 @@ class Report:
 _SETS_KEPT = 1024
 
 @lru_cache(maxsize=_SETS_KEPT)
-def _s2_set(cycle: Cycle, box: int) -> ConstraintSet:
-    """A cycle's S2 disjunction for a search box, built once per process."""
-    return s2_singular(cycle, box)
+def _s2_set(cycle: Cycle) -> ConstraintSet:
+    """A cycle's S2 disjunction, built once per process."""
+    return s2_singular(cycle)
 
 
 @lru_cache(maxsize=_SETS_KEPT)
@@ -458,7 +463,7 @@ def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     end = None if far is None else n * far
     step = 1 if up else -1
 
-    s2 = _s2_set(cycle, search_box(inst, opts.box))
+    s2 = _s2_set(cycle)
     stages: list[tuple[Subproblem, ...]] = [
         (Subproblem("S2", inst, (s2,), S2, ("global",), (cycle,)),)
     ]
@@ -487,12 +492,11 @@ def _plan_cycles(
     """The residue schedule of Algorithms 2 and 3: one S2 per cycle, the
     anchor probes of every cycle and residue, then one cut subproblem per
     residue tuple in [1..k_1-1] x ... x [1..k_d-1]."""
-    box = search_box(inst, opts.box)
     subs = [
         Subproblem(
             f"A{c.support[0]}.S2",
             inst,
-            (_s2_set(c, box),),
+            (_s2_set(c),),
             S2,
             ("singular", c.support[0]),
             cycles,
@@ -605,6 +609,16 @@ def _direct_fixed_probe(inst: Instance, layer: int) -> Outcome:
     return Outcome(FEASIBLE, point=point, objective=objective)
 
 
+def _beats(inst: Instance, layer: int, incumbent: Optional[Fraction]) -> bool:
+    """Whether a point of Algorithm 1's layer beats the incumbent (None:
+    none yet).  The cycle makes every weight equal to some w, so every
+    point of the layer scores w * layer."""
+    if incumbent is None:
+        return True
+    value = inst.objective[0] * layer
+    return value < incumbent if inst.sense == MIN else value > incumbent
+
+
 def _aggregate(
     inst: Instance,
     schedule: Schedule,
@@ -683,18 +697,18 @@ def _run(
 ) -> Report:
     """Plan with ``planner(inst, *args, opts)``, then export and solve the
     subproblems stage by stage in schedule order.  The run stops at the
-    first Feasible result of a feasibility instance, after the first
-    layer stage with a Feasible result of Algorithm 1 on a max/min
-    instance (layers come best first), and at the first result that
+    first Feasible result of a feasibility instance, at the first layer
+    stage of Algorithm 1 whose layer cannot beat the run's incumbent
+    (``_beats``; layers come best first), and at the first result that
     proves the instance has no integer point (``Outcome._proof``, set by
     ``solve_subproblem``), which makes the verdict Infeasible.  A layer
     walk that reaches its stop layer with no such proof ends with the
-    direct fixed-space probe.  A dry run solves nothing and reports
-    every subproblem Unknown.
+    direct fixed-space probe, when that layer beats the incumbent.  A
+    dry run solves nothing and reports every subproblem Unknown.
 
-    A max/min run of Algorithms 2 and 3 keeps one incumbent, the
-    objective of its last Feasible result, and passes it to each later
-    search as ``solve_subproblem``'s ``cutoff``; a search under a cutoff
+    A max/min run keeps one incumbent, the objective of its last
+    Feasible result.  Algorithms 2 and 3 pass it to each later search
+    as ``solve_subproblem``'s ``cutoff``; a search under a cutoff
     reports only strictly better points, and its Infeasible never
     proves the instance empty.  At the first incumbent, unless it came
     from the last subproblem, the run reads the LP bound over the fixed
@@ -714,52 +728,49 @@ def _run(
     if opts.export_dir is not None:
         os.makedirs(opts.export_dir, exist_ok=True)
     results: list[SubResult] = []
-    proof = stopped = False
-    # Algorithms 2 and 3 on a max/min instance keep one incumbent: it cuts
-    # off every later search, and the run ends when it reaches the LP bound
-    bounded = inst.sense != FEASIBILITY and schedule.algorithm in (2, 3)
+    proof = stopped = reached = False
+    # a max/min run keeps one incumbent, its best Feasible value so far.
+    # Algorithms 2 and 3 search under it and end when it reaches the LP
+    # bound; Algorithm 1 walks a layer only while the layer beats it
+    cutting = inst.sense != FEASIBILITY and schedule.algorithm in (2, 3)
     incumbent = bound = None
-    reached = False
-    for index, stage in enumerate(schedule.stages):
-        found = False
+    for stage in schedule.stages:
+        head = stage[0].provenance
+        if head[0] == "layer" and not _beats(inst, head[1], incumbent):
+            stopped = True
+            break
         for j, sp in enumerate(stage):
             if opts.export_dir is not None:
                 path = os.path.join(opts.export_dir, f"{sp.id}.json")
                 export_subproblem(sp, path, _texts=texts)
+            cutoff = incumbent if cutting else None
             t1 = time.perf_counter()
             if opts.dry_run:
                 out = Outcome(UNKNOWN)
             else:
-                out = solve_subproblem(sp, box=opts.box, budget=opts.budget, cutoff=incumbent)
+                out = solve_subproblem(sp, box=opts.box, budget=opts.budget, cutoff=cutoff)
             seconds = time.perf_counter() - t1
-            results.append(SubResult(sp.id, sp.tag, sp.provenance, out, seconds, incumbent))
+            results.append(SubResult(sp.id, sp.tag, sp.provenance, out, seconds, cutoff))
             proof = out._proof
-            found = found or out.status == FEASIBLE
-            if bounded and out.status == FEASIBLE:
-                if incumbent is None and j + 1 < len(stage):
+            if out.status == FEASIBLE and inst.sense != FEASIBILITY:
+                if cutting and incumbent is None and j + 1 < len(stage):
                     bound = _orbit_bound(inst, stage[0].cycles)
-                # a Feasible under the cutoff beats the incumbent
+                # a Feasible is never worse than the incumbent: it beats it
+                # under the cutoff, and every point of a layer scores alike
                 incumbent = out.objective
                 reached = incumbent == bound
-            if proof or reached or (found and inst.sense == FEASIBILITY):
+            if proof or reached or (out.status == FEASIBLE and inst.sense == FEASIBILITY):
+                stopped = True
                 break
-        # stage 0 of a layer walk is the global S2, which bounds no layer
-        layered = schedule.stop_layer is not None and index > 0
-        if proof or reached or (found and (inst.sense == FEASIBILITY or layered)):
-            stopped = True
+        if stopped:
             break
 
-    if not stopped and schedule.stop_layer is not None and not opts.dry_run:
+    layer = schedule.stop_layer
+    if not stopped and layer is not None and not opts.dry_run and _beats(inst, layer, incumbent):
         t1 = time.perf_counter()
-        out = _direct_fixed_probe(inst, schedule.stop_layer)
+        out = _direct_fixed_probe(inst, layer)
         results.append(
-            SubResult(
-                f"L{schedule.stop_layer}.fix",
-                FIX,
-                ("layer", schedule.stop_layer, "direct"),
-                out,
-                time.perf_counter() - t1,
-            )
+            SubResult(f"L{layer}.fix", FIX, ("layer", layer, "direct"), out, time.perf_counter() - t1)
         )
     return _aggregate(
         inst, schedule, results, time.perf_counter() - t0, proof, bound if reached else None
@@ -769,8 +780,9 @@ def _run(
 def run_algorithm1(inst: Instance, opts: Optional[EngineOptions] = None) -> Report:
     """Full-cycle layer walk: global singularity subproblem, then per
     surviving layer anchor probes and one cut subproblem, stopping at
-    the first feasible layer or at the first layer divisible by n, where
-    the fixed-space point is evaluated directly."""
+    the first layer that cannot beat the best value found, or at the
+    first layer divisible by n, where the fixed-space point is evaluated
+    directly."""
     return _run(inst, opts, plan_algorithm1)
 
 

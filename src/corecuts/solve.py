@@ -52,7 +52,7 @@ the object lives; nothing writes into it:
   ``flatten_subproblem`` puts before the added constraints; the
   integer row keys of its symmetry check (``Instance._row_keys``); and
   its widest declared bound (``Instance._widest_bound``), which
-  ``search_box`` reads for every subproblem and planner;
+  ``search_box`` reads for every subproblem;
 * a ``ConstraintSet`` keeps the interval rows of its constraints
   (``exprs._interval_of``, through ``exprs.linear_form``, which reads
   the flat sums that synthesis, the engine and ``_row_to_constraint``
@@ -479,7 +479,7 @@ def _block_of(cs) -> Optional[Cycle]:
     block (``ConstraintSet.cycle``) of S2 and smoothness sets, and of an
     S1 cut with its canonical point (``ConstraintSet.point``).  For S2
     the predicate is the projection of the disjunction onto the instance
-    variables wherever its big-M holds, which covers the search box."""
+    variables, at every point."""
     if cs.tag in (S2, SMOOTH) or (cs.tag == S1 and cs.point is not None):
         return cs.cycle
     return None

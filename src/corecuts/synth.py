@@ -13,8 +13,9 @@ support), the synthesizer produces:
   denominator stays bounded away from zero; at an integer block, no
   cyclotomic Phi_d with d > 1 divides x(t));
 * S2 singularity disjunctions: binaries force at least one spectral
-  factor of det Cir(x|cycle) to vanish (the export's form; the
-  enumerator decides the same singularity exactly, by its block);
+  factor of det Cir(x|cycle) to vanish, with no big-M, so the export
+  states exactly the singular blocks (the enumerator decides the same
+  singularity exactly, by its block);
 * S3 anchors: linear equalities pinning x|cycle to the fixed-space
   translate family of a concrete point z;
 * sub-layer rows sum(x|cycle) = q*k + residue with a fresh integer q.
@@ -59,7 +60,6 @@ from .exprs import (
     Var,
 )
 from .perms import Cycle
-from .solve import DEFAULT_BOX
 from .spectral import _mode_pairs, fourier_pair
 
 
@@ -166,92 +166,48 @@ def smoothness(cycle: Cycle, eps: float = DEFAULT_EPS) -> ConstraintSet:
     return ConstraintSet(tag=SMOOTH, constraints=tuple(cons), cycle=cycle)
 
 
-def s2_singular(cycle: Cycle, box_hint: int = DEFAULT_BOX) -> ConstraintSet:
+def s2_singular(cycle: Cycle) -> ConstraintSet:
     """Singularity disjunction: det Cir(x|cycle) factors into the layer
     sum, the mode-pair projection lengths, and (even k) the alternating
-    sum; binaries r_m with sum r <= M-1 force at least one factor to
-    vanish.
-
-    Quadratic factors use the literal form -2 r P <= P <= 2 r P (they
-    are nonnegative, so r = 1 relaxes and r = 0 pins P to zero).  The
-    two possibly-negative linear factors get symmetric box bounds
-    -2 B r <= P <= 2 B r instead, with B = k * box_hint, preserving the
-    "r = 0 pins P to zero" semantics for factors of arbitrary sign.
-    Precondition: box_hint bounds every block variable in absolute
-    value over the domain searched, so that 2 * B bounds |sum| and
-    |alternating sum| of the block; outside it the disjunction cuts off
-    singular blocks.  The planners pass the enumerator's half-width
-    (``solve.search_box``), which holds every declared bound and the
-    clip of every missing side
-    (``test_planned_s2_big_m_holds_every_block_the_search_reaches``).
-    box_hint defaults to the solver's fallback half-width; it must be an
-    int >= 0.
+    sum.  Each factor P gets a binary r and the row P - r P == 0, so
+    r = 0 pins P to zero and r = 1 frees it; the row sum r <= M - 1 then
+    forces at least one of the M factors to vanish.  The rows hold for
+    every x, so the disjunction's projection onto x is exactly the set
+    of singular blocks, whatever the block's bounds.
 
     The set records its block (``ConstraintSet.cycle``).  The
-    enumerator reads it as the exact predicate "Cir(x|cycle) is
-    singular" (``spectral.is_singular``), the projection of this
-    disjunction onto x inside the box, and holds neither the binaries
-    nor the rows; so the big-M serves only the export, which keeps the
-    disjunction as written here.
+    enumerator reads it as that predicate, "Cir(x|cycle) is singular"
+    (``spectral.is_singular``), and holds neither the binaries nor the
+    rows, which serve the export.
     """
-    if _integer(box_hint, "box hint") < 0:
-        raise InputError("box hint must be >= 0")
     k = cycle.k
     names = cycle_var_names(cycle)
     pairs, has_alternating = _mode_pairs(k)
     prefix = f"r{cycle.support[0]}"
-    bound = Fraction(2 * k * box_hint)
 
-    factors: list[tuple[Expr, bool]] = []  # (expr, is_linear)
-    factors.append((Dot(tuple(Fraction(1) for _ in names), names), True))
-    for m in range(1, pairs + 1):
-        factors.append((_proj_len_sq_expr(k, m, names), False))
+    factors: list[Expr] = [Dot(tuple(Fraction(1) for _ in names), names)]
+    factors += [_proj_len_sq_expr(k, m, names) for m in range(1, pairs + 1)]
     if has_alternating:
-        factors.append((Dot(_alternating_coeffs(k), names), True))
+        factors.append(Dot(_alternating_coeffs(k), names))
 
-    cons: list[Constraint] = []
-    aux: list[AuxVar] = []
-    for idx, (P, is_linear) in enumerate(factors):
-        r = Var(f"{prefix}_{idx}")
-        aux.append(AuxVar(r.name, "binary"))
-        if is_linear:
-            # P - B*r <= 0 and -P - B*r <= 0 (linear, propagatable)
-            cons.append(
-                Constraint(Add((P, Mul((Const(-bound), r)))), LE_ZERO)
-            )
-            cons.append(
-                Constraint(
-                    Add((Mul((Const(Fraction(-1)), P)), Mul((Const(-bound), r)))),
-                    LE_ZERO,
-                )
-            )
-        else:
-            # literal disjunction rows: P - 2rP <= 0 and -2rP - P <= 0
-            cons.append(
-                Constraint(Add((P, Mul((Const(Fraction(-2)), r, P)))), LE_ZERO)
-            )
-            cons.append(
-                Constraint(
-                    Add((Mul((Const(Fraction(-2)), r, P)), Mul((Const(Fraction(-1)), P)))),
-                    LE_ZERO,
-                )
-            )
-    count = len(factors)
+    binaries = tuple(f"{prefix}_{i}" for i in range(len(factors)))
+    cons = [
+        Constraint(Add((P, Mul((Const(Fraction(-1)), Var(r), P)))), EQ)
+        for P, r in zip(factors, binaries)
+    ]
     cons.append(
         Constraint(
             Add(
                 (
-                    Dot(
-                        tuple(Fraction(1) for _ in range(count)),
-                        tuple(f"{prefix}_{i}" for i in range(count)),
-                    ),
-                    Const(Fraction(-(count - 1))),
+                    Dot(tuple(Fraction(1) for _ in binaries), binaries),
+                    Const(Fraction(-(len(binaries) - 1))),
                 )
             ),
             LE_ZERO,
         )
     )
-    return ConstraintSet(tag=S2, constraints=tuple(cons), aux_vars=tuple(aux), cycle=cycle)
+    aux = tuple(AuxVar(r, "binary") for r in binaries)
+    return ConstraintSet(tag=S2, constraints=tuple(cons), aux_vars=aux, cycle=cycle)
 
 
 def default_base_index(z: Sequence[int]) -> int:

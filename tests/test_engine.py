@@ -1290,7 +1290,7 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
     _clear_caches()
     reads, merges, lowered, dispatched = _spy_on_reads(monkeypatch)
     rng = random.Random(31)
-    seen, statuses = Counter(), set()
+    draws = []
     for i in range(120):
         sense = ("feasibility", "max", "min")[i % 3]
         if i % 2:
@@ -1303,7 +1303,14 @@ def test_a_run_reads_each_row_and_each_constraint_once(monkeypatch, tmp_path):
         else:
             inst = _random_cycles_instance(rng, rng.choice(((2, 2), (2, 3), (3, 3))), sense)
         # 25 attempts cut some subproblems short, so all three statuses show
-        opts = EngineOptions(budget=rng.choice((25, solve.DEFAULT_NODE_BUDGET)))
+        draws.append((inst, EngineOptions(budget=rng.choice((25, solve.DEFAULT_NODE_BUDGET)))))
+    # the global S2 holds every fixed-space point, so a max/min walk
+    # reaches the direct probe only when its S2 runs out of budget
+    for i in range(60):
+        inst = _random_full_cycle_instance(rng, rng.choice((3, 4, 5)), ("max", "min")[i % 2])
+        draws.append((inst, EngineOptions(budget=25)))
+    seen, statuses = Counter(), set()
+    for i, (inst, opts) in enumerate(draws):
         for spy in (reads, merges, dispatched):
             spy.clear()
         rep = run_auto(inst, opts)
@@ -1414,8 +1421,7 @@ def test_the_planner_caches_hand_out_what_the_builders_build():
     an int eps shares the entry of the float it equals."""
     for k in range(2, 8):
         c = Cycle(tuple(range(1, k + 1)))
-        for box in (0, 5):
-            assert engine._s2_set(c, box) == s2_singular(c, box)
+        assert engine._s2_set(c) == s2_singular(c)
         for t in range(1, k):
             for budget in (1, 2):
                 points = projected_essential_set(k, t, budget).points
@@ -1506,13 +1512,11 @@ def test_unbounded_lp_short_circuits():
     assert rep.results == ()
 
 
-def test_planned_s2_big_m_holds_every_block_the_search_reaches():
-    """Every S2 set a planner builds writes its linear factors with the
-    big-M B = 2 * k * search_box(inst, box), and B bounds the block's
-    |sum| and, for even k, its |alternating sum| over the domain the
-    enumerator searches (the declared bounds, a missing side at the
-    search box).  So the exported disjunction holds exactly the singular
-    blocks there, as the enumerator's predicate does."""
+def test_plans_and_their_exports_do_not_depend_on_the_box():
+    """The box is the enumerator's half-width only: S2 sets need no
+    big-M, so on instances with declared, half-open and missing bounds,
+    plan() under every box gives the same subproblems, flattened as the
+    export writes them."""
     rng = random.Random(61)
     instances = [_random_full_cycle_instance(rng, n, "max") for n in (3, 4, 5, 6)]
     instances += [_random_cycles_instance(rng, s, "min") for s in ((2, 3), (2, 2), (4,), (3, 3))]
@@ -1521,29 +1525,42 @@ def test_planned_s2_big_m_holds_every_block_the_search_reaches():
     instances.append(make_instance(4, bounds=[(None, 7)] * 4, group=_two_cycles_group(2)))
     instances.append(make_instance(6, group=_two_cycles_group(3)))
     checked = Counter()
-    for inst, box in product(instances, (0, 3, 50, 200)):
-        width = solve.search_box(inst, box)
-        for sp in plan(inst, EngineOptions(box=box)).subproblems:
-            if sp.tag != "S2":
-                continue
-            (cs,) = sp.added
-            aux = {av.name for av in cs.aux_vars}
-            # the linear factor rows: each reads the block and one binary
-            forms = [exprs.linear_form(con.expr) for con in cs.constraints]
-            forms = [coeffs for coeffs, _ in filter(None, forms) if coeffs.keys() - aux]
-            big_m = {-a for coeffs in forms for name, a in coeffs.items() if name in aux}
-            k = cs.cycle.k
-            assert big_m == {2 * k * width}, (sp.id, box)
-            domain = [
-                (-width if lo is None else lo, width if hi is None else hi)
-                for lo, hi in (inst.bounds[i - 1] for i in cs.cycle.support)
-            ]
-            for coeffs in ([1] * k, [(-1) ** j for j in range(k)])[: 2 - k % 2]:
-                top = sum(max(a * lo, a * hi) for a, (lo, hi) in zip(coeffs, domain))
-                bottom = sum(min(a * lo, a * hi) for a, (lo, hi) in zip(coeffs, domain))
-                assert max(top, -bottom) <= 2 * k * width, (sp.id, box, coeffs)
-                checked[k % 2] += 1
-    assert checked[0] > 20 and checked[1] > 10, checked
+    for inst in instances:
+        flats = [
+            [(sp.id, solve.flatten_subproblem(sp)) for sp in plan(inst, EngineOptions(box=box)).subproblems]
+            for box in (0, 3, 50, 200)
+        ]
+        assert all(flat == flats[0] for flat in flats[1:])
+        checked.update(sp_id.split(".")[-1] for sp_id, _ in flats[0])
+    assert checked["S2"] > 10 and checked["S1"] > 10, checked
+
+
+def test_a_walk_ends_at_a_layer_that_cannot_beat_its_global_s2():
+    """Every point of an Algorithm 1 layer L scores w * L, so a layer, or
+    the direct probe, runs only while it beats the best value so far.
+    max sum(x) over [0, 3]^4 under (1,2,3,4), with every rotation of
+    x1 + x2 + x3 <= 5: the walk starts at layer 6 (the LP optimum layer
+    is 20/3), and the global S2 already finds the singular (2, 1, 1, 2)
+    there, so the run ends after S2 with its optimum, that of run_plain.
+    max sum(x) over [0, 3]^3 walks no layer, and S2's (3, 3, 3) leaves
+    the probe at layer 9 nothing to beat."""
+    a = [1, 1, 1, 0]
+    rows = [make_row(a[r:] + a[:r], LE, 5) for r in range(4)]
+    inst = make_instance(
+        4, sense="max", objective=[1] * 4, rows=rows, bounds=_box(4, 0, 3),
+        group=_full_cycle_group(4),
+    )
+    rep = run_algorithm1(inst)
+    assert [sid for sid, _, _ in rep.schedule][:3] == ["S2", "L6.S3.0", "L6.S1"]
+    assert [r.id for r in rep.results] == ["S2"]
+    assert (rep.status, rep.f_star, rep.point) == ("Feasible", 6, (2, 1, 1, 2))
+    assert run_plain(inst).f_star == 6
+    cube = make_instance(
+        3, sense="max", objective=[1] * 3, bounds=_box(3, 0, 3), group=_full_cycle_group(3)
+    )
+    rep = run_algorithm1(cube)
+    assert (rep.schedule, rep.status, rep.f_star) == ((("S2", "S2", ("global",)),), "Feasible", 9)
+    assert [r.id for r in rep.results] == ["S2"]
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,13 @@ def test_a_layer_loads_when_read_as_an_attribute():
     assert "engine" not in out["import"] and "engine" in out["after"]
 
 
+def test_synthesis_loads_no_solver():
+    """Synthesis depends on no search setting: it imports nothing from
+    the solver layer."""
+    out = _layers_after("import corecuts.synth")
+    assert "synth" in out["after"] and "solve" not in out["after"], out["after"]
+
+
 def test_dir_lists_every_public_name_before_any_layer_loads():
     out = _layers_after("")
     assert set(out["dir"]) >= set(corecuts.__all__)

@@ -709,19 +709,33 @@ def test_solve_refuses_a_nonlinear_set_it_cannot_decide():
 
 
 def test_solve_decides_s2_by_singularity_without_its_big_m():
-    """x1 + x2 == 10 over [0, 10]^2: Cir(5, 5) is singular.  The S2 set
-    built for box hint 1 has big-M 4, which its exported rows need to
-    hold |x1 + x2| = 10; the enumerator decides singularity itself and
-    finds (5, 5) after x1 = 0..5 and x2 = 5, 7 attempts."""
+    """x1 + x2 == 10 over [0, 10]^2: Cir(5, 5) is singular.  The
+    enumerator decides singularity itself and finds (5, 5) after
+    x1 = 0..5 and x2 = 5, 7 attempts, and some assignment of the
+    binaries meets every exported row there, the one that frees the sum
+    and pins the alternating sum: the rows need no big-M, so they hold
+    the block however large its sum is."""
     inst = make_instance(
         2, rows=(make_row([1, 1], "==", 10),), bounds=_box(2, 0, 10),
         group=analyze_group(["(1,2)"], 2),
     )
     cycle = inst.group.selected_cycles[0]
-    sub = Subproblem("s", inst, (s2_singular(cycle, 1),), "S2", (), (cycle,))
+    sub = Subproblem("s", inst, (s2_singular(cycle),), "S2", (), (cycle,))
     out = solve_subproblem(sub, budget=7)
     assert (out.status, out.point) == (FEASIBLE, (5, 5))
     assert [v.name for v in _variables(sub, search=True)] == ["x1", "x2"]
+    flat = flatten_subproblem(sub)
+    binaries = [v.name for v in flat.variables if v.kind == "binary"]
+    assert binaries == ["r1_0", "r1_1"]
+    met = [
+        all(
+            exprs.check_value(exprs.eval_float(c.expr, env), c.sense, c.eps)
+            for c in flat.constraints
+        )
+        for bits in itertools.product((0.0, 1.0), repeat=len(binaries))
+        for env in [{"x1": 5.0, "x2": 5.0, **dict(zip(binaries, bits))}]
+    ]
+    assert met == [False, False, True, False]
 
 
 def test_solve_width_is_not_bounded_by_the_recursion_limit():
@@ -1125,8 +1139,9 @@ def test_search_box_holds_the_widest_declared_bound():
 
 
 def test_declared_bounds_wider_than_the_box_are_searched_in_full():
-    """Declared bounds are never clipped: the search, and S2's big-M,
-    use ``search_box``, here the declared 100.  Each instance is
+    """Declared bounds are never clipped: the search uses
+    ``search_box``, here the declared 100, and the planned S2 set is
+    the cycle's one set, whatever the box.  Each instance is
     feasible; clipped to the fallback [-50, 50], each was answered
     Infeasible."""
     hundred = _box(1, 0, 100)
@@ -1141,7 +1156,7 @@ def test_declared_bounds_wider_than_the_box_are_searched_in_full():
     )
     assert search_box(pair, DEFAULT_BOX) == 100
     assert [sp.added for sp in plan(cycle).subproblems if sp.tag == "S2"] == [
-        (s2_singular(cycle.group.selected_cycles[0], 100),)
+        (s2_singular(cycle.group.selected_cycles[0]),)
     ]
     for run, inst, algorithm in ((run_plain, pair, 0), (run_auto, cycle, 1), (run_auto, blocks, 3)):
         rep = run(inst)

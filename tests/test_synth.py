@@ -16,6 +16,7 @@ from corecuts import (
     SingularCirculant,
     canonical_projected,
     eval_float,
+    is_singular,
     projected_essential_set,
     reduce_projected,
     s1_for_point,
@@ -172,14 +173,15 @@ def test_smoothness_guards_positive_iff_nonsingular():
 # S2 singularity disjunctions
 
 
-@pytest.mark.parametrize("k,rows,binaries", [(3, 5, 2), (4, 7, 3), (5, 7, 3)])
+@pytest.mark.parametrize("k,rows,binaries", [(3, 3, 2), (4, 4, 3), (5, 4, 3)])
 def test_s2_shape(k, rows, binaries):
+    """One equality row per spectral factor, then the cardinality row."""
     cs = s2_singular(_cyc(k))
     assert cs.tag == "S2"
     assert len(cs.constraints) == rows
     assert [v.kind for v in cs.aux_vars] == ["binary"] * binaries
     assert [v.name for v in cs.aux_vars] == [f"r1_{i}" for i in range(binaries)]
-    assert all(c.sense == LE_ZERO for c in cs.constraints)
+    assert [c.sense for c in cs.constraints] == [EQ] * binaries + [LE_ZERO]
 
 
 def _s2_feasible(cs, c, eps=1e-6):
@@ -207,13 +209,36 @@ def test_s2_accepts_singular_rejects_regular():
     assert not _s2_feasible(cs4, (2, 1, 0, 0))
 
 
-@pytest.mark.parametrize("box_hint", [-1, True, 2.5, "3", None])
-def test_s2_refuses_a_box_hint_that_is_not_a_count(box_hint):
-    """A negative half-width would give big-M rows no singular point
-    meets; the hint is an int >= 0, as ``EngineOptions.box`` is."""
-    with pytest.raises(InputError, match="box hint"):
-        s2_singular(_cyc(3), box_hint)
-    assert len(s2_singular(_cyc(3), 0).constraints) == 5
+def _wide_blocks(rng, k):
+    """Blocks of length k with entries up to 150 in absolute value: random
+    ones, and singular ones made periodic, or with a zero sum or (even
+    k) a zero alternating sum."""
+    blocks = [(150,) * k, (-150,) + (150,) + (0,) * (k - 2)]
+    for _ in range(30):
+        x = [rng.randint(-150, 150) for _ in range(k)]
+        blocks.append(tuple(x))
+        for d in range(1, k):
+            if k % d == 0:
+                blocks.append(tuple(x[:d] * (k // d)))
+        blocks.append(tuple(x[:-1]) + (-sum(x[:-1]),))
+        if k % 2 == 0:
+            tail = sum(v * (-1) ** j for j, v in enumerate(x[:-1]))
+            blocks.append(tuple(x[:-1]) + (tail,))
+    return blocks
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_s2_rows_hold_exactly_the_singular_blocks_at_any_width(k):
+    """The rows need no bound on the block: over every binary assignment,
+    some assignment meets them iff Cir(block) is singular, for blocks far
+    wider than any default search box."""
+    cs = s2_singular(_cyc(k))
+    seen = set()
+    for x in _wide_blocks(random.Random(k), k):
+        singular = is_singular(x)
+        assert _s2_feasible(cs, x) == singular, x
+        seen.add(singular)
+    assert seen == {True, False}
 
 
 def test_s2_requires_at_least_one_zero_factor():
@@ -271,9 +296,7 @@ def test_builders_check_their_arguments_and_build_equal_sets():
     reads as tuple(z), and eps as the float a Constraint keeps.  A bool
     is refused, though it equals an int."""
     c = _cyc(3)
-    assert s2_singular(c, 1) == s2_singular(Cycle((1, 2, 3)), 1)
-    with pytest.raises(InputError, match="box hint"):
-        s2_singular(c, True)
+    assert s2_singular(c) == s2_singular(Cycle((1, 2, 3)))
     assert sublayer(c, 1) == sublayer(c, 1)
     for residue in (True, 1.0):
         with pytest.raises(InputError, match="residue must be an integer"):
