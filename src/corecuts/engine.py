@@ -27,7 +27,7 @@ counts are a property of the plan, not of solver luck.  The shapes are:
   (layer/n) * 1, which is feasible iff layer/n lies in the same
   interval.
 * Algorithms 2 (one k-cycle, k < n) and 3 (d >= 2 disjoint cycles)
-  share one residue planner.  Its one stage holds, in order, one
+  share one residue planner.  Its schedule holds, in order, one
   singularity subproblem (S2) per cycle, the anchor probes (S3) of every
   cycle for each sub-layer residue t in 1..k-1, and one cut subproblem
   (S1) per residue tuple in [1..k_1-1] x ... x [1..k_d-1]: every
@@ -115,9 +115,12 @@ integer point scores above it (below, for min), so an incumbent that
 equals it is optimal, and the run stops there.  Algorithm 1 and plain
 runs search without a cutoff.  Algorithm 1's cycle makes every weight
 equal to some w, so every point of layer L scores w * L, and the walk
-visits its layers best first: a layer stage, and the direct probe, runs
-only while its w * L beats the incumbent (``_beats``).  So after the
-global S2's optimum, or a layer's, no layer runs that cannot beat it.
+visits its layers best first: each subproblem of a layer, and the
+direct probe, runs only while its w * L beats the incumbent
+(``_beats``).  So after the global S2's optimum, or a layer's, no
+subproblem runs that cannot beat it.  Under this rule each Feasible
+result of a run beats every earlier one, so the verdict reads the best
+values off the last Feasible results.
 
 The instance and each added set keep their own readings (see
 ``solve``), so the runner hands nothing around but one dict of encoded
@@ -247,10 +250,9 @@ class Subproblem:
 @dataclass(frozen=True)
 class Schedule:
     algorithm: int  # 0 = no usable symmetry
-    #: subproblems in dispatch order, grouped for the stop rule:
-    #: Algorithm 1 has the global S2, then per layer its S3 probes and its
-    #: S1 cut; every other schedule is one stage
-    stages: tuple[tuple[Subproblem, ...], ...]
+    #: subproblems in dispatch order: Algorithm 1 has the global S2, then
+    #: per layer its S3 probes and its S1 cut
+    subproblems: tuple[Subproblem, ...]
     #: Algorithm 1 only: the gating LP outcome
     lp: Optional[Outcome] = None
     #: Algorithm 1 only: the layer divisible by n where the walk stops
@@ -258,10 +260,6 @@ class Schedule:
     notes: tuple[str, ...] = ()
     #: plan() only: how the declared group fails to fix the instance
     warnings: tuple[str, ...] = ()
-
-    @property
-    def subproblems(self) -> tuple[Subproblem, ...]:
-        return tuple(sp for stage in self.stages for sp in stage)
 
     def counts(self) -> dict[str, int]:
         out = {S1: 0, S2: 0, S3: 0, FIX: 0}
@@ -289,11 +287,13 @@ class Report:
     schedule order (a prefix of ``schedule``), plus Algorithm 1's direct
     probe; ``schedule`` and ``counts`` describe the whole plan.
 
-    On a max/min run of Algorithms 2 and 3 each result ran under the
-    run's incumbent (``SubResult.cutoff``), so its Feasible beats every
-    earlier one and its Infeasible means only that it holds no better
-    point.  ``f_star_e`` and ``f_star_l`` (the best S3/FIX and S1
-    values) can therefore lose a value that an earlier result
+    Each Feasible result beats every earlier one (``_run``), so
+    ``f_star`` and the point are those of the last Feasible result, and
+    ``f_star_e`` and ``f_star_l`` the values of the last Feasible S3/FIX
+    and S1 results.  On a max/min run of Algorithms 2 and 3 each result
+    ran under the run's incumbent (``SubResult.cutoff``), so its
+    Infeasible means only that it holds no better point, and
+    ``f_star_e`` and ``f_star_l`` can lose a value that an earlier result
     dominates.  ``f_star``, the point and the status are those the run
     gives without the cutoff, whenever no search runs out of budget."""
 
@@ -463,27 +463,21 @@ def _plan_algorithm1(inst: Instance, opts: EngineOptions) -> Schedule:
     end = None if far is None else n * far
     step = 1 if up else -1
 
-    s2 = _s2_set(cycle)
-    stages: list[tuple[Subproblem, ...]] = [
-        (Subproblem("S2", inst, (s2,), S2, ("global",), (cycle,)),)
-    ]
+    subs = [Subproblem("S2", inst, (_s2_set(cycle),), S2, ("global",), (cycle,))]
     while layer % n:
         if end is not None and (layer > end if up else layer < end):
             notes.append(f"layer {layer} pruned (empty LP relaxation)")
             layer += step
             continue
         probes, cut = _residue_sets(cycle, layer % n, opts, _layer_row(n, layer))
-        stages.append(
-            tuple(
-                Subproblem(f"L{layer}.S3.{j}", inst, sets, S3, ("layer", layer, "S3", j))
-                for j, sets in enumerate(probes)
-            )
+        subs.extend(
+            Subproblem(f"L{layer}.S3.{j}", inst, sets, S3, ("layer", layer, "S3", j))
+            for j, sets in enumerate(probes)
         )
-        cut_sp = Subproblem(f"L{layer}.S1", inst, cut, S1, ("layer", layer, "S1"), (cycle,))
-        stages.append((cut_sp,))
+        subs.append(Subproblem(f"L{layer}.S1", inst, cut, S1, ("layer", layer, "S1"), (cycle,)))
         layer += step
     notes.append(f"{walk} stops at layer {layer} (divisible by {n})")
-    return Schedule(1, tuple(stages), lp=lp, stop_layer=layer, notes=tuple(notes))
+    return Schedule(1, tuple(subs), lp=lp, stop_layer=layer, notes=tuple(notes))
 
 
 def _plan_cycles(
@@ -517,7 +511,7 @@ def _plan_cycles(
         sets = tuple(cs for c, t in zip(cycles, combo) for cs in cuts[c.support[0], t])
         label = "T" + "_".join(str(t) for t in combo)
         subs.append(Subproblem(f"{label}.S1", inst, sets, S1, ("tuple",) + combo, cycles))
-    return Schedule(algorithm, (tuple(subs),))
+    return Schedule(algorithm, tuple(subs))
 
 
 def plan_algorithm2(inst: Instance, cycle: Cycle, opts: EngineOptions) -> Schedule:
@@ -582,7 +576,7 @@ def _plain_schedule(inst: Instance, opts: EngineOptions) -> Schedule:
     """The no-symmetry schedule; takes opts only to share the planners'
     signature."""
     sp = Subproblem("plain", inst, (), "PLAIN", ("plain",))
-    return Schedule(0, ((sp,),), notes=("no usable symmetry; plain enumeration",))
+    return Schedule(0, (sp,), notes=("no usable symmetry; plain enumeration",))
 
 
 # ---------------------------------------------------------------------------
@@ -635,29 +629,16 @@ def _aggregate(
     before it, and a note names that subproblem.  ``bound``: the last
     result reached this LP bound, which no integer point beats, and
     ended the run; a note names both, and the verdict is Feasible even
-    when an earlier result ran out of budget."""
+    when an earlier result ran out of budget.  Each Feasible result
+    beats every earlier one (``_run``), so the last Feasible results
+    hold the best values."""
     feasible = [r for r in results if r.outcome.status == FEASIBLE]
-    unknown = [r for r in results if r.outcome.status == UNKNOWN]
+    unknown = any(r.outcome.status == UNKNOWN for r in results)
 
-    def best(rs: Sequence[SubResult]) -> Optional[Fraction]:
-        vals = [r.outcome.objective for r in rs if r.outcome.objective is not None]
-        if not vals:
-            return None
-        return min(vals) if inst.sense == MIN else max(vals)
+    def last(tags: tuple[str, ...]) -> Optional[Fraction]:
+        return next((r.outcome.objective for r in reversed(feasible) if r.tag in tags), None)
 
-    f_e = best([r for r in feasible if r.tag in (S3, FIX)])
-    f_l = best([r for r in feasible if r.tag == S1])
-    f_all = best(feasible)
-
-    point = None
-    if feasible:
-        if inst.sense == FEASIBILITY or f_all is None:
-            point = feasible[0].outcome.point
-        else:
-            for r in feasible:
-                if r.outcome.objective == f_all:
-                    point = r.outcome.point
-                    break
+    best = feasible[-1].outcome if feasible else Outcome(INFEASIBLE)
 
     notes = schedule.notes
     if bound is not None:
@@ -681,10 +662,10 @@ def _aggregate(
         counts=schedule.counts(),
         schedule=tuple((sp.id, sp.tag, sp.provenance) for sp in schedule.subproblems),
         results=tuple(results),
-        f_star_e=f_e,
-        f_star_l=f_l,
-        f_star=f_all,
-        point=point,
+        f_star_e=last((S3, FIX)),
+        f_star_l=last((S1,)),
+        f_star=best.objective,
+        point=best.point,
         lp=schedule.lp,
         wall_time=wall_time,
         warnings=schedule.warnings,
@@ -696,14 +677,15 @@ def _run(
     inst: Instance, opts: Optional[EngineOptions], planner: Callable[..., Schedule], *args
 ) -> Report:
     """Plan with ``planner(inst, *args, opts)``, then export and solve the
-    subproblems stage by stage in schedule order.  The run stops at the
-    first Feasible result of a feasibility instance, at the first layer
-    stage of Algorithm 1 whose layer cannot beat the run's incumbent
-    (``_beats``; layers come best first), and at the first result that
-    proves the instance has no integer point (``Outcome._proof``, set by
+    subproblems in schedule order.  The run stops at the first Feasible
+    result of a feasibility instance, before the first subproblem of
+    Algorithm 1 whose layer cannot beat the run's incumbent (``_beats``;
+    layers come best first), and at the first result that proves the
+    instance has no integer point (``Outcome._proof``, set by
     ``solve_subproblem``), which makes the verdict Infeasible.  A layer
-    walk that reaches its stop layer with no such proof ends with the
-    direct fixed-space probe, when that layer beats the incumbent.  A
+    walk that runs its whole schedule ends with the direct fixed-space
+    probe, when the stop layer beats the incumbent.  So each Feasible
+    result beats every earlier one, which ``_aggregate`` relies on.  A
     dry run solves nothing and reports every subproblem Unknown.
 
     A max/min run keeps one incumbent, the objective of its last
@@ -728,50 +710,45 @@ def _run(
     if opts.export_dir is not None:
         os.makedirs(opts.export_dir, exist_ok=True)
     results: list[SubResult] = []
-    proof = stopped = reached = False
+    proof = reached = False
     # a max/min run keeps one incumbent, its best Feasible value so far.
     # Algorithms 2 and 3 search under it and end when it reaches the LP
-    # bound; Algorithm 1 walks a layer only while the layer beats it
+    # bound; Algorithm 1 runs a layer's subproblem only while the layer
+    # beats it
     cutting = inst.sense != FEASIBILITY and schedule.algorithm in (2, 3)
     incumbent = bound = None
-    for stage in schedule.stages:
-        head = stage[0].provenance
-        if head[0] == "layer" and not _beats(inst, head[1], incumbent):
-            stopped = True
+    subs = schedule.subproblems
+    for i, sp in enumerate(subs):
+        if sp.provenance[0] == "layer" and not _beats(inst, sp.provenance[1], incumbent):
             break
-        for j, sp in enumerate(stage):
-            if opts.export_dir is not None:
-                path = os.path.join(opts.export_dir, f"{sp.id}.json")
-                export_subproblem(sp, path, _texts=texts)
-            cutoff = incumbent if cutting else None
-            t1 = time.perf_counter()
-            if opts.dry_run:
-                out = Outcome(UNKNOWN)
-            else:
-                out = solve_subproblem(sp, box=opts.box, budget=opts.budget, cutoff=cutoff)
-            seconds = time.perf_counter() - t1
-            results.append(SubResult(sp.id, sp.tag, sp.provenance, out, seconds, cutoff))
-            proof = out._proof
-            if out.status == FEASIBLE and inst.sense != FEASIBILITY:
-                if cutting and incumbent is None and j + 1 < len(stage):
-                    bound = _orbit_bound(inst, stage[0].cycles)
-                # a Feasible is never worse than the incumbent: it beats it
-                # under the cutoff, and every point of a layer scores alike
-                incumbent = out.objective
-                reached = incumbent == bound
-            if proof or reached or (out.status == FEASIBLE and inst.sense == FEASIBILITY):
-                stopped = True
-                break
-        if stopped:
-            break
-
-    layer = schedule.stop_layer
-    if not stopped and layer is not None and not opts.dry_run and _beats(inst, layer, incumbent):
+        if opts.export_dir is not None:
+            path = os.path.join(opts.export_dir, f"{sp.id}.json")
+            export_subproblem(sp, path, _texts=texts)
+        cutoff = incumbent if cutting else None
         t1 = time.perf_counter()
-        out = _direct_fixed_probe(inst, layer)
-        results.append(
-            SubResult(f"L{layer}.fix", FIX, ("layer", layer, "direct"), out, time.perf_counter() - t1)
-        )
+        if opts.dry_run:
+            out = Outcome(UNKNOWN)
+        else:
+            out = solve_subproblem(sp, box=opts.box, budget=opts.budget, cutoff=cutoff)
+        seconds = time.perf_counter() - t1
+        results.append(SubResult(sp.id, sp.tag, sp.provenance, out, seconds, cutoff))
+        proof = out._proof
+        if out.status == FEASIBLE and inst.sense != FEASIBILITY:
+            if cutting and incumbent is None and i + 1 < len(subs):
+                bound = _orbit_bound(inst, subs[0].cycles)
+            # a Feasible beats the incumbent: it is searched under the
+            # cutoff, or its layer beats the incumbent
+            incumbent = out.objective
+            reached = incumbent == bound
+        if proof or reached or (out.status == FEASIBLE and inst.sense == FEASIBILITY):
+            break
+    else:
+        layer = schedule.stop_layer
+        if layer is not None and not opts.dry_run and _beats(inst, layer, incumbent):
+            t1 = time.perf_counter()
+            out = _direct_fixed_probe(inst, layer)
+            seconds = time.perf_counter() - t1
+            results.append(SubResult(f"L{layer}.fix", FIX, ("layer", layer, "direct"), out, seconds))
     return _aggregate(
         inst, schedule, results, time.perf_counter() - t0, proof, bound if reached else None
     )

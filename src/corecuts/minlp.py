@@ -240,7 +240,8 @@ def _decode_bound(v, rationals: dict):
 def parse_problem(path) -> ParsedProblem:
     """Read a problem file; a malformed document (bad JSON, a format
     that is not the integer 1, a missing key, an entry of the wrong type,
-    an undeclared variable, a zero denominator, a non-finite or
+    a variable name that is not a string or is declared twice, an
+    undeclared variable, a zero denominator, a non-finite or
     out-of-range number, nesting too deep to decode) raises InputError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -265,13 +266,19 @@ def _decode_problem(doc: dict) -> ParsedProblem:
     # each distinct rational of the file is decoded once
     rationals: dict[tuple[int, int], Fraction] = {}
     variables = []
+    declared: dict[str, str] = {}
     for v in doc["vars"]:
         kind = v.get("kind")
         if kind not in ("integer", "binary"):
             raise InputError(f"unknown variable kind {kind!r}")
+        name = v["name"]
+        if not isinstance(name, str):
+            raise InputError(f"variable name must be a string, not {name!r}")
+        if name in declared:
+            raise InputError(f"variable {name!r} declared twice")
+        declared[name] = name
         lo, hi = _decode_bound(v["lo"], rationals), _decode_bound(v["hi"], rationals)
-        variables.append(FlatVar(str(v["name"]), lo, hi, kind))
-    declared = {v.name: v.name for v in variables}
+        variables.append(FlatVar(name, lo, hi, kind))
     obj = doc.get("objective", {})
     sense = obj.get("sense")
     if sense not in ("max", "min", "feasibility"):

@@ -402,7 +402,7 @@ def _walked_layers(sch):
 def test_algorithm1_prunes_exactly_the_lp_empty_layers():
     """Referee: a walked layer is LP-empty iff the rows plus
     sum(x) == L have no real solution; the pruned notes and the layer
-    stages must follow that verdict layer by layer."""
+    subproblems must follow that verdict layer by layer."""
     rng = random.Random(7)
     pruned_walks, kept = set(), 0
     for _ in range(200):
@@ -430,7 +430,7 @@ def test_algorithm1_prunes_exactly_the_lp_empty_layers():
                 pruned_walks.add("ascent" if "ascent" in sch.notes[0] else "descent")
         kept += len(survivors)
         expected = [stage for layer in survivors for stage in (("S3", layer), ("S1", layer))]
-        got = [(stage[0].tag, stage[0].provenance[1]) for stage in sch.stages[1:]]
+        got = [(sp.tag, sp.provenance[1]) for sp in sch.subproblems[1:]]
         assert got == expected, inst.rows
     assert pruned_walks == {"ascent", "descent"} and kept
 
@@ -482,7 +482,7 @@ def test_algorithm1_unbounded_layer_range_prunes_nothing(sense, rel, rhs, bounds
     sch = plan_algorithm1(inst, EngineOptions())
     assert _walked_layers(sch) == walked
     assert not any("pruned" in note for note in sch.notes)
-    assert [stage[0].provenance[1] for stage in sch.stages[1:]] == [
+    assert [sp.provenance[1] for sp in sch.subproblems[1:]] == [
         layer for layer in walked for _ in range(2)
     ]
 
@@ -1561,6 +1561,111 @@ def test_a_walk_ends_at_a_layer_that_cannot_beat_its_global_s2():
     rep = run_algorithm1(cube)
     assert (rep.schedule, rep.status, rep.f_star) == ((("S2", "S2", ("global",)),), "Feasible", 9)
     assert [r.id for r in rep.results] == ["S2"]
+
+
+def test_a_layer_runs_no_subproblem_after_its_first_feasible_probe():
+    """max -sum(x) over [0, 3]^3 with sum(x) >= 1 under (1,2,3), three
+    essential points per residue: the global S2 finds (1, 1, 1) at -3,
+    and the walk starts at layer 1, whose first probe finds -1.  Every
+    point of layer 1 scores -1, so no later probe, nor its cut, can beat
+    that, and the run ends there."""
+    inst = make_instance(
+        3, sense="max", objective=[-1] * 3, rows=(make_row([1] * 3, GE, 1),),
+        bounds=_box(3, 0, 3), group=_full_cycle_group(3),
+    )
+    rep = run_algorithm1(inst, EngineOptions(essential_budget=3))
+    assert [sid for sid, _, _ in rep.schedule][:5] == [
+        "S2", "L1.S3.0", "L1.S3.1", "L1.S3.2", "L1.S1"
+    ]
+    assert [r.id for r in rep.results] == ["S2", "L1.S3.0"]
+    assert rep.f_star == rep.f_star_e == -1 and rep.f_star_l is None
+    assert rep.status == "Feasible" and run_plain(inst).f_star == -1
+
+
+def _best_of_fold(inst, results):
+    """The verdict values by a search of every Feasible result: the best
+    objective overall, of the S3/FIX results and of the S1 results, and
+    the point of the first result that scores the best (of the first
+    Feasible result, when no result has an objective)."""
+    feasible = [r for r in results if r.outcome.status == "Feasible"]
+
+    def best(rs):
+        vals = [r.outcome.objective for r in rs if r.outcome.objective is not None]
+        if not vals:
+            return None
+        return min(vals) if inst.sense == "min" else max(vals)
+
+    f_all = best(feasible)
+    point = None
+    if feasible:
+        point = next(
+            (r.outcome.point for r in feasible if f_all is None or r.outcome.objective == f_all)
+        )
+    return (
+        f_all,
+        point,
+        best([r for r in feasible if r.tag in ("S3", "FIX")]),
+        best([r for r in feasible if r.tag == "S1"]),
+    )
+
+
+def _fold_instances(rng):
+    """Seeded full-cycle instances (Algorithm 1) and instances of
+    Algorithms 2 and 3, over every sense.  The seeded instances of
+    Algorithms 2 and 3 give at most one Feasible result, so two made by
+    hand follow, whose S2 values the probes beat.  max x1 + x2 + x3 with
+    x1 + x2 + x3 <= 4 over [0, 2]^4, under (1,2,3): A1.S2 finds 3 (sum
+    3, a singular block), and the probe at residue 1 finds 4.  max
+    sum(x) with x1 + x2 <= 3 and x3 + x4 <= 3 over [0, 2]^4, under
+    (1,2) and (3,4): A1.S2 finds 5 (x1 = x2), and the first probe 6.
+    Each comes as max and as min."""
+    for i in range(90):
+        sense = ("feasibility", "max", "min")[i % 3]
+        if i % 2:
+            yield _random_full_cycle_instance(rng, rng.choice((3, 4, 5)), sense)
+        else:
+            shape, unmoved = rng.choice((((2, 3), 0), ((3, 4), 0), ((3, 3), 0), ((3,), 1)))
+            yield _random_cycles_instance(rng, shape, sense, unmoved)
+    hand = [
+        ([1, 1, 1, 0], [([1, 1, 1, 0], 4)], ["(1,2,3)"]),
+        ([1] * 4, [([1, 1, 0, 0], 3), ([0, 0, 1, 1], 3)], ["(1,2)", "(3,4)"]),
+    ]
+    for weights, rows, gens in hand:
+        for sign, sense in ((1, "max"), (-1, "min")):
+            yield make_instance(
+                4, sense=sense, objective=[sign * w for w in weights],
+                rows=[make_row(a, LE, rhs) for a, rhs in rows], bounds=_box(4, 0, 2),
+                group=analyze_group(gens, 4),
+            )
+
+
+def test_each_feasible_result_beats_every_earlier_one():
+    """The report reads its values off the last Feasible results, which
+    holds because each Feasible result of a run beats every earlier one:
+    Algorithms 2 and 3 search under the incumbent, Algorithm 1 runs a
+    layer's subproblem only while the layer beats it, and a feasibility
+    run stops at its first Feasible.  So the report's values equal those
+    of a search of every result.  The results are a prefix of the
+    schedule, plus at most Algorithm 1's trailing direct probe."""
+    rng = random.Random(11)
+    seen = Counter()
+    for inst in _fold_instances(rng):
+        for budget in (1, 3):
+            rep = run_auto(inst, EngineOptions(essential_budget=budget))
+            values = [r.outcome.objective for r in rep.results if r.outcome.status == "Feasible"]
+            if inst.sense == "feasibility":
+                assert len(values) <= 1
+            else:
+                better = (lambda a, b: a < b) if inst.sense == "min" else (lambda a, b: a > b)
+                assert all(better(b, a) for a, b in zip(values, values[1:])), inst.rows
+            ids = [r.id for r in rep.results]
+            if rep.results and rep.results[-1].tag == "FIX":
+                ids.pop()
+            assert ids == [sid for sid, _, _ in rep.schedule][: len(ids)]
+            got = (rep.f_star, rep.point, rep.f_star_e, rep.f_star_l)
+            assert got == _best_of_fold(inst, rep.results), inst.rows
+            seen[rep.algorithm, len(values) > 1] += 1
+    assert all(seen[a, True] for a in (1, 2, 3)), seen
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,13 @@ _ZERO = '{"kind":"const","value":0}'
         (f"[{_GOOD_VAR}]", '{"kind":"const","value":1e400}'),
         ("[]", '{"kind":"var","name":"zz"}'),
         (f"[{_GOOD_VAR}]", '{"kind":"dot","coeffs":[1,1],"names":["x1","x2"]}'),
+        ('[{"name":null,"lo":null,"hi":null,"kind":"integer"}]', _ZERO),
+        ('[{"name":5,"lo":null,"hi":null,"kind":"integer"}]', _ZERO),
+        (
+            f'[{_GOOD_VAR},{{"name":"x1","lo":{{"num":5,"den":1}},'
+            '"hi":{"num":9,"den":1},"kind":"binary"}]',
+            _ZERO,
+        ),
     ],
     ids=[
         "var-without-name",
@@ -204,6 +211,9 @@ _ZERO = '{"kind":"const","value":0}'
         "overflowing-const",
         "undeclared-var",
         "undeclared-dot-name",
+        "null-name",
+        "number-name",
+        "duplicate-name",
     ],
 )
 def test_parse_wraps_malformed_documents(tmp_path, vars_, expr):
