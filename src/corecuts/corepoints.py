@@ -14,7 +14,9 @@ checking lambda >= 0 is enough.
 The core check (``is_lattice_free``) searches the orbit's bounding box
 for a non-vertex integer point of the hull.  Every orbit point is a
 permutation of z, so only box points on the layer sum(x) = sum(z) are
-tested.  When the orbit is n points spanning a simplex, a point is
+tested, and when a generator is one full n-cycle, which maps that set
+onto itself, only one point per rotation class (``_necklace_points``).
+When the orbit is n points spanning a simplex, a point is
 inside iff the integer rows of D * V^{-1} (V: the orbit points as
 columns, D > 0) all give it a non-negative value: no LP and no
 Fraction.  Any other orbit (singular V, a periodic z, a larger group,
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 
 from . import simplex
 from .errors import InputError, LayerMismatch, NonActiveMismatch, SingularCirculant, _integer
-from .perms import Cycle, GroupSpec, orbit
+from .perms import Cycle, GroupSpec, cycle_decomposition, orbit
 from .spectral import scaled_inverse, solve_circulant_exact
 
 
@@ -157,6 +159,60 @@ def _layer_points(lo: list[int], hi: list[int], layer: int):
             yield prefix + (last,)
 
 
+def _prenecklaces(a: list, t: int, p: int, s: int, hi: int, layer: Optional[int]):
+    """Extend the prenecklace a[1..t-1] of period p and sum s to the
+    necklaces a[1..n] (n = len(a) - 1), in lexicographic order, each
+    yielded as the list a itself, which the next step overwrites.  A
+    module function, not a closure: a closure that calls itself keeps
+    its cell alive until the cyclic collector runs."""
+    n = len(a) - 1
+    rest = n - t
+    for j in range(a[t - p], hi + 1):
+        if layer is not None:
+            if s + j + rest * (j if t == 1 else a[1]) > layer:
+                break
+            if s + j + rest * hi < layer:
+                continue
+        q = p if j == a[t - p] else t
+        a[t] = j
+        if t < n:
+            yield from _prenecklaces(a, t + 1, q, s + j, hi, layer)
+        elif n % q == 0:
+            yield a
+
+
+def _necklace_points(order: Sequence[int], lo: int, hi: int, layer: Optional[int]):
+    """Integer points of the box [lo, hi]^n, one per rotation class of
+    the cycle ``order`` (with coordinate sum ``layer`` unless it is None).
+
+    The FKM recursion (Cattell, Ruskey, Sawada, Serra and Miers, J.
+    Algorithms 2000) extends a prenecklace a[1..t] of period p by each
+    j >= a[t-p], and a prenecklace of length n whose period divides n is
+    a necklace: the least of its rotations.  Necklaces come in
+    lexicographic order, so the first one in a rotation-closed set is
+    that set's lexicographically first point.  Every later entry lies in
+    [a[1], hi], which bounds the sum of a prefix's completions.  Necklace
+    entry j + 1 is written to coordinate ``order[j]``."""
+    n = len(order)
+    # the box's length, taken eagerly: a bound no index fits (10**400)
+    # raises OverflowError here instead of looping without end
+    len(range(lo, hi + 1))
+    at = [0] * n
+    for j, coord in enumerate(order):
+        at[coord - 1] = j + 1
+    for a in _prenecklaces([lo] * (n + 1), 1, 1, 0, hi, layer):
+        yield tuple([a[j] for j in at])
+
+
+def _full_cycle(gs: GroupSpec) -> Optional[Cycle]:
+    """A generator of gs that is one cycle through all n coordinates."""
+    for g in gs.generators:
+        cycles = cycle_decomposition(g)
+        if len(cycles) == 1 and cycles[0].k == gs.n:
+            return cycles[0]
+    return None
+
+
 def _simplex_test(verts: list[tuple]):
     """Exact hull test for n orbit points spanning a simplex, or None.
 
@@ -179,21 +235,34 @@ def _simplex_test(verts: list[tuple]):
 
 def is_lattice_free(gs: GroupSpec, z: Sequence[int]) -> CoreCertificate:
     """Exact core certificate: search the orbit's bounding box, which
-    holds the whole hull, for a non-vertex integer point of it.
+    holds the whole hull, for a non-vertex integer point of it.  Every
+    entry of z must be an int (``InputError`` otherwise).
 
-    Only the box points on the orbit's layer sum(x) = sum(z) are tested,
-    in lexicographic order, so the witness is the lexicographically
-    first one.  When the orbit has n points that span a simplex (every
-    regular Cir(z) under a full n-cycle, in any cycle order), a point is
-    tested by the signs of its barycentric coordinates through one exact
-    inverse; otherwise by an exact LP (``_in_hull_exact``)."""
-    zt = tuple(int(x) for x in z)
+    Only the box points on the orbit's layer sum(x) = sum(z) are tested.
+    When a generator of gs is one cycle through all n coordinates, the
+    points that are not vertices but lie in the hull form a set closed
+    under it, and one point per rotation class is tested, read along
+    that cycle from coordinate 1 (``_necklace_points``): the witness is
+    the first one in that reading order, which under (1,...,n) is the
+    lexicographically first.  Otherwise every box point on the layer is
+    tested, in lexicographic order.  When the orbit has n points that
+    span a simplex (every regular Cir(z) under a full n-cycle, in any
+    cycle order), a point is tested by the signs of its barycentric
+    coordinates through one exact inverse; otherwise by an exact LP
+    (``_in_hull_exact``)."""
+    zt = tuple(_integer(x, "point entry") for x in z)
     verts = orbit(gs, zt)
     vert_set = set(verts)
     lo = [min(v[j] for v in verts) for j in range(gs.n)]
     hi = [max(v[j] for v in verts) for j in range(gs.n)]
     inside = _simplex_test(verts) or (lambda x: _in_hull_exact(x, verts))
-    for candidate in _layer_points(lo, hi, sum(zt)):
+    cycle = _full_cycle(gs)
+    if cycle is None:
+        candidates = _layer_points(lo, hi, sum(zt))
+    else:
+        # the orbit is closed under the cycle, so its box is a cube
+        candidates = _necklace_points(cycle.support, lo[0], hi[0], sum(zt))
+    for candidate in candidates:
         if candidate in vert_set:
             continue
         if inside(candidate):

@@ -16,8 +16,10 @@ exists:
 The barycenter itself (coordinates all 1/n) stays LP-feasible, so the
 instance is integer-infeasible but not trivially so.  Because the
 verdict matters, generation ends with an independent certification
-step: exhaustive enumeration of the integer box points on the layer
-against the rows.
+step: the integer box points on the layer are enumerated against the
+rows.  The instance's full cycle maps its integer points onto each
+other, so one point per rotation class, read along that cycle, is
+enough (``corepoints._necklace_points``).
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from .corepoints import _layer_points, is_lattice_free
-from .errors import InputError, NotCore
+from .corepoints import _layer_points, _necklace_points, is_lattice_free
+from .errors import InputError, NotCore, _integer
 from .instancefile import analyze_group
+from .perms import Cycle
 from .simplex import LPRow, make_row
-from .solve import FEASIBILITY, Instance, make_instance
+from .solve import FEASIBILITY, Instance, _cycle_misses, make_instance
 from .spectral import t_hat_exact
 
 
@@ -60,7 +63,9 @@ def hard_instance(
     the default is the standard rotation (1,2,...,n).  The construction
     runs on c read along the cycle, and its columns are mapped back to
     the original coordinates, so the instance is invariant under the
-    given cycle."""
+    given cycle.  Every entry of c must be an int (``InputError``
+    otherwise)."""
+    c = tuple(_integer(v, "point entry") for v in c)
     n = len(c)
     if n < 3:
         raise InputError("need a point of dimension >= 3")
@@ -72,7 +77,7 @@ def hard_instance(
             f"got {[str(cyc) for cyc in group.selected_cycles]} for n={n}"
         )
     order = group.selected_cycles[0].support
-    local = tuple(int(c[i - 1]) for i in order)
+    local = tuple(c[i - 1] for i in order)
     if require_core:
         cert = is_lattice_free(rotation, local)
         if cert.verdict != "Core":
@@ -105,14 +110,32 @@ def hard_instance(
     )
 
 
+def _rotation_cycle(inst: Instance) -> Optional[Cycle]:
+    """A declared cycle through all n coordinates that fixes inst (its
+    rows, bounds and objective), or None."""
+    if inst.group is None:
+        return None
+    for cycle in inst.group.selected_cycles:
+        if set(cycle.support) == set(range(1, inst.n + 1)) and not _cycle_misses(inst, cycle):
+            return cycle
+    return None
+
+
 def certify_infeasible(inst: Instance) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Exhaustively enumerate the integer box against the rows.  Returns
-    (True, None) when no integer point satisfies every row, otherwise
-    (False, witness), the lexicographically first one.  When a row fixes
-    the layer (``sum(x) == L`` with integer L) only the box points on
-    that layer are enumerated.  Exact arithmetic throughout: each row is
-    scaled by the LCM of its denominators and checked on integers.  This
-    is the generator's own referee, independent of the search engine."""
+    """Enumerate the integer box against the rows.  Returns (True, None)
+    when no integer point satisfies every row, otherwise (False,
+    witness).  When a row fixes the layer (``sum(x) == L`` with integer
+    L) only the box points on that layer are enumerated.  When a
+    declared cycle through all n coordinates fixes the instance
+    (``solve._cycle_misses`` finds nothing), it maps the satisfying
+    points onto each other, and one point per rotation class is
+    enumerated, read along that cycle from coordinate 1: the witness is
+    the first in that reading order, which under (1,...,n) is the
+    lexicographically first.  Otherwise every box point is enumerated,
+    and the witness is the lexicographically first.  Exact arithmetic
+    throughout: each row is scaled by the LCM of its denominators and
+    checked on integers.  This is the generator's own referee,
+    independent of the search engine."""
     if any(lo is None or hi is None for lo, hi in inst.bounds):
         raise InputError("certification needs finite bounds")
     lo = [math.ceil(a) for a, _ in inst.bounds]
@@ -121,16 +144,20 @@ def certify_infeasible(inst: Instance) -> tuple[bool, Optional[tuple[int, ...]]]
         Fraction(r.rhs) for r in inst.rows if r.sense == "==" and all(a == 1 for a in r.coeffs)
     )
     layer = next((int(b) for b in layer_rhs if b.denominator == 1), None)
-    if layer is None:
+    cycle = _rotation_cycle(inst)
+    if cycle is not None:
+        # the cycle preserves the bounds, so the box is a cube
+        points = _necklace_points(cycle.support, lo[0], hi[0], layer)
+    elif layer is None:
         points = product(*(range(a, b + 1) for a, b in zip(lo, hi)))
     else:
         points = _layer_points(lo, hi, layer)
     rows = []
     for r in inst.rows:
-        coeffs = [Fraction(a) for a in r.coeffs]
-        rhs = Fraction(r.rhs)
-        scale = math.lcm(rhs.denominator, *(a.denominator for a in coeffs))
-        rows.append((tuple(int(a * scale) for a in coeffs), r.sense, int(rhs * scale)))
+        # an Instance holds its row entries as Fractions
+        scale = math.lcm(r.rhs.denominator, *(a.denominator for a in r.coeffs))
+        coeffs = tuple(a.numerator * (scale // a.denominator) for a in r.coeffs)
+        rows.append((coeffs, r.sense, r.rhs.numerator * (scale // r.rhs.denominator)))
     for point in points:
         ok = True
         for coeffs, sense, rhs in rows:
@@ -153,7 +180,7 @@ def generate(
     """Build the hard instance for c (see hard_instance for ``cycle``)
     and, unless told not to, certify it integer-infeasible."""
     inst = hard_instance(c, cycle=cycle)
-    layer = sum(int(v) for v in c)
+    layer = sum(c)
     if not certify:
         return GenResult(inst, layer, None, None)
     ok, witness = certify_infeasible(inst)

@@ -32,7 +32,7 @@ from corecuts import (
     select_cycles,
 )
 from corecuts import simplex
-from corecuts.corepoints import MAX_ESSENTIAL_WORK, _in_hull_exact
+from corecuts.corepoints import MAX_ESSENTIAL_WORK, _in_hull_exact, _necklace_points
 
 
 def _c3():
@@ -105,13 +105,19 @@ def test_is_lattice_free_binary_points_are_core():
         assert is_lattice_free(gs, z).verdict == "Core"
 
 
-def _referee(gs, z, box_margin=0):
+def _referee(gs, z, box_margin=0, order=None):
     """The core check without shortcuts: an exact LP for every non-vertex
-    point of the whole box, in lexicographic order."""
+    point of the whole box, in lexicographic order of the coordinates
+    read along ``order`` (default 1..n)."""
     verts = orbit(gs, tuple(z))
-    lo = [min(v[j] for v in verts) - box_margin for j in range(gs.n)]
-    hi = [max(v[j] for v in verts) + box_margin for j in range(gs.n)]
-    for cand in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+    order = order or range(1, gs.n + 1)
+    lo = [min(v[j - 1] for v in verts) - box_margin for j in order]
+    hi = [max(v[j - 1] for v in verts) + box_margin for j in order]
+    for read in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        cand = [0] * gs.n
+        for j, v in zip(order, read):
+            cand[j - 1] = v
+        cand = tuple(cand)
         if cand not in verts and _in_hull_exact(cand, verts):
             return "NotCore", cand
     return "Core", None
@@ -172,6 +178,44 @@ def test_core_check_margin_on_regular_points():
         _agree_on_a_wider_box(_cn(len(z)), z)
 
 
+def test_core_check_under_shuffled_full_cycles():
+    """Under a full cycle in any order the core check gives the
+    referee's verdict.  Its witness is a non-vertex point of the hull on
+    the orbit's layer: the first one read along the cycle from
+    coordinate 1."""
+    rng = random.Random(8)
+    verdicts = set()
+    for n, count in ((3, 10), (4, 10), (5, 6), (6, 2)):
+        for _ in range(count):
+            order = [1, *rng.sample(range(2, n + 1), n - 1)]
+            gs = parse_generators(["(" + ",".join(map(str, order)) + ")"])
+            select_cycles(gs)
+            z = tuple(rng.randint(-1, 2) for _ in range(n))
+            cert = is_lattice_free(gs, z)
+            assert (cert.verdict, cert.witness) == _referee(gs, z, order=order), (order, z)
+            verdicts.add(cert.verdict)
+            if cert.witness is not None:
+                verts = orbit(gs, z)
+                assert sum(cert.witness) == sum(z) and cert.witness not in verts
+                assert _in_hull_exact(cert.witness, verts)
+    assert verdicts == {"Core", "NotCore"}
+
+
+@pytest.mark.parametrize("entry", [1.5, True, "2"])
+def test_core_check_refuses_non_integer_entries(entry):
+    """1.5 was truncated to 1 and True read as 1."""
+    with pytest.raises(InputError, match="point entry"):
+        is_lattice_free(_c3(), (entry, 1, 0))
+
+
+def test_core_check_refuses_a_box_no_index_fits():
+    """The rotation-class scan is lazy: it takes the box's length first,
+    so a 10**400-wide box raises OverflowError instead of running
+    without end."""
+    with pytest.raises(OverflowError):
+        is_lattice_free(_c3(), (1, 10**400, 0))
+
+
 def _count_lps(monkeypatch):
     calls = []
     real = simplex.lp_feasible
@@ -218,6 +262,31 @@ def test_display_form_prefers_trailing_zeros():
 def test_rotation_class_key_is_rotation_invariant():
     for rot in all_rotations((0, 1, 2, 0, 2)):
         assert rotation_class_key(rot) == rotation_class_key((0, 1, 2, 0, 2))
+
+
+def _least_rotations(n, lo, hi, layer):
+    """Brute force: the least rotation of each class of box points (on
+    the layer unless it is None), in lexicographic order."""
+    box = itertools.product(range(lo, hi + 1), repeat=n)
+    return sorted({rotation_class_key(v) for v in box if layer is None or sum(v) == layer})
+
+
+def test_necklace_points_give_each_least_rotation_once_in_order():
+    """One point per rotation class, the least of the class, in
+    lexicographic order; under a cycle in another order the same holds
+    of the points read along that cycle."""
+    rng = random.Random(4)
+    cases = 0
+    for n in range(1, 8):
+        order = rng.sample(range(1, n + 1), n)
+        for lo, hi in ((0, 1), (-1, 1), (0, 2), (1, 3)):
+            for layer in [None, *range(n * lo, n * hi + 1)]:
+                want = _least_rotations(n, lo, hi, layer)
+                assert list(_necklace_points(range(1, n + 1), lo, hi, layer)) == want
+                got = [tuple(x[j - 1] for j in order) for x in _necklace_points(order, lo, hi, layer)]
+                assert got == want, (order, lo, hi, layer)
+                cases += 1
+    assert cases == 252
 
 
 # ---------------------------------------------------------------------------

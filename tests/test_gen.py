@@ -12,10 +12,21 @@ from itertools import product
 
 import pytest
 
-from corecuts import NotCore, certify_infeasible, generate, hard_instance, lp_relax, make_instance
+from corecuts import (
+    InputError,
+    NotCore,
+    analyze_group,
+    certify_infeasible,
+    generate,
+    hard_instance,
+    lp_relax,
+    make_instance,
+    rotation_class_key,
+)
 from corecuts.errors import SingularCirculant
 from corecuts.gen import GenResult
 from corecuts.simplex import make_row
+from corecuts.solve import _cycle_misses
 
 
 def test_hard_instance_shape():
@@ -117,18 +128,19 @@ def test_certify_scans_only_the_integers_inside_fractional_bounds():
     assert certify_infeasible(make_instance(1, rows=(row,), bounds=bounds)) == (False, (2,))
 
 
+def _meets(row, point):
+    act = sum(a * v for a, v in zip(row.coeffs, point))
+    return {"<=": act <= row.rhs, ">=": act >= row.rhs, "==": act == row.rhs}[row.sense]
+
+
 def _full_box_certify(inst):
     """Referee: every integer point of the box, in lexicographic order,
     against every row in exact arithmetic."""
-    def meets(row, point):
-        act = sum(a * v for a, v in zip(row.coeffs, point))
-        return {"<=": act <= row.rhs, ">=": act >= row.rhs, "==": act == row.rhs}[row.sense]
-
     # equality rows first: the order changes only how soon a point fails
     rows = sorted(inst.rows, key=lambda row: row.sense != "==")
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in inst.bounds]
     for point in product(*ranges):
-        if all(meets(row, point) for row in rows):
+        if all(_meets(row, point) for row in rows):
             return False, point
     return True, None
 
@@ -137,30 +149,85 @@ def _with_rows(inst, rows):
     return dataclasses.replace(inst, rows=tuple(rows))
 
 
+def _variants(inst, layer):
+    """inst, inst without its caps, and inst with its layer row gone,
+    scaled or fractional (no layer row to scan by)."""
+    others = [r for r in inst.rows if r.sense != "=="]
+    return [
+        inst,
+        _with_rows(inst, [r for r in inst.rows if r.sense != "<="]),
+        _with_rows(inst, others),
+        _with_rows(inst, others + [make_row([2] * inst.n, "==", 2 * layer)]),
+        _with_rows(inst, others + [make_row([1] * inst.n, "==", Fraction(2 * layer + 1, 2))]),
+    ]
+
+
 def test_certify_matches_full_box_referee():
-    """The layer enumeration gives the full box's verdict and first
-    witness: on generated instances of core and non-core points, on
-    relaxed ones that keep their layer row, and on instances whose layer
-    row is gone, scaled or fractional (full-box route)."""
+    """The enumeration gives the full box's verdict and first witness:
+    on generated instances of core and non-core points, on relaxed ones
+    that keep their layer row, and on instances whose layer row is gone,
+    scaled or fractional.  On the same instances built on a full cycle
+    in another order the verdict is the full box's, and a witness, the
+    first read along that cycle, meets every row and bound."""
     rng = random.Random(11)
-    witnesses = 0
+    shuffle = random.Random(12)
+    witnesses = shuffled_witnesses = 0
     for _ in range(12):
         c = tuple(rng.randint(0, 2) for _ in range(rng.randint(3, 5)))
         try:
             inst = hard_instance(c, require_core=False)
         except SingularCirculant:
             continue
-        layer = sum(c)
-        others = [r for r in inst.rows if r.sense != "=="]
-        variants = [
-            inst,
-            _with_rows(inst, [r for r in inst.rows if r.sense != "<="]),
-            _with_rows(inst, others),
-            _with_rows(inst, others + [make_row([2] * inst.n, "==", 2 * layer)]),
-            _with_rows(inst, others + [make_row([1] * inst.n, "==", Fraction(2 * layer + 1, 2))]),
-        ]
-        for variant in variants:
+        for variant in _variants(inst, sum(c)):
             got = certify_infeasible(variant)
             assert got == _full_box_certify(variant), (c, variant.rows)
             witnesses += got[1] is not None
-    assert witnesses
+        order = [1, *shuffle.sample(range(2, len(c) + 1), len(c) - 1)]
+        cycle = "(" + ",".join(map(str, order)) + ")"
+        for variant in _variants(hard_instance(c, require_core=False, cycle=cycle), sum(c)):
+            empty, witness = certify_infeasible(variant)
+            assert empty == _full_box_certify(variant)[0], (c, cycle, variant.rows)
+            if witness is not None:
+                shuffled_witnesses += 1
+                assert all(_meets(row, witness) for row in variant.rows)
+                assert all(lo <= v <= hi for (lo, hi), v in zip(variant.bounds, witness))
+    assert witnesses and shuffled_witnesses
+
+
+def test_certify_checks_the_declared_cycle_before_scanning_classes():
+    """An instance that its declared cycle does not fix, here a hard
+    instance without one of its floor or cap rows, gets the full box's
+    answer.  Without a cap, the one vertex left feasible is often not
+    the least of its rotations, so a scan of one point per rotation
+    class would have missed it."""
+    inst = hard_instance((2, 2, 2, 2, 1))
+    not_least = 0
+    for i, row in enumerate(inst.rows):
+        if row.sense == "==":
+            continue
+        variant = _with_rows(inst, inst.rows[:i] + inst.rows[i + 1 :])
+        assert _cycle_misses(variant, variant.group.selected_cycles[0])
+        got = certify_infeasible(variant)
+        assert got == _full_box_certify(variant), i
+        if row.sense == "<=":
+            assert not got[0]
+            not_least += got[1] != rotation_class_key(got[1])
+    assert not_least
+
+
+def test_certify_refuses_a_box_no_index_fits():
+    """The rotation-class scan is lazy: it takes the box's length first,
+    so a 10**400-wide box raises OverflowError instead of running
+    without end."""
+    group = analyze_group(["(1,2,3)"], 3)
+    inst = make_instance(3, bounds=[(0, 10**400)] * 3, group=group)
+    with pytest.raises(OverflowError):
+        certify_infeasible(inst)
+
+
+@pytest.mark.parametrize("entry", [1.5, True, "2"])
+def test_generator_refuses_non_integer_entries(entry):
+    """generate((1.5, 1, 0)) built and certified the instance of (1, 1, 0)."""
+    for build in (hard_instance, generate):
+        with pytest.raises(InputError, match="point entry"):
+            build((entry, 1, 0))
